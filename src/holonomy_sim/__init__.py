@@ -13,20 +13,18 @@ from .control import (ControlKind, ControlSegment, KickSchedule, PulseTrain,
 from .experiments import (ExperimentConfig, KickEquivalenceReport,
                           RealizationRecord, SweepResult, SweepRow,
                           compare_positive_vs_zero_energy, config_from_dict,
-                          config_to_dict, realization_seed, sweep_dt_zero_energy,
-                          sweep_mean_control, sweep_runtime, write_csv,
-                          write_json_bundle)
-from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
-                           cphase_hamiltonian, dark_states, gate_hamiltonian,
-                           phase_hamiltonian, physical_hamiltonian, project_dfs,
-                           total_z, xgate_hamiltonian)
+                          config_to_dict, control_from_dict, realization_seed,
+                          sweep, write_csv, write_json_bundle)
+from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
+                           gate_hamiltonian, physical_hamiltonian, project_dfs,
+                           total_z)
 from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        berry_closed_form, berry_numeric, evaluate_holonomy,
                        extract_phase, find_a_for_phase, gate_matrix,
                        quality_factor, reachable_phase_range, wrap_angle)
-from .propagation import (Frame, PropagationResult, StepPolicy,
-                          adiabatic_hamiltonian, propagate_adiabatic,
-                          propagate_hamiltonian, propagate_lab)
+from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
+                          propagate_adiabatic, propagate_hamiltonian,
+                          propagate_lab)
 from .qcore import (dagger, hermiticity_defect, inner, matexp_hermitian,
                     matexp_hermitian_stack, spectral_gap, tensor_product,
                     unitarity_defect)
@@ -37,15 +35,14 @@ __all__ = [
     "matexp_hermitian", "matexp_hermitian_stack", "tensor_product", "dagger",
     "inner", "spectral_gap", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
-    "GateKind", "GateSpec", "Schedule", "DfsBasis", "phase_hamiltonian",
-    "xgate_hamiltonian", "cphase_hamiltonian", "physical_hamiltonian",
+    "GateKind", "GateSpec", "Schedule", "DfsBasis", "physical_hamiltonian",
     "project_dfs", "dark_states", "gate_hamiltonian", "total_z",
     # control
     "ControlKind", "PulseTrain", "ControlSegment", "KickSchedule",
     "generate_segments", "integral_C", "mean_control", "net_area",
     "resonance_condition", "make_kicks",
     # propagation
-    "Frame", "StepPolicy", "PropagationResult", "propagate_lab",
+    "StepPolicy", "PropagationResult", "propagate_lab",
     "propagate_adiabatic", "propagate_hamiltonian", "adiabatic_hamiltonian",
     # holonomy
     "bessel_j0", "berry_closed_form", "berry_numeric", "extract_phase",
@@ -54,8 +51,7 @@ __all__ = [
     "reachable_phase_range",
     # experiments
     "ExperimentConfig", "SweepRow", "SweepResult", "RealizationRecord",
-    "KickEquivalenceReport", "sweep_runtime", "sweep_mean_control",
-    "sweep_dt_zero_energy", "compare_positive_vs_zero_energy", "write_csv",
-    "write_json_bundle", "config_from_dict", "config_to_dict",
-    "realization_seed",
+    "KickEquivalenceReport", "sweep", "compare_positive_vs_zero_energy",
+    "write_csv", "write_json_bundle", "config_from_dict", "config_to_dict",
+    "control_from_dict", "realization_seed",
 ]

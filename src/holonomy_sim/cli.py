@@ -1,8 +1,8 @@
 """Command-line front end: single-gate runs, experiment sweeps, selftest.
 
 Exit codes
-  gate:     2 invalid arguments, 3 tolerance violation (unitarity defect)
-  sweep:    2 invalid config, 4 unwritable output
+  gate:     2 invalid arguments or control, 3 tolerance violation (unitarity defect)
+  sweep:    2 invalid config or thread count, 4 unwritable output
   selftest: 1 on any invariant failure
 
 Parallelism for sweeps comes from --threads, falling back to the
@@ -22,16 +22,13 @@ import numpy as np
 
 from ._version import __version__
 from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
-                      generate_segments, integral_C, make_kicks,
-                      resonance_condition)
+                      generate_segments, integral_C, resonance_condition)
 from .experiments import (ExperimentConfig, compare_positive_vs_zero_energy,
-                          config_from_dict, config_to_dict, sweep_dt_zero_energy,
-                          sweep_mean_control, sweep_runtime, write_csv,
-                          write_json_bundle)
+                          config_from_dict, config_to_dict, control_from_dict,
+                          sweep, train_schedule, write_csv, write_json_bundle)
 from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
-                           gate_hamiltonian, phase_hamiltonian,
-                           physical_hamiltonian, project_dfs, total_z,
-                           xgate_hamiltonian)
+                           gate_hamiltonian, physical_hamiltonian, project_dfs,
+                           total_z)
 from .holonomy import (bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
@@ -39,13 +36,19 @@ from .qcore import hermiticity_defect, matexp_hermitian_stack, unitarity_defect
 
 UNITARITY_EXIT_TOL = 1e-8
 
+# sweep experiment -> the config sweep_variable it consumes
+SWEEP_EXPERIMENTS = {"runtime": "T", "mean-control": "mean_control", "dt-zero-energy": "dt"}
+
 
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
     env = os.environ.get("HOLONOMY_SIM_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"HOLONOMY_SIM_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -53,47 +56,42 @@ def _complex_matrix_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _load_control(arg: str, T: float):
-    """Parse --control: inline JSON or a path to a JSON file.
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
 
-    Returns (segments, kicks).  Delta-kick kinds put their events in the
-    kick schedule (interval = dt, jitter = p/2) over a unit-strength base.
-    """
-    if arg.strip().startswith("{"):
-        data = json.loads(arg)
-    else:
-        with open(arg, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    allowed = {"kind", "J", "dt", "p", "seed"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown control keys: {sorted(unknown)}")
-    train = PulseTrain(kind=ControlKind(data["kind"]), J=float(data.get("J", 0.0)),
-                       dt=float(data.get("dt", 0.0)), p=float(data.get("p", 0.0)),
-                       seed=int(data.get("seed", 0)))
-    segments = generate_segments(train, T)
-    kicks = None
-    if train.kind in (ControlKind.DELTA_KICK_POSITIVE, ControlKind.DELTA_KICK_ALTERNATING):
-        kicks = make_kicks(train.kind, T, train.dt, seed=train.seed, jitter=train.p / 2.0)
-    return segments, kicks
+
+def _loads(text: str):
+    """json.loads that rejects NaN and +-Infinity literals."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def cmd_gate(args) -> int:
-    spec = GateSpec(kind=GateKind(args.kind), schedule=Schedule(args.a, args.T))
     try:
+        spec = GateSpec(kind=GateKind(args.kind), schedule=Schedule(args.a, args.T))
+        gamma_ideal = berry_closed_form(args.a)
+        policy = StepPolicy(max_step=args.T / args.steps) if args.steps else StepPolicy()
+    except ValueError as exc:
+        print(f"error: invalid arguments: {exc}", file=sys.stderr)
+        return 2
+    try:
+        # --control is inline JSON or a path to a JSON file
+        train = PulseTrain(ControlKind.NO_CONTROL)
         if args.control:
-            segments, kicks = _load_control(args.control, args.T)
-        else:
-            segments = generate_segments(PulseTrain(ControlKind.NO_CONTROL), args.T)
-            kicks = None
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+            text = args.control if args.control.strip().startswith("{") else _read(args.control)
+            train = control_from_dict(_loads(text))
+        segments, kicks = train_schedule(train, args.T)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid control: {exc}", file=sys.stderr)
         return 2
-    policy = StepPolicy(max_step=args.T / args.steps) if args.steps else StepPolicy()
 
     result = propagate_lab(spec, segments, kicks=kicks, policy=policy)
     dark = dark_states(spec, 0.0)[-1]
-    hol = evaluate_holonomy(result.U, dark, berry_closed_form(args.a))
+    hol = evaluate_holonomy(result.U, dark, gamma_ideal)
     payload = {
         "kind": args.kind,
         "a": args.a,
@@ -167,16 +165,23 @@ def _write_svg(rows, path, xlabel: str) -> None:
 
 def cmd_sweep(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _loads(_read(args.config))
         cfg = config_from_dict(data)
         if args.seed is not None:
             data["master_seed"] = args.seed
             cfg = config_from_dict(data)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        expected = SWEEP_EXPERIMENTS.get(args.experiment)
+        if expected is not None and cfg.sweep_variable != expected:
+            raise ValueError(f"experiment {args.experiment} expects sweep_variable "
+                             f"{expected!r}, got {cfg.sweep_variable!r}")
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    threads = _resolve_threads(args.threads)
+    try:
+        threads = _resolve_threads(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     start = time.monotonic()
     try:
@@ -207,18 +212,14 @@ def cmd_sweep(args) -> int:
                 fh.write("\n")
             outputs.append("report.json")
         else:
-            runner = {"runtime": sweep_runtime,
-                      "mean-control": sweep_mean_control,
-                      "dt-zero-energy": sweep_dt_zero_energy}[args.experiment]
-            result = runner(cfg, n_threads=threads)
+            result = sweep(cfg, n_threads=threads)
             total_steps = result.total_steps
             write_csv(result.rows, os.path.join(args.out_dir, "results.csv"))
             write_json_bundle(result, cfg, os.path.join(args.out_dir, "bundle.json"))
             outputs.extend(["results.csv", "bundle.json"])
             if args.plot:
-                xlabel = {"runtime": "T", "mean-control": "mean control",
-                          "dt-zero-energy": "dt"}[args.experiment]
-                _write_svg(result.rows, os.path.join(args.out_dir, "plot.svg"), xlabel)
+                _write_svg(result.rows, os.path.join(args.out_dir, "plot.svg"),
+                           cfg.sweep_variable.replace("_", " "))
                 outputs.append("plot.svg")
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
@@ -261,8 +262,8 @@ def _check_hermiticity_and_gap(rng):
     worst_h, worst_gap = 0.0, 0.0
     s = Schedule(0.7605, 1.0)
     for t in rng.uniform(0, 1.0, size=100):
-        for build in (phase_hamiltonian, xgate_hamiltonian):
-            h = build(s, t)
+        for kind in (GateKind.PHASE, GateKind.XGATE):
+            h = gate_hamiltonian(GateSpec(kind, s), t)
             worst_h = max(worst_h, hermiticity_defect(h))
             ev = np.linalg.eigvalsh(h)
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
@@ -393,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep experiment")
     sweep.add_argument("--experiment", required=True,
-                       choices=["runtime", "mean-control", "dt-zero-energy",
-                                "kick-equivalence"])
+                       choices=[*SWEEP_EXPERIMENTS, "kick-equivalence"])
     sweep.add_argument("--config", required=True, help="JSON config file")
     sweep.add_argument("--seed", type=int, help="override master_seed")
     sweep.add_argument("--out-dir", required=True)

@@ -10,22 +10,19 @@ a (config, master_seed) pair reproduces output files byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._version import __version__
-from .control import (RNG_DESCRIPTION, ControlKind, KickSchedule, PulseTrain,
-                      generate_segments, make_kicks, mean_control, net_area,
-                      resonance_condition)
+from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
+                      PulseTrain, generate_segments, make_kicks, mean_control,
+                      net_area, resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab
-
-DEFAULT_RESONANCE_TOL = 1e-6
-
-SWEEP_VARIABLES = ("T", "mean_control", "dt")
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,8 @@ class ExperimentConfig:
     policy: StepPolicy = StepPolicy()
 
     def __post_init__(self):
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ValueError(f"sweep_variable must be one of {SWEEP_VARIABLES}, "
+        if self.sweep_variable not in _SWEEPS:
+            raise ValueError(f"sweep_variable must be one of {tuple(_SWEEPS)}, "
                              f"got {self.sweep_variable!r}")
         if not self.grid:
             raise ValueError("grid must be nonempty")
@@ -74,6 +71,7 @@ class RealizationRecord:
     overlap_abs: float
     f: float
     steps: int
+    unitarity_defect: float
     mean_control_measured: float | None = None
 
 
@@ -108,8 +106,11 @@ def _run_jobs(jobs, worker, n_threads: int):
         return list(pool.map(worker, jobs))
 
 
-def _assemble_rows(cfg: ExperimentConfig, records, annotate=None):
-    """Collapse per-realization records into one row per grid point."""
+def _assemble_rows(cfg: ExperimentConfig, records):
+    """Collapse per-realization records into one row per grid point.
+
+    dt-sweep rows are annotated with whether J*dt sits on a 2*pi*n resonance.
+    """
     rows = []
     for j, x in enumerate(cfg.grid):
         here = [r for r in records if r.grid_index == j]
@@ -118,7 +119,8 @@ def _assemble_rows(cfg: ExperimentConfig, records, annotate=None):
         # average phases relative to the ideal one so wrap-around cannot skew
         rel = [wrap_angle(r.gamma_measured - gamma_ideal) for r in here]
         gamma_mean = wrap_angle(gamma_ideal + sum(rel) / len(rel))
-        resonant, nearest = annotate(x) if annotate else (None, None)
+        resonant, nearest = (resonance_condition(cfg.control.J, x)
+                             if cfg.sweep_variable == "dt" else (None, None))
         rows.append(SweepRow(
             x=x,
             f_mean=sum(fs) / len(fs),
@@ -134,6 +136,20 @@ def _assemble_rows(cfg: ExperimentConfig, records, annotate=None):
     return tuple(rows)
 
 
+def train_schedule(train: PulseTrain, T: float):
+    """(segments, kicks) of a train over [0, T].
+
+    Delta-kick kinds put their events in a kick schedule (interval = dt,
+    jitter = p/2, seeded by train.seed) over a zero base segment; the other
+    kinds have no kicks.
+    """
+    segments = generate_segments(train, T)
+    kicks = None
+    if train.kind in KICK_KINDS:
+        kicks = make_kicks(train.kind, T, train.dt, seed=train.seed, jitter=train.p / 2.0)
+    return segments, kicks
+
+
 def _propagate_record(cfg, spec, train, j, k, x):
     seed = realization_seed(cfg.master_seed, j, k)
     segments = generate_segments(replace(train, seed=seed), spec.schedule.T)
@@ -147,77 +163,51 @@ def _propagate_record(cfg, spec, train, j, k, x):
                              gamma_measured=hol.gamma_measured,
                              overlap_abs=hol.overlap_abs, f=hol.f,
                              steps=result.steps_taken,
+                             unitarity_defect=result.unitarity_defect,
                              mean_control_measured=measured)
 
 
-def sweep_runtime(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
-    """Quality factor versus runtime T, no control."""
-    if cfg.control.kind is not ControlKind.NO_CONTROL:
-        raise ValueError("runtime sweep requires a no_control train")
-    if cfg.sweep_variable != "T":
-        raise ValueError("runtime sweep expects sweep_variable 'T'")
-
-    def worker(jk):
-        j, k = jk
-        T = cfg.grid[j]
-        spec = replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, T))
-        return _propagate_record(cfg, spec, cfg.control, j, k, T)
-
-    jobs = [(j, k) for j in range(len(cfg.grid)) for k in range(cfg.realizations)]
-    records = tuple(_run_jobs(jobs, worker, n_threads))
-    return SweepResult(_assemble_rows(cfg, records), records,
-                       sum(r.steps for r in records))
-
-
-def sweep_mean_control(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
-    """Quality factor versus average positive-square control strength.
-
-    The grid holds target mean values; at duty 50% the pulse amplitude is
-    J = 2 * target (the per-segment random factor averages to 1), and the
-    realized time average is recorded per realization.
-    """
-    if cfg.control.kind is not ControlKind.POSITIVE_SQUARE:
-        raise ValueError("mean-control sweep requires a positive_square train")
-    if cfg.sweep_variable != "mean_control":
-        raise ValueError("mean-control sweep expects sweep_variable 'mean_control'")
+def _mean_control_point(cfg: ExperimentConfig, target: float):
+    # at duty 50% the per-segment random factor averages to 1, so J = 2 * target
     T = cfg.gate.schedule.T
     ratio = T / cfg.control.dt
     if abs(ratio - round(ratio)) > 1e-9 * ratio:
         raise ValueError(f"dt {cfg.control.dt} does not divide T {T}")
+    return cfg.gate, replace(cfg.control, J=2.0 * target)
+
+
+# sweep_variable -> (required control kind, grid value x -> (spec, train))
+_SWEEPS = {
+    "T": (ControlKind.NO_CONTROL,
+          lambda cfg, T: (replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, T)),
+                          cfg.control)),
+    "mean_control": (ControlKind.POSITIVE_SQUARE, _mean_control_point),
+    "dt": (ControlKind.ZERO_ENERGY_ALTERNATING,
+           lambda cfg, dt: (cfg.gate, replace(cfg.control, dt=dt))),
+}
+
+
+def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
+    """Quality factor versus cfg.sweep_variable over cfg.grid.
+
+    T sweeps the runtime without control; mean_control sweeps the target
+    average of a positive-square train, whose realized time average is
+    recorded per realization; dt sweeps the half-period of a zero-energy
+    alternating train.
+    """
+    kind, point = _SWEEPS[cfg.sweep_variable]
+    if cfg.control.kind is not kind:
+        raise ValueError(f"sweep_variable {cfg.sweep_variable!r} requires a "
+                         f"{kind.value} train, got {cfg.control.kind.value}")
+    points = [point(cfg, x) for x in cfg.grid]
 
     def worker(jk):
         j, k = jk
-        target = cfg.grid[j]
-        train = replace(cfg.control, J=2.0 * target)
-        return _propagate_record(cfg, cfg.gate, train, j, k, target)
+        return _propagate_record(cfg, *points[j], j, k, cfg.grid[j])
 
     jobs = [(j, k) for j in range(len(cfg.grid)) for k in range(cfg.realizations)]
     records = tuple(_run_jobs(jobs, worker, n_threads))
     return SweepResult(_assemble_rows(cfg, records), records,
-                       sum(r.steps for r in records))
-
-
-def sweep_dt_zero_energy(cfg: ExperimentConfig, n_threads: int = 1,
-                         resonance_tol: float = DEFAULT_RESONANCE_TOL) -> SweepResult:
-    """Quality factor versus half-period dt of the zero-energy alternating train.
-
-    Rows are annotated with whether J*dt sits on a 2*pi*n resonance.
-    """
-    if cfg.control.kind is not ControlKind.ZERO_ENERGY_ALTERNATING:
-        raise ValueError("dt sweep requires a zero_energy_alternating train")
-    if cfg.sweep_variable != "dt":
-        raise ValueError("dt sweep expects sweep_variable 'dt'")
-
-    def worker(jk):
-        j, k = jk
-        dt = cfg.grid[j]
-        train = replace(cfg.control, dt=dt)
-        return _propagate_record(cfg, cfg.gate, train, j, k, dt)
-
-    jobs = [(j, k) for j in range(len(cfg.grid)) for k in range(cfg.realizations)]
-    records = tuple(_run_jobs(jobs, worker, n_threads))
-    annotate = lambda dt: resonance_condition(cfg.control.J, dt, resonance_tol)
-    return SweepResult(_assemble_rows(cfg, records, annotate), records,
                        sum(r.steps for r in records))
 
 
@@ -226,19 +216,17 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
 
     The two final unitaries agree exactly (each exp(-i*pi*H) equals
     exp(+i*pi*H) on an integer spectrum) while the net control areas are
-    m*pi versus 0 or pi -- control at zero net energy cost.
+    m*pi versus 0 or pi -- control at zero net energy cost.  The kick times
+    are seeded by master_seed.
     """
-    if cfg.control.kind not in (ControlKind.DELTA_KICK_POSITIVE,
-                                ControlKind.DELTA_KICK_ALTERNATING):
+    if cfg.control.kind not in KICK_KINDS:
         raise ValueError("kick comparison requires a delta-kick train")
-    T = cfg.gate.schedule.T
-    jitter = cfg.control.p / 2.0
-    positive = make_kicks(ControlKind.DELTA_KICK_POSITIVE, T, cfg.control.dt,
-                          seed=cfg.master_seed, jitter=jitter)
+    segments, positive = train_schedule(
+        replace(cfg.control, kind=ControlKind.DELTA_KICK_POSITIVE, seed=cfg.master_seed),
+        cfg.gate.schedule.T)
     alternating = KickSchedule(positive.times,
                                tuple((-1) ** i for i in range(len(positive.times))),
                                positive.area)
-    segments = generate_segments(PulseTrain(ControlKind.NO_CONTROL), T)
     res_pos = propagate_lab(cfg.gate, segments, kicks=positive, policy=cfg.policy)
     res_alt = propagate_lab(cfg.gate, segments, kicks=alternating, policy=cfg.policy)
     dark = dark_states(cfg.gate, 0.0)[-1]
@@ -299,7 +287,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _take(mapping: dict, allowed: dict, where: str) -> dict:
+_REQUIRED = object()
+
+
+def _take(mapping, allowed: dict, where: str) -> dict:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
@@ -311,7 +304,28 @@ def _take(mapping: dict, allowed: dict, where: str) -> dict:
     return out
 
 
-_REQUIRED = object()
+def _real(value, name: str) -> float:
+    """float(value), rejecting NaN and infinities."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    """int(value), rejecting fractional numbers instead of truncating them."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def control_from_dict(data: dict) -> PulseTrain:
+    """Strict parser for a control train; unknown keys error, kind is required."""
+    c = _take(data, {"kind": _REQUIRED, "J": 0.0, "dt": 0.0, "p": 0.0, "seed": 0},
+              "control")
+    return PulseTrain(kind=ControlKind(c["kind"]), J=_real(c["J"], "control.J"),
+                      dt=_real(c["dt"], "control.dt"), p=_real(c["p"], "control.p"),
+                      seed=_integer(c["seed"], "control.seed"))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -323,20 +337,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     g = _take(top["gate"], {"kind": _REQUIRED, "a": _REQUIRED, "T": _REQUIRED,
                             "j12": 0.0, "j13": 0.0}, "gate")
     gate = GateSpec(kind=GateKind(g["kind"]),
-                    schedule=Schedule(float(g["a"]), float(g["T"])),
-                    j12=float(g["j12"]), j13=float(g["j13"]))
-    c = _take(top["control"], {"kind": _REQUIRED, "J": 0.0, "dt": 0.0,
-                               "p": 0.0, "seed": 0}, "control")
-    control = PulseTrain(kind=ControlKind(c["kind"]), J=float(c["J"]),
-                         dt=float(c["dt"]), p=float(c["p"]), seed=int(c["seed"]))
+                    schedule=Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")),
+                    j12=_real(g["j12"], "gate.j12"), j13=_real(g["j13"], "gate.j13"))
+    control = control_from_dict(top["control"])
     p = _take(top["policy"], {"substeps_per_segment": 20, "max_step": None}, "policy")
-    policy = StepPolicy(substeps_per_segment=int(p["substeps_per_segment"]),
-                        max_step=None if p["max_step"] is None else float(p["max_step"]))
+    policy = StepPolicy(
+        substeps_per_segment=_integer(p["substeps_per_segment"],
+                                      "policy.substeps_per_segment"),
+        max_step=None if p["max_step"] is None else _real(p["max_step"], "policy.max_step"))
     return ExperimentConfig(gate=gate, control=control,
                             sweep_variable=str(top["sweep_variable"]),
-                            grid=tuple(float(x) for x in top["grid"]),
-                            realizations=int(top["realizations"]),
-                            master_seed=int(top["master_seed"]),
+                            grid=tuple(_real(x, "grid value") for x in top["grid"]),
+                            realizations=_integer(top["realizations"], "realizations"),
+                            master_seed=_integer(top["master_seed"], "master_seed"),
                             policy=policy)
 
 
@@ -357,6 +370,7 @@ def write_json_bundle(result: SweepResult, cfg: ExperimentConfig, path) -> None:
             "grid_index": r.grid_index, "realization_index": r.realization_index,
             "x": r.x, "seed": r.seed, "gamma_measured": r.gamma_measured,
             "overlap_abs": r.overlap_abs, "f": r.f, "steps": r.steps,
+            "unitarity_defect": r.unitarity_defect,
             "mean_control_measured": r.mean_control_measured,
         } for r in result.records],
         "total_steps": result.total_steps,

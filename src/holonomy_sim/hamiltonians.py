@@ -1,11 +1,12 @@
 """Time-dependent gate Hamiltonians, their dark states, and the DFS projection.
 
-Three logical gate generators share one structure: a lambda-type coupling
-between an ancilla level |2> and two other levels, with mixing angle
-theta(t) = a*sin(2*pi*t/T) and drive phase phi(t) = 2*pi*t/T.  Their
-eigenvalues are {-1, 0, 0, +1} at every instant (the gap never closes and
-never moves), which is what makes the accelerated-adiabaticity control
-scheme work: energy differences in the rotating frame are constants.
+The three logical gates share one generator: a lambda-type coupling
+between an ancilla level and two other levels, with mixing angle
+theta(t) = a*sin(2*pi*t/T) and drive phase phi(t) = 2*pi*t/T, embedded at
+the levels listed in _EMBEDDINGS.  Its nonzero eigenvalues are -1 and +1
+at every instant (the gap never closes and never moves), which is what
+makes the accelerated-adiabaticity control scheme work: energy
+differences in the rotating frame are constants.
 
 The four-physical-qubit exchange Hamiltonian (XY hopping plus a
 Dzialoshinski-Moriya term on one bond) commutes with the total
@@ -47,6 +48,17 @@ class GateKind(enum.Enum):
     PHYSICAL_FOUR = "physical_four"
 
 
+# kind -> (dim, lo, anc, hi, trivially dark indices) of its lambda coupling.
+# The x-gate shares the phase gate's entries; only the meaning of the first
+# two slots changes (|+->, not |0>/|1>).  cphase couples |1,1>, |2,1>, |3,1>
+# and leaves |0,0>, |0,1>, |1,0> dark.
+_EMBEDDINGS = {
+    GateKind.PHASE: (4, 1, 2, 3, (0,)),
+    GateKind.XGATE: (4, 1, 2, 3, (0,)),
+    GateKind.CPHASE: (16, 5, 9, 13, (0, 1, 4)),
+}
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Cyclic drive: theta(t) = a*sin(2*pi*t/T), phi(t) = 2*pi*t/T."""
@@ -55,10 +67,10 @@ class Schedule:
     T: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"period T must be positive, got {self.T}")
-        if self.a < 0:
-            raise ValueError(f"amplitude a must be >= 0, got {self.a}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
+        if not 0 <= self.a < math.inf:
+            raise ValueError(f"amplitude a must be finite and >= 0, got {self.a}")
 
     def _check_t(self, t: float) -> None:
         tol = 1e-9 * max(self.T, 1.0)
@@ -101,7 +113,7 @@ class GateSpec:
 
     @property
     def dim(self) -> int:
-        return 16 if self.kind in (GateKind.CPHASE, GateKind.PHYSICAL_FOUR) else 4
+        return 16 if self.kind is GateKind.PHYSICAL_FOUR else _EMBEDDINGS[self.kind][0]
 
 
 @dataclass(frozen=True)
@@ -124,45 +136,6 @@ class DfsBasis:
         weights = {bin(i).count("1") for i in idx}
         if len(weights) != 1:
             raise ValueError("basis states have unequal total-Z eigenvalues")
-
-
-def _lambda_coupling(th: float, ph: float, dim: int, lo: int, anc: int, hi: int) -> np.ndarray:
-    """sin(th) on lo<->anc plus cos(th)*e^{+-i ph} on anc<->hi."""
-    h = np.zeros((dim, dim), dtype=complex)
-    h[lo, anc] = h[anc, lo] = math.sin(th)
-    h[hi, anc] = math.cos(th) * np.exp(-1j * ph)
-    h[anc, hi] = math.cos(th) * np.exp(1j * ph)
-    return h
-
-
-def phase_hamiltonian(s: Schedule, t: float) -> np.ndarray:
-    """4x4 phase-gate generator in the (|0>,|1>,|2>,|3>) basis.
-
-    |0> is untouched; |1> couples to the ancilla |2> with sin(theta) and
-    |3> with cos(theta)*e^{+-i phi}.  Hermitian by construction, eigenvalues
-    {-1, 0, 0, +1} for every t.
-    """
-    return _lambda_coupling(s.theta(t), s.phi(t), 4, lo=1, anc=2, hi=3)
-
-
-def xgate_hamiltonian(s: Schedule, t: float) -> np.ndarray:
-    """4x4 x-gate generator, array indices ordered (|+>, |->, |2>, |3>).
-
-    Identical matrix entries to :func:`phase_hamiltonian`; only the meaning
-    of the first two array slots changes (|+->, not |0>/|1>), so the same
-    propagator serves both gates.
-    """
-    return _lambda_coupling(s.theta(t), s.phi(t), 4, lo=1, anc=2, hi=3)
-
-
-def cphase_hamiltonian(s: Schedule, t: float) -> np.ndarray:
-    """16x16 controlled-phase generator on two logical qubits (row-major 4x4).
-
-    Acts only on span{|1,1>, |2,1>, |3,1>}; every other product state is
-    annihilated, so |0,0>, |0,1>, |1,0> are trivially dark.
-    """
-    # |1,1> -> 5, |2,1> -> 9, |3,1> -> 13
-    return _lambda_coupling(s.theta(t), s.phi(t), 16, lo=5, anc=9, hi=13)
 
 
 def _pauli_on(op: np.ndarray, qubit: int) -> np.ndarray:
@@ -224,39 +197,41 @@ def project_dfs(h: np.ndarray, basis: DfsBasis = DfsBasis()):
 def dark_states(spec: GateSpec, t: float) -> list:
     """Instantaneous zero-eigenvalue eigenstates of the gate generator.
 
-    The last entry of the list is always the phase-carrying dark state
+    The trivially dark basis states come first; the last entry is always
+    the phase-carrying dark state cos(theta)|lo> - e^{-i phi} sin(theta)|hi>
     (the one whose Berry phase realizes the gate).  PHYSICAL_FOUR has no
     logical-level dark states and is rejected.
     """
-    s = spec.schedule
     if spec.kind is GateKind.PHYSICAL_FOUR:
         raise ValueError("dark states are defined at the logical level only")
-    th, ph = s.theta(t), s.phi(t)
-    if spec.kind in (GateKind.PHASE, GateKind.XGATE):
-        d0 = np.zeros(4, dtype=complex)
-        d0[0] = 1.0
-        d1 = np.zeros(4, dtype=complex)
-        d1[1] = math.cos(th)
-        d1[3] = -np.exp(-1j * ph) * math.sin(th)
-        return [d0, d1]
+    dim, lo, _, hi, trivial = _EMBEDDINGS[spec.kind]
+    th, ph = spec.schedule.theta(t), spec.schedule.phi(t)
     states = []
-    for idx in (0, 1, 4):  # |0,0>, |0,1>, |1,0>
-        v = np.zeros(16, dtype=complex)
+    for idx in trivial:
+        v = np.zeros(dim, dtype=complex)
         v[idx] = 1.0
         states.append(v)
-    d3 = np.zeros(16, dtype=complex)
-    d3[5] = math.cos(th)                       # |1,1>
-    d3[13] = -np.exp(-1j * ph) * math.sin(th)  # |3,1>
-    states.append(d3)
+    d = np.zeros(dim, dtype=complex)
+    d[lo] = math.cos(th)
+    d[hi] = -np.exp(-1j * ph) * math.sin(th)
+    states.append(d)
     return states
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
-    """Dispatch to the generator for spec.kind evaluated at time t."""
-    if spec.kind is GateKind.PHASE:
-        return phase_hamiltonian(spec.schedule, t)
-    if spec.kind is GateKind.XGATE:
-        return xgate_hamiltonian(spec.schedule, t)
-    if spec.kind is GateKind.CPHASE:
-        return cphase_hamiltonian(spec.schedule, t)
-    return physical_hamiltonian(spec, spec.schedule.phi(t))
+    """Generator for spec.kind at time t.
+
+    The logical kinds are one lambda coupling, sin(theta) on lo<->anc plus
+    cos(theta)*e^{+-i phi} on anc<->hi, placed by their embedding; it is
+    Hermitian by construction with eigenvalues {-1, 0, ..., 0, +1} for
+    every t.  PHYSICAL_FOUR is the four-qubit exchange model.
+    """
+    if spec.kind is GateKind.PHYSICAL_FOUR:
+        return physical_hamiltonian(spec, spec.schedule.phi(t))
+    dim, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
+    th, ph = spec.schedule.theta(t), spec.schedule.phi(t)
+    h = np.zeros((dim, dim), dtype=complex)
+    h[lo, anc] = h[anc, lo] = math.sin(th)
+    h[hi, anc] = math.cos(th) * np.exp(-1j * ph)
+    h[anc, hi] = math.cos(th) * np.exp(1j * ph)
+    return h

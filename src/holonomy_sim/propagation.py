@@ -15,7 +15,6 @@ insensitivity to pulse details.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -31,11 +30,6 @@ from .qcore import matexp_hermitian, matexp_hermitian_stack, unitarity_defect
 DEFAULT_STEPS_PER_PERIOD = 4096
 
 MIN_SUBSTEPS = 20
-
-
-class Frame(enum.Enum):
-    LAB = "lab"
-    ADIABATIC = "adiabatic"
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,6 @@ class PropagationResult:
     U: np.ndarray
     steps_taken: int
     unitarity_defect: float
-    frame: Frame
 
 
 def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
@@ -101,8 +94,7 @@ def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
 
 
 def propagate_hamiltonian(h_of_t, segments, kicks: KickSchedule | None = None,
-                          policy: StepPolicy | None = None,
-                          frame: Frame = Frame.LAB) -> PropagationResult:
+                          policy: StepPolicy | None = None) -> PropagationResult:
     """Generic engine: ordered product of midpoint-sampled step exponentials.
 
     ``h_of_t(t)`` must return the instantaneous Hermitian generator.  The
@@ -113,7 +105,7 @@ def propagate_hamiltonian(h_of_t, segments, kicks: KickSchedule | None = None,
     policy = policy or StepPolicy()
     if not segments:
         dim = h_of_t(0.0).shape[0]
-        return PropagationResult(np.eye(dim, dtype=complex), 0, 0.0, frame)
+        return PropagationResult(np.eye(dim, dtype=complex), 0, 0.0)
     bounds, cvals, kick_after = _step_grid(segments, kicks, policy)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     dts = np.diff(bounds)
@@ -127,14 +119,14 @@ def propagate_hamiltonian(h_of_t, segments, kicks: KickSchedule | None = None,
         u = steps[k] @ u
         for tau, sign in kick_after.get(k, ()):
             u = matexp_hermitian(h_of_t(tau), sign * kicks.area) @ u
-    return PropagationResult(u, len(mids), unitarity_defect(u), frame)
+    return PropagationResult(u, len(mids), unitarity_defect(u))
 
 
 def propagate_lab(spec: GateSpec, segments, kicks: KickSchedule | None = None,
                   policy: StepPolicy | None = None) -> PropagationResult:
     """Lab-frame evolution of the gate generator under the control train."""
     return propagate_hamiltonian(lambda t: gate_hamiltonian(spec, t),
-                                 segments, kicks, policy, Frame.LAB)
+                                 segments, kicks, policy)
 
 
 def adiabatic_hamiltonian(s: Schedule, t: float, C: float) -> np.ndarray:
@@ -175,7 +167,7 @@ def propagate_adiabatic(s: Schedule, segments,
     """
     policy = policy or StepPolicy()
     if not segments:
-        return PropagationResult(np.eye(4, dtype=complex), 0, 0.0, Frame.ADIABATIC)
+        return PropagationResult(np.eye(4, dtype=complex), 0, 0.0)
     bounds, cvals, _ = _step_grid(segments, None, policy)
     dts = np.diff(bounds)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
@@ -188,4 +180,4 @@ def propagate_adiabatic(s: Schedule, segments,
     u = np.eye(4, dtype=complex)
     for k in range(len(mids)):
         u = steps[k] @ u
-    return PropagationResult(u, len(mids), unitarity_defect(u), Frame.ADIABATIC)
+    return PropagationResult(u, len(mids), unitarity_defect(u))

@@ -36,17 +36,6 @@ def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def check_state(v: np.ndarray, norm_tol: float = 1e-9) -> None:
-    """Validate a physical state vector: finite entries, unit norm."""
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.view(float))):
-        raise ValueError("state contains non-finite amplitudes")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > norm_tol:
-        raise ValueError(f"state norm {n} deviates from 1 by more than {norm_tol:.1e}")
-
-
 def matexp_hermitian(h: np.ndarray, tau: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Unitary exp(-i*h*tau) of a Hermitian matrix via eigendecomposition.
 

@@ -10,13 +10,12 @@ import numpy as np
 
 from holonomy_sim.control import ControlKind, PulseTrain, generate_segments
 from holonomy_sim.experiments import (ExperimentConfig,
-                                      compare_positive_vs_zero_energy,
-                                      sweep_dt_zero_energy, sweep_mean_control,
-                                      sweep_runtime, write_csv)
+                                      compare_positive_vs_zero_energy, sweep,
+                                      write_csv)
 from holonomy_sim.hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
                                        dark_states, gate_hamiltonian,
-                                       phase_hamiltonian, physical_hamiltonian,
-                                       project_dfs, total_z, xgate_hamiltonian)
+                                       physical_hamiltonian, project_dfs,
+                                       total_z)
 from holonomy_sim.holonomy import berry_closed_form, berry_numeric
 from holonomy_sim.propagation import propagate_adiabatic, propagate_lab
 
@@ -53,7 +52,7 @@ def test_criterion_2_adiabatic_limit_without_control():
                            control=PulseTrain(ControlKind.NO_CONTROL),
                            sweep_variable="T", grid=grid, realizations=1,
                            master_seed=2024)
-    rows = sweep_runtime(cfg).rows
+    rows = sweep(cfg).rows
     f_start, f_end = rows[0].f_mean, rows[-1].f_mean
     ok = f_end >= 0.99 and (f_end - f_start) > 0.3
     report("2 adiabatic limit", ok,
@@ -67,7 +66,7 @@ def test_criterion_3_control_induced_speedup():
         control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.005, p=0.5),
         sweep_variable="mean_control", grid=(0.0, 25.0, 50.0, 100.0, 150.0, 200.0),
         realizations=10, master_seed=2024)
-    rows = sweep_mean_control(cfg).rows
+    rows = sweep(cfg).rows
     fs = [r.f_mean for r in rows]
     slope = float(np.polyfit([r.x for r in rows], fs, 1)[0])
     ok = max(fs) >= 0.95 and slope > 0.0
@@ -88,12 +87,12 @@ def test_criterion_4_zero_energy_resonances():
             sweep_variable="dt", grid=grid, realizations=realizations,
             master_seed=2024)
 
-    rows0 = sweep_dt_zero_energy(cfg(0.0, 1)).rows
+    rows0 = sweep(cfg(0.0, 1)).rows
     f0 = {round(r.x * J_FIG2 / PI, 6): r.f_mean for r in rows0}
     res_flags = [r.resonant for r in rows0]
     ordering = f0[2.0] > f0[3.0] and f0[4.0] > f0[5.0] and f0[4.0] > f0[3.0]
 
-    rows5 = sweep_dt_zero_energy(cfg(0.5, 10)).rows
+    rows5 = sweep(cfg(0.5, 10)).rows
     var0 = float(np.var([r.f_mean for r in rows0]))
     var5 = float(np.var([r.f_mean for r in rows5]))
     ok = ordering and var5 < var0 and res_flags == [True, False, False, False,
@@ -153,8 +152,8 @@ def test_criterion_6_invariant_suites():
     worst_gap = 0.0
     s = Schedule(A_REF, 1.0)
     for t in np.linspace(0.0, 1.0, 100):
-        for build in (phase_hamiltonian, xgate_hamiltonian):
-            ev = np.linalg.eigvalsh(build(s, t))
+        for kind in (GateKind.PHASE, GateKind.XGATE):
+            ev = np.linalg.eigvalsh(gate_hamiltonian(GateSpec(kind, s), t))
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
     gap_ok = worst_gap <= 1e-10
 
@@ -214,7 +213,7 @@ def test_criterion_8_reproducibility(tmp_path):
     blobs = []
     for label, threads in (("a", 1), ("b", 1), ("c", 3)):
         path = tmp_path / f"{label}.csv"
-        write_csv(sweep_runtime(cfg, n_threads=threads).rows, path)
+        write_csv(sweep(cfg, n_threads=threads).rows, path)
         blobs.append(path.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     report("8 reproducibility", ok,

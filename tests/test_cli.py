@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import holonomy_sim.cli as cli
-from holonomy_sim.hamiltonians import Schedule, phase_hamiltonian
-from holonomy_sim.propagation import Frame, PropagationResult
+from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_hamiltonian
+from holonomy_sim.propagation import PropagationResult
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -82,10 +82,25 @@ class TestGateCommand:
         payload = json.loads(out.read_text())
         assert payload["f"] > 0.9  # control restores adiabaticity at T=1
 
+    @pytest.mark.parametrize("flag, value", [("--T", "-1"), ("--steps", "-5"),
+                                             ("--a", "30"), ("--T", "nan"),
+                                             ("--a", "inf")])
+    def test_bad_number_exits_2_without_traceback(self, flag, value, capsys):
+        argv = {"--kind": "phase", "--a": "0.7605", "--T": "1", flag: value}
+        code = run_cli(["gate", *(x for kv in argv.items() for x in kv)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid arguments")
+
+    def test_control_missing_kind_is_named(self, capsys):
+        code = run_cli(["gate", "--kind", "phase", "--a", "1", "--T", "1",
+                        "--control", '{"J": 1}'])
+        assert code == 2
+        assert "missing required control keys: ['kind']" in capsys.readouterr().err
+
     def test_unitarity_violation_exits_3(self, tmp_path, monkeypatch):
         broken = PropagationResult(U=np.eye(4, dtype=complex) * 1.5,
-                                   steps_taken=1, unitarity_defect=1.0,
-                                   frame=Frame.LAB)
+                                   steps_taken=1, unitarity_defect=1.0)
         monkeypatch.setattr(cli, "propagate_lab", lambda *a, **k: broken)
         code = run_cli(["gate", "--kind", "phase", "--a", "0", "--T", "1",
                         "--out", str(tmp_path / "g.json")])
@@ -180,6 +195,20 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--experiment", "runtime", "--config", str(cfg),
                         "--out-dir", str(out)]) == 4
 
+    def test_experiment_must_match_sweep_variable(self, tmp_path, capsys):
+        cfg = small_runtime_config(tmp_path)
+        assert run_cli(["sweep", "--experiment", "dt-zero-energy", "--config",
+                        str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "expects sweep_variable 'dt'" in capsys.readouterr().err
+
+    def test_bad_thread_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HOLONOMY_SIM_THREADS", "abc")
+        cfg = small_runtime_config(tmp_path, grid=(1.0,))
+        assert run_cli(["sweep", "--experiment", "runtime", "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: HOLONOMY_SIM_THREADS must be an integer, got 'abc'"]
+
     def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_SIM_THREADS", "2")
         assert cli._resolve_threads(None) == 2
@@ -202,6 +231,43 @@ class TestSweepCommand:
         assert np.mean(fs[-5:]) > np.mean(fs[:5]) + 0.3
 
 
+# (input, key, raw JSON value, text the one-line error must contain)
+BAD_JSON_VALUES = [
+    ("config", "grid", "[1.0, NaN]", "NaN"),
+    ("config", "gate", '{"kind": "phase", "a": 0.7605, "T": Infinity}', "Infinity"),
+    ("config", "grid", "[1.0, 1e999]", "grid value must be finite"),
+    ("config", "realizations", "2.7", "realizations must be an integer"),
+    ("config", "master_seed", "1.5", "master_seed must be an integer"),
+    ("config", "control", '{"kind": "no_control", "seed": 0.5}',
+     "control.seed must be an integer"),
+    ("config", "policy", '{"substeps_per_segment": 20.5}',
+     "policy.substeps_per_segment must be an integer"),
+    ("config", "gate", "5", "gate must be a JSON object"),
+    ("config", "grid", "[1.0, null]", "NoneType"),
+    ("control", "J", "NaN", "NaN"),
+    ("control", "dt", "-Infinity", "-Infinity"),
+    ("control", "seed", "1.5", "control.seed must be an integer"),
+]
+
+
+@pytest.mark.parametrize("where, key, raw, message", BAD_JSON_VALUES)
+def test_bad_json_values_exit_2(tmp_path, capsys, where, key, raw, message):
+    if where == "config":
+        base = json.loads(small_runtime_config(tmp_path).read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, key: "@"}).replace('"@"', raw))
+        argv = ["sweep", "--experiment", "runtime", "--config", str(path),
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        control = {"kind": "positive_square", "J": 100, "dt": 0.01, key: "@"}
+        argv = ["gate", "--kind", "phase", "--a", "1", "--T", "1",
+                "--control", json.dumps(control).replace('"@"', raw)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid")
+    assert message in err[0]
+
+
 class TestSelftest:
     def test_selftest_passes_and_lists_groups(self, capsys):
         assert run_cli(["selftest"]) == 0
@@ -217,7 +283,7 @@ class TestSelftest:
         """
         s = Schedule(0.7605, 1.0)
         t = 0.37
-        h = phase_hamiltonian(s, t)
+        h = gate_hamiltonian(GateSpec(GateKind.PHASE, s), t)
         broken = h.copy()
         broken[1, 2] *= -1.0
         broken[2, 1] *= -1.0

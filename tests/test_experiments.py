@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from holonomy_sim.control import ControlKind, PulseTrain
 from holonomy_sim.experiments import (ExperimentConfig,
                                       compare_positive_vs_zero_energy,
                                       config_from_dict, config_to_dict,
-                                      realization_seed, sweep_dt_zero_energy,
-                                      sweep_mean_control, sweep_runtime,
-                                      write_csv, write_json_bundle)
+                                      realization_seed, sweep, write_csv,
+                                      write_json_bundle)
 from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule
 from holonomy_sim.holonomy import quality_factor
 from holonomy_sim.propagation import StepPolicy
@@ -62,13 +62,13 @@ class TestConfigValidation:
                              sweep_variable="bogus", grid=(1.0,))
 
     def test_runtime_requires_no_control(self):
-        cfg = mean_control_config()
+        cfg = replace(mean_control_config(), sweep_variable="T")
         with pytest.raises(ValueError, match="no_control"):
-            sweep_runtime(cfg)
+            sweep(cfg)
 
     def test_mean_control_requires_positive_square(self):
         with pytest.raises(ValueError, match="positive_square"):
-            sweep_mean_control(runtime_config())
+            sweep(replace(runtime_config(), sweep_variable="mean_control"))
 
     def test_mean_control_requires_commensurate_dt(self):
         cfg = ExperimentConfig(
@@ -76,11 +76,11 @@ class TestConfigValidation:
             control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.003, p=0.5),
             sweep_variable="mean_control", grid=(1.0,))
         with pytest.raises(ValueError, match="divide"):
-            sweep_mean_control(cfg)
+            sweep(cfg)
 
     def test_dt_sweep_requires_alternating(self):
         with pytest.raises(ValueError, match="zero_energy"):
-            sweep_dt_zero_energy(runtime_config())
+            sweep(replace(runtime_config(), sweep_variable="dt"))
 
 
 def test_realization_seed_depends_on_all_indices():
@@ -92,7 +92,7 @@ def test_realization_seed_depends_on_all_indices():
 
 class TestSweepRuntime:
     def test_rows_follow_grid_and_bounds(self):
-        result = sweep_runtime(runtime_config())
+        result = sweep(runtime_config())
         assert [r.x for r in result.rows] == [1.0, 4.0, 16.0]
         for row in result.rows:
             assert 0.0 <= row.f_min <= row.f_mean <= row.f_max <= 1.0
@@ -100,20 +100,20 @@ class TestSweepRuntime:
         assert result.total_steps == sum(r.steps for r in result.records)
 
     def test_f_improves_with_runtime(self):
-        result = sweep_runtime(runtime_config())
+        result = sweep(runtime_config())
         fs = [r.f_mean for r in result.rows]
         assert fs[-1] > fs[0]
 
     def test_single_realization_row_recomputes_exactly(self):
-        result = sweep_runtime(runtime_config())
+        result = sweep(runtime_config())
         for row in result.rows:
             recomputed = quality_factor(row.gamma_ideal, row.gamma_measured_mean,
                                         row.overlap_mean)
             assert abs(recomputed - row.f_mean) <= 1e-12
 
     def test_thread_count_does_not_change_results(self):
-        serial = sweep_runtime(runtime_config())
-        threaded = sweep_runtime(runtime_config(), n_threads=4)
+        serial = sweep(runtime_config())
+        threaded = sweep(runtime_config(), n_threads=4)
         assert serial.rows == threaded.rows
         assert serial.records == threaded.records
 
@@ -124,8 +124,8 @@ class TestSweepRuntime:
                 gate=base.gate, control=base.control, sweep_variable="T",
                 grid=base.grid, realizations=1, master_seed=base.master_seed,
                 policy=StepPolicy(max_step=T / 8192))
-            coarse = sweep_runtime(base).rows[0].f_mean
-            fine = sweep_runtime(halved).rows[0].f_mean
+            coarse = sweep(base).rows[0].f_mean
+            fine = sweep(halved).rows[0].f_mean
             assert abs(coarse - fine) <= 1e-3
 
 
@@ -133,27 +133,26 @@ class TestSweepMeanControl:
     def test_zero_target_reduces_to_uncontrolled_run(self):
         # step grids differ (per-segment vs whole-span tiling), so agreement
         # is physical rather than bitwise
-        mc = sweep_mean_control(mean_control_config(grid=(0.0, 50.0), realizations=2))
-        rt = sweep_runtime(runtime_config(grid=(1.0,)))
+        mc = sweep(mean_control_config(grid=(0.0, 50.0), realizations=2))
+        rt = sweep(runtime_config(grid=(1.0,)))
         assert mc.rows[0].f_mean == pytest.approx(rt.rows[0].f_mean, abs=1e-9)
         assert mc.rows[0].f_min == pytest.approx(mc.rows[0].f_max, abs=1e-15)
 
     def test_measured_mean_tracks_target(self):
-        result = sweep_mean_control(mean_control_config(grid=(50.0,), realizations=6))
+        result = sweep(mean_control_config(grid=(50.0,), realizations=6))
         measured = [r.mean_control_measured for r in result.records]
         assert all(m is not None for m in measured)
         assert np.mean(measured) == pytest.approx(50.0, rel=0.05)
 
     def test_control_restores_quality(self):
-        result = sweep_mean_control(mean_control_config(grid=(0.0, 100.0),
-                                                        realizations=3))
+        result = sweep(mean_control_config(grid=(0.0, 100.0), realizations=3))
         assert result.rows[1].f_mean > result.rows[0].f_mean + 0.3
 
     def test_f_mean_stable_across_master_seeds(self):
-        r1 = sweep_mean_control(mean_control_config(grid=(50.0,), realizations=10,
-                                                    master_seed=101))
-        r2 = sweep_mean_control(mean_control_config(grid=(50.0,), realizations=10,
-                                                    master_seed=202))
+        r1 = sweep(mean_control_config(grid=(50.0,), realizations=10,
+                                       master_seed=101))
+        r2 = sweep(mean_control_config(grid=(50.0,), realizations=10,
+                                       master_seed=202))
         f1 = [r.f for r in r1.records]
         f2 = [r.f for r in r2.records]
         se = math.sqrt(np.var(f1, ddof=1) / len(f1) + np.var(f2, ddof=1) / len(f2))
@@ -164,14 +163,13 @@ class TestSweepDtZeroEnergy:
     def test_resonance_annotation(self):
         J = 20 * math.pi
         grid = (2 * math.pi / J, 3 * math.pi / J)
-        result = sweep_dt_zero_energy(dt_config(grid))
+        result = sweep(dt_config(grid))
         assert result.rows[0].resonant is True and result.rows[0].nearest_n == 1
         assert result.rows[1].resonant is False
 
     def test_noise_realizations_have_spread(self):
         J = 20 * math.pi
-        result = sweep_dt_zero_energy(dt_config((3 * math.pi / J,), p=0.5,
-                                                realizations=5))
+        result = sweep(dt_config((3 * math.pi / J,), p=0.5, realizations=5))
         row = result.rows[0]
         assert row.f_max > row.f_min
 
@@ -216,14 +214,14 @@ class TestCsv:
     def test_deterministic_bytes_across_reruns(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
-            result = sweep_runtime(runtime_config())
+            result = sweep(runtime_config())
             p = tmp_path / name
             write_csv(result.rows, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
     def test_f_columns_within_unit_interval(self, tmp_path):
-        result = sweep_runtime(runtime_config())
+        result = sweep(runtime_config())
         path = tmp_path / "r.csv"
         write_csv(result.rows, path)
         lines = path.read_text().strip().splitlines()[1:]
@@ -234,21 +232,21 @@ class TestCsv:
 
     def test_booleans_and_blanks(self, tmp_path):
         J = 20 * math.pi
-        result = sweep_dt_zero_energy(dt_config((2 * math.pi / J, 2.5 * math.pi / J)))
+        result = sweep(dt_config((2 * math.pi / J, 2.5 * math.pi / J)))
         path = tmp_path / "dt.csv"
         write_csv(result.rows, path)
         rows = path.read_text().strip().splitlines()[1:]
         assert rows[0].split(",")[7] == "true"
         assert rows[1].split(",")[7] == "false"
         rt_path = tmp_path / "rt.csv"
-        write_csv(sweep_runtime(runtime_config(grid=(1.0,))).rows, rt_path)
+        write_csv(sweep(runtime_config(grid=(1.0,))).rows, rt_path)
         assert rt_path.read_text().strip().splitlines()[1].split(",")[7] == ""
 
 
 class TestJsonBundle:
     def test_realizations_recompute_f_exactly(self, tmp_path):
         cfg = mean_control_config(grid=(25.0,), realizations=4)
-        result = sweep_mean_control(cfg)
+        result = sweep(cfg)
         path = tmp_path / "bundle.json"
         write_json_bundle(result, cfg, path)
         bundle = json.loads(path.read_text())
@@ -260,9 +258,19 @@ class TestJsonBundle:
                                         rec["overlap_abs"])
             assert abs(recomputed - rec["f"]) <= 1e-12
 
+    def test_realizations_carry_unitarity_defect(self, tmp_path):
+        cfg = mean_control_config(grid=(25.0,), realizations=2)
+        result = sweep(cfg)
+        path = tmp_path / "bundle.json"
+        write_json_bundle(result, cfg, path)
+        records = json.loads(path.read_text())["realizations"]
+        assert [r["unitarity_defect"] for r in records] == [
+            r.unitarity_defect for r in result.records]
+        assert all(0.0 <= r["unitarity_defect"] <= 1e-9 for r in records)
+
     def test_row_means_match_realization_means(self, tmp_path):
         cfg = mean_control_config(grid=(25.0,), realizations=4)
-        result = sweep_mean_control(cfg)
+        result = sweep(cfg)
         row = result.rows[0]
         fs = [r.f for r in result.records]
         assert row.f_mean == pytest.approx(sum(fs) / len(fs), abs=1e-15)
@@ -272,7 +280,7 @@ class TestJsonBundle:
         cfg = runtime_config()
         blobs = []
         for name in ("x.json", "y.json"):
-            result = sweep_runtime(cfg)
+            result = sweep(cfg)
             p = tmp_path / name
             write_json_bundle(result, cfg, p)
             blobs.append(p.read_bytes())

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from holonomy_sim.hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
-                                       cphase_hamiltonian, dark_states,
-                                       gate_hamiltonian, phase_hamiltonian,
+                                       dark_states, gate_hamiltonian,
                                        physical_hamiltonian, project_dfs,
-                                       total_z, xgate_hamiltonian)
+                                       total_z)
 from holonomy_sim.qcore import hermiticity_defect, spectral_gap
+
+
+def generator(kind, s, t):
+    return gate_hamiltonian(GateSpec(kind, s), t)
 
 
 def scaled_reference(j12, j13, ph):
@@ -54,7 +57,7 @@ class TestSchedule:
 
 class TestPhaseHamiltonian:
     def test_structure_at_t0(self):
-        h = phase_hamiltonian(Schedule(0.7605, 1.0), 0.0)
+        h = generator(GateKind.PHASE, Schedule(0.7605, 1.0), 0.0)
         assert h[2, 3] == 1.0 and h[3, 2] == 1.0
         assert np.all(h[0, :] == 0) and np.all(h[:, 0] == 0)
         assert np.all(h[1, :] == 0) and np.all(h[:, 1] == 0)
@@ -62,13 +65,13 @@ class TestPhaseHamiltonian:
     def test_constant_gap_spectrum(self):
         s = Schedule(0.7605, 1.0)
         for t in np.linspace(0.0, 1.0, 100):
-            ev = spectral_gap(phase_hamiltonian(s, t))
+            ev = spectral_gap(generator(GateKind.PHASE, s, t))
             np.testing.assert_allclose(ev, [-1, 0, 0, 1], atol=1e-10)
 
     def test_annihilates_dark_state(self, rng):
         spec = GateSpec(GateKind.PHASE, Schedule(0.7605, 1.0))
         for t in rng.uniform(0, 1, size=20):
-            h = phase_hamiltonian(spec.schedule, t)
+            h = gate_hamiltonian(spec, t)
             d1 = dark_states(spec, t)[1]
             assert np.linalg.norm(h @ d1) <= 1e-14
 
@@ -76,19 +79,19 @@ class TestPhaseHamiltonian:
 class TestXGateHamiltonian:
     def test_matches_phase_matrix_at_t0(self):
         s = Schedule(0.5, 1.0)
-        np.testing.assert_array_equal(xgate_hamiltonian(s, 0.0),
-                                      phase_hamiltonian(s, 0.0))
+        np.testing.assert_array_equal(generator(GateKind.XGATE, s, 0.0),
+                                      generator(GateKind.PHASE, s, 0.0))
 
     def test_plus_state_is_dark_at_all_times(self, rng):
         s = Schedule(0.9, 2.0)
         plus = np.array([1, 0, 0, 0], dtype=complex)  # |+> slot in the x basis
         for t in rng.uniform(0, 2.0, size=50):
-            assert np.linalg.norm(xgate_hamiltonian(s, t) @ plus) == 0.0
+            assert np.linalg.norm(generator(GateKind.XGATE, s, t) @ plus) == 0.0
 
     def test_constant_gap_spectrum(self):
         s = Schedule(1.2, 1.0)
         for t in np.linspace(0, 1.0, 100):
-            ev = np.linalg.eigvalsh(xgate_hamiltonian(s, t))
+            ev = np.linalg.eigvalsh(generator(GateKind.XGATE, s, t))
             np.testing.assert_allclose(ev, [-1, 0, 0, 1], atol=1e-10)
 
 
@@ -96,7 +99,7 @@ class TestCPhaseHamiltonian:
     def test_annihilates_plain_dark_products(self, rng):
         s = Schedule(0.8, 1.0)
         for t in rng.uniform(0, 1, size=25):
-            h = cphase_hamiltonian(s, t)
+            h = generator(GateKind.CPHASE, s, t)
             for idx in (0, 1, 4):  # |0,0>, |0,1>, |1,0>
                 v = np.zeros(16, dtype=complex)
                 v[idx] = 1.0
@@ -105,14 +108,14 @@ class TestCPhaseHamiltonian:
     def test_annihilates_rotating_dark_state(self, rng):
         spec = GateSpec(GateKind.CPHASE, Schedule(0.8, 1.0))
         for t in rng.uniform(0, 1, size=25):
-            h = cphase_hamiltonian(spec.schedule, t)
+            h = gate_hamiltonian(spec, t)
             d3 = dark_states(spec, t)[-1]
             assert np.linalg.norm(h @ d3) <= 1e-14
 
     def test_spectrum_is_pm1_and_14_zeros(self):
         s = Schedule(0.8, 1.0)
         for t in np.linspace(0, 1, 20):
-            ev = np.linalg.eigvalsh(cphase_hamiltonian(s, t))
+            ev = np.linalg.eigvalsh(generator(GateKind.CPHASE, s, t))
             np.testing.assert_allclose(ev[0], -1, atol=1e-10)
             np.testing.assert_allclose(ev[-1], 1, atol=1e-10)
             np.testing.assert_allclose(ev[1:-1], np.zeros(14), atol=1e-10)
@@ -122,9 +125,9 @@ def test_all_builders_hermitian(rng):
     s = Schedule(1.1, 1.0)
     spec = GateSpec(GateKind.PHYSICAL_FOUR, s, j12=1.3, j13=0.4)
     for t in rng.uniform(0, 1, size=50):
-        assert hermiticity_defect(phase_hamiltonian(s, t)) <= 1e-13
-        assert hermiticity_defect(xgate_hamiltonian(s, t)) <= 1e-13
-        assert hermiticity_defect(cphase_hamiltonian(s, t)) <= 1e-13
+        assert hermiticity_defect(generator(GateKind.PHASE, s, t)) <= 1e-13
+        assert hermiticity_defect(generator(GateKind.XGATE, s, t)) <= 1e-13
+        assert hermiticity_defect(generator(GateKind.CPHASE, s, t)) <= 1e-13
         assert hermiticity_defect(physical_hamiltonian(spec, s.phi(t))) <= 1e-13
 
 

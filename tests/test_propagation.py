@@ -7,7 +7,7 @@ from holonomy_sim.control import (ControlKind, ControlSegment, KickSchedule,
                                   PulseTrain, generate_segments, make_kicks)
 from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (Frame, StepPolicy, adiabatic_hamiltonian,
+from holonomy_sim.propagation import (StepPolicy, adiabatic_hamiltonian,
                                       propagate_adiabatic, propagate_hamiltonian,
                                       propagate_lab)
 from holonomy_sim.qcore import hermiticity_defect, matexp_hermitian
@@ -111,7 +111,6 @@ class TestFrameEquivalence:
         segments = generate_segments(NO_CONTROL, 10.0)
         lab = propagate_lab(spec, segments)
         adiab = propagate_adiabatic(s, segments)
-        assert adiab.frame is Frame.ADIABATIC
         amp_lab = dark_amplitude(spec, lab)
         amp_ad = adiab.U[1, 1]
         assert abs(abs(amp_lab) - abs(amp_ad)) <= 1e-6
