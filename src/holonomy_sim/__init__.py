@@ -16,34 +16,34 @@ from .experiments import (ExperimentConfig, KickEquivalenceReport,
                           config_to_dict, control_from_dict, realization_seed,
                           sweep, write_csv, write_json_bundle)
 from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
-                           gate_hamiltonian, physical_hamiltonian, project_dfs,
-                           total_z)
+                           gate_generators, gate_hamiltonian, physical_hamiltonian,
+                           project_dfs, total_z)
 from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        berry_closed_form, berry_numeric, evaluate_holonomy,
                        extract_phase, find_a_for_phase, gate_matrix,
                        quality_factor, reachable_phase_range, wrap_angle)
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
-                          propagate_adiabatic, propagate_hamiltonian,
-                          propagate_lab)
-from .qcore import (dagger, hermiticity_defect, inner, matexp_hermitian,
-                    matexp_hermitian_stack, spectral_gap, tensor_product,
-                    unitarity_defect)
+                          propagate_adiabatic, propagate_lab)
+from .qcore import (dagger, hermiticity_defect, inner, matexp_cubic_stack,
+                    matexp_hermitian, matexp_hermitian_stack, ordered_product,
+                    spectral_gap, tensor_product, unitarity_defect)
 
 __all__ = [
     "__version__",
     # qcore
-    "matexp_hermitian", "matexp_hermitian_stack", "tensor_product", "dagger",
+    "matexp_hermitian", "matexp_hermitian_stack", "matexp_cubic_stack",
+    "ordered_product", "tensor_product", "dagger",
     "inner", "spectral_gap", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
     "GateKind", "GateSpec", "Schedule", "DfsBasis", "physical_hamiltonian",
-    "project_dfs", "dark_states", "gate_hamiltonian", "total_z",
+    "project_dfs", "dark_states", "gate_generators", "gate_hamiltonian", "total_z",
     # control
     "ControlKind", "PulseTrain", "ControlSegment", "KickSchedule",
     "generate_segments", "integral_C", "mean_control", "net_area",
     "resonance_condition", "make_kicks",
     # propagation
     "StepPolicy", "PropagationResult", "propagate_lab",
-    "propagate_adiabatic", "propagate_hamiltonian", "adiabatic_hamiltonian",
+    "propagate_adiabatic", "adiabatic_hamiltonian",
     # holonomy
     "bessel_j0", "berry_closed_form", "berry_numeric", "extract_phase",
     "quality_factor", "gate_matrix", "find_a_for_phase", "wrap_angle",

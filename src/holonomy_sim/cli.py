@@ -1,7 +1,8 @@
 """Command-line front end: single-gate runs, experiment sweeps, selftest.
 
 Exit codes
-  gate:     2 invalid arguments or control, 3 tolerance violation (unitarity defect)
+  gate:     2 invalid arguments or control (including a control whose step
+            exponents overflow), 3 tolerance violation (unitarity defect)
   sweep:    2 invalid config or thread count, 4 unwritable output
   selftest: 1 on any invariant failure
 
@@ -27,8 +28,8 @@ from .experiments import (ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
                           sweep, train_schedule, write_csv, write_json_bundle)
 from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
-                           gate_hamiltonian, physical_hamiltonian, project_dfs,
-                           total_z)
+                           gate_generators, gate_hamiltonian, physical_hamiltonian,
+                           project_dfs, total_z)
 from .holonomy import (bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
@@ -89,9 +90,12 @@ def cmd_gate(args) -> int:
         print(f"error: invalid control: {exc}", file=sys.stderr)
         return 2
 
-    result = propagate_lab(spec, segments, kicks=kicks, policy=policy)
-    dark = dark_states(spec, 0.0)[-1]
-    hol = evaluate_holonomy(result.U, dark, gamma_ideal)
+    try:
+        result = propagate_lab(spec, segments, kicks=kicks, policy=policy)
+        hol = evaluate_holonomy(result.U, dark_states(spec, 0.0)[-1], gamma_ideal)
+    except ValueError as exc:
+        print(f"error: gate run failed: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "kind": args.kind,
         "a": args.a,
@@ -110,7 +114,7 @@ def cmd_gate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if result.unitarity_defect > UNITARITY_EXIT_TOL:
+    if not result.unitarity_defect <= UNITARITY_EXIT_TOL:
         print(f"error: unitarity defect {result.unitarity_defect:.3e} exceeds "
               f"{UNITARITY_EXIT_TOL:.1e}", file=sys.stderr)
         return 3
@@ -259,7 +263,7 @@ def _check_matexp_unitarity(rng):
 
 
 def _check_hermiticity_and_gap(rng):
-    worst_h, worst_gap = 0.0, 0.0
+    worst_h, worst_gap, worst_cubic = 0.0, 0.0, 0.0
     s = Schedule(0.7605, 1.0)
     for t in rng.uniform(0, 1.0, size=100):
         for kind in (GateKind.PHASE, GateKind.XGATE):
@@ -267,8 +271,16 @@ def _check_hermiticity_and_gap(rng):
             worst_h = max(worst_h, hermiticity_defect(h))
             ev = np.linalg.eigvalsh(h)
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
-    ok = worst_h <= 1e-13 and worst_gap <= 1e-10
-    return ok, f"hermiticity {worst_h:.2e} (1e-13), spectrum dev {worst_gap:.2e} (1e-10)"
+    # the lab engine's closed-form step exponential rests on H^3 = s^2 H
+    ts = rng.uniform(0, 1.0, size=100)
+    for spec in (GateSpec(GateKind.PHASE, s), GateSpec(GateKind.XGATE, s),
+                 GateSpec(GateKind.CPHASE, s),
+                 GateSpec(GateKind.PHYSICAL_FOUR, s, j12=1.0, j13=0.7)):
+        _, scale, hs = gate_generators(spec, ts)
+        worst_cubic = max(worst_cubic, float(np.max(np.abs(hs @ hs @ hs - scale ** 2 * hs))))
+    ok = worst_h <= 1e-13 and worst_gap <= 1e-10 and worst_cubic <= 1e-12
+    return ok, (f"hermiticity {worst_h:.2e} (1e-13), spectrum dev {worst_gap:.2e} (1e-10), "
+                f"H^3 - s^2 H {worst_cubic:.2e} (1e-12)")
 
 
 def _check_dark_states(rng):

@@ -55,10 +55,12 @@ class PulseTrain:
     seed: int = 0
 
     def __post_init__(self):
-        if self.J < 0:
-            raise ValueError(f"amplitude J must be >= 0, got {self.J}")
+        if not 0 <= self.J < math.inf:
+            raise ValueError(f"amplitude J must be finite and >= 0, got {self.J}")
         if not 0.0 <= self.p <= 2.0:
             raise ValueError(f"randomness p must lie in [0, 2], got {self.p}")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"half-period dt must be finite, got {self.dt}")
         if self.kind is not ControlKind.NO_CONTROL and self.dt <= 0:
             raise ValueError(f"half-period dt must be positive, got {self.dt}")
 

@@ -106,7 +106,7 @@ def _run_jobs(jobs, worker, n_threads: int):
         return list(pool.map(worker, jobs))
 
 
-def _assemble_rows(cfg: ExperimentConfig, records):
+def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
     """Collapse per-realization records into one row per grid point.
 
     dt-sweep rows are annotated with whether J*dt sits on a 2*pi*n resonance.
@@ -115,7 +115,6 @@ def _assemble_rows(cfg: ExperimentConfig, records):
     for j, x in enumerate(cfg.grid):
         here = [r for r in records if r.grid_index == j]
         fs = [r.f for r in here]
-        gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
         # average phases relative to the ideal one so wrap-around cannot skew
         rel = [wrap_angle(r.gamma_measured - gamma_ideal) for r in here]
         gamma_mean = wrap_angle(gamma_ideal + sum(rel) / len(rel))
@@ -150,12 +149,12 @@ def train_schedule(train: PulseTrain, T: float):
     return segments, kicks
 
 
-def _propagate_record(cfg, spec, train, j, k, x):
+def _propagate_record(cfg, gamma_ideal, spec, train, j, k, x):
     seed = realization_seed(cfg.master_seed, j, k)
     segments = generate_segments(replace(train, seed=seed), spec.schedule.T)
     result = propagate_lab(spec, segments, policy=cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
-    hol = evaluate_holonomy(result.U, dark, berry_closed_form(spec.schedule.a))
+    hol = evaluate_holonomy(result.U, dark, gamma_ideal)
     measured = None
     if train.kind is not ControlKind.NO_CONTROL:
         measured = mean_control(segments)
@@ -200,14 +199,16 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
         raise ValueError(f"sweep_variable {cfg.sweep_variable!r} requires a "
                          f"{kind.value} train, got {cfg.control.kind.value}")
     points = [point(cfg, x) for x in cfg.grid]
+    # every grid point shares the amplitude a, hence the ideal phase
+    gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
 
     def worker(jk):
         j, k = jk
-        return _propagate_record(cfg, *points[j], j, k, cfg.grid[j])
+        return _propagate_record(cfg, gamma_ideal, *points[j], j, k, cfg.grid[j])
 
     jobs = [(j, k) for j in range(len(cfg.grid)) for k in range(cfg.realizations)]
     records = tuple(_run_jobs(jobs, worker, n_threads))
-    return SweepResult(_assemble_rows(cfg, records), records,
+    return SweepResult(_assemble_rows(cfg, records, gamma_ideal), records,
                        sum(r.steps for r in records))
 
 

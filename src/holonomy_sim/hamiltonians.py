@@ -15,6 +15,11 @@ under collective dephasing.  Restricted to that block it reproduces the
 normalized phase-gate generator scaled by sqrt(J12^2 + J13^2), with
 theta = atan(J13/J12).
 
+Every generator here satisfies H^3 = s^2 H (s = 1 for the logical kinds,
+s = sqrt(J12^2 + J13^2) for the physical model).  gate_generators returns
+whole time grids in that form -- the coupled levels, s, and the stack --
+which is what lets propagation exponentiate in closed form.
+
 Basis conventions, used everywhere:
   * logical levels ordered (|0>, |1>, |2>, |3>)
   * the x-gate works in (|+>, |->, |2>, |3>) with |+-> = (|0> +- |1>)/sqrt(2),
@@ -163,6 +168,16 @@ def total_z() -> np.ndarray:
     return sum(_pauli_on(PAULI_Z, q) for q in range(4))
 
 
+def _physical_stack(spec: GateSpec, varphi: np.ndarray) -> np.ndarray:
+    """(n, 16, 16) exchange Hamiltonians at the drive phases varphi."""
+    if spec.kind is not GateKind.PHYSICAL_FOUR:
+        raise ValueError(f"physical_hamiltonian needs a physical_four spec, got {spec.kind}")
+    terms = np.stack([_exchange_xy(0, 2), _exchange_xy(0, 1), _exchange_dm(0, 1)])
+    coeffs = np.stack([np.full_like(varphi, spec.j13), spec.j12 * np.cos(varphi),
+                       -spec.j12 * np.sin(varphi)], axis=1)
+    return np.tensordot(coeffs, terms, axes=1)
+
+
 def physical_hamiltonian(spec: GateSpec, varphi: float) -> np.ndarray:
     """Four-qubit exchange Hamiltonian at drive phase varphi.
 
@@ -170,11 +185,7 @@ def physical_hamiltonian(spec: GateSpec, varphi: float) -> np.ndarray:
     on the 16-dim space.  Commutes with total Z, so it is block diagonal in
     the excitation number; the single-excitation block is the DFS.
     """
-    if spec.kind is not GateKind.PHYSICAL_FOUR:
-        raise ValueError(f"physical_hamiltonian needs a physical_four spec, got {spec.kind}")
-    return (spec.j13 * _exchange_xy(0, 2)
-            + spec.j12 * (math.cos(varphi) * _exchange_xy(0, 1)
-                          - math.sin(varphi) * _exchange_dm(0, 1)))
+    return _physical_stack(spec, np.array([float(varphi)]))[0]
 
 
 def project_dfs(h: np.ndarray, basis: DfsBasis = DfsBasis()):
@@ -218,20 +229,41 @@ def dark_states(spec: GateSpec, t: float) -> list:
     return states
 
 
-def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
-    """Generator for spec.kind at time t.
+def gate_generators(spec: GateSpec, ts):
+    """Generators at every time in ts, restricted to the levels they act on.
 
-    The logical kinds are one lambda coupling, sin(theta) on lo<->anc plus
-    cos(theta)*e^{+-i phi} on anc<->hi, placed by their embedding; it is
-    Hermitian by construction with eigenvalues {-1, 0, ..., 0, +1} for
-    every t.  PHYSICAL_FOUR is the four-qubit exchange model.
+    Returns ``(levels, s, stack)``.  For the logical kinds levels is the
+    (lo, anc, hi) triple of the embedding and stack[k] the 3x3 lambda
+    coupling at ts[k]: sin(theta) on lo<->anc plus cos(theta)*e^{+-i phi}
+    on anc<->hi, Hermitian by construction with eigenvalues {-1, 0, +1}, so
+    s = 1.  PHYSICAL_FOUR acts on all 16 levels with spectrum {-s, 0, +s},
+    s = hypot(J12, J13).  Every stack satisfies H^3 = s^2 H.  The full
+    spec.dim generator holds stack[k] at rows and columns ``levels`` and is
+    zero elsewhere (see :func:`gate_hamiltonian`).
     """
+    ts = np.asarray(ts, dtype=float)
+    sched = spec.schedule
+    if ts.size:
+        sched._check_t(ts.min())
+        sched._check_t(ts.max())
+    phi = TWO_PI * ts / sched.T
     if spec.kind is GateKind.PHYSICAL_FOUR:
-        return physical_hamiltonian(spec, spec.schedule.phi(t))
-    dim, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
-    th, ph = spec.schedule.theta(t), spec.schedule.phi(t)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[lo, anc] = h[anc, lo] = math.sin(th)
-    h[hi, anc] = math.cos(th) * np.exp(-1j * ph)
-    h[anc, hi] = math.cos(th) * np.exp(1j * ph)
+        return tuple(range(16)), math.hypot(spec.j12, spec.j13), _physical_stack(spec, phi)
+    _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
+    th = sched.a * np.sin(phi)
+    stack = np.zeros((len(ts), 3, 3), dtype=complex)
+    stack[:, 0, 1] = stack[:, 1, 0] = np.sin(th)
+    stack[:, 2, 1] = np.cos(th) * np.exp(-1j * phi)
+    stack[:, 1, 2] = np.cos(th) * np.exp(1j * phi)
+    return (lo, anc, hi), 1.0, stack
+
+
+def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
+    """Generator for spec.kind at time t on the full spec.dim space.
+
+    The embedding of :func:`gate_generators` at the single time t.
+    """
+    levels, _, stack = gate_generators(spec, [t])
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    h[np.ix_(levels, levels)] = stack[0]
     return h

@@ -1,11 +1,17 @@
 """Time-ordered propagation under [1 + c(t)] H(t), lab and adiabatic frames.
 
 Stepping is midpoint-sampled piecewise-constant exponentiation: each step
-applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt), built by Hermitian
-eigendecomposition so unitarity never drifts.  Step boundaries always
+applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt).  Step boundaries always
 coincide with control-segment boundaries (square pulses are represented
 without smearing) and with kick instants.  Delta kicks are applied as the
 exact factors exp(-i * sign * area * H(tau)), never resolved in time.
+
+The lab frame is one array pipeline for every gate kind: the step grid,
+the generators at all midpoints and kick instants, their exponentials in
+the closed form that H^3 = s^2 H allows (no eigendecomposition), and a
+pairwise time-ordered product, all as whole-stack numpy calls.  Kick
+factors sit in the same stack as the steps, in time order.  The logical
+kinds propagate their 3x3 lambda block, embedded into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import KickSchedule, validate_tiling
-from .hamiltonians import GateSpec, Schedule, gate_hamiltonian
-from .qcore import matexp_hermitian, matexp_hermitian_stack, unitarity_defect
+from .hamiltonians import GateSpec, Schedule, gate_generators
+from .qcore import (matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
+                    unitarity_defect)
 
 # Auto step refinement: about this many steps per drive period when the
 # policy does not pin max_step.  Calibrated so that halving the step at
@@ -48,8 +55,8 @@ class StepPolicy:
         if self.substeps_per_segment < MIN_SUBSTEPS:
             raise ValueError(f"substeps_per_segment must be >= {MIN_SUBSTEPS}, "
                              f"got {self.substeps_per_segment}")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
+        if self.max_step is not None and not 0 < self.max_step < math.inf:
+            raise ValueError(f"max_step must be positive and finite, got {self.max_step}")
 
 
 @dataclass(frozen=True)
@@ -60,73 +67,64 @@ class PropagationResult:
 
 
 def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
-    """Boundaries, per-step control values, and kick positions.
+    """Boundaries, per-step exponents, and kick positions.
 
-    Returns (bounds, cvals, kick_after) where bounds has one more entry
-    than cvals and kick_after maps step index -> list of kick signs applied
-    right after that step.
+    Returns (bounds, exponents, kick_pos): bounds has one more entry than
+    exponents, exponents[k] = (1 + c) * dt of step k, and kick_pos[i] is
+    the index of the step that kick i precedes (its instant is
+    bounds[kick_pos[i]]).  Raises ValueError when an exponent is not
+    finite, i.e. when the control amplitude times dt overflows.
     """
     span = validate_tiling(segments)
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
-    edges = [0.0]
-    for seg in segments:
-        n = max(policy.substeps_per_segment, math.ceil(seg.length / max_step - 1e-9))
-        edges.extend(seg.t_start + seg.length * (j + 1) / n for j in range(n))
-    bounds = np.array(edges)
-    bounds[-1] = span
-    if kicks is not None and len(kicks.times):
-        if kicks.times[0] <= 0.0 or kicks.times[-1] >= span:
-            raise ValueError("kick instants must lie strictly inside (0, span)")
-        bounds = np.unique(np.concatenate([bounds, np.asarray(kicks.times)]))
-
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
     starts = np.array([seg.t_start for seg in segments])
-    seg_idx = np.clip(np.searchsorted(starts, mids, side="right") - 1, 0, len(segments) - 1)
+    lengths = np.array([seg.length for seg in segments])
     values = np.array([seg.value for seg in segments])
-    cvals = values[seg_idx]
+    counts = np.maximum(policy.substeps_per_segment,
+                        np.ceil(lengths / max_step - 1e-9)).astype(int)
+    # edge j+1 of a segment: t_start + length * (j + 1) / n, as one array
+    first = np.cumsum(counts) - counts
+    j_plus_1 = np.arange(1, counts.sum() + 1) - np.repeat(first, counts)
+    edges = (np.repeat(starts, counts)
+             + np.repeat(lengths, counts) * j_plus_1 / np.repeat(counts, counts))
+    bounds = np.concatenate([[0.0], edges])
+    bounds[-1] = span
+    kick_times = np.asarray(kicks.times if kicks is not None else (), dtype=float)
+    if len(kick_times):
+        if kick_times[0] <= 0.0 or kick_times[-1] >= span:
+            raise ValueError("kick instants must lie strictly inside (0, span)")
+        bounds = np.unique(np.concatenate([bounds, kick_times]))
 
-    kick_after: dict[int, list] = {}
-    if kicks is not None:
-        for tau, sign in zip(kicks.times, kicks.signs):
-            pos = int(np.searchsorted(bounds, tau))
-            kick_after.setdefault(pos - 1, []).append((tau, sign))
-    return bounds, cvals, kick_after
-
-
-def propagate_hamiltonian(h_of_t, segments, kicks: KickSchedule | None = None,
-                          policy: StepPolicy | None = None) -> PropagationResult:
-    """Generic engine: ordered product of midpoint-sampled step exponentials.
-
-    ``h_of_t(t)`` must return the instantaneous Hermitian generator.  The
-    control enters each step as the factor (1 + c) * dt on the exponent;
-    kick factors exp(-i * sign * area * H(tau)) are inserted at their
-    instants.
-    """
-    policy = policy or StepPolicy()
-    if not segments:
-        dim = h_of_t(0.0).shape[0]
-        return PropagationResult(np.eye(dim, dtype=complex), 0, 0.0)
-    bounds, cvals, kick_after = _step_grid(segments, kicks, policy)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
-    dts = np.diff(bounds)
-
-    hs = np.stack([h_of_t(t) for t in mids])
-    steps = matexp_hermitian_stack(hs, (1.0 + cvals) * dts)
-
-    dim = hs.shape[1]
-    u = np.eye(dim, dtype=complex)
-    for k in range(len(mids)):
-        u = steps[k] @ u
-        for tau, sign in kick_after.get(k, ()):
-            u = matexp_hermitian(h_of_t(tau), sign * kicks.area) @ u
-    return PropagationResult(u, len(mids), unitarity_defect(u))
+    seg_idx = np.clip(np.searchsorted(starts, mids, side="right") - 1, 0, len(segments) - 1)
+    exponents = (1.0 + values[seg_idx]) * np.diff(bounds)
+    if not np.all(np.isfinite(exponents)):
+        k = int(np.argmin(np.isfinite(exponents)))
+        raise ValueError(f"step exponent (1 + c) * dt = {exponents[k]} at t = {mids[k]:.6g} "
+                         f"is not finite: the control amplitude overflows")
+    return bounds, exponents, np.searchsorted(bounds, kick_times)
 
 
 def propagate_lab(spec: GateSpec, segments, kicks: KickSchedule | None = None,
                   policy: StepPolicy | None = None) -> PropagationResult:
-    """Lab-frame evolution of the gate generator under the control train."""
-    return propagate_hamiltonian(lambda t: gate_hamiltonian(spec, t),
-                                 segments, kicks, policy)
+    """Lab-frame evolution of the gate generator under the control train.
+
+    Kick i contributes the factor exp(-i * sign_i * area * H(t_i)) right
+    before the step that starts at its instant.
+    """
+    policy = policy or StepPolicy()
+    if not segments:
+        return PropagationResult(np.eye(spec.dim, dtype=complex), 0, 0.0)
+    bounds, exponents, kick_pos = _step_grid(segments, kicks, policy)
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    if len(kick_pos):
+        mids = np.insert(mids, kick_pos, kicks.times)
+        exponents = np.insert(exponents, kick_pos,
+                              kicks.area * np.asarray(kicks.signs, dtype=float))
+    levels, s, hs = gate_generators(spec, mids)
+    u = np.eye(spec.dim, dtype=complex)
+    u[np.ix_(levels, levels)] = ordered_product(matexp_cubic_stack(hs, s, exponents))
+    return PropagationResult(u, len(bounds) - 1, unitarity_defect(u))
 
 
 def adiabatic_hamiltonian(s: Schedule, t: float, C: float) -> np.ndarray:
@@ -168,16 +166,12 @@ def propagate_adiabatic(s: Schedule, segments,
     policy = policy or StepPolicy()
     if not segments:
         return PropagationResult(np.eye(4, dtype=complex), 0, 0.0)
-    bounds, cvals, _ = _step_grid(segments, None, policy)
+    bounds, increments, _ = _step_grid(segments, None, policy)
     dts = np.diff(bounds)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
-    increments = (1.0 + cvals) * dts
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
 
     hs = np.stack([adiabatic_hamiltonian(s, mids[k], c_mid[k]) for k in range(len(mids))])
-    steps = matexp_hermitian_stack(hs, dts)
-    u = np.eye(4, dtype=complex)
-    for k in range(len(mids)):
-        u = steps[k] @ u
+    u = ordered_product(matexp_hermitian_stack(hs, dts))
     return PropagationResult(u, len(mids), unitarity_defect(u))

@@ -98,6 +98,23 @@ class TestGateCommand:
         assert code == 2
         assert "missing required control keys: ['kind']" in capsys.readouterr().err
 
+    def test_overflowing_control_exits_2_without_traceback(self, capsys):
+        # J is finite, but J times the random amplitude factor (up to 2) is not
+        code = run_cli(["gate", "--kind", "phase", "--a", "0.7", "--T", "1", "--control",
+                        '{"kind": "positive_square", "J": 1.7e308, "dt": 0.1, "p": 2}'])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gate run failed")
+        assert "not finite" in err[0]
+
+    def test_nan_unitarity_defect_exits_3(self, tmp_path, monkeypatch):
+        broken = PropagationResult(U=np.eye(4, dtype=complex), steps_taken=1,
+                                   unitarity_defect=math.nan)
+        monkeypatch.setattr(cli, "propagate_lab", lambda *a, **k: broken)
+        code = run_cli(["gate", "--kind", "phase", "--a", "0", "--T", "1",
+                        "--out", str(tmp_path / "g.json")])
+        assert code == 3
+
     def test_unitarity_violation_exits_3(self, tmp_path, monkeypatch):
         broken = PropagationResult(U=np.eye(4, dtype=complex) * 1.5,
                                    steps_taken=1, unitarity_defect=1.0)

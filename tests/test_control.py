@@ -190,3 +190,10 @@ def test_pulse_train_validation():
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=-1.0, dt=0.1)
     with pytest.raises(ValueError, match="dt must"):
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("field", ["J", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_pulse_train_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must"):
+        PulseTrain(ControlKind.POSITIVE_SQUARE, **{"J": 1.0, "dt": 0.1, field: value})

@@ -5,14 +5,14 @@ import pytest
 
 from holonomy_sim.control import (ControlKind, ControlSegment, KickSchedule,
                                   PulseTrain, generate_segments, make_kicks)
-from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, dark_states
+from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
+                                       gate_generators, gate_hamiltonian)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (StepPolicy, adiabatic_hamiltonian,
-                                      propagate_adiabatic, propagate_hamiltonian,
-                                      propagate_lab)
-from holonomy_sim.qcore import hermiticity_defect, matexp_hermitian
-
-from conftest import random_hermitian
+from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, StepPolicy,
+                                      _step_grid, adiabatic_hamiltonian,
+                                      propagate_adiabatic, propagate_lab)
+from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
+                                matexp_hermitian)
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -30,12 +30,92 @@ def test_empty_interval_gives_identity():
     assert result.steps_taken == 0
 
 
-def test_constant_hamiltonian_matches_single_exponential(rng):
-    h = random_hermitian(rng)
-    t_total = 0.83
-    segments = (ControlSegment(0.0, t_total, 0.0),)
-    result = propagate_hamiltonian(lambda t: h, segments)
-    np.testing.assert_allclose(result.U, matexp_hermitian(h, t_total), atol=1e-9)
+def loop_bounds(segments, kicks, policy):
+    """Step boundaries built one edge at a time, as a reference for _step_grid."""
+    span = segments[-1].t_end
+    max_step = policy.max_step or span / DEFAULT_STEPS_PER_PERIOD
+    edges = [0.0]
+    for seg in segments:
+        n = max(policy.substeps_per_segment, math.ceil(seg.length / max_step - 1e-9))
+        edges.extend(seg.t_start + seg.length * (j + 1) / n for j in range(n))
+    edges[-1] = span
+    return sorted(set(edges) | set(kicks.times if kicks else ()))
+
+
+def sequential_reference(spec, segments, kicks, policy):
+    """Step-by-step eigh propagation: one matexp_hermitian per step and kick."""
+    bounds = loop_bounds(segments, kicks, policy)
+    kick_at = dict(zip(kicks.times, kicks.signs)) if kicks else {}
+    u = np.eye(spec.dim, dtype=complex)
+    for t0, t1 in zip(bounds, bounds[1:]):
+        if t0 in kick_at:
+            u = matexp_hermitian(gate_hamiltonian(spec, t0), kick_at[t0] * kicks.area) @ u
+        mid = 0.5 * (t0 + t1)
+        c = next(seg.value for seg in reversed(segments) if seg.t_start <= mid)
+        u = matexp_hermitian(gate_hamiltonian(spec, mid), (1.0 + c) * (t1 - t0)) @ u
+    return u
+
+
+PHYSICAL = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=0.7)
+
+
+@pytest.mark.parametrize("spec", [GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
+                                  GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)),
+                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)),
+                                  PHYSICAL], ids=lambda spec: spec.kind.value)
+def test_closed_form_step_matches_eigh_exponential(spec, rng):
+    ts = rng.uniform(0.0, 1.0, size=8)
+    taus = np.concatenate([rng.uniform(-3.0, 3.0, size=6), [math.pi, -math.pi]])
+    levels, s, hs = gate_generators(spec, ts)
+    steps = matexp_cubic_stack(hs, s, taus)
+    for t, tau, step in zip(ts, taus, steps):
+        full = np.eye(spec.dim, dtype=complex)
+        full[np.ix_(levels, levels)] = step
+        expected = matexp_hermitian(gate_hamiltonian(spec, t), tau)
+        assert np.max(np.abs(full - expected)) <= 1e-13
+
+
+def test_cphase_run_with_control_matches_sequential_reference():
+    spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
+    train = PulseTrain(ControlKind.POSITIVE_SQUARE, J=50.0, dt=0.05, p=1.0, seed=3)
+    segments = generate_segments(train, 1.0)
+    policy = StepPolicy(max_step=1.0 / 512)
+    u = propagate_lab(spec, segments, policy=policy).U
+    assert np.max(np.abs(u - sequential_reference(spec, segments, None, policy))) <= 1e-10
+    # the coupled block is (5, 9, 13); every other level is left exactly alone
+    rest = [i for i in range(16) if i not in (5, 9, 13)]
+    np.testing.assert_array_equal(u[np.ix_(rest, rest)], np.eye(13))
+    assert np.all(u[np.ix_(rest, [5, 9, 13])] == 0)
+    assert np.all(u[np.ix_([5, 9, 13], rest)] == 0)
+
+
+def test_kicked_phase_run_matches_sequential_reference():
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    segments = generate_segments(NO_CONTROL, 1.0)
+    kicks = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.02, seed=5, jitter=0.4)
+    policy = StepPolicy(max_step=1.0 / 1024)
+    u = propagate_lab(spec, segments, kicks=kicks, policy=policy).U
+    assert np.max(np.abs(u - sequential_reference(spec, segments, kicks, policy))) <= 1e-10
+
+
+def test_step_grid_bounds_match_edge_by_edge_construction():
+    segments = (ControlSegment(0.0, 0.3, 2.0), ControlSegment(0.3, 0.35, -1.0),
+                ControlSegment(0.35, 1.0, 0.0))
+    kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
+    for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
+        for k in (None, kicks):
+            bounds, exponents, kick_pos = _step_grid(segments, k, policy)
+            np.testing.assert_array_equal(bounds, loop_bounds(segments, k, policy))
+            assert len(exponents) == len(bounds) - 1
+            if k is not None:
+                np.testing.assert_array_equal(bounds[kick_pos], k.times)
+
+
+def test_overflowing_control_is_rejected():
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    segments = (ControlSegment(0.0, 0.5, 1.7e308 * 2), ControlSegment(0.5, 1.0, 0.0))
+    with pytest.raises(ValueError, match="not finite"):
+        propagate_lab(spec, segments)
 
 
 def test_adiabatic_limit_recovers_dark_state_and_phase(rng):
@@ -68,6 +148,12 @@ def test_policy_validation():
         StepPolicy(substeps_per_segment=5)
     with pytest.raises(ValueError, match="max_step"):
         StepPolicy(max_step=0.0)
+
+
+@pytest.mark.parametrize("max_step", [math.nan, math.inf, -math.inf])
+def test_policy_rejects_non_finite_max_step(max_step):
+    with pytest.raises(ValueError, match="max_step must be positive and finite"):
+        StepPolicy(max_step=max_step)
 
 
 def test_physical_four_propagation_is_unitary():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holonomy_sim.qcore import (dagger, hermiticity_defect, inner,
-                                matexp_hermitian, matexp_hermitian_stack,
+                                matexp_cubic_stack, matexp_hermitian,
+                                matexp_hermitian_stack, ordered_product,
                                 spectral_gap, tensor_product, unitarity_defect)
 
 from conftest import random_hermitian
@@ -92,6 +93,38 @@ def test_matexp_stack_matches_single(rng):
     us = matexp_hermitian_stack(hs, taus)
     for k in range(7):
         np.testing.assert_allclose(us[k], matexp_hermitian(hs[k], taus[k]), atol=1e-13)
+
+
+def test_cubic_stack_matches_eigh_for_scaled_spin_one(rng):
+    # s * (spin-1 S_x in a random unitary frame) has spectrum {-s, 0, +s}
+    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+    for s in (1.0, 0.3, 2.7):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        h = s * q @ sx @ q.conj().T
+        taus = np.array([0.0, 1e-9, 0.4, -2.5, math.pi, -math.pi])
+        us = matexp_cubic_stack(np.stack([h] * len(taus)), s, taus)
+        for u, tau in zip(us, taus):
+            np.testing.assert_allclose(u, matexp_hermitian(h, tau), atol=1e-13)
+
+
+def test_cubic_stack_rejects_non_hermitian_and_bad_scale():
+    bad = np.array([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]], dtype=complex)
+    with pytest.raises(ValueError, match="defect"):
+        matexp_cubic_stack(bad, 1.0, [1.0])
+    with pytest.raises(ValueError, match="defect"):
+        matexp_cubic_stack(np.full((1, 3, 3), np.nan, dtype=complex), 1.0, [1.0])
+    for s in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            matexp_cubic_stack(np.zeros((1, 3, 3), dtype=complex), s, [1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_ordered_product_matches_sequential_product(n, rng):
+    stack = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    expected = np.eye(3, dtype=complex)
+    for factor in stack:
+        expected = factor @ expected
+    np.testing.assert_allclose(ordered_product(stack), expected, atol=1e-12)
 
 
 def test_tensor_identity():
