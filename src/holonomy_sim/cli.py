@@ -30,7 +30,7 @@ from .experiments import (ExperimentConfig, compare_positive_vs_zero_energy,
 from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
                            gate_generators, gate_hamiltonian, physical_hamiltonian,
                            project_dfs, total_z)
-from .holonomy import (bessel_j0, berry_closed_form, berry_numeric,
+from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
 from .qcore import hermiticity_defect, matexp_hermitian_stack, unitarity_defect
@@ -92,9 +92,18 @@ def cmd_gate(args) -> int:
 
     try:
         result = propagate_lab(spec, segments, kicks=kicks, policy=policy)
-        hol = evaluate_holonomy(result.U, dark_states(spec, 0.0)[-1], gamma_ideal)
     except ValueError as exc:
         print(f"error: gate run failed: {exc}", file=sys.stderr)
+        return 2
+    # a U that is not unitary (or not finite) has no gate to report
+    if not result.unitarity_defect <= UNITARITY_EXIT_TOL:
+        print(f"error: unitarity defect {result.unitarity_defect:.3e} exceeds "
+              f"{UNITARITY_EXIT_TOL:.1e}", file=sys.stderr)
+        return 3
+    try:
+        hol = evaluate_holonomy(result.U, dark_states(spec, 0.0)[-1], gamma_ideal)
+    except PhaseUndefinedError as exc:
+        print(f"error: measured phase is undefined: {exc}", file=sys.stderr)
         return 2
     payload = {
         "kind": args.kind,
@@ -114,10 +123,6 @@ def cmd_gate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not result.unitarity_defect <= UNITARITY_EXIT_TOL:
-        print(f"error: unitarity defect {result.unitarity_defect:.3e} exceeds "
-              f"{UNITARITY_EXIT_TOL:.1e}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -91,10 +91,14 @@ class KickSchedule:
     def __post_init__(self):
         if len(self.times) != len(self.signs):
             raise ValueError("times and signs must have equal length")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ValueError("kick times must be finite")
         if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
             raise ValueError("kick times must be strictly ascending")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +-1")
+        if not math.isfinite(self.area):
+            raise ValueError(f"kick area must be finite, got {self.area}")
 
 
 def _amplitude(J: float, p: float, rng: np.random.Generator) -> float:

@@ -72,8 +72,7 @@ def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray,
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
-                       tol: float = HERMITICITY_TOL) -> np.ndarray:
+def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray:
     """exp(-i*h_k*tau_k) for Hermitian h_k with h^3 = s^2 h, without eigh.
 
     The spectrum of such an h is a subset of {-s, 0, +s}, so the series
@@ -85,7 +84,7 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     """
     if not 0 < s < math.inf:
         raise ValueError(f"spectral radius s must be positive and finite, got {s}")
-    _check_hermitian_stack(hs, tol)
+    _check_hermitian_stack(hs, HERMITICITY_TOL)
     x = s * np.asarray(taus, dtype=float)
     a = (-1j / s) * np.sin(x)
     b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2

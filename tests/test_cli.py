@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import holonomy_sim.cli as cli
-from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_hamiltonian
+from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
+                                       gate_hamiltonian)
 from holonomy_sim.propagation import PropagationResult
+from holonomy_sim.qcore import unitarity_defect
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,6 +116,21 @@ class TestGateCommand:
         code = run_cli(["gate", "--kind", "phase", "--a", "0", "--T", "1",
                         "--out", str(tmp_path / "g.json")])
         assert code == 3
+
+    def test_undefined_phase_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # a unitary U that swaps the dark state with an orthogonal state
+        spec = GateSpec(GateKind.PHASE, Schedule(0.0, 1.0))
+        d = dark_states(spec, 0.0)[-1]
+        e = np.eye(4)[0] - np.vdot(d, np.eye(4)[0]) * d
+        e /= np.linalg.norm(e)
+        swap = np.eye(4) - np.outer(d - e, (d - e).conj())
+        moved = PropagationResult(U=swap, steps_taken=1, unitarity_defect=unitarity_defect(swap))
+        monkeypatch.setattr(cli, "propagate_lab", lambda *a, **k: moved)
+        code = run_cli(["gate", "--kind", "phase", "--a", "0", "--T", "1",
+                        "--out", str(tmp_path / "g.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: measured phase is undefined")
 
     def test_unitarity_violation_exits_3(self, tmp_path, monkeypatch):
         broken = PropagationResult(U=np.eye(4, dtype=complex) * 1.5,

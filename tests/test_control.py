@@ -183,6 +183,14 @@ def test_kick_schedule_validation():
         KickSchedule((0.1, 0.2), (1,))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_kick_schedule_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="area must be finite"):
+        KickSchedule((0.1, 0.2), (1, -1), area=value)
+    with pytest.raises(ValueError, match="times must be finite"):
+        KickSchedule((0.1, value), (1, -1))
+
+
 def test_pulse_train_validation():
     with pytest.raises(ValueError, match="p must"):
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=0.1, p=2.5)
