@@ -7,7 +7,7 @@ adiabatic-frame cross-check, and sweep experiments with seeded,
 reproducible noise.
 """
 from ._version import __version__
-from .control import (ControlKind, ControlSegment, KickSchedule, PulseTrain,
+from .control import (ControlKind, KickSchedule, PulseTrain, Segments,
                       generate_segments, integral_C, make_kicks, mean_control,
                       net_area, resonance_condition)
 from .experiments import (ExperimentConfig, KickEquivalenceReport,
@@ -24,21 +24,20 @@ from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        quality_factor, reachable_phase_range, wrap_angle)
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
                           propagate_adiabatic, propagate_lab)
-from .qcore import (dagger, hermiticity_defect, inner, matexp_cubic_stack,
-                    matexp_hermitian, matexp_hermitian_stack, ordered_product,
-                    spectral_gap, tensor_product, unitarity_defect)
+from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
+                    matexp_hermitian_stack, ordered_product, tensor_product,
+                    unitarity_defect)
 
 __all__ = [
     "__version__",
     # qcore
     "matexp_hermitian", "matexp_hermitian_stack", "matexp_cubic_stack",
-    "ordered_product", "tensor_product", "dagger",
-    "inner", "spectral_gap", "hermiticity_defect", "unitarity_defect",
+    "ordered_product", "tensor_product", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
     "GateKind", "GateSpec", "Schedule", "DfsBasis", "physical_hamiltonian",
     "project_dfs", "dark_states", "gate_generators", "gate_hamiltonian", "total_z",
     # control
-    "ControlKind", "PulseTrain", "ControlSegment", "KickSchedule",
+    "ControlKind", "PulseTrain", "Segments", "KickSchedule",
     "generate_segments", "integral_C", "mean_control", "net_area",
     "resonance_condition", "make_kicks",
     # propagation

@@ -1,9 +1,11 @@
 """Command-line front end: single-gate runs, experiment sweeps, selftest.
 
 Exit codes
-  gate:     2 invalid arguments or control (including a control whose step
-            exponents overflow), 3 tolerance violation (unitarity defect)
-  sweep:    2 invalid config or thread count, 4 unwritable output
+  gate:     2 invalid arguments (including --steps < 1) or control (including
+            an overflowing amplitude or step exponent), 3 tolerance
+            violation (unitarity defect)
+  sweep:    2 invalid config or thread count (< 1 or not an integer),
+            4 unwritable output
   selftest: 1 on any invariant failure
 
 Parallelism for sweeps comes from --threads, falling back to the
@@ -42,15 +44,19 @@ SWEEP_EXPERIMENTS = {"runtime": "T", "mean-control": "mean_control", "dt-zero-en
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("HOLONOMY_SIM_THREADS")
-    if env:
+    name = "--threads"
+    if value is None:
+        env = os.environ.get("HOLONOMY_SIM_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        name = "HOLONOMY_SIM_THREADS"
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise ValueError(f"HOLONOMY_SIM_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+            raise ValueError(f"{name} must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _complex_matrix_json(m: np.ndarray):
@@ -75,7 +81,11 @@ def cmd_gate(args) -> int:
     try:
         spec = GateSpec(kind=GateKind(args.kind), schedule=Schedule(args.a, args.T))
         gamma_ideal = berry_closed_form(args.a)
-        policy = StepPolicy(max_step=args.T / args.steps) if args.steps else StepPolicy()
+        policy = StepPolicy()
+        if args.steps is not None:
+            if args.steps < 1:
+                raise ValueError(f"--steps must be >= 1, got {args.steps}")
+            policy = StepPolicy(max_step=args.T / args.steps)
     except ValueError as exc:
         print(f"error: invalid arguments: {exc}", file=sys.stderr)
         return 2

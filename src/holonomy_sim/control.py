@@ -4,7 +4,8 @@ The dynamics only sees the running integral C(t) = int_0^t [1 + c(s)] ds,
 so very different pulse shapes (strong positive squares, zero-mean
 alternating squares, even delta kicks) act identically whenever their
 integrals agree modulo 2*pi.  This module generates the piecewise-constant
-trains and delta-kick schedules, and computes their integrals and areas.
+trains (as Segments: edges plus values) and delta-kick schedules, and
+computes their integrals and areas.
 
 Randomness is drawn from numpy's PCG64 seeded through SeedSequence, one
 fresh uniform r per (on-)segment in time order, so a (kind, J, dt, p, seed,
@@ -59,6 +60,9 @@ class PulseTrain:
             raise ValueError(f"amplitude J must be finite and >= 0, got {self.J}")
         if not 0.0 <= self.p <= 2.0:
             raise ValueError(f"randomness p must lie in [0, 2], got {self.p}")
+        if not math.isfinite(self.J * (1.0 + self.p / 2.0)):
+            raise ValueError(f"largest amplitude J*(1 + p/2) of J = {self.J}, p = {self.p} "
+                             f"is not finite")
         if not math.isfinite(self.dt):
             raise ValueError(f"half-period dt must be finite, got {self.dt}")
         if self.kind is not ControlKind.NO_CONTROL and self.dt <= 0:
@@ -66,18 +70,39 @@ class PulseTrain:
 
 
 @dataclass(frozen=True)
-class ControlSegment:
-    t_start: float
-    t_end: float
-    value: float
+class Segments:
+    """Piecewise-constant c(t): values[k] on [edges[k], edges[k + 1]].
+
+    The edges start at 0 and ascend strictly, so they tile [0, span] with
+    no gap or overlap; every edge and value is finite.  Both fields are
+    stored as tuples of floats, so equal trains compare and hash equal.
+    """
+
+    edges: tuple
+    values: tuple
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError(f"empty segment [{self.t_start}, {self.t_end}]")
+        edges = np.asarray(self.edges, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if (edges.ndim != 1 or values.ndim != 1 or not len(values)
+                or len(edges) != len(values) + 1):
+            raise ValueError(f"need n + 1 edges for n >= 1 values, got "
+                             f"{np.shape(edges)} edges and {np.shape(values)} values")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
+            raise ValueError("segment edges and values must be finite")
+        if edges[0] != 0.0:
+            raise ValueError(f"segments must start at 0, got {edges[0]}")
+        if not np.all(np.diff(edges) > 0.0):
+            raise ValueError("segment edges must ascend strictly")
+        object.__setattr__(self, "edges", tuple(edges.tolist()))
+        object.__setattr__(self, "values", tuple(values.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     @property
-    def length(self) -> float:
-        return self.t_end - self.t_start
+    def span(self) -> float:
+        return self.edges[-1]
 
 
 @dataclass(frozen=True)
@@ -101,84 +126,60 @@ class KickSchedule:
             raise ValueError(f"kick area must be finite, got {self.area}")
 
 
-def _amplitude(J: float, p: float, rng: np.random.Generator) -> float:
-    return J * (1.0 - p * (0.5 - rng.random()))
+def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
+    """k * step for k = first, first + 1, ... while below T * (1 - 1e-12)."""
+    grid = np.arange(first, math.floor(T / step) + 2) * step
+    return grid[grid < T * (1.0 - 1e-12)]
 
 
-def generate_segments(train: PulseTrain, T: float) -> tuple:
+def generate_segments(train: PulseTrain, T: float) -> Segments:
     """Tile [0, T] with the train's piecewise-constant c(t).
 
     POSITIVE_SQUARE alternates [on, off] segments of length dt (duty 50%),
     a fresh random amplitude per on-segment.  ZERO_ENERGY_ALTERNATING flips
     the sign each segment, fresh amplitude per segment.  NO_CONTROL and the
     delta-kick kinds give a single zero segment (kicks live in a
-    KickSchedule, not in segments).
+    KickSchedule, not in segments).  Edge k is k*dt, the last one min(n*dt, T).
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     if train.kind in SQUARE_KINDS and train.dt >= T:
         raise ValueError(f"dt {train.dt} must be smaller than T {T}")
     if train.kind is ControlKind.NO_CONTROL or train.kind in KICK_KINDS:
-        return (ControlSegment(0.0, T, 0.0),)
+        return Segments((0.0, T), (0.0,))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train.seed)))
-    segments = []
-    k = 0
-    while True:
-        t0 = k * train.dt
-        if t0 >= T * (1.0 - 1e-12):
-            break
-        t1 = min((k + 1) * train.dt, T)
-        if train.kind is ControlKind.POSITIVE_SQUARE:
-            value = _amplitude(train.J, train.p, rng) if k % 2 == 0 else 0.0
-        else:
-            value = _amplitude(train.J, train.p, rng) * (-1.0) ** k
-        segments.append(ControlSegment(t0, t1, value))
-        k += 1
-    return tuple(segments)
+    starts = _multiples_below(train.dt, T, 0)
+    n = len(starts)
+    if train.kind is ControlKind.POSITIVE_SQUARE:
+        values = np.zeros(n)
+        values[0::2] = train.J * (1.0 - train.p * (0.5 - rng.random((n + 1) // 2)))
+    else:
+        values = train.J * (1.0 - train.p * (0.5 - rng.random(n)))
+        values[1::2] *= -1.0
+    return Segments(np.append(starts, min(n * train.dt, T)), values)
 
 
-def validate_tiling(segments, T: float | None = None, tol: float = 1e-12) -> float:
-    """Check the segments cover [0, T] without gaps or overlap; return T."""
-    if not segments:
-        raise ValueError("empty segment list")
-    if abs(segments[0].t_start) > tol:
-        raise ValueError(f"segments must start at 0, got {segments[0].t_start}")
-    for a, b in zip(segments, segments[1:]):
-        if abs(a.t_end - b.t_start) > tol:
-            raise ValueError(f"gap or overlap at t={a.t_end} vs {b.t_start}")
-    span = segments[-1].t_end
-    if T is not None and abs(span - T) > tol * max(1.0, T):
-        raise ValueError(f"segments span {span}, expected {T}")
-    return span
-
-
-def integral_C(segments, t: float) -> float:
+def integral_C(segments: Segments, t: float) -> float:
     """C(t) = int_0^t [1 + c(s)] ds, exact for piecewise-constant c."""
-    span = validate_tiling(segments)
+    span = segments.span
     tol = 1e-9 * max(span, 1.0)
-    if t < -tol or t > span + tol:
+    if not -tol <= t <= span + tol:
         raise ValueError(f"time {t} outside tiled range [0, {span}]")
     t = min(max(t, 0.0), span)
-    total = 0.0
-    for seg in segments:
-        if t >= seg.t_end:
-            total += (1.0 + seg.value) * seg.length
-        else:
-            total += (1.0 + seg.value) * max(t - seg.t_start, 0.0)
-            break
-    return total
+    edges = np.asarray(segments.edges)
+    covered = np.clip(t - edges[:-1], 0.0, np.diff(edges))
+    return sum(((1.0 + np.asarray(segments.values)) * covered).tolist())
 
 
-def mean_control(segments, kicks: KickSchedule | None = None) -> float:
+def mean_control(segments: Segments, kicks: KickSchedule | None = None) -> float:
     """(1/T) * int c dt over the tiled span, including off intervals."""
-    span = validate_tiling(segments)
-    return net_area(segments, kicks) / span
+    return net_area(segments, kicks) / segments.span
 
 
-def net_area(segments, kicks: KickSchedule | None = None) -> float:
+def net_area(segments: Segments, kicks: KickSchedule | None = None) -> float:
     """int c dt -- the net energy-cost proxy.  Delta kicks add sign*area each."""
-    total = sum(seg.value * seg.length for seg in segments)
+    total = sum((np.asarray(segments.values) * np.diff(segments.edges)).tolist())
     if kicks is not None:
         total += kicks.area * sum(kicks.signs)
     return total
@@ -207,20 +208,13 @@ def make_kicks(kind: ControlKind, T: float, interval: float, seed: int = 0,
         raise ValueError(f"interval must lie in (0, T), got {interval}")
     if not 0.0 <= jitter <= 1.0:
         raise ValueError(f"jitter must lie in [0, 1], got {jitter}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    times = []
-    i = 1
-    while True:
-        t = i * interval
-        if t >= T * (1.0 - 1e-12):
-            break
-        if jitter > 0.0:
-            t += interval * jitter * (rng.random() - 0.5)
-        if 0.0 < t < T:
-            times.append(t)
-        i += 1
+    times = _multiples_below(interval, T, 1)
+    if jitter > 0.0:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        times = times + interval * jitter * (rng.random(len(times)) - 0.5)
+    times = times[(0.0 < times) & (times < T)]
     if kind is ControlKind.DELTA_KICK_POSITIVE:
-        signs = tuple(1 for _ in times)
+        signs = np.ones(len(times), dtype=int)
     else:
-        signs = tuple((-1) ** i for i in range(len(times)))
-    return KickSchedule(tuple(times), signs, area)
+        signs = (-1) ** np.arange(len(times))
+    return KickSchedule(tuple(times.tolist()), tuple(signs.tolist()), area)

@@ -36,6 +36,9 @@ class ExperimentConfig:
     policy: StepPolicy = StepPolicy()
 
     def __post_init__(self):
+        if self.gate.kind is GateKind.PHYSICAL_FOUR:
+            raise ValueError("physical_four has no logical dark state to score, so it "
+                             "cannot be swept or kick-compared")
         if self.sweep_variable not in _SWEEPS:
             raise ValueError(f"sweep_variable must be one of {tuple(_SWEEPS)}, "
                              f"got {self.sweep_variable!r}")
@@ -306,8 +309,11 @@ def _take(mapping, allowed: dict, where: str) -> dict:
 
 
 def _real(value, name: str) -> float:
-    """float(value), rejecting NaN and infinities."""
-    x = float(value)
+    """float(value), rejecting NaN, infinities and integers beyond float range."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return x

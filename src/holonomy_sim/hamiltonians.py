@@ -66,7 +66,12 @@ _EMBEDDINGS = {
 
 @dataclass(frozen=True)
 class Schedule:
-    """Cyclic drive: theta(t) = a*sin(2*pi*t/T), phi(t) = 2*pi*t/T."""
+    """Cyclic drive: theta(t) = a*sin(2*pi*t/T), phi(t) = 2*pi*t/T.
+
+    theta, theta_dot, phi and phi_dot take a time or an array of times in
+    [0, T] and return the same shape; this is the one place the drive is
+    written down.
+    """
 
     a: float
     T: float
@@ -77,26 +82,25 @@ class Schedule:
         if not 0 <= self.a < math.inf:
             raise ValueError(f"amplitude a must be finite and >= 0, got {self.a}")
 
-    def _check_t(self, t: float) -> None:
+    def _check_t(self, t) -> np.ndarray:
+        """t as a float array, rejected unless every entry lies in [0, T]."""
+        t = np.asarray(t, dtype=float)
         tol = 1e-9 * max(self.T, 1.0)
-        if t < -tol or t > self.T + tol:
-            raise ValueError(f"time {t} outside [0, {self.T}]")
+        if t.size and not (t.min() >= -tol and t.max() <= self.T + tol):
+            raise ValueError(f"time outside [0, {self.T}]: got [{t.min()}, {t.max()}]")
+        return t
 
-    def theta(self, t: float) -> float:
-        self._check_t(t)
-        return self.a * math.sin(TWO_PI * t / self.T)
+    def theta(self, t):
+        return self.a * np.sin(self.phi(t))
 
-    def theta_dot(self, t: float) -> float:
-        self._check_t(t)
-        return self.a * (TWO_PI / self.T) * math.cos(TWO_PI * t / self.T)
+    def theta_dot(self, t):
+        return self.a * self.phi_dot(t) * np.cos(self.phi(t))
 
-    def phi(self, t: float) -> float:
-        self._check_t(t)
-        return TWO_PI * t / self.T
+    def phi(self, t):
+        return TWO_PI * self._check_t(t) / self.T
 
-    def phi_dot(self, t: float) -> float:
-        self._check_t(t)
-        return TWO_PI / self.T
+    def phi_dot(self, t):
+        return np.zeros_like(self._check_t(t)) + TWO_PI / self.T
 
 
 @dataclass(frozen=True)
@@ -241,17 +245,12 @@ def gate_generators(spec: GateSpec, ts):
     spec.dim generator holds stack[k] at rows and columns ``levels`` and is
     zero elsewhere (see :func:`gate_hamiltonian`).
     """
-    ts = np.asarray(ts, dtype=float)
-    sched = spec.schedule
-    if ts.size:
-        sched._check_t(ts.min())
-        sched._check_t(ts.max())
-    phi = TWO_PI * ts / sched.T
+    phi = spec.schedule.phi(ts)
     if spec.kind is GateKind.PHYSICAL_FOUR:
         return tuple(range(16)), math.hypot(spec.j12, spec.j13), _physical_stack(spec, phi)
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
-    th = sched.a * np.sin(phi)
-    stack = np.zeros((len(ts), 3, 3), dtype=complex)
+    th = spec.schedule.theta(ts)
+    stack = np.zeros((len(phi), 3, 3), dtype=complex)
     stack[:, 0, 1] = stack[:, 1, 0] = np.sin(th)
     stack[:, 2, 1] = np.cos(th) * np.exp(-1j * phi)
     stack[:, 1, 2] = np.cos(th) * np.exp(1j * phi)

@@ -72,7 +72,7 @@ def berry_numeric(s: Schedule, n_points: int = 10_000) -> float:
     if n_points < 100:
         raise ValueError(f"n_points must be >= 100, got {n_points}")
     t = np.linspace(0.0, s.T, n_points + 1)
-    integrand = np.sin(s.a * np.sin(TWO_PI * t / s.T)) ** 2 * (TWO_PI / s.T)
+    integrand = np.sin(s.theta(t)) ** 2 * s.phi_dot(t)
     return float(np.trapezoid(integrand, t))
 
 

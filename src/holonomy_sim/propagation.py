@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import KickSchedule, validate_tiling
+from .control import KickSchedule, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
 from .qcore import (matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
                     unitarity_defect)
@@ -66,7 +66,7 @@ class PropagationResult:
     unitarity_defect: float
 
 
-def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
+def _step_grid(segments: Segments, kicks: KickSchedule | None, policy: StepPolicy):
     """Boundaries, per-step exponents, and kick positions.
 
     Returns (bounds, exponents, kick_pos): bounds has one more entry than
@@ -75,19 +75,18 @@ def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
     bounds[kick_pos[i]]).  Raises ValueError when an exponent is not
     finite, i.e. when the control amplitude times dt overflows.
     """
-    span = validate_tiling(segments)
+    span = segments.span
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
-    starts = np.array([seg.t_start for seg in segments])
-    lengths = np.array([seg.length for seg in segments])
-    values = np.array([seg.value for seg in segments])
+    edges = np.asarray(segments.edges)
+    starts, lengths = edges[:-1], np.diff(edges)
+    values = np.asarray(segments.values)
     counts = np.maximum(policy.substeps_per_segment,
                         np.ceil(lengths / max_step - 1e-9)).astype(int)
     # edge j+1 of a segment: t_start + length * (j + 1) / n, as one array
     first = np.cumsum(counts) - counts
     j_plus_1 = np.arange(1, counts.sum() + 1) - np.repeat(first, counts)
-    edges = (np.repeat(starts, counts)
-             + np.repeat(lengths, counts) * j_plus_1 / np.repeat(counts, counts))
-    bounds = np.concatenate([[0.0], edges])
+    bounds = np.concatenate([[0.0], np.repeat(starts, counts)
+                             + np.repeat(lengths, counts) * j_plus_1 / np.repeat(counts, counts)])
     bounds[-1] = span
     kick_times = np.asarray(kicks.times if kicks is not None else (), dtype=float)
     if len(kick_times):
@@ -105,7 +104,7 @@ def _step_grid(segments, kicks: KickSchedule | None, policy: StepPolicy):
     return bounds, exponents, np.searchsorted(bounds, kick_times)
 
 
-def propagate_lab(spec: GateSpec, segments, kicks: KickSchedule | None = None,
+def propagate_lab(spec: GateSpec, segments: Segments, kicks: KickSchedule | None = None,
                   policy: StepPolicy | None = None) -> PropagationResult:
     """Lab-frame evolution of the gate generator under the control train.
 
@@ -113,8 +112,6 @@ def propagate_lab(spec: GateSpec, segments, kicks: KickSchedule | None = None,
     before the step that starts at its instant.
     """
     policy = policy or StepPolicy()
-    if not segments:
-        return PropagationResult(np.eye(spec.dim, dtype=complex), 0, 0.0)
     bounds, exponents, kick_pos = _step_grid(segments, kicks, policy)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     if len(kick_pos):
@@ -127,7 +124,7 @@ def propagate_lab(spec: GateSpec, segments, kicks: KickSchedule | None = None,
     return PropagationResult(u, len(bounds) - 1, unitarity_defect(u))
 
 
-def adiabatic_hamiltonian(s: Schedule, t: float, C: float) -> np.ndarray:
+def adiabatic_hamiltonian(s: Schedule, t, C) -> np.ndarray:
     """Generator in the instantaneous eigenbasis (D0, D1, B+, B-).
 
     D0 decouples entirely.  D1 carries the Berry connection -phi_dot *
@@ -136,26 +133,25 @@ def adiabatic_hamiltonian(s: Schedule, t: float, C: float) -> np.ndarray:
     pair carries -(1/2) phi_dot cos^2(theta) on the diagonal and the
     e^{+-2iC} cross coupling.  The bright gauge is the closed form
     (sin(theta)|1> +- |2> + cos(theta) e^{-i phi}|3>)/sqrt(2), deterministic
-    at every t.  The control appears only through C.
+    at every t.  The control appears only through C.  Scalar t and C give
+    one 4x4 matrix, arrays of n times and integrals an (n, 4, 4) stack.
     """
-    th = s.theta(t)
-    thd = s.theta_dot(t)
-    phd = s.phi_dot(t)
-    g = (thd + 0.5j * phd * math.sin(2.0 * th)) / math.sqrt(2.0)
-    bright = 0.5 * phd * math.cos(th) ** 2
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1] = -phd * math.sin(th) ** 2
-    h[2, 2] = h[3, 3] = -bright
-    h[1, 2] = g * np.exp(-1j * C)
-    h[1, 3] = g * np.exp(1j * C)
-    h[2, 1] = np.conj(h[1, 2])
-    h[3, 1] = np.conj(h[1, 3])
-    h[2, 3] = -bright * np.exp(2j * C)
-    h[3, 2] = np.conj(h[2, 3])
+    th, thd, phd = s.theta(t), s.theta_dot(t), s.phi_dot(t)
+    g = (thd + 0.5j * phd * np.sin(2.0 * th)) / math.sqrt(2.0)
+    bright = 0.5 * phd * np.cos(th) ** 2
+    h = np.zeros(np.shape(th) + (4, 4), dtype=complex)
+    h[..., 1, 1] = -phd * np.sin(th) ** 2
+    h[..., 2, 2] = h[..., 3, 3] = -bright
+    h[..., 1, 2] = g * np.exp(-1j * C)
+    h[..., 1, 3] = g * np.exp(1j * C)
+    h[..., 2, 1] = np.conj(h[..., 1, 2])
+    h[..., 3, 1] = np.conj(h[..., 1, 3])
+    h[..., 2, 3] = -bright * np.exp(2j * C)
+    h[..., 3, 2] = np.conj(h[..., 2, 3])
     return h
 
 
-def propagate_adiabatic(s: Schedule, segments,
+def propagate_adiabatic(s: Schedule, segments: Segments,
                         policy: StepPolicy | None = None) -> PropagationResult:
     """Adiabatic-frame evolution; C(t) accumulated exactly per step.
 
@@ -164,14 +160,10 @@ def propagate_adiabatic(s: Schedule, segments,
     phase), which is what the frame-equivalence checks compare.
     """
     policy = policy or StepPolicy()
-    if not segments:
-        return PropagationResult(np.eye(4, dtype=complex), 0, 0.0)
     bounds, increments, _ = _step_grid(segments, None, policy)
-    dts = np.diff(bounds)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
-
-    hs = np.stack([adiabatic_hamiltonian(s, mids[k], c_mid[k]) for k in range(len(mids))])
-    u = ordered_product(matexp_hermitian_stack(hs, dts))
+    hs = adiabatic_hamiltonian(s, mids, c_mid)
+    u = ordered_product(matexp_hermitian_stack(hs, np.diff(bounds)))
     return PropagationResult(u, len(mids), unitarity_defect(u))

@@ -31,42 +31,39 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
 
 
-def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def _check_hermitian_stack(hs: np.ndarray) -> None:
+    defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))) if len(hs) else 0.0
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > "
+                         f"{HERMITICITY_TOL:.1e}")
+
+
+def check_hermitian(h: np.ndarray) -> None:
+    """Reject a non-square, non-Hermitian or non-finite matrix."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("matrix contains non-finite entries")
+    _check_hermitian_stack(h[None])
 
 
-def matexp_hermitian(h: np.ndarray, tau: float, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def matexp_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
     """Unitary exp(-i*h*tau) of a Hermitian matrix via eigendecomposition.
 
-    Rejects inputs whose hermiticity defect exceeds ``tol`` (the defect is
-    reported in the error).  The result is unitary to ~1e-15 regardless of
-    tau, which is what keeps million-step propagations stable.
+    Rejects inputs whose hermiticity defect exceeds HERMITICITY_TOL (the
+    defect is reported in the error).  The result is unitary to ~1e-15
+    regardless of tau, which is what keeps million-step propagations stable.
     """
-    check_hermitian(h, tol)
+    check_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * tau)) @ v.conj().T
 
 
-def _check_hermitian_stack(hs: np.ndarray, tol: float) -> None:
-    defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))) if len(hs) else 0.0
-    if not defect <= tol:
-        raise ValueError(f"stack is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-
-
-def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray,
-                           tol: float = HERMITICITY_TOL) -> np.ndarray:
+def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d).
 
     Batched version of :func:`matexp_hermitian`; one LAPACK call
     diagonalizes the whole stack.  Non-finite entries are rejected.
     """
-    _check_hermitian_stack(hs, tol)
+    _check_hermitian_stack(hs)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * np.asarray(taus)[:, None])
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
@@ -84,7 +81,7 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     """
     if not 0 < s < math.inf:
         raise ValueError(f"spectral radius s must be positive and finite, got {s}")
-    _check_hermitian_stack(hs, HERMITICITY_TOL)
+    _check_hermitian_stack(hs)
     x = s * np.asarray(taus, dtype=float)
     a = (-1j / s) * np.sin(x)
     b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
@@ -112,21 +109,3 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if dim > MAX_DIM:
         raise ValueError(f"tensor product dimension {dim} exceeds cap {MAX_DIM}")
     return np.kron(a, b)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u|v> with conjugation on the first argument."""
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def spectral_gap(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    check_hermitian(h, tol)
-    return np.linalg.eigvalsh(h)

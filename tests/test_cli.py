@@ -85,8 +85,8 @@ class TestGateCommand:
         assert payload["f"] > 0.9  # control restores adiabaticity at T=1
 
     @pytest.mark.parametrize("flag, value", [("--T", "-1"), ("--steps", "-5"),
-                                             ("--a", "30"), ("--T", "nan"),
-                                             ("--a", "inf")])
+                                             ("--steps", "0"), ("--a", "30"),
+                                             ("--T", "nan"), ("--a", "inf")])
     def test_bad_number_exits_2_without_traceback(self, flag, value, capsys):
         argv = {"--kind": "phase", "--a": "0.7605", "--T": "1", flag: value}
         code = run_cli(["gate", *(x for kv in argv.items() for x in kv)])
@@ -106,7 +106,7 @@ class TestGateCommand:
                         '{"kind": "positive_square", "J": 1.7e308, "dt": 0.1, "p": 2}'])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: gate run failed")
+        assert len(err) == 1 and err[0].startswith("error: invalid control")
         assert "not finite" in err[0]
 
     def test_nan_unitarity_defect_exits_3(self, tmp_path, monkeypatch):
@@ -243,6 +243,36 @@ class TestSweepCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: HOLONOMY_SIM_THREADS must be an integer, got 'abc'"]
 
+    @pytest.mark.parametrize("flag, env, message", [
+        ("0", None, "--threads must be >= 1, got 0"),
+        ("-3", None, "--threads must be >= 1, got -3"),
+        (None, "0", "HOLONOMY_SIM_THREADS must be >= 1, got 0"),
+    ])
+    def test_non_positive_thread_count_exits_2(self, tmp_path, monkeypatch, capsys,
+                                               flag, env, message):
+        monkeypatch.delenv("HOLONOMY_SIM_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HOLONOMY_SIM_THREADS", env)
+        out = tmp_path / "o"
+        argv = ["sweep", "--experiment", "runtime", "--config",
+                str(small_runtime_config(tmp_path, grid=(1.0,))), "--out-dir", str(out)]
+        assert run_cli(argv + (["--threads", flag] if flag else [])) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_physical_four_sweep_exits_2_before_any_output(self, tmp_path, capsys):
+        cfg = json.loads(small_runtime_config(tmp_path).read_text())
+        cfg["gate"] = {"kind": "physical_four", "a": 0.0, "T": 1.0, "j12": 1.0, "j13": 0.5}
+        path = tmp_path / "p4.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli(["sweep", "--experiment", "runtime", "--config", str(path),
+                        "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid config")
+        assert "physical_four" in err[0]
+        assert not out.exists()
+
     def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLONOMY_SIM_THREADS", "2")
         assert cli._resolve_threads(None) == 2
@@ -270,6 +300,7 @@ BAD_JSON_VALUES = [
     ("config", "grid", "[1.0, NaN]", "NaN"),
     ("config", "gate", '{"kind": "phase", "a": 0.7605, "T": Infinity}', "Infinity"),
     ("config", "grid", "[1.0, 1e999]", "grid value must be finite"),
+    ("config", "grid", "[1.0, 1" + "0" * 400 + "]", "grid value must be finite"),
     ("config", "realizations", "2.7", "realizations must be an integer"),
     ("config", "master_seed", "1.5", "master_seed must be an integer"),
     ("config", "control", '{"kind": "no_control", "seed": 0.5}',

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonomy_sim.control import ControlKind, PulseTrain
 from holonomy_sim.experiments import (ExperimentConfig,
@@ -60,6 +61,11 @@ class TestConfigValidation:
             ExperimentConfig(gate=GateSpec(GateKind.PHASE, Schedule(1.0, 1.0)),
                              control=PulseTrain(ControlKind.NO_CONTROL),
                              sweep_variable="bogus", grid=(1.0,))
+
+    def test_physical_four_rejected(self):
+        gate = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(A_REF, 1.0), j12=1.0, j13=0.5)
+        with pytest.raises(ValueError, match="physical_four"):
+            replace(runtime_config(), gate=gate)
 
     def test_runtime_requires_no_control(self):
         cfg = replace(mean_control_config(), sweep_variable="T")
@@ -314,3 +320,39 @@ class TestConfigRoundTrip:
         data["policy"] = {"substeps_per_segment": 25, "max_step": 0.01}
         cfg = config_from_dict(data)
         assert cfg.policy == StepPolicy(substeps_per_segment=25, max_step=0.01)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["phase", "physical_four", "positive_square", "T", "dt"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                 inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def config_dicts(draw):
+    """A valid config dict with keys dropped, replaced by JSON values, or added."""
+    def mutate(mapping):
+        out = {}
+        for key, value in mapping.items():
+            action = draw(st.sampled_from(["keep", "keep", "keep", "drop", "replace"]))
+            if action == "replace":
+                out[key] = draw(JSON_VALUES)
+            elif action == "keep":
+                out[key] = mutate(value) if isinstance(value, dict) else value
+        if draw(st.integers(0, 9)) == 0:
+            out[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+        return out
+    return mutate(config_to_dict(dt_config((0.1, 0.2), p=0.5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_dicts())
+def test_any_json_config_parses_or_raises_value_or_type_error(data):
+    try:
+        cfg = config_from_dict(data)
+    except (ValueError, TypeError):
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -7,7 +7,7 @@ from holonomy_sim.hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
                                        dark_states, gate_hamiltonian,
                                        physical_hamiltonian, project_dfs,
                                        total_z)
-from holonomy_sim.qcore import hermiticity_defect, spectral_gap
+from holonomy_sim.qcore import hermiticity_defect
 
 
 def generator(kind, s, t):
@@ -48,6 +48,21 @@ class TestSchedule:
         with pytest.raises(ValueError, match="outside"):
             s.phi(1.1)
 
+    def test_array_times_match_scalar_times(self):
+        s = Schedule(a=0.9, T=2.0)
+        ts = np.linspace(0.0, 2.0, 17)
+        for name in ("theta", "theta_dot", "phi", "phi_dot"):
+            values = getattr(s, name)(ts)
+            assert values.shape == ts.shape
+            np.testing.assert_allclose(values, [getattr(s, name)(t) for t in ts],
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [-0.1, 2.5, math.nan])
+    def test_array_with_one_bad_time_is_rejected(self, bad):
+        s = Schedule(a=0.9, T=2.0)
+        with pytest.raises(ValueError, match="outside"):
+            s.theta(np.array([0.0, 1.0, bad, 2.0]))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             Schedule(a=1.0, T=0.0)
@@ -65,7 +80,7 @@ class TestPhaseHamiltonian:
     def test_constant_gap_spectrum(self):
         s = Schedule(0.7605, 1.0)
         for t in np.linspace(0.0, 1.0, 100):
-            ev = spectral_gap(generator(GateKind.PHASE, s, t))
+            ev = np.linalg.eigvalsh(generator(GateKind.PHASE, s, t))
             np.testing.assert_allclose(ev, [-1, 0, 0, 1], atol=1e-10)
 
     def test_annihilates_dark_state(self, rng):

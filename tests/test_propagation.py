@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_sim.control import (ControlKind, ControlSegment, KickSchedule,
-                                  PulseTrain, generate_segments, make_kicks)
+from holonomy_sim.control import (ControlKind, KickSchedule, PulseTrain, Segments,
+                                  generate_segments, make_kicks)
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
                                        gate_generators, gate_hamiltonian)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
@@ -23,21 +23,14 @@ def dark_amplitude(spec, result):
     return complex(np.vdot(d, result.U @ d))
 
 
-def test_empty_interval_gives_identity():
-    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
-    result = propagate_lab(spec, ())
-    np.testing.assert_array_equal(result.U, np.eye(4))
-    assert result.steps_taken == 0
-
-
 def loop_bounds(segments, kicks, policy):
     """Step boundaries built one edge at a time, as a reference for _step_grid."""
-    span = segments[-1].t_end
+    span = segments.span
     max_step = policy.max_step or span / DEFAULT_STEPS_PER_PERIOD
     edges = [0.0]
-    for seg in segments:
-        n = max(policy.substeps_per_segment, math.ceil(seg.length / max_step - 1e-9))
-        edges.extend(seg.t_start + seg.length * (j + 1) / n for j in range(n))
+    for t0, t1 in zip(segments.edges, segments.edges[1:]):
+        n = max(policy.substeps_per_segment, math.ceil((t1 - t0) / max_step - 1e-9))
+        edges.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
     edges[-1] = span
     return sorted(set(edges) | set(kicks.times if kicks else ()))
 
@@ -51,7 +44,8 @@ def sequential_reference(spec, segments, kicks, policy):
         if t0 in kick_at:
             u = matexp_hermitian(gate_hamiltonian(spec, t0), kick_at[t0] * kicks.area) @ u
         mid = 0.5 * (t0 + t1)
-        c = next(seg.value for seg in reversed(segments) if seg.t_start <= mid)
+        c = next(v for t, v in zip(segments.edges[-2::-1], segments.values[::-1])
+                 if t <= mid)
         u = matexp_hermitian(gate_hamiltonian(spec, mid), (1.0 + c) * (t1 - t0)) @ u
     return u
 
@@ -99,8 +93,7 @@ def test_kicked_phase_run_matches_sequential_reference():
 
 
 def test_step_grid_bounds_match_edge_by_edge_construction():
-    segments = (ControlSegment(0.0, 0.3, 2.0), ControlSegment(0.3, 0.35, -1.0),
-                ControlSegment(0.35, 1.0, 0.0))
+    segments = Segments((0.0, 0.3, 0.35, 1.0), (2.0, -1.0, 0.0))
     kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
     for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
         for k in (None, kicks):
@@ -112,10 +105,11 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
 
 
 def test_overflowing_control_is_rejected():
-    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
-    segments = (ControlSegment(0.0, 0.5, 1.7e308 * 2), ControlSegment(0.5, 1.0, 0.0))
+    # a finite amplitude over long steps: (1 + c) * dt overflows
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1000.0))
+    segments = Segments((0.0, 500.0, 1000.0), (1.7e308, 0.0))
     with pytest.raises(ValueError, match="not finite"):
-        propagate_lab(spec, segments)
+        propagate_lab(spec, segments, policy=StepPolicy(max_step=100.0))
 
 
 def test_adiabatic_limit_recovers_dark_state_and_phase(rng):
@@ -137,7 +131,7 @@ def test_unitarity_defect_stays_tiny_on_long_runs():
 
 def test_step_boundaries_align_with_segments():
     # an odd segment layout still tiles: per-segment substep counts differ
-    segments = (ControlSegment(0.0, 0.3, 2.0), ControlSegment(0.3, 1.0, 0.0))
+    segments = Segments((0.0, 0.3, 1.0), (2.0, 0.0))
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     result = propagate_lab(spec, segments)
     assert result.unitarity_defect <= 1e-10
@@ -184,6 +178,15 @@ class TestAdiabaticHamiltonian:
         np.testing.assert_allclose(h[1, 2], expected, atol=1e-14)
         np.testing.assert_allclose(h[1, 3], np.conj(expected), atol=1e-14)
 
+    def test_stack_matches_per_entry_build(self, rng):
+        s = Schedule(A_REF, 1.0)
+        ts = rng.uniform(0, 1.0, size=50)
+        cs = rng.uniform(0, 200.0, size=50)
+        stack = adiabatic_hamiltonian(s, ts, cs)
+        assert stack.shape == (50, 4, 4)
+        entries = np.stack([adiabatic_hamiltonian(s, t, c) for t, c in zip(ts, cs)])
+        assert np.max(np.abs(stack - entries)) <= 1e-15
+
     def test_decoupled_level_stays_zero_row(self, rng):
         s = Schedule(1.3, 2.0)
         h = adiabatic_hamiltonian(s, rng.uniform(0, 2.0), rng.uniform(0, 50.0))
@@ -213,17 +216,12 @@ class TestFrameEquivalence:
         diff = abs(abs(dark_amplitude(spec, lab)) - abs(adiab.U[1, 1]))
         assert diff <= 1e-4
 
-    def test_trivial_span_identity(self):
-        s = Schedule(A_REF, 1.0)
-        result = propagate_adiabatic(s, ())
-        np.testing.assert_array_equal(result.U, np.eye(4))
-
 
 def test_adiabatic_frame_sees_control_only_through_C():
     """Identical c(t) under different segment tilings gives identical U."""
     s = Schedule(A_REF, 1.0)
-    one = (ControlSegment(0.0, 1.0, 5.0),)
-    split = (ControlSegment(0.0, 0.5, 5.0), ControlSegment(0.5, 1.0, 5.0))
+    one = Segments((0.0, 1.0), (5.0,))
+    split = Segments((0.0, 0.5, 1.0), (5.0, 5.0))
     policy_one = StepPolicy(substeps_per_segment=40, max_step=0.025)
     policy_split = StepPolicy(substeps_per_segment=20, max_step=0.025)
     u1 = propagate_adiabatic(s, one, policy_one).U
@@ -236,21 +234,16 @@ def test_quality_factor_insensitive_to_micro_shape():
     s = Schedule(A_REF, 1.0)
     spec = GateSpec(GateKind.PHASE, s)
     dt, J = 0.005, 200.0
-    half = dt / 2.0
-    segs_flat, segs_burst = [], []
     n = int(round(1.0 / dt))
-    for k in range(n):
-        t0 = k * dt
-        on = k % 2 == 0
-        # flat: [J, J]; burst: [2J, 0] -- same integral over each dt window
-        segs_flat.append(ControlSegment(t0, t0 + half, J if on else 0.0))
-        segs_flat.append(ControlSegment(t0 + half, t0 + dt, J if on else 0.0))
-        segs_burst.append(ControlSegment(t0, t0 + half, 2 * J if on else 0.0))
-        segs_burst.append(ControlSegment(t0 + half, t0 + dt, 0.0))
+    edges = np.arange(2 * n + 1) * (dt / 2.0)
+    on = np.repeat(np.arange(n) % 2 == 0, 2)
+    # flat: [J, J]; burst: [2J, 0] -- same integral over each dt window
+    flat = np.where(on, J, 0.0)
+    burst = np.where(on & (np.arange(2 * n) % 2 == 0), 2 * J, 0.0)
     gamma_ideal = berry_closed_form(A_REF)
     dark = dark_states(spec, 0.0)[-1]
     fs = []
-    for segs in (tuple(segs_flat), tuple(segs_burst)):
+    for segs in (Segments(edges, flat), Segments(edges, burst)):
         result = propagate_lab(spec, segs)
         fs.append(evaluate_holonomy(result.U, dark, gamma_ideal).f)
     assert abs(fs[0] - fs[1]) <= 1e-3
@@ -319,7 +312,7 @@ def test_resonant_alternating_control_reaches_strong_positive_value():
     alt = generate_segments(
         PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=J, dt=dt, p=0.0), T)
     f_alt = evaluate_holonomy(propagate_lab(spec, alt).U, dark, gamma).f
-    constant = (ControlSegment(0.0, T, J),)
+    constant = Segments((0.0, T), (J,))
     f_big = evaluate_holonomy(propagate_lab(spec, constant).U, dark, gamma).f
     assert abs(f_alt - f_big) <= 1e-2
     assert f_alt > 0.99

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_sim.qcore import (dagger, hermiticity_defect, inner,
-                                matexp_cubic_stack, matexp_hermitian,
-                                matexp_hermitian_stack, ordered_product,
-                                spectral_gap, tensor_product, unitarity_defect)
+from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
+                                matexp_hermitian, matexp_hermitian_stack,
+                                ordered_product, tensor_product, unitarity_defect)
 
 from conftest import random_hermitian
 
@@ -67,6 +66,16 @@ def test_matexp_rejects_non_hermitian():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="defect"):
         matexp_hermitian(bad, 1.0)
+
+
+def test_matexp_rejects_non_finite_and_non_square():
+    for value in (math.nan, math.inf):
+        h = np.zeros((2, 2), dtype=complex)
+        h[0, 0] = value
+        with pytest.raises(ValueError, match="defect"):
+            matexp_hermitian(h, 1.0)
+    with pytest.raises(ValueError, match="square"):
+        matexp_hermitian(np.zeros((2, 3), dtype=complex), 1.0)
 
 
 def test_matexp_unitary_over_1000_random_inputs(rng):
@@ -151,26 +160,6 @@ def test_tensor_dimension_cap():
     big = np.eye(32, dtype=complex)
     with pytest.raises(ValueError, match="exceeds"):
         tensor_product(big, np.eye(16, dtype=complex))
-
-
-def test_dagger():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    np.testing.assert_array_equal(dagger(m), m.conj().T)
-
-
-def test_inner_conjugates_first_argument():
-    e0 = np.array([1, 0], dtype=complex)
-    assert inner(e0, e0) == 1
-    u = np.array([1j, 0], dtype=complex)
-    v = np.array([1, 0], dtype=complex)
-    assert inner(u, v) == -1j
-    with pytest.raises(ValueError, match="shape"):
-        inner(e0, np.zeros(3, dtype=complex))
-
-
-def test_spectral_gap_is_ascending():
-    np.testing.assert_allclose(spectral_gap(np.diag([3.0, 1.0]).astype(complex)),
-                               [1.0, 3.0])
 
 
 def test_hermiticity_defect():
