@@ -23,7 +23,7 @@ from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        extract_phase, find_a_for_phase, gate_matrix,
                        quality_factor, reachable_phase_range, wrap_angle)
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
-                          propagate_adiabatic, propagate_lab)
+                          propagate_adiabatic, propagate_lab, propagate_lab_batch)
 from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
                     matexp_hermitian_stack, ordered_product, tensor_product,
                     unitarity_defect)
@@ -41,7 +41,7 @@ __all__ = [
     "generate_segments", "integral_C", "mean_control", "net_area",
     "resonance_condition", "make_kicks",
     # propagation
-    "StepPolicy", "PropagationResult", "propagate_lab",
+    "StepPolicy", "PropagationResult", "propagate_lab", "propagate_lab_batch",
     "propagate_adiabatic", "adiabatic_hamiltonian",
     # holonomy
     "bessel_j0", "berry_closed_form", "berry_numeric", "extract_phase",

@@ -2,10 +2,10 @@
 
 Exit codes
   gate:     2 invalid arguments (including --steps < 1) or control (including
-            an overflowing amplitude or step exponent), 3 tolerance
-            violation (unitarity defect)
-  sweep:    2 invalid config or thread count (< 1 or not an integer),
-            4 unwritable output
+            an overflowing amplitude or step exponent), or a run above
+            control.MAX_STEPS, 3 tolerance violation (unitarity defect)
+  sweep:    2 invalid config (a run above MAX_STEPS included) or thread
+            count (< 1 or not an integer), 4 unwritable output
   selftest: 1 on any invariant failure
 
 Parallelism for sweeps comes from --threads, falling back to the
@@ -86,7 +86,7 @@ def cmd_gate(args) -> int:
             if args.steps < 1:
                 raise ValueError(f"--steps must be >= 1, got {args.steps}")
             policy = StepPolicy(max_step=args.T / args.steps)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # T / steps overflows for a huge --steps
         print(f"error: invalid arguments: {exc}", file=sys.stderr)
         return 2
     try:

@@ -23,6 +23,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Cap on the segments, kicks or propagation steps of one run: about 0.5 GB of
+# float64 grid arrays, far above the ~4e4 steps per run of the shipped configs.
+MAX_STEPS = 10**7
+
 RNG_DESCRIPTION = ("numpy PCG64 via SeedSequence(seed); sweep realization k of grid "
                    "point j uses SeedSequence([master_seed, j, k])")
 
@@ -92,7 +96,9 @@ class Segments:
             raise ValueError("segment edges and values must be finite")
         if edges[0] != 0.0:
             raise ValueError(f"segments must start at 0, got {edges[0]}")
-        if not np.all(np.diff(edges) > 0.0):
+        with np.errstate(over="ignore"):  # an overflowing step is -inf or +inf
+            ascending = np.all(np.diff(edges) > 0.0)
+        if not ascending:
             raise ValueError("segment edges must ascend strictly")
         object.__setattr__(self, "edges", tuple(edges.tolist()))
         object.__setattr__(self, "values", tuple(values.tolist()))
@@ -127,8 +133,15 @@ class KickSchedule:
 
 
 def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
-    """k * step for k = first, first + 1, ... while below T * (1 - 1e-12)."""
-    grid = np.arange(first, math.floor(T / step) + 2) * step
+    """k * step for k = first, first + 1, ... while below T * (1 - 1e-12).
+
+    Raises ValueError, before allocating, when more than MAX_STEPS could fit.
+    """
+    count = np.floor(T / step) + 2  # inf when T / step overflows
+    if not count <= MAX_STEPS:
+        raise ValueError(f"T = {T:g} in steps of {step:g} needs {count:.6g} grid points, "
+                         f"above the cap MAX_STEPS = {MAX_STEPS}")
+    grid = np.arange(first, int(count)) * step
     return grid[grid < T * (1.0 - 1e-12)]
 
 

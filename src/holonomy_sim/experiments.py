@@ -5,7 +5,9 @@ quality factor over noise realizations, and returns an ordered table of
 rows plus per-realization records.  Seeding is positional: realization k
 of grid point j derives its generator from SeedSequence([master_seed, j,
 k]), so results are independent of execution order and thread count, and
-a (config, master_seed) pair reproduces output files byte for byte.
+a (config, master_seed) pair reproduces output files byte for byte.  One
+pool job runs one grid point, whose realizations share their segment
+edges and so propagate as one batch.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
                       net_area, resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
-from .propagation import StepPolicy, propagate_lab
+from .propagation import StepPolicy, propagate_lab_batch
 
 
 @dataclass(frozen=True)
@@ -152,21 +154,24 @@ def train_schedule(train: PulseTrain, T: float):
     return segments, kicks
 
 
-def _propagate_record(cfg, gamma_ideal, spec, train, j, k, x):
-    seed = realization_seed(cfg.master_seed, j, k)
-    segments = generate_segments(replace(train, seed=seed), spec.schedule.T)
-    result = propagate_lab(spec, segments, policy=cfg.policy)
+def _point_records(cfg, gamma_ideal, spec, train, j, x):
+    """The records of grid point j: its realizations propagated as one batch."""
+    seeds = [realization_seed(cfg.master_seed, j, k) for k in range(cfg.realizations)]
+    tilings = [generate_segments(replace(train, seed=seed), spec.schedule.T) for seed in seeds]
+    results = propagate_lab_batch(spec, [(segments, None) for segments in tilings], cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
-    hol = evaluate_holonomy(result.U, dark, gamma_ideal)
-    measured = None
-    if train.kind is not ControlKind.NO_CONTROL:
-        measured = mean_control(segments)
-    return RealizationRecord(grid_index=j, realization_index=k, x=x, seed=seed,
-                             gamma_measured=hol.gamma_measured,
-                             overlap_abs=hol.overlap_abs, f=hol.f,
-                             steps=result.steps_taken,
-                             unitarity_defect=result.unitarity_defect,
-                             mean_control_measured=measured)
+    records = []
+    for k, (seed, segments, result) in enumerate(zip(seeds, tilings, results)):
+        hol = evaluate_holonomy(result.U, dark, gamma_ideal)
+        measured = None
+        if train.kind is not ControlKind.NO_CONTROL:
+            measured = mean_control(segments)
+        records.append(RealizationRecord(
+            grid_index=j, realization_index=k, x=x, seed=seed,
+            gamma_measured=hol.gamma_measured, overlap_abs=hol.overlap_abs, f=hol.f,
+            steps=result.steps_taken, unitarity_defect=result.unitarity_defect,
+            mean_control_measured=measured))
+    return records
 
 
 def _mean_control_point(cfg: ExperimentConfig, target: float):
@@ -195,7 +200,8 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     T sweeps the runtime without control; mean_control sweeps the target
     average of a positive-square train, whose realized time average is
     recorded per realization; dt sweeps the half-period of a zero-energy
-    alternating train.
+    alternating train.  Grid points are the pool jobs; records come out in
+    (grid index, realization index) order.
     """
     kind, point = _SWEEPS[cfg.sweep_variable]
     if cfg.control.kind is not kind:
@@ -205,12 +211,11 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     # every grid point shares the amplitude a, hence the ideal phase
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
 
-    def worker(jk):
-        j, k = jk
-        return _propagate_record(cfg, gamma_ideal, *points[j], j, k, cfg.grid[j])
+    def worker(j):
+        return _point_records(cfg, gamma_ideal, *points[j], j, cfg.grid[j])
 
-    jobs = [(j, k) for j in range(len(cfg.grid)) for k in range(cfg.realizations)]
-    records = tuple(_run_jobs(jobs, worker, n_threads))
+    records = tuple(r for point in _run_jobs(range(len(cfg.grid)), worker, n_threads)
+                    for r in point)
     return SweepResult(_assemble_rows(cfg, records, gamma_ideal), records,
                        sum(r.steps for r in records))
 
@@ -231,8 +236,8 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
     alternating = KickSchedule(positive.times,
                                tuple((-1) ** i for i in range(len(positive.times))),
                                positive.area)
-    res_pos = propagate_lab(cfg.gate, segments, kicks=positive, policy=cfg.policy)
-    res_alt = propagate_lab(cfg.gate, segments, kicks=alternating, policy=cfg.policy)
+    res_pos, res_alt = propagate_lab_batch(
+        cfg.gate, [(segments, positive), (segments, alternating)], cfg.policy)
     dark = dark_states(cfg.gate, 0.0)[-1]
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
     return KickEquivalenceReport(
@@ -308,8 +313,15 @@ def _take(mapping, allowed: dict, where: str) -> dict:
     return out
 
 
+def _reject_non_number(value, name: str) -> None:
+    # float("0.7") and int(True) would pass; the format asks for JSON numbers
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _real(value, name: str) -> float:
-    """float(value), rejecting NaN, infinities and integers beyond float range."""
+    """float(value); rejects strings, booleans, NaN, infinities and huge integers."""
+    _reject_non_number(value, name)
     try:
         x = float(value)
     except OverflowError:
@@ -320,7 +332,8 @@ def _real(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """int(value), rejecting fractional numbers instead of truncating them."""
+    """int(value); rejects strings, booleans and fractional numbers (no truncation)."""
+    _reject_non_number(value, name)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -347,6 +360,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                     schedule=Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")),
                     j12=_real(g["j12"], "gate.j12"), j13=_real(g["j13"], "gate.j13"))
     control = control_from_dict(top["control"])
+    if not isinstance(top["grid"], (list, tuple)):
+        raise ValueError(f"grid must be a JSON array, got {top['grid']!r}")
     p = _take(top["policy"], {"substeps_per_segment": 20, "max_step": None}, "policy")
     policy = StepPolicy(
         substeps_per_segment=_integer(p["substeps_per_segment"],

@@ -7,7 +7,8 @@ exponentials go through the eigendecomposition; generators with H^3 = s^2 H
 the exact closed form instead.  Either way every propagation step is
 unitary up to rounding -- long runs take 1e5-1e6 steps and must not
 accumulate unitarity drift.  Time-ordered products of a step stack are
-reduced pairwise in batched matmul calls.
+reduced pairwise in batched matmul calls; both the closed form and the
+product carry leading batch axes, so several trains share one call.
 """
 from __future__ import annotations
 
@@ -32,7 +33,9 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def _check_hermitian_stack(hs: np.ndarray) -> None:
-    defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))) if len(hs) else 0.0
+    # an infinite entry gives inf - inf = nan: the defect check reports it
+    with np.errstate(invalid="ignore"):
+        defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))) if len(hs) else 0.0
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > "
                          f"{HERMITICITY_TOL:.1e}")
@@ -75,7 +78,9 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     The spectrum of such an h is a subset of {-s, 0, +s}, so the series
     collapses to exp(-i h tau) = I - i sin(s tau)/s h + (cos(s tau) - 1)/s^2 h^2
     (Moler & Van Loan, SIAM Rev. 45, 2003).  cos - 1 is evaluated as
-    -2 sin^2(s tau / 2) to keep small steps accurate.  The caller vouches
+    -2 sin^2(s tau / 2) to keep small steps accurate.  hs has shape
+    (n, d, d) and taus shape (..., n): every row of taus is exponentiated
+    against the same hs and h^2, giving (..., n, d, d).  The caller vouches
     for h^3 = s^2 h; Hermiticity and non-finite entries are still rejected
     as in :func:`matexp_hermitian_stack`.
     """
@@ -85,22 +90,24 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     x = s * np.asarray(taus, dtype=float)
     a = (-1j / s) * np.sin(x)
     b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
-    out = a[:, None, None] * hs + b[:, None, None] * (hs @ hs)
+    out = a[..., None, None] * hs + b[..., None, None] * (hs @ hs)
     out += np.eye(hs.shape[-1])
     return out
 
 
 def ordered_product(stack: np.ndarray) -> np.ndarray:
-    """Time-ordered product stack[n-1] @ ... @ stack[1] @ stack[0].
+    """Time-ordered product stack[..., n-1, :, :] @ ... @ stack[..., 0, :, :].
 
-    Adjacent pairs are multiplied (later @ earlier) in one batched matmul
-    per level, so n >= 1 factors take ceil(log2 n) numpy calls; an odd last
-    factor carries over to the next level unchanged.
+    Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
+    multiplied (later @ earlier) in one batched matmul per level, so n >= 1
+    factors take ceil(log2 n) numpy calls; an odd last factor carries over
+    to the next level unchanged.
     """
-    while len(stack) > 1:
-        even = len(stack) - len(stack) % 2
-        stack = np.concatenate([stack[1:even:2] @ stack[0:even:2], stack[even:]])
-    return stack[0]
+    while stack.shape[-3] > 1:
+        even = stack.shape[-3] - stack.shape[-3] % 2
+        stack = np.concatenate([stack[..., 1:even:2, :, :] @ stack[..., 0:even:2, :, :],
+                                stack[..., even:, :, :]], axis=-3)
+    return stack[..., 0, :, :]
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,8 @@ class TestGateCommand:
 
     @pytest.mark.parametrize("flag, value", [("--T", "-1"), ("--steps", "-5"),
                                              ("--steps", "0"), ("--a", "30"),
-                                             ("--T", "nan"), ("--a", "inf")])
+                                             ("--T", "nan"), ("--a", "inf"),
+                                             ("--steps", "1" + "0" * 400)])
     def test_bad_number_exits_2_without_traceback(self, flag, value, capsys):
         argv = {"--kind": "phase", "--a": "0.7605", "--T": "1", flag: value}
         code = run_cli(["gate", *(x for kv in argv.items() for x in kv)])
@@ -108,6 +110,21 @@ class TestGateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid control")
         assert "not finite" in err[0]
+
+    @pytest.mark.parametrize("extra, prefix", [
+        (["--control", '{"kind": "positive_square", "J": 1, "dt": 1e-9}'],
+         "error: invalid control"),
+        (["--control", '{"kind": "delta_kick_positive", "dt": 1e-9}'],
+         "error: invalid control"),
+        (["--steps", "100000000"], "error: gate run failed"),
+    ], ids=["segments", "kicks", "steps"])
+    def test_oversized_run_exits_2_at_once(self, extra, prefix, capsys):
+        start = time.perf_counter()
+        code = run_cli(["gate", "--kind", "phase", "--a", "0.7", "--T", "1", *extra])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix) and "MAX_STEPS" in err[0]
 
     def test_nan_unitarity_defect_exits_3(self, tmp_path, monkeypatch):
         broken = PropagationResult(U=np.eye(4, dtype=complex), steps_taken=1,
@@ -309,9 +326,18 @@ BAD_JSON_VALUES = [
      "policy.substeps_per_segment must be an integer"),
     ("config", "gate", "5", "gate must be a JSON object"),
     ("config", "grid", "[1.0, null]", "NoneType"),
+    ("config", "grid", '"123"', "grid must be a JSON array"),
+    ("config", "gate", '{"kind": "phase", "a": "0.7605", "T": 1.0}',
+     "gate.a must be a number"),
+    ("config", "grid", '[1.0, "3"]', "grid value must be a number"),
+    ("config", "realizations", '"3"', "realizations must be a number"),
+    ("config", "realizations", "true", "realizations must be a number"),
+    ("config", "policy", '{"max_step": false}', "policy.max_step must be a number"),
     ("control", "J", "NaN", "NaN"),
     ("control", "dt", "-Infinity", "-Infinity"),
     ("control", "seed", "1.5", "control.seed must be an integer"),
+    ("control", "J", '"100"', "control.J must be a number"),
+    ("control", "seed", "true", "control.seed must be a number"),
 ]
 
 

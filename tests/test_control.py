@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_sim.control import (KICK_KINDS, ControlKind, KickSchedule, PulseTrain,
-                                  Segments, generate_segments, integral_C, make_kicks,
-                                  mean_control, net_area, resonance_condition)
+from holonomy_sim.control import (KICK_KINDS, MAX_STEPS, ControlKind, KickSchedule,
+                                  PulseTrain, Segments, generate_segments, integral_C,
+                                  make_kicks, mean_control, net_area, resonance_condition)
 
 TWO_PI = 2 * math.pi
 
@@ -295,6 +296,7 @@ def test_make_kicks_matches_loop_reference_bit_for_bit(kind, T, interval, jitter
     ((0.1, 1.0), (1.0,), "start at 0"),
     ((0.0, 0.5, 0.5), (1.0, 2.0), "ascend"),
     ((0.0, 0.6, 0.5), (1.0, 2.0), "ascend"),
+    ((0.0, -1.7e308, 1.7e308), (1.0, 2.0), "ascend"),  # the second step overflows
     ((0.0, math.nan), (1.0,), "finite"),
     ((0.0, math.inf), (1.0,), "finite"),
     ((0.0, 1.0), (math.nan,), "finite"),
@@ -303,6 +305,24 @@ def test_make_kicks_matches_loop_reference_bit_for_bit(kind, T, interval, jitter
 def test_segments_reject_bad_tilings(edges, values, message):
     with pytest.raises(ValueError, match=message):
         Segments(edges, values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-12), 1.0),
+    lambda: generate_segments(PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=1.0,
+                                         dt=5e-324), 1.0),
+    lambda: make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 1e-12),
+    lambda: make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1.0 / (MAX_STEPS - 1)),
+], ids=["segments", "segments-overflow", "kicks", "kicks-just-above"])
+def test_run_size_cap_rejects_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid points, above the cap MAX_STEPS"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_segments_store_float_tuples():

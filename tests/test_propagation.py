@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from holonomy_sim.control import (ControlKind, KickSchedule, PulseTrain, Segments,
-                                  generate_segments, make_kicks)
+from holonomy_sim.control import (MAX_STEPS, ControlKind, KickSchedule, PulseTrain,
+                                  Segments, generate_segments, make_kicks)
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
                                        gate_generators, gate_hamiltonian)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, StepPolicy,
-                                      _step_grid, adiabatic_hamiltonian,
-                                      propagate_adiabatic, propagate_lab)
+from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, StepPolicy,
+                                      _chunked_product, _step_grid, adiabatic_hamiltonian,
+                                      propagate_adiabatic, propagate_lab,
+                                      propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
-                                matexp_hermitian)
+                                matexp_hermitian, ordered_product)
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -97,11 +99,114 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
     kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
     for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
         for k in (None, kicks):
-            bounds, exponents, kick_pos = _step_grid(segments, k, policy)
+            bounds, seg_idx, kick_pos = _step_grid(segments, k, policy)
             np.testing.assert_array_equal(bounds, loop_bounds(segments, k, policy))
-            assert len(exponents) == len(bounds) - 1
+            # every step lies inside the segment it is assigned to
+            edges = np.asarray(segments.edges)
+            assert np.all(edges[seg_idx] <= bounds[:-1])
+            assert np.all(bounds[1:] <= edges[seg_idx + 1])
             if k is not None:
                 np.testing.assert_array_equal(bounds[kick_pos], k.times)
+
+
+def test_step_grid_rejects_runs_above_the_cap():
+    segments = Segments((0.0, 1.0), (0.0,))
+    with pytest.raises(ValueError, match="needs 100000000 steps and kicks"):
+        _step_grid(segments, None, StepPolicy(max_step=1e-8))
+    with pytest.raises(ValueError, match="needs inf steps"):
+        _step_grid(Segments((0.0, 1e300), (0.0,)), None, StepPolicy(max_step=1e-300))
+    # kicks count toward the cap too
+    kicks = KickSchedule((0.25, 0.5, 0.75), (1, 1, 1))
+    with pytest.raises(ValueError, match="above the cap MAX_STEPS"):
+        _step_grid(segments, kicks, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
+
+
+def shared_grid_batches(T):
+    """Batches of trains with equal edges and kick times: three seeded
+    realizations of each square kind, and one kick schedule under both signs."""
+    batches = [[(generate_segments(PulseTrain(kind, J=J, dt=0.05, p=1.0, seed=seed), T), None)
+                for seed in (1, 2, 3)]
+               for kind, J in ((ControlKind.POSITIVE_SQUARE, 40.0),
+                               (ControlKind.ZERO_ENERGY_ALTERNATING, 60.0))]
+    segments = generate_segments(NO_CONTROL, T)
+    pos = make_kicks(ControlKind.DELTA_KICK_POSITIVE, T, 0.07, seed=2, jitter=0.5)
+    alt = KickSchedule(pos.times, tuple((-1) ** i for i in range(len(pos.times))), area=2.0)
+    batches.append([(segments, pos), (segments, alt)])
+    return batches
+
+
+@pytest.mark.parametrize("spec", [GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
+                                  GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)),
+                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)),
+                                  PHYSICAL], ids=lambda spec: spec.kind.value)
+def test_batch_is_bit_identical_to_one_run_per_train(spec):
+    for batch in shared_grid_batches(1.0):
+        results = propagate_lab_batch(spec, batch)
+        assert len(results) == len(batch)
+        for (segments, kicks), result in zip(batch, results):
+            alone = propagate_lab(spec, segments, kicks)
+            assert np.array_equal(result.U, alone.U)
+            assert result.steps_taken == alone.steps_taken
+            assert result.unitarity_defect == alone.unitarity_defect
+
+
+def test_batch_rejects_trains_on_different_grids():
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    a = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05), 1.0)
+    b = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.04), 1.0)
+    kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
+    shifted = KickSchedule(tuple(t + 1e-3 for t in kicks.times), kicks.signs)
+    for batch in ([(a, None), (b, None)], [(a, kicks), (a, shifted)], [(a, kicks), (a, None)]):
+        with pytest.raises(ValueError, match="share their segment edges and kick times"):
+            propagate_lab_batch(spec, batch)
+    with pytest.raises(ValueError, match="at least one"):
+        propagate_lab_batch(spec, [])
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=n))
+    taus = rng.uniform(-0.05, 0.05, size=(3, n))
+    levels, products = _chunked_product(spec, ts, taus)
+    _, s, hs = gate_generators(spec, ts)
+    assert levels == (1, 2, 3) and products.shape == (3, 3, 3)
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, s, taus)))
+    for row, product in zip(taus, products):
+        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, s, row)))
+
+
+def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
+    spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
+    segments = generate_segments(
+        PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
+    kicks = KickSchedule((0.5112, 0.5116, 0.5121, 0.5124), (1, -1, 1, -1))
+    policy = StepPolicy(max_step=1.0 / 2000)
+    # the whole factor stack, steps and kicks interleaved, in one reduction
+    bounds, seg_idx, kick_pos = _step_grid(segments, kicks, policy)
+    factor_pos = kick_pos + np.arange(len(kick_pos))
+    assert factor_pos[0] < CHUNK <= factor_pos[-1]
+    mids = np.insert(0.5 * (bounds[1:] + bounds[:-1]), kick_pos, kicks.times)
+    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * np.diff(bounds),
+                     kick_pos, kicks.area * np.asarray(kicks.signs, dtype=float))
+    levels, s, hs = gate_generators(spec, mids)
+    whole = ordered_product(matexp_cubic_stack(hs, s, taus))
+    u = propagate_lab(spec, segments, kicks, policy).U
+    assert np.array_equal(u[np.ix_(levels, levels)], whole)
+
+
+def test_long_run_memory_stays_bounded():
+    # 200,000 steps: the whole complex step stack alone would be ~29 MiB
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
+    tracemalloc.start()
+    try:
+        result = propagate_lab(spec, segments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.steps_taken == 200_000
+    assert peak < 32 * 2 ** 20
 
 
 def test_overflowing_control_is_rejected():

@@ -136,6 +136,27 @@ def test_ordered_product_matches_sequential_product(n, rng):
     np.testing.assert_allclose(ordered_product(stack), expected, atol=1e-12)
 
 
+def test_batched_ordered_product_equals_product_of_each_slice(rng):
+    stack = rng.standard_normal((2, 3, 7, 3, 3)) + 1j * rng.standard_normal((2, 3, 7, 3, 3))
+    products = ordered_product(stack)
+    assert products.shape == (2, 3, 3, 3)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(products[i, j], ordered_product(stack[i, j]))
+
+
+def test_cubic_stack_exponentiates_every_row_of_taus(rng):
+    # spin-1 S_x in five random unitary frames: spectrum {-1, 0, +1}
+    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+    qs, _ = np.linalg.qr(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+    hs = qs @ sx @ qs.conj().transpose(0, 2, 1)
+    taus = rng.uniform(-3.0, 3.0, size=(4, 5))
+    us = matexp_cubic_stack(hs, 1.0, taus)
+    assert us.shape == (4, 5, 3, 3)
+    for row, u in zip(taus, us):
+        assert np.array_equal(u, matexp_cubic_stack(hs, 1.0, row))
+
+
 def test_tensor_identity():
     np.testing.assert_array_equal(tensor_product(I2, I2), np.eye(4))
 
