@@ -3,7 +3,8 @@
 Exit codes
   gate:     2 invalid arguments (including --steps < 1) or control (including
             an overflowing amplitude or step exponent), or a run above
-            control.MAX_STEPS, 3 tolerance violation (unitarity defect)
+            control.MAX_STEPS, 3 tolerance violation (unitarity defect),
+            4 unwritable --out
   sweep:    2 invalid config (a run above MAX_STEPS included) or thread
             count (< 1 or not an integer), 4 unwritable output
   selftest: 1 on any invariant failure
@@ -129,8 +130,12 @@ def cmd_gate(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 4
     else:
         sys.stdout.write(text)
     return 0

@@ -250,11 +250,12 @@ def gate_generators(spec: GateSpec, ts):
         return tuple(range(16)), math.hypot(spec.j12, spec.j13), _physical_stack(spec, phi)
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
     th = spec.schedule.theta(ts)
-    stack = np.zeros((len(phi), 3, 3), dtype=complex)
-    stack[:, 0, 1] = stack[:, 1, 0] = np.sin(th)
-    stack[:, 2, 1] = np.cos(th) * np.exp(-1j * phi)
-    stack[:, 1, 2] = np.cos(th) * np.exp(1j * phi)
-    return (lo, anc, hi), 1.0, stack
+    # built as planes (3, 3, n), the memory qcore multiplies 3x3 stacks in
+    planes = np.zeros((3, 3, len(phi)), dtype=complex)
+    planes[0, 1] = planes[1, 0] = np.sin(th)
+    planes[2, 1] = np.cos(th) * np.exp(-1j * phi)
+    planes[1, 2] = np.cos(th) * np.exp(1j * phi)
+    return (lo, anc, hi), 1.0, np.moveaxis(planes, -1, 0)
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:

@@ -12,6 +12,10 @@ realizations of one sweep point): one step grid, the generators at all
 midpoints and kick instants, their exponentials in the closed form that
 H^3 = s^2 H allows (no eigendecomposition) for every train's exponents,
 and a pairwise time-ordered product, all as whole-array numpy calls.
+The 3x3 stacks stay in qcore's plane memory (entry (i, j) of every factor
+one contiguous array) from the generators to the product, so each level
+of the product is three whole-plane multiply-adds, not one small matmul
+per factor; the 16x16 physical model keeps matrix memory and np.matmul.
 Kick factors sit in the same stack as the steps, in time order.  The
 factor axis is processed in aligned blocks of CHUNK factors, so memory is
 bounded by one block while U stays bit-identical to one reduction over

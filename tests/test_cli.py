@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import holonomy_sim.cli as cli
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
@@ -125,6 +127,16 @@ class TestGateCommand:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(prefix) and "MAX_STEPS" in err[0]
+
+    @pytest.mark.parametrize("target", ["dir", "file-as-dir"])
+    def test_unwritable_out_exits_4(self, target, tmp_path, capsys):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path if target == "dir" else tmp_path / "a-file" / "gate.json"
+        code = run_cli(["gate", "--kind", "phase", "--a", "0.7", "--T", "1",
+                        "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output")
 
     def test_nan_unitarity_defect_exits_3(self, tmp_path, monkeypatch):
         broken = PropagationResult(U=np.eye(4, dtype=complex), steps_taken=1,
@@ -383,3 +395,140 @@ class TestSelftest:
         d1[3] = -np.exp(-1j * s.phi(t)) * math.sin(s.theta(t))
         assert np.linalg.norm(h @ d1) <= 1e-14          # healthy generator
         assert np.linalg.norm(broken @ d1) > 1e-2       # mutated one fails
+
+
+# Argv property test: every command line built from the CLI's own flags and
+# values ends in a documented exit code.  Each flag has a pool of ordinary
+# fragments and one of odd ones (missing, malformed, non-finite, negative,
+# huge); an example breaks one flag, none, or any number of them, so single
+# faults deep in a run (an unwritable --out after a valid gate) are drawn as
+# often as argparse errors.  Ordinary runs stay small (T <= 2, dt >= 0.25, two
+# grid points) and odd sizes are rejected before anything is allocated, so a
+# command takes milliseconds.
+ODD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "abc", ""]
+ODD_COUNTS = ["0", "-3", "1e3", "x", "99999999999", "1" + "0" * 400]
+ODD_JSON = ["{", '{"kind":', "[]", "null", "{}", "{'kind': 'no_control'}",
+            '{"kind": "no_control"} x', '{"kind": "positive_square", "J": NaN}']
+JSON_NUMBERS = st.sampled_from([0, 1, 0.5, 2, 20, 40, -1, 2.5, 1e308, 1e-300, 2 ** 70,
+                                math.nan, math.inf, "1", True, None])
+# control objects with any subset of their fields
+CONTROLS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["no_control", "positive_square", "zero_energy_alternating",
+                             "delta_kick_positive", "delta_kick_alternating", "nope"]),
+    "J": JSON_NUMBERS, "dt": st.sampled_from([0.25, 0.5, 0, -1, 1e-300, 1e308, math.nan]),
+    "p": JSON_NUMBERS, "seed": JSON_NUMBERS})
+ODD_CONFIGS = st.fixed_dictionaries({
+    "gate": st.fixed_dictionaries({
+        "kind": st.sampled_from(["phase", "xgate", "cphase", "physical_four"]),
+        "a": st.sampled_from([0.7605, 0, -1, 30, math.nan]),
+        "T": st.sampled_from([0.5, 1.0, 2.0, 0, -1, 1e308, math.inf])}),
+    "control": CONTROLS | JSON_NUMBERS,
+    "sweep_variable": st.sampled_from(["T", "mean_control", "dt", "x"]),
+    "grid": st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 40.0, 0, -1, 1e-300, 1e308]),
+                     max_size=3),
+    "realizations": st.sampled_from([1, 2, 0, -1, 1.5, "1"]),
+    "master_seed": JSON_NUMBERS,
+    "policy": st.fixed_dictionaries({
+        "substeps_per_segment": st.sampled_from([20, 25, 5, 20.5, 10 ** 9]),
+        "max_step": st.sampled_from([None, 0.05, 1e-12, 0, -1])}),
+}, optional={"extra": JSON_NUMBERS}).map(json.dumps) | st.sampled_from(ODD_JSON)
+GOOD_CONTROLS = ['{"kind": "no_control"}',
+                 '{"kind": "positive_square", "J": 40, "dt": 0.25, "p": 0.5, "seed": 1}',
+                 '{"kind": "zero_energy_alternating", "J": 25.1, "dt": 0.25, "p": 0.5}',
+                 '{"kind": "delta_kick_alternating", "dt": 0.25, "p": 0.5, "seed": 2}']
+
+
+def _good_config(experiment):
+    """A small valid config for an experiment."""
+    variable, control, grid = {
+        "runtime": ("T", {"kind": "no_control"}, [0.5, 1.0]),
+        "mean-control": ("mean_control", {"kind": "positive_square", "J": 0.0, "dt": 0.25,
+                                          "p": 0.5, "seed": 0}, [0.0, 40.0]),
+        "dt-zero-energy": ("dt", {"kind": "zero_energy_alternating", "J": 25.1, "dt": 0.25,
+                                  "p": 0.5, "seed": 0}, [0.25, 0.5]),
+        "kick-equivalence": ("dt", {"kind": "delta_kick_positive", "J": 0.0, "dt": 0.25,
+                                    "p": 0.5, "seed": 0}, [0.25]),
+    }.get(experiment, ("T", {"kind": "no_control"}, [1.0]))
+    return json.dumps({"gate": {"kind": "phase", "a": 0.7605, "T": 1.0}, "control": control,
+                       "sweep_variable": variable, "grid": grid, "realizations": 2,
+                       "master_seed": 3,
+                       "policy": {"substeps_per_segment": 20, "max_step": None}})
+
+
+def _values(flag, values):
+    return [[flag, v] for v in values]
+
+
+@st.composite
+def cli_argvs(draw, workdir):
+    command = draw(st.sampled_from(["gate", "sweep", "gate", "sweep", "--version",
+                                    "bogus", None]))
+    if command not in ("gate", "sweep"):
+        return [] if command is None else [command]
+    config = workdir / "config.json"
+    experiment = draw(st.sampled_from(["runtime", "mean-control", "dt-zero-energy",
+                                       "kick-equivalence"]))
+    # flag -> (ordinary fragments, odd fragments); [] leaves the flag out
+    if command == "gate":
+        flags = {
+            "--kind": (_values("--kind", ["phase", "xgate", "cphase"]),
+                       [[], ["--kind"], ["--kind", "physical_four"]]),
+            "--a": (_values("--a", ["0", "0.5", "0.7605", "2"]),
+                    [[]] + _values("--a", ODD_NUMBERS + ["30"])),
+            "--T": (_values("--T", ["0.5", "1", "2"]), [[]] + _values("--T", ODD_NUMBERS)),
+            "--control": ([[]] + _values("--control", GOOD_CONTROLS),
+                          [["--control"], ["--control", str(workdir / "missing.json")]]
+                          + _values("--control", ODD_JSON)),
+            "--steps": ([[]] + _values("--steps", ["1", "64", "4096"]),
+                        _values("--steps", ODD_COUNTS)),
+            "--out": ([[], ["--out", str(workdir / "gate.json")]],
+                      [["--out", str(workdir / "a-file" / "gate.json")],
+                       ["--out", str(workdir)]]),
+        }
+    else:
+        flags = {
+            "--experiment": ([["--experiment", experiment]],
+                             [[], ["--experiment", "nope"]]),
+            "--config": ([["--config", str(config)]],
+                         [[], ["--config", str(workdir / "missing.json")],
+                          ["--config", str(config), "odd"]]),
+            "--seed": ([[]] + _values("--seed", ["0", "7"]), _values("--seed", ODD_COUNTS)),
+            "--plot": ([[], ["--plot"]], [["--plot", "yes"]]),
+            "--out-dir": ([["--out-dir", str(workdir / "out")]],
+                          [[], ["--out-dir", str(workdir / "a-file")],
+                           ["--out-dir", str(workdir / "a-file" / "sub")]]),
+            "--threads": ([[]] + _values("--threads", ["1", "2"]),
+                          _values("--threads", ["0", "-1", "1.5", "x"])),
+        }
+    broken = draw(st.sampled_from([None, "any", *flags]))
+    argv = [command]
+    for flag, (ordinary, odd) in flags.items():
+        pool = odd if flag == broken else ordinary + odd if broken == "any" else ordinary
+        fragment = draw(st.sampled_from(pool))
+        if fragment[-1:] == ["odd"]:  # a config file with odd content
+            config.write_text(draw(ODD_CONFIGS))
+            fragment = fragment[:-1]
+        argv += fragment
+    if command == "sweep" and not config.exists():
+        config.write_text(_good_config(experiment))
+    return argv
+
+
+_EXAMPLES = itertools.count()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_ends_in_a_documented_exit_code(data, tmp_path, capsys):
+    workdir = tmp_path / f"example-{next(_EXAMPLES)}"
+    workdir.mkdir()
+    (workdir / "a-file").write_text("a regular file where a directory is expected\n")
+    argv = data.draw(cli_argvs(workdir), label="argv")
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:  # argparse: usage errors and --version
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err

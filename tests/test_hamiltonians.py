@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holonomy_sim.hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
-                                       dark_states, gate_hamiltonian,
+                                       dark_states, gate_generators, gate_hamiltonian,
                                        physical_hamiltonian, project_dfs,
                                        total_z)
 from holonomy_sim.qcore import hermiticity_defect
@@ -144,6 +144,16 @@ def test_all_builders_hermitian(rng):
         assert hermiticity_defect(generator(GateKind.XGATE, s, t)) <= 1e-13
         assert hermiticity_defect(generator(GateKind.CPHASE, s, t)) <= 1e-13
         assert hermiticity_defect(physical_hamiltonian(spec, s.phi(t))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_generator_stack_equals_the_hamiltonian_block_at_each_time(kind, rng):
+    spec = GateSpec(kind, Schedule(0.9, 2.0), j12=1.3, j13=0.4)
+    ts = np.sort(rng.uniform(0.0, 2.0, size=37))
+    levels, _, stack = gate_generators(spec, ts)
+    assert stack.shape == (len(ts), len(levels), len(levels))
+    for t, h in zip(ts, stack):
+        assert np.array_equal(h, gate_hamiltonian(spec, t)[np.ix_(levels, levels)])
 
 
 class TestDarkStates:

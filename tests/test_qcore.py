@@ -157,6 +157,55 @@ def test_cubic_stack_exponentiates_every_row_of_taus(rng):
         assert np.array_equal(u, matexp_cubic_stack(hs, 1.0, row))
 
 
+def _in_layouts(stack):
+    """The (..., n, d, d) stack as C-contiguous matrices, as a moveaxis view of
+    plane memory (d, d, ..., n), and as a [..., ::2, :, :] slice."""
+    planes = np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
+    yield "contiguous", np.ascontiguousarray(stack)
+    yield "planes", np.moveaxis(planes, (0, 1), (-2, -1))
+    yield "every-other", np.repeat(stack, 2, axis=-3)[..., ::2, :, :]
+
+
+def _spectrum_stack(rng, n, d, s):
+    """n random Hermitian d x d matrices with eigenvalues in {-s, 0, +s}."""
+    m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    qs, _ = np.linalg.qr(m)
+    eig = s * rng.choice([-1.0, 0.0, 1.0], size=(n, d))
+    return (qs * eig[:, None, :]) @ qs.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 16])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng):
+    n = 7
+    _, vs = np.linalg.eigh(_spectrum_stack(rng, int(np.prod(batch, dtype=int)) * n, d, 1.0))
+    vs = vs.reshape(batch + (n, d, d))
+    expected = np.empty(batch + (d, d), dtype=complex)
+    for idx in np.ndindex(*batch):
+        u = np.eye(d, dtype=complex)
+        for factor in vs[idx]:
+            u = np.matmul(factor, u)
+        expected[idx] = u
+    for name, stack in [("eigh", vs), *_in_layouts(vs)]:
+        product = ordered_product(stack)
+        assert product.shape == batch + (d, d), name
+        np.testing.assert_allclose(product, expected, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("d", [3, 4, 16])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_cubic_stack_matches_eigh_in_every_layout(d, batch, rng):
+    n, s = 6, 1.7
+    hs = _spectrum_stack(rng, n, d, s)
+    taus = rng.uniform(-3.0, 3.0, size=batch + (n,))
+    for name, stack in _in_layouts(hs):
+        us = matexp_cubic_stack(stack, s, taus)
+        assert us.shape == batch + (n, d, d), name
+        for idx in np.ndindex(*batch + (n,)):
+            np.testing.assert_allclose(us[idx], matexp_hermitian(hs[idx[-1]], taus[idx]),
+                                       atol=1e-13, err_msg=name)
+
+
 def test_tensor_identity():
     np.testing.assert_array_equal(tensor_product(I2, I2), np.eye(4))
 
