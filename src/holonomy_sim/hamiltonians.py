@@ -77,8 +77,9 @@ class Schedule:
     T: float
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"period T must be positive and finite, got {self.T}")
+        # the phase 2 pi t / T must stay finite at t = T
+        if not 0 < TWO_PI * self.T < math.inf:
+            raise ValueError(f"period T must be positive with 2 pi T finite, got {self.T}")
         if not 0 <= self.a < math.inf:
             raise ValueError(f"amplitude a must be finite and >= 0, got {self.a}")
 

@@ -108,8 +108,12 @@ def _step_grid(segments: Segments, kicks: KickSchedule | None, policy: StepPolic
     # edge j+1 of a segment: t_start + length * (j + 1) / n, as one array
     first = np.cumsum(counts) - counts
     j_plus_1 = np.arange(1, counts.sum() + 1) - np.repeat(first, counts)
-    bounds = np.concatenate([[0.0], np.repeat(starts, counts)
-                             + np.repeat(lengths, counts) * j_plus_1 / np.repeat(counts, counts)])
+    step_lengths, step_counts = np.repeat(lengths, counts), np.repeat(counts, counts)
+    with np.errstate(over="ignore"):  # length * (j + 1) passes the float range for a huge span
+        offsets = step_lengths * j_plus_1 / step_counts
+    huge = np.isinf(offsets)
+    offsets[huge] = step_lengths[huge] * (j_plus_1[huge] / step_counts[huge])
+    bounds = np.concatenate([[0.0], np.repeat(starts, counts) + offsets])
     bounds[-1] = span
     if len(kick_times):
         if kick_times[0] <= 0.0 or kick_times[-1] >= span:

@@ -109,6 +109,24 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
                 np.testing.assert_array_equal(bounds[kick_pos], k.times)
 
 
+def test_step_grid_stays_finite_for_a_span_near_the_float_limit():
+    # length * (j + 1) would overflow here; every edge must still be finite and increasing
+    span = 2.8e307
+    bounds, _, _ = _step_grid(Segments((0.0, span), (0.0,)), None, StepPolicy())
+    assert len(bounds) == DEFAULT_STEPS_PER_PERIOD + 1
+    assert np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)
+    assert bounds[-1] == span
+    u = propagate_lab(GateSpec(GateKind.PHASE, Schedule(A_REF, span)),
+                      Segments((0.0, span), (0.0,))).U
+    assert np.all(np.isfinite(u))
+
+
+@pytest.mark.parametrize("T", [1e308, math.inf, 0.0, -1.0, math.nan])
+def test_schedule_rejects_a_period_whose_phase_overflows(T):
+    with pytest.raises(ValueError, match="period T must be positive"):
+        Schedule(A_REF, T)
+
+
 def test_step_grid_rejects_runs_above_the_cap():
     segments = Segments((0.0, 1.0), (0.0,))
     with pytest.raises(ValueError, match="needs 100000000 steps and kicks"):
