@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--plot", action="store_true", help="also write an SVG chart")
     sweep.add_argument("--threads", type=int,
-                       help="worker threads (default: HOLONOMY_SIM_THREADS or CPU count)")
+                       help="worker threads sharing the sweep's jobs of up to 32 "
+                            "realizations (default: HOLONOMY_SIM_THREADS or CPU count)")
     sweep.set_defaults(func=cmd_sweep)
 
     selftest = sub.add_parser("selftest", help="run the invariant suite")

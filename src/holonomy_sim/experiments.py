@@ -5,9 +5,15 @@ quality factor over noise realizations, and returns an ordered table of
 rows plus per-realization records.  Seeding is positional: realization k
 of grid point j derives its generator from SeedSequence([master_seed, j,
 k]), so results are independent of execution order and thread count, and
-a (config, master_seed) pair reproduces output files byte for byte.  One
-pool job runs one grid point, whose realizations share their segment
-edges and so propagate as one batch.
+a (config, master_seed) pair reproduces output files byte for byte.
+
+The pool's unit of work is a job of up to MAX_BATCH realizations, taken
+in (grid index, realization index) order from grid points whose gate and
+train differ at most in the amplitude J.  Such realizations share their
+segment edges, so a job builds its trains and propagates them as one batch:
+the whole mean-control sweep is ceil(points * realizations / MAX_BATCH)
+jobs, while a runtime or dt sweep, whose grid value moves the step grid,
+runs one job per grid point.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -25,6 +32,9 @@ from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
+
+# Realizations per sweep job (see the module docstring).
+MAX_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,8 @@ def realization_seed(master_seed: int, grid_index: int, realization_index: int) 
 
 
 def _run_jobs(jobs, worker, n_threads: int):
-    if n_threads <= 1:
+    """worker(job) for every job, in order; a lone job runs without a pool."""
+    if n_threads <= 1 or len(jobs) <= 1:
         return [worker(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(worker, jobs))
@@ -154,20 +165,42 @@ def train_schedule(train: PulseTrain, T: float):
     return segments, kicks
 
 
-def _point_records(cfg, gamma_ideal, spec, train, j, x):
-    """The records of grid point j: its realizations propagated as one batch."""
-    seeds = [realization_seed(cfg.master_seed, j, k) for k in range(cfg.realizations)]
-    tilings = [generate_segments(replace(train, seed=seed), spec.schedule.T) for seed in seeds]
-    results = propagate_lab_batch(spec, [(segments, None) for segments in tilings], cfg.policy)
+def _jobs(cfg: ExperimentConfig, points) -> list:
+    """The sweep's jobs: lists of (j, k) realizations, in (j, k) order.
+
+    A new job starts when the current one holds MAX_BATCH realizations or
+    when grid point j's (spec, train) differs from the job's in anything
+    other than J, which moves no segment edge.
+    """
+    jobs, key = [], None
+    for j, (spec, train) in enumerate(points):
+        here = (spec, replace(train, J=0.0))
+        for k in range(cfg.realizations):
+            if here != key or len(jobs[-1]) == MAX_BATCH:
+                jobs.append([])
+                key = here
+            jobs[-1].append((j, k))
+    return jobs
+
+
+def _job_records(cfg, gamma_ideal, points, job):
+    """The records of one job: its trains propagated as batches of shared edges."""
+    spec = points[job[0][0]][0]
+    seeds = [realization_seed(cfg.master_seed, j, k) for j, k in job]
+    tilings = [generate_segments(replace(points[j][1], seed=seed), spec.schedule.T)
+               for (j, _), seed in zip(job, seeds)]
+    results = [result for _, run in groupby(tilings, key=lambda segments: segments.edges)
+               for result in propagate_lab_batch(spec, [(segments, None) for segments in run],
+                                                 cfg.policy)]
     dark = dark_states(spec, 0.0)[-1]
     records = []
-    for k, (seed, segments, result) in enumerate(zip(seeds, tilings, results)):
+    for (j, k), seed, segments, result in zip(job, seeds, tilings, results):
         hol = evaluate_holonomy(result.U, dark, gamma_ideal)
         measured = None
-        if train.kind is not ControlKind.NO_CONTROL:
+        if cfg.control.kind is not ControlKind.NO_CONTROL:
             measured = mean_control(segments)
         records.append(RealizationRecord(
-            grid_index=j, realization_index=k, x=x, seed=seed,
+            grid_index=j, realization_index=k, x=cfg.grid[j], seed=seed,
             gamma_measured=hol.gamma_measured, overlap_abs=hol.overlap_abs, f=hol.f,
             steps=result.steps_taken, unitarity_defect=result.unitarity_defect,
             mean_control_measured=measured))
@@ -200,8 +233,9 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     T sweeps the runtime without control; mean_control sweeps the target
     average of a positive-square train, whose realized time average is
     recorded per realization; dt sweeps the half-period of a zero-energy
-    alternating train.  Grid points are the pool jobs; records come out in
-    (grid index, realization index) order.
+    alternating train.  The pool runs jobs of up to MAX_BATCH realizations
+    that share one step grid (see the module docstring); records come out
+    in (grid index, realization index) order.
     """
     kind, point = _SWEEPS[cfg.sweep_variable]
     if cfg.control.kind is not kind:
@@ -211,11 +245,11 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     # every grid point shares the amplitude a, hence the ideal phase
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
 
-    def worker(j):
-        return _point_records(cfg, gamma_ideal, *points[j], j, cfg.grid[j])
+    def worker(job):
+        return _job_records(cfg, gamma_ideal, points, job)
 
-    records = tuple(r for point in _run_jobs(range(len(cfg.grid)), worker, n_threads)
-                    for r in point)
+    records = tuple(r for job in _run_jobs(_jobs(cfg, points), worker, n_threads)
+                    for r in job)
     return SweepResult(_assemble_rows(cfg, records, gamma_ideal), records,
                        sum(r.steps for r in records))
 

@@ -8,19 +8,21 @@ exact factors exp(-i * sign * area * H(tau)), never resolved in time.
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
-realizations of one sweep point): one step grid, the generators at all
-midpoints and kick instants, their exponentials in the closed form that
-H^3 = s^2 H allows (no eigendecomposition) for every train's exponents,
-and a pairwise time-ordered product, all as whole-array numpy calls.
+realizations of a sweep job, see experiments): one step grid, the
+generators at all midpoints and kick instants, their exponentials in the
+closed form that H^3 = s^2 H allows (no eigendecomposition) for every
+train's exponents, and a pairwise time-ordered product, all as
+whole-array numpy calls.
 The 3x3 stacks stay in qcore's plane memory (entry (i, j) of every factor
 one contiguous array) from the generators to the product, so each level
 of the product is three whole-plane multiply-adds, not one small matmul
 per factor; the 16x16 physical model keeps matrix memory and np.matmul.
 Kick factors sit in the same stack as the steps, in time order.  The
-factor axis is processed in aligned blocks of CHUNK factors, so memory is
-bounded by one block while U stays bit-identical to one reduction over
-the whole stack.  The logical kinds propagate their 3x3 lambda block,
-embedded into spec.dim at the end.
+factor axis is processed in aligned blocks of a power-of-two width that
+narrows for wide batches (see _block_width), so memory is bounded by one
+block while U stays bit-identical to one reduction over the whole stack.
+The logical kinds propagate their 3x3 lambda block, embedded into
+spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -47,9 +49,14 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 
 MIN_SUBSTEPS = 20
 
-# Factors per block of the chunked time-ordered product.  A power of two,
-# so the blocks align with the pairwise reduction tree (see _chunked_product).
+# Factors per row in a block of the chunked time-ordered product for
+# batches of up to CHUNK_FULL_ROWS rows; wider batches narrow it (see
+# _block_width).  Widths are powers of two, so the blocks align with the
+# pairwise reduction tree.  Measured on the sweeps: a 32-row batch in
+# 1024-wide blocks peaks about 9 MiB higher and runs slower, while the
+# 10-row batches of a dt sweep run slower in narrower blocks.
 CHUNK = 1024
+CHUNK_FULL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -140,22 +147,35 @@ def _step_exponents(segments: Segments, seg_idx: np.ndarray, widths: np.ndarray,
     return exponents
 
 
+def _block_width(rows: int) -> int:
+    """Factors per row in one block of _chunked_product for a batch of rows.
+
+    CHUNK up to CHUNK_FULL_ROWS rows; above, the largest power of two w
+    with rows * w <= 4 * CHUNK (128 at 32 rows), and at least 1.
+    """
+    if rows <= CHUNK_FULL_ROWS:
+        return CHUNK
+    return 1 << max(0, (4 * CHUNK // rows).bit_length() - 1)
+
+
 def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
     """Time-ordered product of exp(-i * taus[b, k] * H(ts[k])) over k, per row b.
 
     Returns (levels, (B, d, d) products).  The factor axis is walked in
-    aligned blocks of CHUNK: each block builds its generators, checks them
-    and squares them once for all B rows, and is reduced to one factor per
-    row; the block factors are then reduced once more.  Because CHUNK is a
-    power of two, this performs exactly the multiplications of the pairwise
-    tree of :func:`ordered_product` over the whole stack (an aligned block
-    of 2^m factors is its first m levels), so the result is bit-identical
-    while only one block of complex matrices is ever in memory.
+    aligned blocks of _block_width(B): each block builds its generators,
+    checks them and squares them once for all B rows, and is reduced to one
+    factor per row; the block factors are then reduced once more.  Because
+    the width is a power of two, this performs exactly the multiplications
+    of the pairwise tree of :func:`ordered_product` over the whole stack
+    (an aligned block of 2^m factors is its first m levels), so the result
+    is bit-identical while only one block of complex matrices is ever in
+    memory.
     """
+    width = _block_width(len(taus))
     blocks = []
-    for start in range(0, len(ts), CHUNK):
-        levels, s, hs = gate_generators(spec, ts[start:start + CHUNK])
-        blocks.append(ordered_product(matexp_cubic_stack(hs, s, taus[:, start:start + CHUNK])))
+    for start in range(0, len(ts), width):
+        levels, s, hs = gate_generators(spec, ts[start:start + width])
+        blocks.append(ordered_product(matexp_cubic_stack(hs, s, taus[:, start:start + width])))
     return levels, ordered_product(np.stack(blocks, axis=1))
 
 
@@ -163,10 +183,10 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     """Lab-frame evolution of the gate generator under several control trains.
 
     trains is a sequence of (segments, kicks) pairs with equal segment
-    edges and equal kick instants -- the realizations of one sweep point
-    differ only in their amplitudes.  The step grid and the generators are
-    built once for all of them; each train adds only its row of step
-    exponents (1 + c) * dt and kick exponents sign * area.  Kick i
+    edges and equal kick instants -- the realizations of a sweep job differ
+    only in their random amplitudes and in J.  The step grid and the
+    generators are built once for all of them; each train adds only its
+    row of step exponents (1 + c) * dt and kick exponents sign * area.  Kick i
     contributes the factor exp(-i * sign_i * area * H(t_i)) right before
     the step that starts at its instant.  Returns one PropagationResult per
     pair, in order; each is bit-identical to propagating that train alone.

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_sim.control import ControlKind, PulseTrain
-from holonomy_sim.experiments import (ExperimentConfig,
-                                      compare_positive_vs_zero_energy,
+from holonomy_sim import experiments
+from holonomy_sim.control import ControlKind, PulseTrain, generate_segments, mean_control
+from holonomy_sim.experiments import (MAX_BATCH, ExperimentConfig, RealizationRecord,
+                                      _jobs, compare_positive_vs_zero_energy,
                                       config_from_dict, config_to_dict,
                                       realization_seed, sweep, write_csv,
                                       write_json_bundle)
-from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule
-from holonomy_sim.holonomy import quality_factor
-from holonomy_sim.propagation import StepPolicy
+from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, dark_states
+from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy, quality_factor
+from holonomy_sim.propagation import StepPolicy, propagate_lab
 
 A_REF = 0.7605
 
@@ -163,6 +164,54 @@ class TestSweepMeanControl:
         f2 = [r.f for r in r2.records]
         se = math.sqrt(np.var(f1, ddof=1) / len(f1) + np.var(f2, ddof=1) / len(f2))
         assert abs(np.mean(f1) - np.mean(f2)) < 5 * se
+
+
+def sweep_points(cfg):
+    point = experiments._SWEEPS[cfg.sweep_variable][1]
+    return [point(cfg, x) for x in cfg.grid]
+
+
+class TestSweepJobs:
+    def test_mean_control_jobs_cut_through_grid_points(self):
+        cfg = mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0), realizations=12)
+        jobs = _jobs(cfg, sweep_points(cfg))
+        assert [len(job) for job in jobs] == [MAX_BATCH, 60 - MAX_BATCH]
+        assert [rk for job in jobs for rk in job] == [(j, k) for j in range(5)
+                                                      for k in range(12)]
+
+    def test_grid_values_that_move_the_step_grid_start_new_jobs(self):
+        cfg = dt_config((0.05, 0.1), realizations=MAX_BATCH + 3)
+        assert [len(job) for job in _jobs(cfg, sweep_points(cfg))] == [MAX_BATCH, 3,
+                                                                     MAX_BATCH, 3]
+        cfg = runtime_config(grid=(1.0, 2.0))
+        assert _jobs(cfg, sweep_points(cfg)) == [[(0, 0)], [(1, 0)]]
+
+    def test_a_lone_job_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", None)
+        cfg = mean_control_config(grid=(0.0, 25.0), realizations=3)
+        assert sweep(cfg, n_threads=2).records == sweep(cfg).records
+
+    def test_batched_records_equal_each_train_run_alone(self):
+        cfg = replace(mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0),
+                                          realizations=12),
+                      control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.05, p=0.5))
+        result = sweep(cfg)
+        dark = dark_states(cfg.gate, 0.0)[-1]
+        gamma_ideal = berry_closed_form(A_REF)
+        assert len(result.records) == 60
+        for record in result.records:
+            j, k = record.grid_index, record.realization_index
+            seed = realization_seed(cfg.master_seed, j, k)
+            train = replace(cfg.control, J=2.0 * cfg.grid[j], seed=seed)
+            segments = generate_segments(train, 1.0)
+            alone = propagate_lab(cfg.gate, segments, None, cfg.policy)
+            hol = evaluate_holonomy(alone.U, dark, gamma_ideal)
+            assert record == RealizationRecord(
+                grid_index=j, realization_index=k, x=cfg.grid[j], seed=seed,
+                gamma_measured=hol.gamma_measured, overlap_abs=hol.overlap_abs, f=hol.f,
+                steps=alone.steps_taken, unitarity_defect=alone.unitarity_defect,
+                mean_control_measured=mean_control(segments))
+        assert sweep(cfg, n_threads=2).records == result.records
 
 
 class TestSweepDtZeroEnergy:

@@ -10,9 +10,9 @@ from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states
                                        gate_generators, gate_hamiltonian)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
 from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, StepPolicy,
-                                      _chunked_product, _step_grid, adiabatic_hamiltonian,
-                                      propagate_adiabatic, propagate_lab,
-                                      propagate_lab_batch)
+                                      _block_width, _chunked_product, _step_grid,
+                                      adiabatic_hamiltonian, propagate_adiabatic,
+                                      propagate_lab, propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
                                 matexp_hermitian, ordered_product)
 
@@ -192,6 +192,25 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, s, taus)))
     for row, product in zip(taus, products):
         assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, s, row)))
+
+
+@pytest.mark.parametrize("rows, width", [(1, CHUNK), (16, CHUNK), (17, 128), (32, 128),
+                                         (40, 64), (4 * CHUNK, 1), (5 * CHUNK, 1)])
+def test_block_width_narrows_above_sixteen_rows(rows, width):
+    assert _block_width(rows) == width
+
+
+@pytest.mark.parametrize("n", [256, 1500])
+@pytest.mark.parametrize("rows", [16, 17, 32, 40])
+def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
+    # 1500 factors divide none of the widths 1024, 128 and 64; 256 spans
+    # several narrow blocks but fits in one block of CHUNK
+    spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=n))
+    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    _, products = _chunked_product(spec, ts, taus)
+    _, s, hs = gate_generators(spec, ts)
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, s, taus)))
 
 
 def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
