@@ -9,9 +9,8 @@ Exit codes
             count (< 1 or not an integer), 4 unwritable output
   selftest: 1 on any invariant failure
 
-Parallelism for sweeps comes from --threads, falling back to the
-HOLONOMY_SIM_THREADS environment variable and then to the CPU count;
-outputs are byte-identical regardless of the setting.
+Parallelism for sweeps comes from --threads, falling back to the CPU
+count; outputs are byte-identical regardless of the setting.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,18 +45,10 @@ SWEEP_EXPERIMENTS = {"runtime": "T", "mean-control": "mean_control", "dt-zero-en
 
 
 def _resolve_threads(value) -> int:
-    name = "--threads"
     if value is None:
-        env = os.environ.get("HOLONOMY_SIM_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        name = "HOLONOMY_SIM_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {env!r}") from None
+        return os.cpu_count() or 1
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise ValueError(f"--threads must be >= 1, got {value}")
     return value
 
 
@@ -189,11 +181,9 @@ def _write_svg(rows, path, xlabel: str) -> None:
 
 def cmd_sweep(args) -> int:
     try:
-        data = _loads(_read(args.config))
-        cfg = config_from_dict(data)
+        cfg = config_from_dict(_loads(_read(args.config)))
         if args.seed is not None:
-            data["master_seed"] = args.seed
-            cfg = config_from_dict(data)
+            cfg = replace(cfg, master_seed=args.seed)
         expected = SWEEP_EXPERIMENTS.get(args.experiment)
         if expected is not None and cfg.sweep_variable != expected:
             raise ValueError(f"experiment {args.experiment} expects sweep_variable "
@@ -225,14 +215,8 @@ def cmd_sweep(args) -> int:
             total_steps = report.steps
             report_path = os.path.join(args.out_dir, "report.json")
             with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump({
-                    "kick_count": report.kick_count,
-                    "max_unitary_diff": report.max_unitary_diff,
-                    "net_area_positive": report.net_area_positive,
-                    "net_area_alternating": report.net_area_alternating,
-                    "f_positive": report.f_positive,
-                    "f_alternating": report.f_alternating,
-                }, fh, indent=2, sort_keys=True)
+                json.dump({k: v for k, v in vars(report).items() if k != "steps"},
+                          fh, indent=2, sort_keys=True)
                 fh.write("\n")
             outputs.append("report.json")
         else:
@@ -433,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--plot", action="store_true", help="also write an SVG chart")
     sweep.add_argument("--threads", type=int,
                        help="worker threads sharing the sweep's jobs of up to 32 "
-                            "realizations (default: HOLONOMY_SIM_THREADS or CPU count)")
+                            "realizations (default: CPU count)")
     sweep.set_defaults(func=cmd_sweep)
 
     selftest = sub.add_parser("selftest", help="run the invariant suite")

@@ -71,6 +71,8 @@ class PulseTrain:
             raise ValueError(f"half-period dt must be finite, got {self.dt}")
         if self.kind is not ControlKind.NO_CONTROL and self.dt <= 0:
             raise ValueError(f"half-period dt must be positive, got {self.dt}")
+        if self.seed < 0:
+            raise ValueError(f"control seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,20 @@ of grid point j derives its generator from SeedSequence([master_seed, j,
 k]), so results are independent of execution order and thread count, and
 a (config, master_seed) pair reproduces output files byte for byte.
 
-The pool's unit of work is a job of up to MAX_BATCH realizations, taken
-in (grid index, realization index) order from grid points whose gate and
-train differ at most in the amplitude J.  Such realizations share their
-segment edges, so a job builds its trains and propagates them as one batch:
-the whole mean-control sweep is ceil(points * realizations / MAX_BATCH)
-jobs, while a runtime or dt sweep, whose grid value moves the step grid,
-runs one job per grid point.
+The pool's unit of work is a job of realizations taken in (grid index,
+realization index) order from a run of grid points whose gate and train
+differ at most in the amplitude J.  Such realizations share their segment
+edges, so a job builds its trains and propagates them as one batch.  A run
+of n realizations is split into ceil(n / MAX_BATCH) jobs of nearly equal
+size: the whole mean-control sweep is one run, while a runtime or dt sweep,
+whose grid value moves the step grid, has one run per grid point.
 """
 from __future__ import annotations
 
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 
 import numpy as np
@@ -33,8 +33,11 @@ from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
 
-# Realizations per sweep job (see the module docstring).
+# Most realizations per sweep job (see the module docstring).
 MAX_BATCH = 32
+
+_PHYSICAL_FOUR_UNSUPPORTED = ("physical_four has no logical dark state to score, so it "
+                             "cannot be swept or kick-compared")
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.gate.kind is GateKind.PHYSICAL_FOUR:
-            raise ValueError("physical_four has no logical dark state to score, so it "
-                             "cannot be swept or kick-compared")
+            raise ValueError(_PHYSICAL_FOUR_UNSUPPORTED)
         if self.sweep_variable not in _SWEEPS:
             raise ValueError(f"sweep_variable must be one of {tuple(_SWEEPS)}, "
                              f"got {self.sweep_variable!r}")
@@ -60,6 +62,8 @@ class ExperimentConfig:
             raise ValueError("grid must be strictly ascending")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,14 @@ def _run_jobs(jobs, worker, n_threads: int):
 
 
 def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
-    """Collapse per-realization records into one row per grid point.
+    """Collapse the records, in (j, k) order, into one row per grid point.
 
     dt-sweep rows are annotated with whether J*dt sits on a 2*pi*n resonance.
     """
     rows = []
-    for j, x in enumerate(cfg.grid):
-        here = [r for r in records if r.grid_index == j]
+    for _, group in groupby(records, key=lambda r: r.grid_index):
+        here = list(group)
+        x = here[0].x
         fs = [r.f for r in here]
         # average phases relative to the ideal one so wrap-around cannot skew
         rel = [wrap_angle(r.gamma_measured - gamma_ideal) for r in here]
@@ -146,7 +151,7 @@ def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
             overlap_mean=sum(r.overlap_abs for r in here) / len(here),
             resonant=resonant,
             nearest_n=nearest,
-            seed_base=realization_seed(cfg.master_seed, j, 0),
+            seed_base=here[0].seed,
         ))
     return tuple(rows)
 
@@ -168,30 +173,27 @@ def train_schedule(train: PulseTrain, T: float):
 def _jobs(cfg: ExperimentConfig, points) -> list:
     """The sweep's jobs: lists of (j, k) realizations, in (j, k) order.
 
-    A new job starts when the current one holds MAX_BATCH realizations or
-    when grid point j's (spec, train) differs from the job's in anything
-    other than J, which moves no segment edge.
+    A run is a stretch of grid points whose (spec, train) differ at most in
+    J, which moves no segment edge; a run of n realizations becomes
+    ceil(n / MAX_BATCH) jobs of nearly equal size.
     """
-    jobs, key = [], None
-    for j, (spec, train) in enumerate(points):
-        here = (spec, replace(train, J=0.0))
-        for k in range(cfg.realizations):
-            if here != key or len(jobs[-1]) == MAX_BATCH:
-                jobs.append([])
-                key = here
-            jobs[-1].append((j, k))
+    jobs = []
+    for _, run in groupby(range(len(points)),
+                          key=lambda j: (points[j][0], replace(points[j][1], J=0.0))):
+        run = [(j, k) for j in run for k in range(cfg.realizations)]
+        n = -(-len(run) // MAX_BATCH)
+        jobs += [run[i * len(run) // n:(i + 1) * len(run) // n] for i in range(n)]
     return jobs
 
 
 def _job_records(cfg, gamma_ideal, points, job):
-    """The records of one job: its trains propagated as batches of shared edges."""
+    """The records of one job, whose trains share their edges: one batch."""
     spec = points[job[0][0]][0]
     seeds = [realization_seed(cfg.master_seed, j, k) for j, k in job]
     tilings = [generate_segments(replace(points[j][1], seed=seed), spec.schedule.T)
                for (j, _), seed in zip(job, seeds)]
-    results = [result for _, run in groupby(tilings, key=lambda segments: segments.edges)
-               for result in propagate_lab_batch(spec, [(segments, None) for segments in run],
-                                                 cfg.policy)]
+    results = propagate_lab_batch(spec, [(segments, None) for segments in tilings],
+                                  cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
     records = []
     for (j, k), seed, segments, result in zip(job, seeds, tilings, results):
@@ -285,8 +287,8 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
     )
 
 
-CSV_HEADER = ("x,f_mean,f_min,f_max,gamma_measured_mean,gamma_ideal,"
-              "overlap_mean,resonant,nearest_n,seed_base")
+# each output schema is the field list of its dataclass
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def _fmt(value) -> str:
@@ -303,21 +305,15 @@ def write_csv(rows, path) -> None:
     """Deterministic CSV: grid order, 12 significant digits, LF endings."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.x, r.f_mean, r.f_min, r.f_max, r.gamma_measured_mean,
-            r.gamma_ideal, r.overlap_mean, r.resonant, r.nearest_n, r.seed_base)))
+        lines.append(",".join(_fmt(v) for v in vars(r).values()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    gate = {"kind": cfg.gate.kind.value, "a": cfg.gate.schedule.a,
-            "T": cfg.gate.schedule.T}
-    if cfg.gate.kind is GateKind.PHYSICAL_FOUR:
-        gate["j12"] = cfg.gate.j12
-        gate["j13"] = cfg.gate.j13
     return {
-        "gate": gate,
+        "gate": {"kind": cfg.gate.kind.value, "a": cfg.gate.schedule.a,
+                 "T": cfg.gate.schedule.T},
         "control": {"kind": cfg.control.kind.value, "J": cfg.control.J,
                     "dt": cfg.control.dt, "p": cfg.control.p,
                     "seed": cfg.control.seed},
@@ -388,11 +384,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                        "sweep_variable": _REQUIRED, "grid": _REQUIRED,
                        "realizations": 1, "master_seed": 0, "policy": {}},
                 "config")
-    g = _take(top["gate"], {"kind": _REQUIRED, "a": _REQUIRED, "T": _REQUIRED,
-                            "j12": 0.0, "j13": 0.0}, "gate")
-    gate = GateSpec(kind=GateKind(g["kind"]),
-                    schedule=Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")),
-                    j12=_real(g["j12"], "gate.j12"), j13=_real(g["j13"], "gate.j13"))
+    # rejected before the key check, so a config that still has j12/j13 learns why
+    g = top["gate"]
+    if isinstance(g, dict) and g.get("kind") == GateKind.PHYSICAL_FOUR.value:
+        raise ValueError(_PHYSICAL_FOUR_UNSUPPORTED)
+    g = _take(g, {"kind": _REQUIRED, "a": _REQUIRED, "T": _REQUIRED}, "gate")
+    gate = GateSpec(GateKind(g["kind"]),
+                    Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")))
     control = control_from_dict(top["control"])
     if not isinstance(top["grid"], (list, tuple)):
         raise ValueError(f"grid must be a JSON array, got {top['grid']!r}")
@@ -415,20 +413,8 @@ def write_json_bundle(result: SweepResult, cfg: ExperimentConfig, path) -> None:
         "revision": __version__,
         "rng": RNG_DESCRIPTION,
         "config": config_to_dict(cfg),
-        "rows": [{
-            "x": r.x, "f_mean": r.f_mean, "f_min": r.f_min, "f_max": r.f_max,
-            "gamma_measured_mean": r.gamma_measured_mean,
-            "gamma_ideal": r.gamma_ideal, "overlap_mean": r.overlap_mean,
-            "resonant": r.resonant, "nearest_n": r.nearest_n,
-            "seed_base": r.seed_base,
-        } for r in result.rows],
-        "realizations": [{
-            "grid_index": r.grid_index, "realization_index": r.realization_index,
-            "x": r.x, "seed": r.seed, "gamma_measured": r.gamma_measured,
-            "overlap_abs": r.overlap_abs, "f": r.f, "steps": r.steps,
-            "unitarity_defect": r.unitarity_defect,
-            "mean_control_measured": r.mean_control_measured,
-        } for r in result.records],
+        "rows": [vars(r) for r in result.rows],
+        "realizations": [vars(r) for r in result.records],
         "total_steps": result.total_steps,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

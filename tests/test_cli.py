@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -264,49 +265,92 @@ class TestSweepCommand:
                         str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
         assert "expects sweep_variable 'dt'" in capsys.readouterr().err
 
-    def test_bad_thread_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HOLONOMY_SIM_THREADS", "abc")
-        cfg = small_runtime_config(tmp_path, grid=(1.0,))
-        assert run_cli(["sweep", "--experiment", "runtime", "--config", str(cfg),
-                        "--out-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: HOLONOMY_SIM_THREADS must be an integer, got 'abc'"]
-
-    @pytest.mark.parametrize("flag, env, message", [
-        ("0", None, "--threads must be >= 1, got 0"),
-        ("-3", None, "--threads must be >= 1, got -3"),
-        (None, "0", "HOLONOMY_SIM_THREADS must be >= 1, got 0"),
-    ])
-    def test_non_positive_thread_count_exits_2(self, tmp_path, monkeypatch, capsys,
-                                               flag, env, message):
-        monkeypatch.delenv("HOLONOMY_SIM_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("HOLONOMY_SIM_THREADS", env)
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_non_positive_thread_count_exits_2(self, tmp_path, capsys, flag):
         out = tmp_path / "o"
         argv = ["sweep", "--experiment", "runtime", "--config",
                 str(small_runtime_config(tmp_path, grid=(1.0,))), "--out-dir", str(out)]
-        assert run_cli(argv + (["--threads", flag] if flag else [])) == 2
-        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert run_cli(argv + ["--threads", flag]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: --threads must be >= 1, got {flag}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, field", [("config", "master_seed"),
+                                              ("argv", "master_seed"),
+                                              ("control", "control seed")])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, where, field):
+        cfg = json.loads(small_runtime_config(tmp_path).read_text())
+        argv = ["--seed", "-1"] if where == "argv" else []
+        if where == "config":
+            cfg["master_seed"] = -1
+        elif where == "control":
+            cfg["control"]["seed"] = -1
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli(["sweep", "--experiment", "runtime", "--config", str(path),
+                        "--out-dir", str(out)] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: invalid config: {field} must be >= 0, got -1"]
         assert not out.exists()
 
     def test_physical_four_sweep_exits_2_before_any_output(self, tmp_path, capsys):
         cfg = json.loads(small_runtime_config(tmp_path).read_text())
-        cfg["gate"] = {"kind": "physical_four", "a": 0.0, "T": 1.0, "j12": 1.0, "j13": 0.5}
-        path = tmp_path / "p4.json"
+        for couplings in ({}, {"j12": 1.0, "j13": 0.5}):
+            cfg["gate"] = {"kind": "physical_four", "a": 0.0, "T": 1.0, **couplings}
+            path = tmp_path / "p4.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / "o"
+            assert run_cli(["sweep", "--experiment", "runtime", "--config", str(path),
+                            "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: invalid config")
+            assert "physical_four" in err[0]
+            assert not out.exists()
+
+    def test_thread_count_defaults_to_cpu_count(self):
+        assert cli._resolve_threads(None) == (os.cpu_count() or 1)
+        assert cli._resolve_threads(3) == 3
+
+    @pytest.mark.parametrize("couplings", [{"j12": 1.0}, {"j12": 1.0, "j13": 0.5}])
+    def test_gate_couplings_are_unknown_keys(self, tmp_path, capsys, couplings):
+        cfg = json.loads(small_runtime_config(tmp_path).read_text())
+        cfg["gate"].update(couplings)
+        path = tmp_path / "j.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
         assert run_cli(["sweep", "--experiment", "runtime", "--config", str(path),
                         "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: invalid config")
-        assert "physical_four" in err[0]
+        assert err == [f"error: invalid config: unknown gate keys: {sorted(couplings)}"]
         assert not out.exists()
 
-    def test_env_var_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLONOMY_SIM_THREADS", "2")
-        assert cli._resolve_threads(None) == 2
-        monkeypatch.delenv("HOLONOMY_SIM_THREADS")
-        assert cli._resolve_threads(3) == 3
+    def test_output_schemas_are_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--experiment", "runtime", "--config",
+                        str(small_runtime_config(tmp_path, grid=(1.0,))),
+                        "--out-dir", str(out), "--threads", "1"]) == 0
+        header = (out / "results.csv").read_text().splitlines()[0]
+        assert header == ("x,f_mean,f_min,f_max,gamma_measured_mean,gamma_ideal,"
+                          "overlap_mean,resonant,nearest_n,seed_base")
+        bundle = json.loads((out / "bundle.json").read_text())
+        assert list(bundle) == ["config", "realizations", "revision", "rng", "rows",
+                                "total_steps"]
+        assert list(bundle["rows"][0]) == sorted(header.split(","))
+        assert list(bundle["realizations"][0]) == [
+            "f", "gamma_measured", "grid_index", "mean_control_measured", "overlap_abs",
+            "realization_index", "seed", "steps", "unitarity_defect", "x"]
+        kick = {"gate": {"kind": "phase", "a": 0.7605, "T": 1.0},
+                "control": {"kind": "delta_kick_positive", "dt": 0.5},
+                "sweep_variable": "dt", "grid": [0.5]}
+        path = tmp_path / "kick.json"
+        path.write_text(json.dumps(kick))
+        assert run_cli(["sweep", "--experiment", "kick-equivalence", "--config", str(path),
+                        "--out-dir", str(tmp_path / "kick")]) == 0
+        report = json.loads((tmp_path / "kick" / "report.json").read_text())
+        assert list(report) == ["f_alternating", "f_positive", "kick_count",
+                                "max_unitary_diff", "net_area_alternating",
+                                "net_area_positive"]
 
     def test_shipped_runtime_config_reaches_adiabatic_plateau(self, tmp_path):
         out = tmp_path / "out"
@@ -350,6 +394,7 @@ BAD_JSON_VALUES = [
     ("control", "seed", "1.5", "control.seed must be an integer"),
     ("control", "J", '"100"', "control.J must be a number"),
     ("control", "seed", "true", "control.seed must be a number"),
+    ("control", "seed", "-1", "control seed must be >= 0, got -1"),
 ]
 
 

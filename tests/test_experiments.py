@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy, quality_
 from holonomy_sim.propagation import StepPolicy, propagate_lab
 
 A_REF = 0.7605
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def runtime_config(grid=(1.0, 4.0, 16.0), realizations=1, master_seed=11):
@@ -175,16 +177,21 @@ class TestSweepJobs:
     def test_mean_control_jobs_cut_through_grid_points(self):
         cfg = mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0), realizations=12)
         jobs = _jobs(cfg, sweep_points(cfg))
-        assert [len(job) for job in jobs] == [MAX_BATCH, 60 - MAX_BATCH]
+        assert [len(job) for job in jobs] == [30, 30]
         assert [rk for job in jobs for rk in job] == [(j, k) for j in range(5)
                                                       for k in range(12)]
 
     def test_grid_values_that_move_the_step_grid_start_new_jobs(self):
         cfg = dt_config((0.05, 0.1), realizations=MAX_BATCH + 3)
-        assert [len(job) for job in _jobs(cfg, sweep_points(cfg))] == [MAX_BATCH, 3,
-                                                                     MAX_BATCH, 3]
+        assert [len(job) for job in _jobs(cfg, sweep_points(cfg))] == [17, 18, 17, 18]
         cfg = runtime_config(grid=(1.0, 2.0))
         assert _jobs(cfg, sweep_points(cfg)) == [[(0, 0)], [(1, 0)]]
+
+    def test_shipped_mean_control_sweep_splits_into_equal_jobs(self):
+        cfg = config_from_dict(json.loads((CONFIG_DIR / "mean_control.json").read_text()))
+        sizes = [len(job) for job in _jobs(cfg, sweep_points(cfg))]
+        assert len(sizes) == 13 and sum(sizes) == 400
+        assert set(sizes) == {30, 31}
 
     def test_a_lone_job_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", None)
