@@ -25,14 +25,13 @@ from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
                           propagate_adiabatic, propagate_lab, propagate_lab_batch)
 from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
-                    matexp_hermitian_stack, ordered_product, tensor_product,
-                    unitarity_defect)
+                    matexp_hermitian_stack, ordered_product, unitarity_defect)
 
 __all__ = [
     "__version__",
     # qcore
     "matexp_hermitian", "matexp_hermitian_stack", "matexp_cubic_stack",
-    "ordered_product", "tensor_product", "hermiticity_defect", "unitarity_defect",
+    "ordered_product", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
     "GateKind", "GateSpec", "Schedule", "DfsBasis", "physical_hamiltonian",
     "project_dfs", "dark_states", "gate_generators", "gate_hamiltonian", "total_z",

@@ -5,9 +5,18 @@ Exit codes
             an overflowing amplitude or step exponent), or a run above
             control.MAX_STEPS, 3 tolerance violation (unitarity defect),
             4 unwritable --out
-  sweep:    2 invalid config (a run above MAX_STEPS included) or thread
-            count (< 1 or not an integer), 4 unwritable output
+  sweep:    2 invalid config (a run above MAX_STEPS included), a config
+            whose experiment is not --experiment, or thread count (< 1 or
+            not an integer), 4 unwritable output
   selftest: 1 on any invariant failure
+
+A sweep config runs the experiment its sweep_variable and control kind
+select in experiments.EXPERIMENTS (kick-equivalence: dt with a delta-kick
+train, one grid value, the kick spacing).  Not read: control.seed (seeds
+come from master_seed), control.J outside dt-zero-energy (mean-control
+replaces it), control.dt in the dt experiments (the grid value replaces
+it), realizations in kick-equivalence.  The run comes before any write: an
+exit 2 leaves no --out-dir, and exit 4 is reported after the run.
 
 Parallelism for sweeps comes from --threads, falling back to the CPU
 count; outputs are byte-identical regardless of the setting.
@@ -21,15 +30,17 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from ._version import __version__
 from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
                       generate_segments, integral_C, resonance_condition)
-from .experiments import (ExperimentConfig, compare_positive_vs_zero_energy,
+from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
-                          sweep, train_schedule, write_csv, write_json_bundle)
+                          sweep, train_schedule, write_csv, write_json,
+                          write_json_bundle)
 from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
                            gate_generators, gate_hamiltonian, physical_hamiltonian,
                            project_dfs, total_z)
@@ -39,9 +50,6 @@ from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
 from .qcore import hermiticity_defect, matexp_hermitian_stack, unitarity_defect
 
 UNITARITY_EXIT_TOL = 1e-8
-
-# sweep experiment -> the config sweep_variable it consumes
-SWEEP_EXPERIMENTS = {"runtime": "T", "mean-control": "mean_control", "dt-zero-energy": "dt"}
 
 
 def _resolve_threads(value) -> int:
@@ -184,10 +192,10 @@ def cmd_sweep(args) -> int:
         cfg = config_from_dict(_loads(_read(args.config)))
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
-        expected = SWEEP_EXPERIMENTS.get(args.experiment)
-        if expected is not None and cfg.sweep_variable != expected:
-            raise ValueError(f"experiment {args.experiment} expects sweep_variable "
-                             f"{expected!r}, got {cfg.sweep_variable!r}")
+        if cfg.experiment != args.experiment:
+            raise ValueError(f"experiment {args.experiment} got a {cfg.experiment} config "
+                             f"(sweep_variable {cfg.sweep_variable!r}, "
+                             f"{cfg.control.kind.value} train)")
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
@@ -197,60 +205,43 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # run first, then write: a config that fails while running leaves no --out-dir
     start = time.monotonic()
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
-        probe = os.path.join(args.out_dir, ".writable")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        print(f"error: cannot write to {args.out_dir}: {exc}", file=sys.stderr)
-        return 4
-
-    outputs = []
-    try:
-        if args.experiment == "kick-equivalence":
+        if cfg.experiment == "kick-equivalence":
             report = compare_positive_vs_zero_energy(cfg)
             total_steps = report.steps
-            report_path = os.path.join(args.out_dir, "report.json")
-            with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump({k: v for k, v in vars(report).items() if k != "steps"},
-                          fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            outputs.append("report.json")
+            writers = {"report.json": partial(
+                write_json, {k: v for k, v in vars(report).items() if k != "steps"})}
         else:
             result = sweep(cfg, n_threads=threads)
             total_steps = result.total_steps
-            write_csv(result.rows, os.path.join(args.out_dir, "results.csv"))
-            write_json_bundle(result, cfg, os.path.join(args.out_dir, "bundle.json"))
-            outputs.extend(["results.csv", "bundle.json"])
+            writers = {"results.csv": partial(write_csv, result.rows),
+                       "bundle.json": partial(write_json_bundle, result, cfg)}
             if args.plot:
-                _write_svg(result.rows, os.path.join(args.out_dir, "plot.svg"),
-                           cfg.sweep_variable.replace("_", " "))
-                outputs.append("plot.svg")
+                writers["plot.svg"] = partial(_write_svg, result.rows,
+                                              xlabel=cfg.sweep_variable.replace("_", " "))
     except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, write in writers.items():
+            write(os.path.join(args.out_dir, name))
+        write_json({
+            "revision": __version__,
+            "experiment": cfg.experiment,
+            "config": config_to_dict(cfg),
+            "rng": RNG_DESCRIPTION,
+            "threads": threads,
+            "wall_time_s": time.monotonic() - start,
+            "total_steps": total_steps,
+            "outputs": list(writers),
+        }, os.path.join(args.out_dir, "manifest.json"))
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        print(f"error: cannot write to {args.out_dir}: {exc}", file=sys.stderr)
         return 4
-
-    manifest = {
-        "revision": __version__,
-        "experiment": args.experiment,
-        "config": config_to_dict(cfg),
-        "rng": RNG_DESCRIPTION,
-        "threads": threads,
-        "wall_time_s": time.monotonic() - start,
-        "total_steps": total_steps,
-        "outputs": outputs,
-    }
-    with open(os.path.join(args.out_dir, "manifest.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {', '.join(outputs + ['manifest.json'])} to {args.out_dir}")
+    print(f"wrote {', '.join([*writers, 'manifest.json'])} to {args.out_dir}")
     return 0
 
 
@@ -409,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate.set_defaults(func=cmd_gate)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep experiment")
-    sweep.add_argument("--experiment", required=True,
-                       choices=[*SWEEP_EXPERIMENTS, "kick-equivalence"])
+    sweep.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     sweep.add_argument("--config", required=True, help="JSON config file")
     sweep.add_argument("--seed", type=int, help="override master_seed")
     sweep.add_argument("--out-dir", required=True)

@@ -26,9 +26,9 @@ from itertools import groupby
 import numpy as np
 
 from ._version import __version__
-from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
-                      PulseTrain, generate_segments, make_kicks, mean_control,
-                      net_area, resonance_condition)
+from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, PulseTrain,
+                      generate_segments, make_kicks, mean_control, net_area,
+                      resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
@@ -53,17 +53,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.gate.kind is GateKind.PHYSICAL_FOUR:
             raise ValueError(_PHYSICAL_FOUR_UNSUPPORTED)
-        if self.sweep_variable not in _SWEEPS:
-            raise ValueError(f"sweep_variable must be one of {tuple(_SWEEPS)}, "
-                             f"got {self.sweep_variable!r}")
+        experiment = self.experiment
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly ascending")
+        if experiment == "kick-equivalence" and len(self.grid) != 1:
+            raise ValueError(f"kick-equivalence takes one grid value, the kick spacing, "
+                             f"got {len(self.grid)}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+
+    @property
+    def experiment(self) -> str:
+        """The EXPERIMENTS entry that takes this sweep_variable and control kind."""
+        for name, (variable, kinds, _) in EXPERIMENTS.items():
+            if variable == self.sweep_variable and self.control.kind in kinds:
+                return name
+        raise ValueError(
+            f"no experiment takes sweep_variable {self.sweep_variable!r} with a "
+            f"{self.control.kind.value} train; " + "; ".join(
+                f"{name} takes {v!r} with {' or '.join(k.value for k in ks)}"
+                for name, (v, ks, _) in EXPERIMENTS.items()))
 
 
 @dataclass(frozen=True)
@@ -218,31 +231,36 @@ def _mean_control_point(cfg: ExperimentConfig, target: float):
     return cfg.gate, replace(cfg.control, J=2.0 * target)
 
 
-# sweep_variable -> (required control kind, grid value x -> (spec, train))
-_SWEEPS = {
-    "T": (ControlKind.NO_CONTROL,
-          lambda cfg, T: (replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, T)),
-                          cfg.control)),
-    "mean_control": (ControlKind.POSITIVE_SQUARE, _mean_control_point),
-    "dt": (ControlKind.ZERO_ENERGY_ALTERNATING,
-           lambda cfg, dt: (cfg.gate, replace(cfg.control, dt=dt))),
+def _dt_point(cfg: ExperimentConfig, dt: float):
+    return cfg.gate, replace(cfg.control, dt=dt)
+
+
+# experiment -> (sweep_variable, control kinds, grid value x -> (spec, train));
+# ExperimentConfig.experiment picks the one entry a config matches
+EXPERIMENTS = {
+    "runtime": ("T", (ControlKind.NO_CONTROL,),
+                lambda cfg, T: (replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, T)),
+                                cfg.control)),
+    "mean-control": ("mean_control", (ControlKind.POSITIVE_SQUARE,), _mean_control_point),
+    "dt-zero-energy": ("dt", (ControlKind.ZERO_ENERGY_ALTERNATING,), _dt_point),
+    "kick-equivalence": ("dt", KICK_KINDS, _dt_point),
 }
 
 
 def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     """Quality factor versus cfg.sweep_variable over cfg.grid.
 
-    T sweeps the runtime without control; mean_control sweeps the target
-    average of a positive-square train, whose realized time average is
-    recorded per realization; dt sweeps the half-period of a zero-energy
-    alternating train.  The pool runs jobs of up to MAX_BATCH realizations
-    that share one step grid (see the module docstring); records come out
-    in (grid index, realization index) order.
+    The runtime experiment sweeps T without control; mean-control sweeps
+    the target average of a positive-square train, whose realized time
+    average is recorded per realization; dt-zero-energy sweeps the
+    half-period of a zero-energy alternating train.  The pool runs jobs of
+    up to MAX_BATCH realizations that share one step grid (see the module
+    docstring); records come out in (grid index, realization index) order.
     """
-    kind, point = _SWEEPS[cfg.sweep_variable]
-    if cfg.control.kind is not kind:
-        raise ValueError(f"sweep_variable {cfg.sweep_variable!r} requires a "
-                         f"{kind.value} train, got {cfg.control.kind.value}")
+    if cfg.experiment == "kick-equivalence":
+        raise ValueError("a kick-equivalence config is not a sweep; run "
+                         "compare_positive_vs_zero_energy")
+    point = EXPERIMENTS[cfg.experiment][2]
     points = [point(cfg, x) for x in cfg.grid]
     # every grid point shares the amplitude a, hence the ideal phase
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
@@ -259,23 +277,25 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
 def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceReport:
     """Propagate identical kick times with all-positive vs alternating signs.
 
-    The two final unitaries agree exactly (each exp(-i*pi*H) equals
+    The kick spacing is the config's one grid value, as in a dt sweep.  The
+    two final unitaries agree exactly (each exp(-i*pi*H) equals
     exp(+i*pi*H) on an integer spectrum) while the net control areas are
     m*pi versus 0 or pi -- control at zero net energy cost.  The kick times
     are seeded by master_seed.
     """
-    if cfg.control.kind not in KICK_KINDS:
-        raise ValueError("kick comparison requires a delta-kick train")
+    if cfg.experiment != "kick-equivalence":
+        raise ValueError(f"kick comparison requires a delta-kick train, got a "
+                         f"{cfg.experiment} config")
+    spec, train = EXPERIMENTS[cfg.experiment][2](cfg, cfg.grid[0])
+    T = spec.schedule.T
     segments, positive = train_schedule(
-        replace(cfg.control, kind=ControlKind.DELTA_KICK_POSITIVE, seed=cfg.master_seed),
-        cfg.gate.schedule.T)
-    alternating = KickSchedule(positive.times,
-                               tuple((-1) ** i for i in range(len(positive.times))),
-                               positive.area)
+        replace(train, kind=ControlKind.DELTA_KICK_POSITIVE, seed=cfg.master_seed), T)
+    _, alternating = train_schedule(
+        replace(train, kind=ControlKind.DELTA_KICK_ALTERNATING, seed=cfg.master_seed), T)
     res_pos, res_alt = propagate_lab_batch(
-        cfg.gate, [(segments, positive), (segments, alternating)], cfg.policy)
-    dark = dark_states(cfg.gate, 0.0)[-1]
-    gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
+        spec, [(segments, positive), (segments, alternating)], cfg.policy)
+    dark = dark_states(spec, 0.0)[-1]
+    gamma_ideal = berry_closed_form(spec.schedule.a)
     return KickEquivalenceReport(
         kick_count=len(positive.times),
         max_unitary_diff=float(np.max(np.abs(res_pos.U - res_alt.U))),
@@ -299,6 +319,13 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
+
+
+def write_json(data, path) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, LF endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_csv(rows, path) -> None:
@@ -417,6 +444,4 @@ def write_json_bundle(result: SweepResult, cfg: ExperimentConfig, path) -> None:
         "realizations": [vars(r) for r in result.records],
         "total_steps": result.total_steps,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(bundle, path)

@@ -36,8 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import tensor_product
-
 TWO_PI = 2.0 * math.pi
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -152,7 +150,7 @@ def _pauli_on(op: np.ndarray, qubit: int) -> np.ndarray:
     """Embed a single-qubit operator at position `qubit` of four (MSB first)."""
     out = np.eye(1, dtype=complex)
     for q in range(4):
-        out = tensor_product(out, op if q == qubit else ID2)
+        out = np.kron(out, op if q == qubit else ID2)
     return out
 
 

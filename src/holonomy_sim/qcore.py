@@ -25,8 +25,6 @@ import math
 
 import numpy as np
 
-MAX_DIM = 256
-
 HERMITICITY_TOL = 1e-9
 
 # Largest d multiplied as planes.  Measured per product of two stacks of
@@ -75,8 +73,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(h: np.ndarray) -> float:
-    """Largest entrywise deviation |h - h^dagger|."""
-    return float(np.max(np.abs(h - h.conj().T)))
+    """Largest entrywise deviation |h - h^dagger| over a (..., d, d) stack (0 if empty)."""
+    return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -88,36 +86,29 @@ def unitarity_defect(u: np.ndarray) -> float:
 def _check_hermitian_stack(hs: np.ndarray) -> None:
     # an infinite entry gives inf - inf = nan: the defect check reports it
     with np.errstate(invalid="ignore"):
-        defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1)))) if len(hs) else 0.0
+        defect = hermiticity_defect(hs)
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > "
                          f"{HERMITICITY_TOL:.1e}")
 
 
-def check_hermitian(h: np.ndarray) -> None:
-    """Reject a non-square, non-Hermitian or non-finite matrix."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    _check_hermitian_stack(h[None])
-
-
 def matexp_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
-    """Unitary exp(-i*h*tau) of a Hermitian matrix via eigendecomposition.
+    """Unitary exp(-i*h*tau) of one Hermitian matrix: matexp_hermitian_stack of one.
 
     Rejects inputs whose hermiticity defect exceeds HERMITICITY_TOL (the
     defect is reported in the error).  The result is unitary to ~1e-15
     regardless of tau, which is what keeps million-step propagations stable.
     """
-    check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)) @ v.conj().T
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    return matexp_hermitian_stack(h[None], [tau])[0]
 
 
 def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d).
+    """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d), via eigendecomposition.
 
-    Batched version of :func:`matexp_hermitian`; one LAPACK call
-    diagonalizes the whole stack.  Non-finite entries are rejected.
+    One LAPACK call diagonalizes the whole stack.  Non-finite entries are
+    rejected.
     """
     _check_hermitian_stack(hs)
     w, v = np.linalg.eigh(hs)
@@ -173,11 +164,3 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
         level[..., half:] = p[..., 2 * half:]
         p = level
     return _matrices(p[..., 0])
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b, row-major convention, capped at dim 256."""
-    dim = a.shape[0] * b.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds cap {MAX_DIM}")
-    return np.kron(a, b)

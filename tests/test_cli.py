@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 from pathlib import Path
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import holonomy_sim.cli as cli
+from holonomy_sim.experiments import EXPERIMENTS, config_from_dict
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
                                        gate_hamiltonian)
 from holonomy_sim.propagation import PropagationResult
 from holonomy_sim.qcore import unitarity_defect
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def run_cli(argv):
@@ -248,8 +251,74 @@ class TestSweepCommand:
         cfg["control"] = {"kind": "positive_square", "J": 1.0, "dt": 0.1}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
         assert run_cli(["sweep", "--experiment", "runtime", "--config", str(path),
-                        "--out-dir", str(tmp_path / "o")]) == 2
+                        "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    # (experiment, change to its small valid config); each is found while the
+    # experiment runs or when the config is built, and must leave no --out-dir
+    FAILING_RUNS = {
+        "positive-square-runtime": ("runtime", lambda c: c.update(control={
+            "kind": "positive_square", "J": 1.0, "dt": 0.1})),
+        "negative-T": ("runtime", lambda c: c.update(grid=[-1.0, 1.0])),
+        "zero-dt": ("dt-zero-energy", lambda c: c.update(grid=[0.0, 0.25])),
+        "dt-above-T": ("dt-zero-energy", lambda c: (c.update(grid=[20.0]),
+                                                    c["gate"].update(T=10.0))),
+        "dt-not-dividing-T": ("mean-control", lambda c: c["control"].update(dt=0.003)),
+        "dt-above-MAX_STEPS": ("mean-control", lambda c: c["control"].update(dt=1e-7)),
+    }
+
+    @pytest.mark.parametrize("case", FAILING_RUNS)
+    def test_failing_run_exits_2_and_writes_nothing(self, tmp_path, capsys, case):
+        experiment, change = self.FAILING_RUNS[case]
+        cfg = json.loads(_good_config(experiment))
+        change(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli(["sweep", "--experiment", experiment, "--config", str(path),
+                        "--out-dir", str(out), "--threads", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid config"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, kick_count", [([0.2], 4), ([0.3, 0.5], None)])
+    def test_kick_equivalence_grid_value_is_the_kick_spacing(self, tmp_path, capsys,
+                                                             grid, kick_count):
+        cfg = json.loads(_good_config("kick-equivalence"))
+        cfg["control"]["dt"] = 0.1
+        cfg["grid"] = grid
+        path = tmp_path / "kick.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        code = run_cli(["sweep", "--experiment", "kick-equivalence", "--config", str(path),
+                        "--out-dir", str(out)])
+        if kick_count is None:
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err.strip().splitlines() == [
+                "error: invalid config: kick-equivalence takes one grid value, "
+                "the kick spacing, got 2"]
+        else:
+            assert code == 0
+            assert json.loads((out / "report.json").read_text())["kick_count"] == kick_count
+
+    def test_experiment_choices_are_the_experiments_table(self):
+        parser = cli.build_parser()
+        sweep = parser._subparsers._group_actions[0].choices["sweep"]
+        action = next(a for a in sweep._actions if a.dest == "experiment")
+        assert action.choices == list(EXPERIMENTS)
+
+    def test_shipped_configs_resolve_to_the_experiment_they_are_run_with(self):
+        resolved = {p.stem: config_from_dict(json.loads(p.read_text())).experiment
+                    for p in CONFIG_DIR.glob("*.json")}
+        readme = (ROOT / "README.md").read_text()
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        for text, pattern in ((readme, r"--experiment\s+(\S+)\s+--config\s+configs/(\w+)\.json"),
+                              (ci, r"^\s*check (\S+) (\S+) ")):
+            runs = {config: experiment
+                    for experiment, config in re.findall(pattern, text, re.M)}
+            assert runs == resolved
 
     def test_unwritable_out_dir_exits_4(self, tmp_path):
         cfg = small_runtime_config(tmp_path)
@@ -263,7 +332,9 @@ class TestSweepCommand:
         cfg = small_runtime_config(tmp_path)
         assert run_cli(["sweep", "--experiment", "dt-zero-energy", "--config",
                         str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "expects sweep_variable 'dt'" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: invalid config: experiment dt-zero-energy got a runtime config "
+            "(sweep_variable 'T', no_control train)"]
 
     @pytest.mark.parametrize("flag", ["0", "-3"])
     def test_non_positive_thread_count_exits_2(self, tmp_path, capsys, flag):

@@ -70,14 +70,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="physical_four"):
             replace(runtime_config(), gate=gate)
 
+    # the control kind is checked when the config is built, not when it runs
     def test_runtime_requires_no_control(self):
-        cfg = replace(mean_control_config(), sweep_variable="T")
-        with pytest.raises(ValueError, match="no_control"):
-            sweep(cfg)
+        with pytest.raises(ValueError, match="no experiment takes sweep_variable 'T' with a "
+                                             "positive_square train; runtime takes 'T' with "
+                                             "no_control;"):
+            replace(mean_control_config(), sweep_variable="T")
 
     def test_mean_control_requires_positive_square(self):
         with pytest.raises(ValueError, match="positive_square"):
-            sweep(replace(runtime_config(), sweep_variable="mean_control"))
+            replace(runtime_config(), sweep_variable="mean_control")
 
     def test_mean_control_requires_commensurate_dt(self):
         cfg = ExperimentConfig(
@@ -87,9 +89,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="divide"):
             sweep(cfg)
 
-    def test_dt_sweep_requires_alternating(self):
-        with pytest.raises(ValueError, match="zero_energy"):
-            sweep(replace(runtime_config(), sweep_variable="dt"))
+    def test_dt_sweep_requires_alternating_or_kicks(self):
+        with pytest.raises(ValueError, match="dt-zero-energy takes 'dt' with "
+                                             "zero_energy_alternating; kick-equivalence takes "
+                                             "'dt' with delta_kick_positive or "
+                                             "delta_kick_alternating$"):
+            replace(runtime_config(), sweep_variable="dt")
+
+    def test_config_resolves_to_one_experiment(self):
+        kick = replace(dt_config((0.1,)), control=PulseTrain(ControlKind.DELTA_KICK_ALTERNATING,
+                                                             dt=0.1))
+        assert [c.experiment for c in (runtime_config(), mean_control_config(),
+                                       dt_config((0.1,)), kick)] == list(experiments.EXPERIMENTS)
+
+    def test_kick_equivalence_takes_one_grid_value(self):
+        kick = PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.1)
+        with pytest.raises(ValueError, match="one grid value, the kick spacing, got 2"):
+            replace(dt_config((0.1, 0.2)), control=kick)
 
 
 def test_realization_seed_depends_on_all_indices():
@@ -169,7 +185,7 @@ class TestSweepMeanControl:
 
 
 def sweep_points(cfg):
-    point = experiments._SWEEPS[cfg.sweep_variable][1]
+    point = experiments.EXPERIMENTS[cfg.experiment][2]
     return [point(cfg, x) for x in cfg.grid]
 
 
@@ -263,6 +279,15 @@ class TestKickComparison:
     def test_requires_delta_kind(self):
         with pytest.raises(ValueError, match="delta"):
             compare_positive_vs_zero_energy(runtime_config())
+
+    def test_grid_value_is_the_kick_spacing(self):
+        cfg = ExperimentConfig(
+            gate=GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
+            control=PulseTrain(ControlKind.DELTA_KICK_ALTERNATING, dt=0.1),
+            sweep_variable="dt", grid=(0.2,), master_seed=3)
+        assert compare_positive_vs_zero_energy(cfg).kick_count == 4
+        with pytest.raises(ValueError, match="not a sweep"):
+            sweep(cfg)
 
 
 class TestCsv:

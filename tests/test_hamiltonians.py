@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_sim.hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule,
-                                       dark_states, gate_generators, gate_hamiltonian,
-                                       physical_hamiltonian, project_dfs,
+from holonomy_sim.hamiltonians import (PAULI_Z, DfsBasis, GateKind, GateSpec, Schedule,
+                                       _pauli_on, dark_states, gate_generators,
+                                       gate_hamiltonian, physical_hamiltonian, project_dfs,
                                        total_z)
 from holonomy_sim.qcore import hermiticity_defect
 
@@ -236,6 +236,15 @@ class TestPhysicalHamiltonian:
         spec = GateSpec(GateKind.PHASE, Schedule(1.0, 1.0))
         with pytest.raises(ValueError, match="physical_four"):
             physical_hamiltonian(spec, 0.0)
+
+
+def test_qubit_one_is_the_most_significant_bit():
+    # |abcd> -> index 8a + 4b + 2c + d, so sigma_z on qubit 1 flips the upper half
+    np.testing.assert_array_equal(np.diag(_pauli_on(PAULI_Z, 0)),
+                                  np.repeat([1.0, -1.0], 8))
+    np.testing.assert_array_equal(np.diag(_pauli_on(PAULI_Z, 3)), np.tile([1.0, -1.0], 8))
+    np.testing.assert_array_equal(np.diag(total_z()),
+                                  [4 - 2 * bin(i).count("1") for i in range(16)])
 
 
 class TestDfsBasis:

@@ -5,14 +5,12 @@ import pytest
 
 from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
                                 matexp_hermitian, matexp_hermitian_stack,
-                                ordered_product, tensor_product, unitarity_defect)
+                                ordered_product, unitarity_defect)
 
 from conftest import random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 def taylor_expm(h, tau, terms=60):
@@ -206,32 +204,11 @@ def test_cubic_stack_matches_eigh_in_every_layout(d, batch, rng):
                                        atol=1e-13, err_msg=name)
 
 
-def test_tensor_identity():
-    np.testing.assert_array_equal(tensor_product(I2, I2), np.eye(4))
-
-
-def test_tensor_sigma_z_with_identity():
-    np.testing.assert_array_equal(tensor_product(SZ, I2),
-                                  np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_tensor_xy_corner_entry():
-    # hand Kronecker expansion: entry (0,3) = sx[0,1] * sy[0,1] = 1 * (-i)
-    assert tensor_product(SX, SY)[0, 3] == -1j
-
-
-def test_tensor_associativity_exact():
-    lhs = tensor_product(tensor_product(SX, SY), SZ)
-    rhs = tensor_product(SX, tensor_product(SY, SZ))
-    np.testing.assert_array_equal(lhs, rhs)
-
-
-def test_tensor_dimension_cap():
-    big = np.eye(32, dtype=complex)
-    with pytest.raises(ValueError, match="exceeds"):
-        tensor_product(big, np.eye(16, dtype=complex))
-
-
 def test_hermiticity_defect():
     assert hermiticity_defect(SX) == 0.0
     assert hermiticity_defect(np.array([[0, 1], [0, 0]], dtype=complex)) == 1.0
+    # a (..., d, d) stack reports its worst matrix; an empty stack has none
+    stack = np.stack([SX, SY, np.array([[0, 2], [0, 0]], dtype=complex)])
+    assert hermiticity_defect(stack) == 2.0
+    assert hermiticity_defect(stack.reshape(3, 1, 2, 2)) == 2.0
+    assert hermiticity_defect(np.zeros((0, 3, 3), dtype=complex)) == 0.0
