@@ -15,9 +15,8 @@ from .experiments import (ExperimentConfig, KickEquivalenceReport,
                           compare_positive_vs_zero_energy, config_from_dict,
                           config_to_dict, control_from_dict, realization_seed,
                           sweep, write_csv, write_json_bundle)
-from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
-                           gate_generators, gate_hamiltonian, physical_hamiltonian,
-                           project_dfs, total_z)
+from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, gate_generators,
+                           gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        berry_closed_form, berry_numeric, evaluate_holonomy,
                        extract_phase, find_a_for_phase, gate_matrix,
@@ -33,8 +32,8 @@ __all__ = [
     "matexp_hermitian", "matexp_hermitian_stack", "matexp_cubic_stack",
     "ordered_product", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
-    "GateKind", "GateSpec", "Schedule", "DfsBasis", "physical_hamiltonian",
-    "project_dfs", "dark_states", "gate_generators", "gate_hamiltonian", "total_z",
+    "GateKind", "GateSpec", "Schedule", "project_dfs", "dark_states",
+    "gate_generators", "gate_hamiltonian", "total_z",
     # control
     "ControlKind", "PulseTrain", "Segments", "KickSchedule",
     "generate_segments", "integral_C", "mean_control", "net_area",

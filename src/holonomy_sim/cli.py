@@ -1,14 +1,8 @@
 """Command-line front end: single-gate runs, experiment sweeps, selftest.
 
-Exit codes
-  gate:     2 invalid arguments (including --steps < 1) or control (including
-            an overflowing amplitude or step exponent), or a run above
-            control.MAX_STEPS, 3 tolerance violation (unitarity defect),
-            4 unwritable --out
-  sweep:    2 invalid config (a run above MAX_STEPS included), a config
-            whose experiment is not --experiment, or thread count (< 1 or
-            not an integer), 4 unwritable output
-  selftest: 1 on any invariant failure
+Exit codes: 2 invalid input, 3 tolerance violation, 4 unwritable output
+(selftest: 1 on any invariant failure); docs/FORMATS.md "Exit codes and
+errors" lists every case.
 
 A sweep config runs the experiment its sweep_variable and control kind
 select in experiments.EXPERIMENTS (kick-equivalence: dt with a delta-kick
@@ -39,11 +33,10 @@ from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
                       generate_segments, integral_C, resonance_condition)
 from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
-                          sweep, train_schedule, write_csv, write_json,
+                          json_text, sweep, train_schedule, write_csv, write_json,
                           write_json_bundle)
-from .hamiltonians import (DfsBasis, GateKind, GateSpec, Schedule, dark_states,
-                           gate_generators, gate_hamiltonian, physical_hamiltonian,
-                           project_dfs, total_z)
+from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, gate_generators,
+                           gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
@@ -128,16 +121,14 @@ def cmd_gate(args) -> int:
         "f": hol.f,
         "gate_matrix": _complex_matrix_json(gate_matrix(spec.kind, hol.gamma_measured)),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 4
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(json_text(payload))
+        return 0
+    try:
+        write_json(payload, args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -201,6 +192,8 @@ def cmd_sweep(args) -> int:
         return 2
     try:
         threads = _resolve_threads(args.threads)
+        if args.plot and cfg.experiment == "kick-equivalence":
+            raise ValueError("--plot charts a sweep; kick-equivalence writes no plot.svg")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -296,9 +289,9 @@ def _check_dfs_projection(rng):
         for j13 in (0.3, 1.0, 2.7):
             spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=j12, j13=j13)
             for ph in np.linspace(0.0, 2 * math.pi, 20):
-                h = physical_hamiltonian(spec, ph)
+                h = gate_hamiltonian(spec, ph / (2 * math.pi))  # drive phase ph at T = 1
                 worst_comm = max(worst_comm, float(np.max(np.abs(h @ z - z @ h))))
-                block, leak = project_dfs(h, DfsBasis())
+                block, leak = project_dfs(h)
                 th = math.atan2(j13, j12)
                 scale = math.hypot(j12, j13)
                 ref = np.zeros((4, 4), dtype=complex)

@@ -27,6 +27,14 @@ TWO_PI = 2.0 * math.pi
 # float64 grid arrays, far above the ~4e4 steps per run of the shipped configs.
 MAX_STEPS = 10**7
 
+# Area of every delta kick.  exp(-i pi H) = exp(+i pi H) on the integer
+# spectrum {-1, 0, 1} of the logical generators, so a kick's sign never
+# changes the gate, only the net area it adds.
+KICK_AREA = math.pi
+
+# |J*dt - 2*pi*n| below which a dt-sweep row counts as resonant.
+RESONANCE_TOL = 1e-6
+
 RNG_DESCRIPTION = ("numpy PCG64 via SeedSequence(seed); sweep realization k of grid "
                    "point j uses SeedSequence([master_seed, j, k])")
 
@@ -115,11 +123,13 @@ class Segments:
 
 @dataclass(frozen=True)
 class KickSchedule:
-    """Delta kicks: ascending instants in (0, T), signs +-1, per-kick area."""
+    """Delta kicks of area KICK_AREA: ascending instants in (0, T), signs +-1.
 
-    times: tuple
-    signs: tuple
-    area: float = math.pi
+    KickSchedule() is the empty schedule, a train without kicks.
+    """
+
+    times: tuple = ()
+    signs: tuple = ()
 
     def __post_init__(self):
         if len(self.times) != len(self.signs):
@@ -130,8 +140,6 @@ class KickSchedule:
             raise ValueError("kick times must be strictly ascending")
         if any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +-1")
-        if not math.isfinite(self.area):
-            raise ValueError(f"kick area must be finite, got {self.area}")
 
 
 def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
@@ -187,29 +195,30 @@ def integral_C(segments: Segments, t: float) -> float:
     return sum(((1.0 + np.asarray(segments.values)) * covered).tolist())
 
 
-def mean_control(segments: Segments, kicks: KickSchedule | None = None) -> float:
+def mean_control(segments: Segments) -> float:
     """(1/T) * int c dt over the tiled span, including off intervals."""
-    return net_area(segments, kicks) / segments.span
+    return net_area(segments) / segments.span
 
 
-def net_area(segments: Segments, kicks: KickSchedule | None = None) -> float:
-    """int c dt -- the net energy-cost proxy.  Delta kicks add sign*area each."""
+def net_area(segments: Segments, kicks: KickSchedule = KickSchedule()) -> float:
+    """int c dt -- the net energy-cost proxy.  Delta kicks add sign*KICK_AREA each."""
     total = sum((np.asarray(segments.values) * np.diff(segments.edges)).tolist())
-    if kicks is not None:
-        total += kicks.area * sum(kicks.signs)
-    return total
+    return total + KICK_AREA * sum(kicks.signs)
 
 
-def resonance_condition(J: float, dt: float, tol: float = 1e-6):
-    """Whether J*dt sits within tol of 2*pi*n; returns (is_resonant, nearest n >= 1)."""
+def resonance_condition(J: float, dt: float):
+    """Whether J*dt sits within RESONANCE_TOL of 2*pi*n.
+
+    Returns (is_resonant, nearest n >= 1).
+    """
     if J <= 0 or dt <= 0:
         raise ValueError("J and dt must be positive")
     n = max(1, round(J * dt / TWO_PI))
-    return abs(J * dt - TWO_PI * n) <= tol, n
+    return abs(J * dt - TWO_PI * n) <= RESONANCE_TOL, n
 
 
 def make_kicks(kind: ControlKind, T: float, interval: float, seed: int = 0,
-               jitter: float = 0.0, area: float = math.pi) -> KickSchedule:
+               jitter: float = 0.0) -> KickSchedule:
     """Kick instants on a jittered grid i*interval, i = 1, 2, ... inside (0, T).
 
     jitter in [0, 1] displaces each instant by uniform(-1/2, 1/2) * jitter *
@@ -232,4 +241,4 @@ def make_kicks(kind: ControlKind, T: float, interval: float, seed: int = 0,
         signs = np.ones(len(times), dtype=int)
     else:
         signs = (-1) ** np.arange(len(times))
-    return KickSchedule(tuple(times.tolist()), tuple(signs.tolist()), area)
+    return KickSchedule(tuple(times.tolist()), tuple(signs.tolist()))

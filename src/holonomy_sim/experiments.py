@@ -26,9 +26,9 @@ from itertools import groupby
 import numpy as np
 
 from ._version import __version__
-from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, PulseTrain,
-                      generate_segments, make_kicks, mean_control, net_area,
-                      resonance_condition)
+from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
+                      PulseTrain, generate_segments, make_kicks, mean_control,
+                      net_area, resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
@@ -170,17 +170,16 @@ def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
 
 
 def train_schedule(train: PulseTrain, T: float):
-    """(segments, kicks) of a train over [0, T].
+    """(segments, kicks) of a train over [0, T]: the one place a train is laid out.
 
     Delta-kick kinds put their events in a kick schedule (interval = dt,
     jitter = p/2, seeded by train.seed) over a zero base segment; the other
-    kinds have no kicks.
+    kinds get the empty KickSchedule().
     """
     segments = generate_segments(train, T)
-    kicks = None
-    if train.kind in KICK_KINDS:
-        kicks = make_kicks(train.kind, T, train.dt, seed=train.seed, jitter=train.p / 2.0)
-    return segments, kicks
+    if train.kind not in KICK_KINDS:
+        return segments, KickSchedule()
+    return segments, make_kicks(train.kind, T, train.dt, seed=train.seed, jitter=train.p / 2.0)
 
 
 def _jobs(cfg: ExperimentConfig, points) -> list:
@@ -203,13 +202,12 @@ def _job_records(cfg, gamma_ideal, points, job):
     """The records of one job, whose trains share their edges: one batch."""
     spec = points[job[0][0]][0]
     seeds = [realization_seed(cfg.master_seed, j, k) for j, k in job]
-    tilings = [generate_segments(replace(points[j][1], seed=seed), spec.schedule.T)
-               for (j, _), seed in zip(job, seeds)]
-    results = propagate_lab_batch(spec, [(segments, None) for segments in tilings],
-                                  cfg.policy)
+    trains = [train_schedule(replace(points[j][1], seed=seed), spec.schedule.T)
+              for (j, _), seed in zip(job, seeds)]
+    results = propagate_lab_batch(spec, trains, cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
     records = []
-    for (j, k), seed, segments, result in zip(job, seeds, tilings, results):
+    for (j, k), seed, (segments, _), result in zip(job, seeds, trains, results):
         hol = evaluate_holonomy(result.U, dark, gamma_ideal)
         measured = None
         if cfg.control.kind is not ControlKind.NO_CONTROL:
@@ -321,11 +319,15 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
+def json_text(data) -> str:
+    """Deterministic JSON text: sorted keys, two-space indent, trailing LF."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(data, path) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, LF endings."""
+    """json_text(data) to path with LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(data))
 
 
 def write_csv(rows, path) -> None:

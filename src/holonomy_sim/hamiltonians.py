@@ -43,6 +43,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
+# Computational-basis indices of the logical levels |0>, |1>, |2>, |3>:
+# |0001>, |0010>, |1000>, |0100>.  All four carry one excitation, so they
+# share a total-Z eigenspace and the block is decoherence free.
+DFS_INDICES = (0b0001, 0b0010, 0b1000, 0b0100)
+
 
 class GateKind(enum.Enum):
     PHASE = "phase"
@@ -124,28 +129,6 @@ class GateSpec:
         return 16 if self.kind is GateKind.PHYSICAL_FOUR else _EMBEDDINGS[self.kind][0]
 
 
-@dataclass(frozen=True)
-class DfsBasis:
-    """Computational-basis indices of the logical levels |0>,|1>,|2>,|3>.
-
-    Default encoding: |0>=|0001>, |1>=|0010>, |2>=|1000>, |3>=|0100>.
-    All four must live in the same total-Z eigenspace (equal excitation
-    count), otherwise the block would not be decoherence free.
-    """
-
-    indices: tuple = (0b0001, 0b0010, 0b1000, 0b0100)
-
-    def __post_init__(self):
-        idx = self.indices
-        if len(idx) != 4 or len(set(idx)) != 4:
-            raise ValueError(f"need four distinct indices, got {idx}")
-        if any(i < 0 or i >= 16 for i in idx):
-            raise ValueError(f"indices must lie in [0, 16), got {idx}")
-        weights = {bin(i).count("1") for i in idx}
-        if len(weights) != 1:
-            raise ValueError("basis states have unequal total-Z eigenvalues")
-
-
 def _pauli_on(op: np.ndarray, qubit: int) -> np.ndarray:
     """Embed a single-qubit operator at position `qubit` of four (MSB first)."""
     out = np.eye(1, dtype=complex)
@@ -172,40 +155,31 @@ def total_z() -> np.ndarray:
 
 
 def _physical_stack(spec: GateSpec, varphi: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) exchange Hamiltonians at the drive phases varphi."""
-    if spec.kind is not GateKind.PHYSICAL_FOUR:
-        raise ValueError(f"physical_hamiltonian needs a physical_four spec, got {spec.kind}")
+    """(n, 16, 16) four-qubit exchange Hamiltonians at the drive phases varphi.
+
+    H = J13 * XY(1,3) + J12 * [cos(varphi) * XY(1,2) - sin(varphi) * DM(1,2)]
+    on the 16-dim space.  Commutes with total Z, so it is block diagonal in
+    the excitation number; the single-excitation block is the DFS.
+    """
     terms = np.stack([_exchange_xy(0, 2), _exchange_xy(0, 1), _exchange_dm(0, 1)])
     coeffs = np.stack([np.full_like(varphi, spec.j13), spec.j12 * np.cos(varphi),
                        -spec.j12 * np.sin(varphi)], axis=1)
     return np.tensordot(coeffs, terms, axes=1)
 
 
-def physical_hamiltonian(spec: GateSpec, varphi: float) -> np.ndarray:
-    """Four-qubit exchange Hamiltonian at drive phase varphi.
-
-    H = J13 * XY(1,3) + J12 * [cos(varphi) * XY(1,2) - sin(varphi) * DM(1,2)]
-    on the 16-dim space.  Commutes with total Z, so it is block diagonal in
-    the excitation number; the single-excitation block is the DFS.
-    """
-    return _physical_stack(spec, np.array([float(varphi)]))[0]
-
-
-def project_dfs(h: np.ndarray, basis: DfsBasis = DfsBasis()):
+def project_dfs(h: np.ndarray):
     """Restrict a 16-dim operator to the DFS block.
 
-    Returns ``(block, leakage)`` where block[i, j] = <b_i|H|b_j> in the
-    logical order and leakage is the largest matrix element connecting the
-    DFS to any computational state outside it.  For any generator commuting
-    with total Z the leakage is zero to rounding.
+    Returns ``(block, leakage)`` where block[i, j] = <b_i|H|b_j> over the
+    DFS_INDICES states b_i, in the logical order, and leakage is the largest
+    matrix element connecting the DFS to any computational state outside it.
+    For any generator commuting with total Z the leakage is zero to rounding.
     """
     if h.shape != (16, 16):
         raise ValueError(f"expected a 16x16 operator, got {h.shape}")
-    idx = list(basis.indices)
-    block = h[np.ix_(idx, idx)].copy()
-    outside = [x for x in range(16) if x not in basis.indices]
-    leakage = float(np.max(np.abs(h[np.ix_(outside, idx)]))) if outside else 0.0
-    return block, leakage
+    idx = list(DFS_INDICES)
+    outside = [x for x in range(16) if x not in DFS_INDICES]
+    return h[np.ix_(idx, idx)], float(np.max(np.abs(h[np.ix_(outside, idx)])))
 
 
 def dark_states(spec: GateSpec, t: float) -> list:

@@ -4,7 +4,8 @@ Stepping is midpoint-sampled piecewise-constant exponentiation: each step
 applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt).  Step boundaries always
 coincide with control-segment boundaries (square pulses are represented
 without smearing) and with kick instants.  Delta kicks are applied as the
-exact factors exp(-i * sign * area * H(tau)), never resolved in time.
+exact factors exp(-i * sign * pi * H(tau)) (control.KICK_AREA = pi), never
+resolved in time.
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import MAX_STEPS, KickSchedule, Segments
+from .control import KICK_AREA, MAX_STEPS, KickSchedule, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
 from .qcore import (matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
                     unitarity_defect)
@@ -86,11 +87,7 @@ class PropagationResult:
     unitarity_defect: float
 
 
-def _kick_times(kicks: KickSchedule | None) -> tuple:
-    return kicks.times if kicks is not None else ()
-
-
-def _step_grid(segments: Segments, kicks: KickSchedule | None, policy: StepPolicy):
+def _step_grid(segments: Segments, kicks: KickSchedule, policy: StepPolicy):
     """Step boundaries, the segment of every step, and kick positions.
 
     Returns (bounds, seg_idx, kick_pos): step k runs from bounds[k] to
@@ -104,7 +101,7 @@ def _step_grid(segments: Segments, kicks: KickSchedule | None, policy: StepPolic
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
     edges = np.asarray(segments.edges)
     starts, lengths = edges[:-1], np.diff(edges)
-    kick_times = np.asarray(_kick_times(kicks), dtype=float)
+    kick_times = np.asarray(kicks.times, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing count is inf, rejected below
         counts = np.maximum(policy.substeps_per_segment, np.ceil(lengths / max_step - 1e-9))
     total = counts.sum() + len(kick_times)
@@ -131,19 +128,21 @@ def _step_grid(segments: Segments, kicks: KickSchedule | None, policy: StepPolic
     return bounds, seg_idx, np.searchsorted(bounds, kick_times)
 
 
-def _step_exponents(segments: Segments, seg_idx: np.ndarray, widths: np.ndarray,
+def _step_exponents(tilings, seg_idx: np.ndarray, widths: np.ndarray,
                     mids: np.ndarray) -> np.ndarray:
-    """(1 + c) * dt of every step of one train on a shared grid.
+    """(1 + c) * dt of every step, one row per Segments of tilings on a shared grid.
 
+    Every row comes from one (trains, segments) matrix of segment values.
     Raises ValueError when an exponent is not finite, i.e. when the control
     amplitude times dt overflows.
     """
-    with np.errstate(over="ignore"):
-        exponents = (1.0 + np.asarray(segments.values)[seg_idx]) * widths
+    values = np.array([segments.values for segments in tilings])
+    with np.errstate(over="ignore"):  # np.take keeps C order; values[:, seg_idx] is F order
+        exponents = (1.0 + np.take(values, seg_idx, axis=1)) * widths
     if not np.all(np.isfinite(exponents)):
-        k = int(np.argmin(np.isfinite(exponents)))
-        raise ValueError(f"step exponent (1 + c) * dt = {exponents[k]} at t = {mids[k]:.6g} "
-                         f"is not finite: the control amplitude overflows")
+        b, k = np.unravel_index(np.argmin(np.isfinite(exponents)), exponents.shape)
+        raise ValueError(f"step exponent (1 + c) * dt = {exponents[b, k]} at "
+                         f"t = {mids[k]:.6g} is not finite: the control amplitude overflows")
     return exponents
 
 
@@ -186,8 +185,8 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     edges and equal kick instants -- the realizations of a sweep job differ
     only in their random amplitudes and in J.  The step grid and the
     generators are built once for all of them; each train adds only its
-    row of step exponents (1 + c) * dt and kick exponents sign * area.  Kick i
-    contributes the factor exp(-i * sign_i * area * H(t_i)) right before
+    row of step exponents (1 + c) * dt and kick exponents sign * KICK_AREA.
+    Kick i contributes the factor exp(-i * sign_i * pi * H(t_i)) right before
     the step that starts at its instant.  Returns one PropagationResult per
     pair, in order; each is bit-identical to propagating that train alone.
     """
@@ -197,17 +196,18 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
         raise ValueError("need at least one (segments, kicks) train")
     segments, kicks = trains[0]
     for other, other_kicks in trains[1:]:
-        if other.edges != segments.edges or _kick_times(other_kicks) != _kick_times(kicks):
+        if other.edges != segments.edges or other_kicks.times != kicks.times:
             raise ValueError("trains of one batch must share their segment edges and "
                              "kick times")
     bounds, seg_idx, kick_pos = _step_grid(segments, kicks, policy)
     widths = np.diff(bounds)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
-    taus = np.stack([_step_exponents(segs, seg_idx, widths, mids) for segs, _ in trains])
-    if len(kick_pos):
-        mids = np.insert(mids, kick_pos, kicks.times)
-        taus = np.insert(taus, kick_pos, [k.area * np.asarray(k.signs, dtype=float)
-                                          for _, k in trains], axis=1)
+    taus = _step_exponents([segs for segs, _ in trains], seg_idx, widths, mids)
+    # rebinding frees the arrays without kick rows before the product runs;
+    # kept alive, they left glibc trimming and refaulting every block's buffers
+    mids = np.insert(mids, kick_pos, kicks.times)
+    taus = np.insert(taus, kick_pos,
+                     KICK_AREA * np.array([k.signs for _, k in trains], dtype=float), axis=1)
     levels, blocks = _chunked_product(spec, mids, taus)
     results = []
     for block in blocks:
@@ -217,7 +217,7 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     return results
 
 
-def propagate_lab(spec: GateSpec, segments: Segments, kicks: KickSchedule | None = None,
+def propagate_lab(spec: GateSpec, segments: Segments, kicks: KickSchedule = KickSchedule(),
                   policy: StepPolicy | None = None) -> PropagationResult:
     """Lab-frame evolution under one control train: a batch of one."""
     return propagate_lab_batch(spec, [(segments, kicks)], policy)[0]
@@ -259,9 +259,9 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
     phase), which is what the frame-equivalence checks compare.
     """
     policy = policy or StepPolicy()
-    bounds, seg_idx, _ = _step_grid(segments, None, policy)
+    bounds, seg_idx, _ = _step_grid(segments, KickSchedule(), policy)
     mids = 0.5 * (bounds[1:] + bounds[:-1])
-    increments = _step_exponents(segments, seg_idx, np.diff(bounds), mids)
+    increments = _step_exponents([segments], seg_idx, np.diff(bounds), mids)[0]
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
     hs = adiabatic_hamiltonian(s, mids, c_mid)

@@ -70,6 +70,16 @@ class TestGateCommand:
         np.testing.assert_allclose(np.abs(np.diag(g)), np.ones(4), atol=1e-9)
         assert abs(abs(np.angle(g[3, 3])) - math.pi) <= 0.05
 
+    def test_stdout_and_out_file_carry_the_same_json_text(self, tmp_path, capsys):
+        argv = ["gate", "--kind", "phase", "--a", "0.7605", "--T", "1", "--control",
+                '{"kind": "delta_kick_alternating", "dt": 0.05, "p": 0.8, "seed": 3}']
+        assert run_cli(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "gate.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert printed == json.dumps(json.loads(printed), indent=2, sort_keys=True) + "\n"
+
     def test_invalid_kind_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gate", "--kind", "hadamard", "--a", "1", "--T", "1"])
@@ -237,6 +247,16 @@ class TestSweepCommand:
         assert report["max_unitary_diff"] <= 1e-10
         assert report["net_area_positive"] == pytest.approx(4 * math.pi)
         assert report["net_area_alternating"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_plot_with_kick_equivalence_exits_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "kick.json"
+        path.write_text(_good_config("kick-equivalence"))
+        out = tmp_path / "o"
+        assert run_cli(["sweep", "--experiment", "kick-equivalence", "--config", str(path),
+                        "--out-dir", str(out), "--plot"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: --plot charts a sweep; kick-equivalence writes no plot.svg"]
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = json.loads(small_runtime_config(tmp_path).read_text())

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonomy_sim import experiments
-from holonomy_sim.control import ControlKind, PulseTrain, generate_segments, mean_control
+from holonomy_sim.control import (ControlKind, KickSchedule, PulseTrain, generate_segments,
+                                  mean_control)
 from holonomy_sim.experiments import (MAX_BATCH, ExperimentConfig, RealizationRecord,
                                       _jobs, compare_positive_vs_zero_energy,
                                       config_from_dict, config_to_dict,
@@ -227,7 +228,7 @@ class TestSweepJobs:
             seed = realization_seed(cfg.master_seed, j, k)
             train = replace(cfg.control, J=2.0 * cfg.grid[j], seed=seed)
             segments = generate_segments(train, 1.0)
-            alone = propagate_lab(cfg.gate, segments, None, cfg.policy)
+            alone = propagate_lab(cfg.gate, segments, KickSchedule(), cfg.policy)
             hol = evaluate_holonomy(alone.U, dark, gamma_ideal)
             assert record == RealizationRecord(
                 grid_index=j, realization_index=k, x=cfg.grid[j], seed=seed,

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_sim.hamiltonians import (PAULI_Z, DfsBasis, GateKind, GateSpec, Schedule,
+from holonomy_sim.hamiltonians import (DFS_INDICES, PAULI_Z, GateKind, GateSpec, Schedule,
                                        _pauli_on, dark_states, gate_generators,
-                                       gate_hamiltonian, physical_hamiltonian, project_dfs,
-                                       total_z)
+                                       gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.qcore import hermiticity_defect
 
 
 def generator(kind, s, t):
     return gate_hamiltonian(GateSpec(kind, s), t)
+
+
+def physical_at(spec, ph):
+    """The physical_four generator at drive phase ph of a T = 1 schedule."""
+    return gate_hamiltonian(spec, ph / (2 * math.pi))
 
 
 def scaled_reference(j12, j13, ph):
@@ -143,7 +147,7 @@ def test_all_builders_hermitian(rng):
         assert hermiticity_defect(generator(GateKind.PHASE, s, t)) <= 1e-13
         assert hermiticity_defect(generator(GateKind.XGATE, s, t)) <= 1e-13
         assert hermiticity_defect(generator(GateKind.CPHASE, s, t)) <= 1e-13
-        assert hermiticity_defect(physical_hamiltonian(spec, s.phi(t))) <= 1e-13
+        assert hermiticity_defect(gate_hamiltonian(spec, t)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
@@ -196,18 +200,18 @@ class TestPhysicalHamiltonian:
         z = total_z()
         spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=1.0)
         for ph in np.linspace(0, 2 * math.pi, 17):
-            h = physical_hamiltonian(spec, ph)
+            h = physical_at(spec, ph)
             assert np.max(np.abs(h @ z - z @ h)) <= 1e-13
 
     def test_unit_couplings_project_to_sqrt2_lambda_block(self):
         spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=1.0)
-        block, leakage = project_dfs(physical_hamiltonian(spec, 0.0))
+        block, leakage = project_dfs(physical_at(spec, 0.0))
         np.testing.assert_allclose(block, scaled_reference(1.0, 1.0, 0.0), atol=1e-12)
         assert leakage <= 1e-13
 
     def test_no_ancilla_coupling_when_j13_vanishes(self):
         spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=0.0)
-        block, _ = project_dfs(physical_hamiltonian(spec, 0.3))
+        block, _ = project_dfs(physical_at(spec, 0.3))
         assert block[1, 2] == 0.0 and block[2, 1] == 0.0
 
     def test_projection_consistency_over_grid(self):
@@ -217,25 +221,20 @@ class TestPhysicalHamiltonian:
                 spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0),
                                 j12=j12, j13=j13)
                 for ph in np.linspace(0.0, 2 * math.pi, 20):
-                    block, leakage = project_dfs(physical_hamiltonian(spec, ph))
+                    block, leakage = project_dfs(physical_at(spec, ph))
                     dev = np.max(np.abs(block - scaled_reference(j12, j13, ph)))
                     worst = max(worst, float(dev), leakage)
         assert worst <= 1e-11
 
     def test_leakage_out_of_block_is_zero(self):
         spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=0.7, j13=1.9)
-        _, leakage = project_dfs(physical_hamiltonian(spec, 1.1))
+        _, leakage = project_dfs(physical_at(spec, 1.1))
         assert leakage <= 1e-13
 
     def test_project_zero_operator(self):
         block, leakage = project_dfs(np.zeros((16, 16), dtype=complex))
         np.testing.assert_array_equal(block, np.zeros((4, 4)))
         assert leakage == 0.0
-
-    def test_wrong_kind_rejected(self):
-        spec = GateSpec(GateKind.PHASE, Schedule(1.0, 1.0))
-        with pytest.raises(ValueError, match="physical_four"):
-            physical_hamiltonian(spec, 0.0)
 
 
 def test_qubit_one_is_the_most_significant_bit():
@@ -247,24 +246,12 @@ def test_qubit_one_is_the_most_significant_bit():
                                   [4 - 2 * bin(i).count("1") for i in range(16)])
 
 
-class TestDfsBasis:
-    def test_default_states_share_z_eigenvalue(self):
-        z = total_z()
-        basis = DfsBasis()
-        values = []
-        for idx in basis.indices:
-            v = np.zeros(16)
-            v[idx] = 1.0
-            values.append(float((v @ z @ v).real))
-        assert len(set(values)) == 1
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError, match="distinct"):
-            DfsBasis(indices=(1, 1, 2, 4))
-
-    def test_rejects_mixed_excitation_sectors(self):
-        with pytest.raises(ValueError, match="unequal"):
-            DfsBasis(indices=(1, 2, 4, 3))
+def test_dfs_indices_are_four_distinct_states_of_one_excitation_count():
+    assert len(DFS_INDICES) == 4 and len(set(DFS_INDICES)) == 4
+    assert all(0 <= i < 16 for i in DFS_INDICES)
+    assert len({bin(i).count("1") for i in DFS_INDICES}) == 1
+    # one excitation count is one total-Z eigenvalue: the block is decoherence free
+    assert len({total_z()[i, i] for i in DFS_INDICES}) == 1
 
 
 def test_gate_spec_requires_couplings_for_physical():

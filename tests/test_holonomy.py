@@ -61,6 +61,12 @@ class TestBerryPhase:
         assert abs(berry_closed_form(1.2024) - PI) <= 1e-3
         assert abs(berry_closed_form(0.7605) - PI / 2) <= 1e-3
 
+    def test_closed_form_digits_of_every_shipped_amplitude(self):
+        # a = 0.7605 and 1.2024 are the amplitudes of every config and benchmark
+        # input; these exact values guard the shipped outputs against drift in J0
+        assert berry_closed_form(0.7605) == 1.570542527868721
+        assert berry_closed_form(1.2024) == 3.141550970045307
+
     def test_numeric_matches_closed_form_on_grid(self):
         for a in np.linspace(0.0, 3.0, 50):
             s = Schedule(float(a), 1.0)

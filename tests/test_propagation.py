@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holonomy_sim.control import (MAX_STEPS, ControlKind, KickSchedule, PulseTrain,
-                                  Segments, generate_segments, make_kicks)
+from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, KickSchedule,
+                                  PulseTrain, Segments, generate_segments, make_kicks)
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
                                        gate_generators, gate_hamiltonian)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
@@ -34,17 +34,17 @@ def loop_bounds(segments, kicks, policy):
         n = max(policy.substeps_per_segment, math.ceil((t1 - t0) / max_step - 1e-9))
         edges.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
     edges[-1] = span
-    return sorted(set(edges) | set(kicks.times if kicks else ()))
+    return sorted(set(edges) | set(kicks.times))
 
 
 def sequential_reference(spec, segments, kicks, policy):
     """Step-by-step eigh propagation: one matexp_hermitian per step and kick."""
     bounds = loop_bounds(segments, kicks, policy)
-    kick_at = dict(zip(kicks.times, kicks.signs)) if kicks else {}
+    kick_at = dict(zip(kicks.times, kicks.signs))
     u = np.eye(spec.dim, dtype=complex)
     for t0, t1 in zip(bounds, bounds[1:]):
         if t0 in kick_at:
-            u = matexp_hermitian(gate_hamiltonian(spec, t0), kick_at[t0] * kicks.area) @ u
+            u = matexp_hermitian(gate_hamiltonian(spec, t0), kick_at[t0] * KICK_AREA) @ u
         mid = 0.5 * (t0 + t1)
         c = next(v for t, v in zip(segments.edges[-2::-1], segments.values[::-1])
                  if t <= mid)
@@ -77,7 +77,8 @@ def test_cphase_run_with_control_matches_sequential_reference():
     segments = generate_segments(train, 1.0)
     policy = StepPolicy(max_step=1.0 / 512)
     u = propagate_lab(spec, segments, policy=policy).U
-    assert np.max(np.abs(u - sequential_reference(spec, segments, None, policy))) <= 1e-10
+    reference = sequential_reference(spec, segments, KickSchedule(), policy)
+    assert np.max(np.abs(u - reference)) <= 1e-10
     # the coupled block is (5, 9, 13); every other level is left exactly alone
     rest = [i for i in range(16) if i not in (5, 9, 13)]
     np.testing.assert_array_equal(u[np.ix_(rest, rest)], np.eye(13))
@@ -98,21 +99,20 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
     segments = Segments((0.0, 0.3, 0.35, 1.0), (2.0, -1.0, 0.0))
     kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
     for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
-        for k in (None, kicks):
+        for k in (KickSchedule(), kicks):
             bounds, seg_idx, kick_pos = _step_grid(segments, k, policy)
             np.testing.assert_array_equal(bounds, loop_bounds(segments, k, policy))
             # every step lies inside the segment it is assigned to
             edges = np.asarray(segments.edges)
             assert np.all(edges[seg_idx] <= bounds[:-1])
             assert np.all(bounds[1:] <= edges[seg_idx + 1])
-            if k is not None:
-                np.testing.assert_array_equal(bounds[kick_pos], k.times)
+            np.testing.assert_array_equal(bounds[kick_pos], k.times)
 
 
 def test_step_grid_stays_finite_for_a_span_near_the_float_limit():
     # length * (j + 1) would overflow here; every edge must still be finite and increasing
     span = 2.8e307
-    bounds, _, _ = _step_grid(Segments((0.0, span), (0.0,)), None, StepPolicy())
+    bounds, _, _ = _step_grid(Segments((0.0, span), (0.0,)), KickSchedule(), StepPolicy())
     assert len(bounds) == DEFAULT_STEPS_PER_PERIOD + 1
     assert np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)
     assert bounds[-1] == span
@@ -130,9 +130,10 @@ def test_schedule_rejects_a_period_whose_phase_overflows(T):
 def test_step_grid_rejects_runs_above_the_cap():
     segments = Segments((0.0, 1.0), (0.0,))
     with pytest.raises(ValueError, match="needs 100000000 steps and kicks"):
-        _step_grid(segments, None, StepPolicy(max_step=1e-8))
+        _step_grid(segments, KickSchedule(), StepPolicy(max_step=1e-8))
     with pytest.raises(ValueError, match="needs inf steps"):
-        _step_grid(Segments((0.0, 1e300), (0.0,)), None, StepPolicy(max_step=1e-300))
+        _step_grid(Segments((0.0, 1e300), (0.0,)), KickSchedule(),
+                   StepPolicy(max_step=1e-300))
     # kicks count toward the cap too
     kicks = KickSchedule((0.25, 0.5, 0.75), (1, 1, 1))
     with pytest.raises(ValueError, match="above the cap MAX_STEPS"):
@@ -142,13 +143,13 @@ def test_step_grid_rejects_runs_above_the_cap():
 def shared_grid_batches(T):
     """Batches of trains with equal edges and kick times: three seeded
     realizations of each square kind, and one kick schedule under both signs."""
-    batches = [[(generate_segments(PulseTrain(kind, J=J, dt=0.05, p=1.0, seed=seed), T), None)
-                for seed in (1, 2, 3)]
+    batches = [[(generate_segments(PulseTrain(kind, J=J, dt=0.05, p=1.0, seed=seed), T),
+                 KickSchedule()) for seed in (1, 2, 3)]
                for kind, J in ((ControlKind.POSITIVE_SQUARE, 40.0),
                                (ControlKind.ZERO_ENERGY_ALTERNATING, 60.0))]
     segments = generate_segments(NO_CONTROL, T)
     pos = make_kicks(ControlKind.DELTA_KICK_POSITIVE, T, 0.07, seed=2, jitter=0.5)
-    alt = KickSchedule(pos.times, tuple((-1) ** i for i in range(len(pos.times))), area=2.0)
+    alt = KickSchedule(pos.times, tuple((-1) ** i for i in range(len(pos.times))))
     batches.append([(segments, pos), (segments, alt)])
     return batches
 
@@ -174,7 +175,8 @@ def test_batch_rejects_trains_on_different_grids():
     b = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.04), 1.0)
     kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
     shifted = KickSchedule(tuple(t + 1e-3 for t in kicks.times), kicks.signs)
-    for batch in ([(a, None), (b, None)], [(a, kicks), (a, shifted)], [(a, kicks), (a, None)]):
+    none = KickSchedule()
+    for batch in ([(a, none), (b, none)], [(a, kicks), (a, shifted)], [(a, kicks), (a, none)]):
         with pytest.raises(ValueError, match="share their segment edges and kick times"):
             propagate_lab_batch(spec, batch)
     with pytest.raises(ValueError, match="at least one"):
@@ -225,7 +227,7 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
     assert factor_pos[0] < CHUNK <= factor_pos[-1]
     mids = np.insert(0.5 * (bounds[1:] + bounds[:-1]), kick_pos, kicks.times)
     taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * np.diff(bounds),
-                     kick_pos, kicks.area * np.asarray(kicks.signs, dtype=float))
+                     kick_pos, KICK_AREA * np.asarray(kicks.signs, dtype=float))
     levels, s, hs = gate_generators(spec, mids)
     whole = ordered_product(matexp_cubic_stack(hs, s, taus))
     u = propagate_lab(spec, segments, kicks, policy).U
