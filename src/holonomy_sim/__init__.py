@@ -15,12 +15,11 @@ from .experiments import (ExperimentConfig, KickEquivalenceReport,
                           compare_positive_vs_zero_energy, config_from_dict,
                           config_to_dict, control_from_dict, realization_seed,
                           sweep, write_csv, write_json_bundle)
-from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, gate_generators,
-                           gate_hamiltonian, project_dfs, total_z)
+from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_hamiltonian,
+                           gate_generators, gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        berry_closed_form, berry_numeric, evaluate_holonomy,
-                       extract_phase, find_a_for_phase, gate_matrix,
-                       quality_factor, reachable_phase_range, wrap_angle)
+                       extract_phase, gate_matrix, quality_factor, wrap_angle)
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
                           propagate_adiabatic, propagate_lab, propagate_lab_batch)
 from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
@@ -33,7 +32,7 @@ __all__ = [
     "ordered_product", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
     "GateKind", "GateSpec", "Schedule", "project_dfs", "dark_states",
-    "gate_generators", "gate_hamiltonian", "total_z",
+    "exchange_hamiltonian", "gate_generators", "gate_hamiltonian", "total_z",
     # control
     "ControlKind", "PulseTrain", "Segments", "KickSchedule",
     "generate_segments", "integral_C", "mean_control", "net_area",
@@ -43,9 +42,8 @@ __all__ = [
     "propagate_adiabatic", "adiabatic_hamiltonian",
     # holonomy
     "bessel_j0", "berry_closed_form", "berry_numeric", "extract_phase",
-    "quality_factor", "gate_matrix", "find_a_for_phase", "wrap_angle",
+    "quality_factor", "gate_matrix", "wrap_angle",
     "evaluate_holonomy", "HolonomyResult", "PhaseUndefinedError",
-    "reachable_phase_range",
     # experiments
     "ExperimentConfig", "SweepRow", "SweepResult", "RealizationRecord",
     "KickEquivalenceReport", "sweep", "compare_positive_vs_zero_energy",

@@ -35,8 +35,8 @@ from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zer
                           config_from_dict, config_to_dict, control_from_dict,
                           json_text, sweep, train_schedule, write_csv, write_json,
                           write_json_bundle)
-from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, gate_generators,
-                           gate_hamiltonian, project_dfs, total_z)
+from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_hamiltonian,
+                           gate_generators, gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
@@ -259,12 +259,13 @@ def _check_hermiticity_and_gap(rng):
             worst_h = max(worst_h, hermiticity_defect(h))
             ev = np.linalg.eigvalsh(h)
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
-    # the lab engine's closed-form step exponential rests on H^3 = s^2 H
+    # the lab engine's closed-form step exponential rests on H^3 = s^2 H,
+    # s = 1 for the lambda blocks and hypot(J12, J13) for the exchange model
     ts = rng.uniform(0, 1.0, size=100)
-    for spec in (GateSpec(GateKind.PHASE, s), GateSpec(GateKind.XGATE, s),
-                 GateSpec(GateKind.CPHASE, s),
-                 GateSpec(GateKind.PHYSICAL_FOUR, s, j12=1.0, j13=0.7)):
-        _, scale, hs = gate_generators(spec, ts)
+    stacks = [(1.0, gate_generators(GateSpec(kind, s), ts)[1])
+              for kind in (GateKind.PHASE, GateKind.XGATE, GateKind.CPHASE)]
+    stacks.append((math.hypot(1.0, 0.7), exchange_hamiltonian(1.0, 0.7, s.phi(ts))))
+    for scale, hs in stacks:
         worst_cubic = max(worst_cubic, float(np.max(np.abs(hs @ hs @ hs - scale ** 2 * hs))))
     ok = worst_h <= 1e-13 and worst_gap <= 1e-10 and worst_cubic <= 1e-12
     return ok, (f"hermiticity {worst_h:.2e} (1e-13), spectrum dev {worst_gap:.2e} (1e-10), "
@@ -287,9 +288,8 @@ def _check_dfs_projection(rng):
     worst_comm, worst_proj, worst_leak = 0.0, 0.0, 0.0
     for j12 in (0.3, 1.0, 2.7):
         for j13 in (0.3, 1.0, 2.7):
-            spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=j12, j13=j13)
             for ph in np.linspace(0.0, 2 * math.pi, 20):
-                h = gate_hamiltonian(spec, ph / (2 * math.pi))  # drive phase ph at T = 1
+                h = exchange_hamiltonian(j12, j13, ph)
                 worst_comm = max(worst_comm, float(np.max(np.abs(h @ z - z @ h))))
                 block, leak = project_dfs(h)
                 th = math.atan2(j13, j12)

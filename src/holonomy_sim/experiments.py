@@ -36,9 +36,6 @@ from .propagation import StepPolicy, propagate_lab_batch
 # Most realizations per sweep job (see the module docstring).
 MAX_BATCH = 32
 
-_PHYSICAL_FOUR_UNSUPPORTED = ("physical_four has no logical dark state to score, so it "
-                             "cannot be swept or kick-compared")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,8 +48,6 @@ class ExperimentConfig:
     policy: StepPolicy = StepPolicy()
 
     def __post_init__(self):
-        if self.gate.kind is GateKind.PHYSICAL_FOUR:
-            raise ValueError(_PHYSICAL_FOUR_UNSUPPORTED)
         experiment = self.experiment
         if not self.grid:
             raise ValueError("grid must be nonempty")
@@ -413,13 +408,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                        "sweep_variable": _REQUIRED, "grid": _REQUIRED,
                        "realizations": 1, "master_seed": 0, "policy": {}},
                 "config")
-    # rejected before the key check, so a config that still has j12/j13 learns why
+    # the kind is read before the keys are checked, so a gate with no model
+    # here is named by its kind, whatever keys it carries
     g = top["gate"]
-    if isinstance(g, dict) and g.get("kind") == GateKind.PHYSICAL_FOUR.value:
-        raise ValueError(_PHYSICAL_FOUR_UNSUPPORTED)
+    kind = GateKind(g["kind"]) if isinstance(g, dict) and "kind" in g else None
     g = _take(g, {"kind": _REQUIRED, "a": _REQUIRED, "T": _REQUIRED}, "gate")
-    gate = GateSpec(GateKind(g["kind"]),
-                    Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")))
+    gate = GateSpec(kind, Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")))
     control = control_from_dict(top["control"])
     if not isinstance(top["grid"], (list, tuple)):
         raise ValueError(f"grid must be a JSON array, got {top['grid']!r}")

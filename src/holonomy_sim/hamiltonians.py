@@ -6,19 +6,18 @@ theta(t) = a*sin(2*pi*t/T) and drive phase phi(t) = 2*pi*t/T, embedded at
 the levels listed in _EMBEDDINGS.  Its nonzero eigenvalues are -1 and +1
 at every instant (the gap never closes and never moves), which is what
 makes the accelerated-adiabaticity control scheme work: energy
-differences in the rotating frame are constants.
+differences in the rotating frame are constants.  So every generator
+satisfies H^3 = H; gate_generators returns whole time grids in that form
+-- the coupled levels and the 3x3 stack -- which is what lets propagation
+exponentiate in closed form.
 
 The four-physical-qubit exchange Hamiltonian (XY hopping plus a
-Dzialoshinski-Moriya term on one bond) commutes with the total
-Z = sum_i sigma_z^i, so the single-excitation block is decoherence-free
-under collective dephasing.  Restricted to that block it reproduces the
-normalized phase-gate generator scaled by sqrt(J12^2 + J13^2), with
-theta = atan(J13/J12).
-
-Every generator here satisfies H^3 = s^2 H (s = 1 for the logical kinds,
-s = sqrt(J12^2 + J13^2) for the physical model).  gate_generators returns
-whole time grids in that form -- the coupled levels, s, and the stack --
-which is what lets propagation exponentiate in closed form.
+Dzialoshinski-Moriya term on one bond, :func:`exchange_hamiltonian`)
+commutes with the total Z = sum_i sigma_z^i, so the single-excitation
+block is decoherence-free under collective dephasing.  Restricted to that
+block it is the phase-gate generator scaled by s = hypot(J12, J13), with
+theta = atan(J13/J12), so the gates are propagated on the logical levels
+only.
 
 Basis conventions, used everywhere:
   * logical levels ordered (|0>, |1>, |2>, |3>)
@@ -53,7 +52,6 @@ class GateKind(enum.Enum):
     PHASE = "phase"
     XGATE = "xgate"
     CPHASE = "cphase"
-    PHYSICAL_FOUR = "physical_four"
 
 
 # kind -> (dim, lo, anc, hi, trivially dark indices) of its lambda coupling.
@@ -109,24 +107,14 @@ class Schedule:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Which gate to run: kind, drive schedule, physical couplings.
-
-    j12/j13 are only meaningful for PHYSICAL_FOUR, where at least one must
-    be nonzero.
-    """
+    """Which gate to run: kind and drive schedule."""
 
     kind: GateKind
     schedule: Schedule
-    j12: float = 0.0
-    j13: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is GateKind.PHYSICAL_FOUR and self.j12 ** 2 + self.j13 ** 2 == 0:
-            raise ValueError("physical_four requires j12^2 + j13^2 > 0")
 
     @property
     def dim(self) -> int:
-        return 16 if self.kind is GateKind.PHYSICAL_FOUR else _EMBEDDINGS[self.kind][0]
+        return _EMBEDDINGS[self.kind][0]
 
 
 def _pauli_on(op: np.ndarray, qubit: int) -> np.ndarray:
@@ -154,16 +142,18 @@ def total_z() -> np.ndarray:
     return sum(_pauli_on(PAULI_Z, q) for q in range(4))
 
 
-def _physical_stack(spec: GateSpec, varphi: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) four-qubit exchange Hamiltonians at the drive phases varphi.
+def exchange_hamiltonian(j12: float, j13: float, varphi) -> np.ndarray:
+    """Four-qubit exchange Hamiltonians at the drive phases varphi, shape (..., 16, 16).
 
     H = J13 * XY(1,3) + J12 * [cos(varphi) * XY(1,2) - sin(varphi) * DM(1,2)]
     on the 16-dim space.  Commutes with total Z, so it is block diagonal in
-    the excitation number; the single-excitation block is the DFS.
+    the excitation number; the single-excitation block is the DFS.  Every
+    H satisfies H^3 = s^2 H with s = hypot(J12, J13).
     """
+    varphi = np.asarray(varphi, dtype=float)
     terms = np.stack([_exchange_xy(0, 2), _exchange_xy(0, 1), _exchange_dm(0, 1)])
-    coeffs = np.stack([np.full_like(varphi, spec.j13), spec.j12 * np.cos(varphi),
-                       -spec.j12 * np.sin(varphi)], axis=1)
+    coeffs = np.stack([np.full_like(varphi, j13), j12 * np.cos(varphi),
+                       -j12 * np.sin(varphi)], axis=-1)
     return np.tensordot(coeffs, terms, axes=1)
 
 
@@ -187,11 +177,8 @@ def dark_states(spec: GateSpec, t: float) -> list:
 
     The trivially dark basis states come first; the last entry is always
     the phase-carrying dark state cos(theta)|lo> - e^{-i phi} sin(theta)|hi>
-    (the one whose Berry phase realizes the gate).  PHYSICAL_FOUR has no
-    logical-level dark states and is rejected.
+    (the one whose Berry phase realizes the gate).
     """
-    if spec.kind is GateKind.PHYSICAL_FOUR:
-        raise ValueError("dark states are defined at the logical level only")
     dim, lo, _, hi, trivial = _EMBEDDINGS[spec.kind]
     th, ph = spec.schedule.theta(t), spec.schedule.phi(t)
     states = []
@@ -209,26 +196,21 @@ def dark_states(spec: GateSpec, t: float) -> list:
 def gate_generators(spec: GateSpec, ts):
     """Generators at every time in ts, restricted to the levels they act on.
 
-    Returns ``(levels, s, stack)``.  For the logical kinds levels is the
-    (lo, anc, hi) triple of the embedding and stack[k] the 3x3 lambda
-    coupling at ts[k]: sin(theta) on lo<->anc plus cos(theta)*e^{+-i phi}
-    on anc<->hi, Hermitian by construction with eigenvalues {-1, 0, +1}, so
-    s = 1.  PHYSICAL_FOUR acts on all 16 levels with spectrum {-s, 0, +s},
-    s = hypot(J12, J13).  Every stack satisfies H^3 = s^2 H.  The full
+    Returns ``(levels, stack)``: levels is the (lo, anc, hi) triple of the
+    embedding and stack[k] the 3x3 lambda coupling at ts[k], sin(theta) on
+    lo<->anc plus cos(theta)*e^{+-i phi} on anc<->hi.  It is Hermitian by
+    construction with eigenvalues {-1, 0, +1}, so H^3 = H.  The full
     spec.dim generator holds stack[k] at rows and columns ``levels`` and is
     zero elsewhere (see :func:`gate_hamiltonian`).
     """
-    phi = spec.schedule.phi(ts)
-    if spec.kind is GateKind.PHYSICAL_FOUR:
-        return tuple(range(16)), math.hypot(spec.j12, spec.j13), _physical_stack(spec, phi)
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
-    th = spec.schedule.theta(ts)
-    # built as planes (3, 3, n), the memory qcore multiplies 3x3 stacks in
+    th, phi = spec.schedule.theta(ts), spec.schedule.phi(ts)
+    # built as planes (3, 3, n), the memory qcore multiplies stacks in
     planes = np.zeros((3, 3, len(phi)), dtype=complex)
     planes[0, 1] = planes[1, 0] = np.sin(th)
     planes[2, 1] = np.cos(th) * np.exp(-1j * phi)
     planes[1, 2] = np.cos(th) * np.exp(1j * phi)
-    return (lo, anc, hi), 1.0, np.moveaxis(planes, -1, 0)
+    return (lo, anc, hi), np.moveaxis(planes, -1, 0)
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
@@ -236,7 +218,7 @@ def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
 
     The embedding of :func:`gate_generators` at the single time t.
     """
-    levels, _, stack = gate_generators(spec, [t])
+    levels, stack = gate_generators(spec, [t])
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     h[np.ix_(levels, levels)] = stack[0]
     return h

@@ -1,4 +1,4 @@
-"""Berry phases, gate matrices, the quality factor, and inverse design.
+"""Berry phases, gate matrices and the quality factor.
 
 The cyclic drive theta = a*sin(2*pi*t/T), phi = 2*pi*t/T gives the
 phase-carrying dark state a purely geometric phase
@@ -29,13 +29,6 @@ BESSEL_MAX_ARG = 50.0
 
 # sin(tau) at the 128 equally spaced nodes tau in [0, pi) of the J0 quadrature
 _J0_SIN_NODES = np.sin(np.linspace(0.0, math.pi, 128, endpoint=False))
-
-# Bracket width at which find_a_for_phase stops bisecting.
-_A_TOL = 1e-10
-
-# First zero of J1 = location of the global minimum of J0; caps the phases
-# reachable with the smallest amplitude branch.
-_J0_ARGMIN = 3.8317059702075125
 
 
 class PhaseUndefinedError(ValueError):
@@ -144,29 +137,3 @@ def gate_matrix(kind: GateKind, gamma: float) -> np.ndarray:
     if kind is GateKind.CPHASE:
         return np.diag([1.0, 1.0, 1.0, np.exp(1j * gamma)]).astype(complex)
     raise ValueError(f"no logical gate matrix for kind {kind}")
-
-
-def reachable_phase_range():
-    """Smallest-amplitude branch covers gamma in [0, pi*(1 - min J0)]."""
-    return 0.0, math.pi * (1.0 - bessel_j0(_J0_ARGMIN))
-
-
-def find_a_for_phase(gamma_target: float) -> float:
-    """Smallest a >= 0 with pi*[1 - J0(2a)] = gamma_target, by bisection to _A_TOL.
-
-    gamma is monotone in a up to the first minimum of J0(2a); targets
-    beyond pi*(1 - min J0) ~ 1.4028*pi are rejected with the reachable
-    range in the message.
-    """
-    lo_g, hi_g = reachable_phase_range()
-    if not lo_g <= gamma_target <= hi_g:
-        raise ValueError(f"target phase {gamma_target} outside reachable range "
-                         f"[{lo_g}, {hi_g:.6f}]")
-    lo, hi = 0.0, _J0_ARGMIN / 2.0
-    while hi - lo > _A_TOL:
-        mid = 0.5 * (lo + hi)
-        if berry_closed_form(mid) < gamma_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -9,21 +9,19 @@ resolved in time.
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
-realizations of a sweep job, see experiments): one step grid, the
-generators at all midpoints and kick instants, their exponentials in the
-closed form that H^3 = s^2 H allows (no eigendecomposition) for every
-train's exponents, and a pairwise time-ordered product, all as
-whole-array numpy calls.
-The 3x3 stacks stay in qcore's plane memory (entry (i, j) of every factor
-one contiguous array) from the generators to the product, so each level
-of the product is three whole-plane multiply-adds, not one small matmul
-per factor; the 16x16 physical model keeps matrix memory and np.matmul.
-Kick factors sit in the same stack as the steps, in time order.  The
-factor axis is processed in aligned blocks of a power-of-two width that
-narrows for wide batches (see _block_width), so memory is bounded by one
-block while U stays bit-identical to one reduction over the whole stack.
-The logical kinds propagate their 3x3 lambda block, embedded into
-spec.dim at the end.
+realizations of a sweep job, see experiments): one step grid, the 3x3
+lambda-block generators at all midpoints and kick instants, their
+exponentials in the closed form that H^3 = H allows (no
+eigendecomposition) for every train's exponents, and a pairwise
+time-ordered product, all as whole-array numpy calls.  The stacks stay in
+qcore's plane memory (entry (i, j) of every factor one contiguous array)
+from the generators to the product, so each level of the product is three
+whole-plane multiply-adds, not one small matmul per factor.  Kick factors
+sit in the same stack as the steps, in time order.  The factor axis is
+processed in aligned blocks of a power-of-two width that narrows for wide
+batches (see _block_width), so memory is bounded by one block while U
+stays bit-identical to one reduction over the whole stack.  The block
+product is embedded into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -173,8 +171,8 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
     width = _block_width(len(taus))
     blocks = []
     for start in range(0, len(ts), width):
-        levels, s, hs = gate_generators(spec, ts[start:start + width])
-        blocks.append(ordered_product(matexp_cubic_stack(hs, s, taus[:, start:start + width])))
+        levels, hs = gate_generators(spec, ts[start:start + width])
+        blocks.append(ordered_product(matexp_cubic_stack(hs, 1.0, taus[:, start:start + width])))
     return levels, ordered_product(np.stack(blocks, axis=1))
 
 

@@ -10,14 +10,12 @@ accumulate unitarity drift.  Time-ordered products of a step stack are
 reduced pairwise; both the closed form and the product carry leading batch
 axes, so several trains share one call.
 
-Stacks of small matrices (d <= _PLANE_MAX_DIM, the 3x3 lambda blocks) are
-held as *planes*: an array of shape (d, d, ..., n) in which entry (i, j) of
-every matrix is one contiguous array.  A product of two such stacks is d
-whole-plane multiply-adds, which costs a fraction of np.matmul's fixed
-price per small matrix.  The public functions take and return the usual
-(..., n, d, d) layout as views of that memory.  Larger matrices (the 4x4
-adiabatic frame, the 16x16 physical model) keep matrix memory and
-np.matmul.
+Stacks are multiplied as *planes*: an array of shape (d, d, ..., n) in
+which entry (i, j) of every matrix is one contiguous array.  A product of
+two such stacks is d whole-plane multiply-adds, which for the 3x3 lambda
+blocks and the 4x4 adiabatic frame costs less than np.matmul's fixed price
+per small matrix.  The public functions take and return the usual
+(..., n, d, d) layout as views of that memory.
 """
 from __future__ import annotations
 
@@ -26,13 +24,6 @@ import math
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
-
-# Largest d multiplied as planes.  Measured per product of two stacks of
-# 2048 matrices: d = 3 planes 0.08 us against np.matmul 0.57 us; d = 4 0.22
-# against 0.49 us on plane memory but 0.48 us on the matrix memory that eigh
-# returns, and propagate_adiabatic (4x4, 4096 steps) takes 14-15 ms with
-# either cutoff; d = 8 2.5 against 0.8 us.
-_PLANE_MAX_DIM = 3
 
 
 def _planes(m: np.ndarray) -> np.ndarray:
@@ -45,26 +36,14 @@ def _matrices(p: np.ndarray) -> np.ndarray:
     return np.moveaxis(p, (0, 1), (-2, -1))
 
 
-def _empty_planes(d: int, shape: tuple) -> np.ndarray:
-    """Uninitialised planes of shape (d, d, *shape), in plane memory when
-    _matmul multiplies them as planes and in matrix memory otherwise."""
-    if d <= _PLANE_MAX_DIM:
-        return np.empty((d, d) + shape, dtype=complex)
-    return _planes(np.empty(shape + (d, d), dtype=complex))
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = a @ b per matrix, for planes a, b and out of shape (d, d, ...).
 
-    Up to _PLANE_MAX_DIM this is out = sum_k a[:, k] b[k, :], k in order,
-    as d whole-plane multiplies accumulated in place: the arithmetic of
-    every entry is elementwise, so a matrix gets the same bits wherever it
-    sits in the stack.  Larger d goes to np.matmul.
+    out = sum_k a[:, k] b[k, :], k in order, as d whole-plane multiplies
+    accumulated in place: the arithmetic of every entry is elementwise, so
+    a matrix gets the same bits wherever it sits in the stack.
     """
     d = a.shape[0]
-    if d > _PLANE_MAX_DIM:
-        np.matmul(_matrices(a), _matrices(b), out=_matrices(out))
-        return out
     np.multiply(a[:, 0, None], b[None, 0], out=out)
     term = np.empty_like(out)
     for k in range(1, d):
@@ -125,7 +104,7 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     -2 sin^2(s tau / 2) to keep small steps accurate.  hs has shape
     (n, d, d) and taus shape (..., n): every row of taus is exponentiated
     against the same hs and h^2, giving (..., n, d, d), a view of planes
-    (d, d, ..., n) for small d (see the module docstring).  The caller vouches
+    (d, d, ..., n) (see the module docstring).  The caller vouches
     for h^3 = s^2 h; Hermiticity and non-finite entries are still rejected
     as in :func:`matexp_hermitian_stack`.
     """
@@ -137,10 +116,10 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
     h = _planes(hs)
     d = h.shape[0]
-    sq = _matmul(h, h, _empty_planes(d, h.shape[2:]))
+    sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex))
     # the (d, d, n) planes broadcast against the batch axes of taus
     batch = (slice(None), slice(None)) + (None,) * (x.ndim - 1)
-    out = np.multiply(b, sq[batch], out=_empty_planes(d, x.shape))
+    out = np.multiply(b, sq[batch], out=np.empty((d, d) + x.shape, dtype=complex))
     out += a * h[batch]
     out += np.eye(d).reshape((d, d) + (1,) * x.ndim)
     return _matrices(out)
@@ -152,14 +131,14 @@ def ordered_product(stack: np.ndarray) -> np.ndarray:
     Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
     multiplied (later @ earlier) by one _matmul per level, so n >= 1
     factors take ceil(log2 n) levels; an odd last factor carries over to the
-    next level unchanged.  Small matrices are reduced as planes, whatever
-    the memory layout of stack.
+    next level unchanged.  The matrices are reduced as planes, whatever the
+    memory layout of stack.
     """
     p = _planes(stack)
     d = p.shape[0]
     while p.shape[-1] > 1:
         half = p.shape[-1] // 2
-        level = _empty_planes(d, p.shape[2:-1] + (p.shape[-1] - half,))
+        level = np.empty((d, d) + p.shape[2:-1] + (p.shape[-1] - half,), dtype=complex)
         _matmul(p[..., 1:2 * half:2], p[..., 0:2 * half:2], out=level[..., :half])
         level[..., half:] = p[..., 2 * half:]
         p = level

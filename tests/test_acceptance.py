@@ -13,7 +13,8 @@ from holonomy_sim.experiments import (ExperimentConfig,
                                       compare_positive_vs_zero_energy, sweep,
                                       write_csv)
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
-                                       gate_hamiltonian, project_dfs, total_z)
+                                       exchange_hamiltonian, gate_hamiltonian, project_dfs,
+                                       total_z)
 from holonomy_sim.holonomy import berry_closed_form, berry_numeric
 from holonomy_sim.propagation import propagate_adiabatic, propagate_lab
 
@@ -155,15 +156,13 @@ def test_criterion_6_invariant_suites():
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
     gap_ok = worst_gap <= 1e-10
 
-    # symmetry and projection of the physical generator
+    # symmetry and projection of the four-qubit exchange model
     z = total_z()
     worst_comm, worst_proj = 0.0, 0.0
     for j12 in (0.3, 1.0, 2.7):
         for j13 in (0.3, 1.0, 2.7):
-            spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0),
-                            j12=j12, j13=j13)
             for ph in np.linspace(0.0, 2 * PI, 20):
-                h = gate_hamiltonian(spec, ph / (2 * PI))  # drive phase ph at T = 1
+                h = exchange_hamiltonian(j12, j13, ph)
                 worst_comm = max(worst_comm, float(np.max(np.abs(h @ z - z @ h))))
                 block, leak = project_dfs(h)
                 th = math.atan2(j13, j12)

@@ -66,11 +66,6 @@ class TestConfigValidation:
                              control=PulseTrain(ControlKind.NO_CONTROL),
                              sweep_variable="bogus", grid=(1.0,))
 
-    def test_physical_four_rejected(self):
-        gate = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(A_REF, 1.0), j12=1.0, j13=0.5)
-        with pytest.raises(ValueError, match="physical_four"):
-            replace(runtime_config(), gate=gate)
-
     # the control kind is checked when the config is built, not when it runs
     def test_runtime_requires_no_control(self):
         with pytest.raises(ValueError, match="no experiment takes sweep_variable 'T' with a "

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from holonomy_sim.hamiltonians import (DFS_INDICES, PAULI_Z, GateKind, GateSpec, Schedule,
-                                       _pauli_on, dark_states, gate_generators,
-                                       gate_hamiltonian, project_dfs, total_z)
+                                       _pauli_on, dark_states, exchange_hamiltonian,
+                                       gate_generators, gate_hamiltonian, project_dfs,
+                                       total_z)
 from holonomy_sim.qcore import hermiticity_defect
 
 
 def generator(kind, s, t):
     return gate_hamiltonian(GateSpec(kind, s), t)
-
-
-def physical_at(spec, ph):
-    """The physical_four generator at drive phase ph of a T = 1 schedule."""
-    return gate_hamiltonian(spec, ph / (2 * math.pi))
 
 
 def scaled_reference(j12, j13, ph):
@@ -142,19 +138,18 @@ class TestCPhaseHamiltonian:
 
 def test_all_builders_hermitian(rng):
     s = Schedule(1.1, 1.0)
-    spec = GateSpec(GateKind.PHYSICAL_FOUR, s, j12=1.3, j13=0.4)
     for t in rng.uniform(0, 1, size=50):
         assert hermiticity_defect(generator(GateKind.PHASE, s, t)) <= 1e-13
         assert hermiticity_defect(generator(GateKind.XGATE, s, t)) <= 1e-13
         assert hermiticity_defect(generator(GateKind.CPHASE, s, t)) <= 1e-13
-        assert hermiticity_defect(gate_hamiltonian(spec, t)) <= 1e-13
+        assert hermiticity_defect(exchange_hamiltonian(1.3, 0.4, s.phi(t))) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_generator_stack_equals_the_hamiltonian_block_at_each_time(kind, rng):
-    spec = GateSpec(kind, Schedule(0.9, 2.0), j12=1.3, j13=0.4)
+    spec = GateSpec(kind, Schedule(0.9, 2.0))
     ts = np.sort(rng.uniform(0.0, 2.0, size=37))
-    levels, _, stack = gate_generators(spec, ts)
+    levels, stack = gate_generators(spec, ts)
     assert stack.shape == (len(ts), len(levels), len(levels))
     for t, h in zip(ts, stack):
         assert np.array_equal(h, gate_hamiltonian(spec, t)[np.ix_(levels, levels)])
@@ -189,47 +184,47 @@ class TestDarkStates:
                     worst = max(worst, float(np.linalg.norm(h @ d)))
         assert worst <= 1e-13
 
-    def test_physical_kind_rejected(self):
-        spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0)
-        with pytest.raises(ValueError, match="logical"):
-            dark_states(spec, 0.0)
-
 
 class TestPhysicalHamiltonian:
     def test_commutes_with_total_z(self):
         z = total_z()
-        spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=1.0)
         for ph in np.linspace(0, 2 * math.pi, 17):
-            h = physical_at(spec, ph)
+            h = exchange_hamiltonian(1.0, 1.0, ph)
             assert np.max(np.abs(h @ z - z @ h)) <= 1e-13
 
     def test_unit_couplings_project_to_sqrt2_lambda_block(self):
-        spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=1.0)
-        block, leakage = project_dfs(physical_at(spec, 0.0))
+        block, leakage = project_dfs(exchange_hamiltonian(1.0, 1.0, 0.0))
         np.testing.assert_allclose(block, scaled_reference(1.0, 1.0, 0.0), atol=1e-12)
         assert leakage <= 1e-13
 
     def test_no_ancilla_coupling_when_j13_vanishes(self):
-        spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=0.0)
-        block, _ = project_dfs(physical_at(spec, 0.3))
+        block, _ = project_dfs(exchange_hamiltonian(1.0, 0.0, 0.3))
         assert block[1, 2] == 0.0 and block[2, 1] == 0.0
 
     def test_projection_consistency_over_grid(self):
         worst = 0.0
         for j12 in (0.3, 1.0, 2.7):
             for j13 in (0.3, 1.0, 2.7):
-                spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0),
-                                j12=j12, j13=j13)
                 for ph in np.linspace(0.0, 2 * math.pi, 20):
-                    block, leakage = project_dfs(physical_at(spec, ph))
+                    block, leakage = project_dfs(exchange_hamiltonian(j12, j13, ph))
                     dev = np.max(np.abs(block - scaled_reference(j12, j13, ph)))
                     worst = max(worst, float(dev), leakage)
         assert worst <= 1e-11
 
     def test_leakage_out_of_block_is_zero(self):
-        spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=0.7, j13=1.9)
-        _, leakage = project_dfs(physical_at(spec, 1.1))
+        _, leakage = project_dfs(exchange_hamiltonian(0.7, 1.9, 1.1))
         assert leakage <= 1e-13
+
+    def test_phase_array_matches_scalar_calls_and_is_cubic(self, rng):
+        j12, j13 = 1.3, 0.4
+        phases = rng.uniform(0.0, 2 * math.pi, size=(3, 5))
+        hs = exchange_hamiltonian(j12, j13, phases)
+        assert hs.shape == (3, 5, 16, 16)
+        for idx in np.ndindex(*phases.shape):
+            assert np.array_equal(hs[idx], exchange_hamiltonian(j12, j13, phases[idx]))
+        assert hermiticity_defect(hs) <= 1e-13
+        s = math.hypot(j12, j13)
+        assert np.max(np.abs(hs @ hs @ hs - s ** 2 * hs)) <= 1e-12
 
     def test_project_zero_operator(self):
         block, leakage = project_dfs(np.zeros((16, 16), dtype=complex))
@@ -252,11 +247,6 @@ def test_dfs_indices_are_four_distinct_states_of_one_excitation_count():
     assert len({bin(i).count("1") for i in DFS_INDICES}) == 1
     # one excitation count is one total-Z eigenvalue: the block is decoherence free
     assert len({total_z()[i, i] for i in DFS_INDICES}) == 1
-
-
-def test_gate_spec_requires_couplings_for_physical():
-    with pytest.raises(ValueError, match="j12"):
-        GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0))
 
 
 def test_project_dfs_rejects_wrong_shape():

@@ -8,9 +8,7 @@ from holonomy_sim.hamiltonians import GateKind, Schedule
 from holonomy_sim.holonomy import (PhaseUndefinedError, bessel_j0,
                                    berry_closed_form, berry_numeric,
                                    evaluate_holonomy, extract_phase,
-                                   find_a_for_phase, gate_matrix,
-                                   quality_factor, reachable_phase_range,
-                                   wrap_angle)
+                                   gate_matrix, quality_factor, wrap_angle)
 from holonomy_sim.qcore import unitarity_defect
 
 PI = math.pi
@@ -169,27 +167,8 @@ class TestGateMatrix:
                 assert unitarity_defect(gate_matrix(kind, gamma)) <= 1e-12
 
     def test_physical_kind_rejected(self):
-        with pytest.raises(ValueError):
-            gate_matrix(GateKind.PHYSICAL_FOUR, 1.0)
-
-
-class TestFindAmplitudeForPhase:
-    def test_zero_phase_needs_zero_amplitude(self):
-        assert find_a_for_phase(0.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_paper_values(self):
-        assert abs(find_a_for_phase(PI) - 1.2024) <= 5e-4
-        assert abs(find_a_for_phase(PI / 2) - 0.7605) <= 5e-4
-
-    def test_round_trip(self, rng):
-        lo, hi = reachable_phase_range()
-        for gamma in rng.uniform(lo, hi, size=25):
-            a = find_a_for_phase(float(gamma))
-            assert berry_closed_form(a) == pytest.approx(gamma, abs=1e-9)
-
-    def test_unreachable_phase_rejected_with_range(self):
-        with pytest.raises(ValueError, match="reachable range"):
-            find_a_for_phase(1.5 * PI)
+        with pytest.raises(ValueError, match="no logical gate matrix"):
+            gate_matrix("physical_four", 1.0)
 
 
 def test_evaluate_holonomy_consistent_with_formula(rng):

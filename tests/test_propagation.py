@@ -52,18 +52,15 @@ def sequential_reference(spec, segments, kicks, policy):
     return u
 
 
-PHYSICAL = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=0.7)
-
-
 @pytest.mark.parametrize("spec", [GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
                                   GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)),
-                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)),
-                                  PHYSICAL], ids=lambda spec: spec.kind.value)
+                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))],
+                         ids=lambda spec: spec.kind.value)
 def test_closed_form_step_matches_eigh_exponential(spec, rng):
     ts = rng.uniform(0.0, 1.0, size=8)
     taus = np.concatenate([rng.uniform(-3.0, 3.0, size=6), [math.pi, -math.pi]])
-    levels, s, hs = gate_generators(spec, ts)
-    steps = matexp_cubic_stack(hs, s, taus)
+    levels, hs = gate_generators(spec, ts)
+    steps = matexp_cubic_stack(hs, 1.0, taus)
     for t, tau, step in zip(ts, taus, steps):
         full = np.eye(spec.dim, dtype=complex)
         full[np.ix_(levels, levels)] = step
@@ -156,8 +153,8 @@ def shared_grid_batches(T):
 
 @pytest.mark.parametrize("spec", [GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
                                   GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)),
-                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)),
-                                  PHYSICAL], ids=lambda spec: spec.kind.value)
+                                  GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))],
+                         ids=lambda spec: spec.kind.value)
 def test_batch_is_bit_identical_to_one_run_per_train(spec):
     for batch in shared_grid_batches(1.0):
         results = propagate_lab_batch(spec, batch)
@@ -189,11 +186,11 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(3, n))
     levels, products = _chunked_product(spec, ts, taus)
-    _, s, hs = gate_generators(spec, ts)
+    _, hs = gate_generators(spec, ts)
     assert levels == (1, 2, 3) and products.shape == (3, 3, 3)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, s, taus)))
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
     for row, product in zip(taus, products):
-        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, s, row)))
+        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, 1.0, row)))
 
 
 @pytest.mark.parametrize("rows, width", [(1, CHUNK), (16, CHUNK), (17, 128), (32, 128),
@@ -211,8 +208,8 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, products = _chunked_product(spec, ts, taus)
-    _, s, hs = gate_generators(spec, ts)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, s, taus)))
+    _, hs = gate_generators(spec, ts)
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
 
 
 def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
@@ -228,8 +225,8 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
     mids = np.insert(0.5 * (bounds[1:] + bounds[:-1]), kick_pos, kicks.times)
     taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * np.diff(bounds),
                      kick_pos, KICK_AREA * np.asarray(kicks.signs, dtype=float))
-    levels, s, hs = gate_generators(spec, mids)
-    whole = ordered_product(matexp_cubic_stack(hs, s, taus))
+    levels, hs = gate_generators(spec, mids)
+    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
     u = propagate_lab(spec, segments, kicks, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], whole)
 
@@ -292,13 +289,6 @@ def test_policy_validation():
 def test_policy_rejects_non_finite_max_step(max_step):
     with pytest.raises(ValueError, match="max_step must be positive and finite"):
         StepPolicy(max_step=max_step)
-
-
-def test_physical_four_propagation_is_unitary():
-    spec = GateSpec(GateKind.PHYSICAL_FOUR, Schedule(0.0, 1.0), j12=1.0, j13=1.0)
-    result = propagate_lab(spec, generate_segments(NO_CONTROL, 1.0))
-    assert result.U.shape == (16, 16)
-    assert result.unitarity_defect <= 1e-10
 
 
 class TestAdiabaticHamiltonian:
