@@ -66,6 +66,14 @@ class TestConfigValidation:
                              control=PulseTrain(ControlKind.NO_CONTROL),
                              sweep_variable="bogus", grid=(1.0,))
 
+    # only the logical gates have a model here; the exchange couplings do not
+    # rescue the four-qubit kind, it is named before its keys are read
+    def test_physical_four_rejected(self):
+        data = config_to_dict(runtime_config())
+        data["gate"] = {"kind": "physical_four", "a": A_REF, "T": 1.0, "j12": 1.0, "j13": 0.5}
+        with pytest.raises(ValueError, match="physical_four"):
+            config_from_dict(data)
+
     # the control kind is checked when the config is built, not when it runs
     def test_runtime_requires_no_control(self):
         with pytest.raises(ValueError, match="no experiment takes sweep_variable 'T' with a "

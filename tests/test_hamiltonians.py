@@ -215,8 +215,9 @@ class TestPhysicalHamiltonian:
         _, leakage = project_dfs(exchange_hamiltonian(0.7, 1.9, 1.1))
         assert leakage <= 1e-13
 
-    def test_phase_array_matches_scalar_calls_and_is_cubic(self, rng):
-        j12, j13 = 1.3, 0.4
+    # j13 = 0 and j12 = 0 are the edges theta = 0 and theta = pi/2 of s = hypot(j12, j13)
+    @pytest.mark.parametrize("j12, j13", [(1.3, 0.4), (0.7, 1.9), (1.0, 0.0), (0.0, 2.0)])
+    def test_phase_array_matches_scalar_calls_and_is_cubic(self, j12, j13, rng):
         phases = rng.uniform(0.0, 2 * math.pi, size=(3, 5))
         hs = exchange_hamiltonian(j12, j13, phases)
         assert hs.shape == (3, 5, 16, 16)
@@ -230,6 +231,17 @@ class TestPhysicalHamiltonian:
         block, leakage = project_dfs(np.zeros((16, 16), dtype=complex))
         np.testing.assert_array_equal(block, np.zeros((4, 4)))
         assert leakage == 0.0
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_spec_dim_is_the_space_every_builder_returns(kind):
+    spec = GateSpec(kind, Schedule(0.9, 2.0))
+    assert spec.dim == (16 if kind is GateKind.CPHASE else 4)
+    assert gate_hamiltonian(spec, 0.7).shape == (spec.dim, spec.dim)
+    assert all(d.shape == (spec.dim,) for d in dark_states(spec, 0.7))
+    levels, stack = gate_generators(spec, [0.7])
+    assert len(set(levels)) == 3 and all(0 <= i < spec.dim for i in levels)
+    assert stack.shape == (1, 3, 3)
 
 
 def test_qubit_one_is_the_most_significant_bit():

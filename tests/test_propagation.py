@@ -6,15 +6,16 @@ import pytest
 
 from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, KickSchedule,
                                   PulseTrain, Segments, generate_segments, make_kicks)
-from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
-                                       gate_generators, gate_hamiltonian)
+from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule,
+                                       dark_states, exchange_hamiltonian, gate_generators,
+                                       gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
 from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, StepPolicy,
                                       _block_width, _chunked_product, _step_grid,
                                       adiabatic_hamiltonian, propagate_adiabatic,
                                       propagate_lab, propagate_lab_batch)
-from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
-                                matexp_hermitian, ordered_product)
+from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
+                                matexp_hermitian_stack, ordered_product, unitarity_defect)
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -276,6 +277,29 @@ def test_step_boundaries_align_with_segments():
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     result = propagate_lab(spec, segments)
     assert result.unitarity_defect <= 1e-10
+
+
+@pytest.mark.parametrize("j12, j13", [(1.0, 0.7), (0.3, 2.7), (1.0, 0.0), (0.0, 2.0)])
+def test_exchange_model_evolution_stays_in_the_dfs_as_the_scaled_block(j12, j13):
+    # one drive period of the 16-dim exchange model, exponentiated by eigh, is
+    # the evolution of its 4-dim DFS block in closed form with s = hypot(j12, j13):
+    # why the lambda block is the only model propagated
+    n = 64
+    varphis = 2 * math.pi * (np.arange(n) + 0.5) / n
+    taus = np.full(n, 1.0 / n)
+    hs = exchange_hamiltonian(j12, j13, varphis)
+    u = ordered_product(matexp_hermitian_stack(hs, taus))
+    assert unitarity_defect(u) <= 1e-12
+    z = total_z()
+    assert np.max(np.abs(u @ z - z @ u)) <= 1e-12
+    blocks, leaks = zip(*(project_dfs(h) for h in hs))
+    assert max(leaks) <= 1e-13
+    block_u = ordered_product(matexp_cubic_stack(np.stack(blocks), math.hypot(j12, j13),
+                                                 taus))
+    idx = list(DFS_INDICES)
+    outside = [i for i in range(16) if i not in DFS_INDICES]
+    np.testing.assert_allclose(u[np.ix_(idx, idx)], block_u, atol=1e-12)
+    assert np.max(np.abs(u[np.ix_(outside, idx)])) <= 1e-12
 
 
 def test_policy_validation():
