@@ -204,12 +204,17 @@ def gate_generators(spec: GateSpec, ts):
     zero elsewhere (see :func:`gate_hamiltonian`).
     """
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
-    th, phi = spec.schedule.theta(ts), spec.schedule.phi(ts)
+    s = spec.schedule
+    # phi and theta as Schedule.phi and Schedule.theta give them, checking ts once
+    phi = TWO_PI * s._check_t(ts) / s.T
+    th = s.a * np.sin(phi)
+    cos_th, e = np.cos(th), np.exp(-1j * phi)
     # built as planes (3, 3, n), the memory qcore multiplies stacks in
     planes = np.zeros((3, 3, len(phi)), dtype=complex)
     planes[0, 1] = planes[1, 0] = np.sin(th)
-    planes[2, 1] = np.cos(th) * np.exp(-1j * phi)
-    planes[1, 2] = np.cos(th) * np.exp(1j * phi)
+    np.multiply(cos_th, e, out=planes[2, 1])
+    # conj(exp(-i phi)) has the bits of exp(+i phi): cos is even, sin odd
+    np.multiply(cos_th, np.conjugate(e), out=planes[1, 2])
     return (lo, anc, hi), np.moveaxis(planes, -1, 0)
 
 

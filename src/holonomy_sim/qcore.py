@@ -4,11 +4,13 @@ Everything here is a pure function on numpy arrays: states are 1-d complex
 vectors, operators are square complex matrices.  General Hermitian
 exponentials go through the eigendecomposition; generators with H^3 = s^2 H
 (a spectrum of -s, 0 and +s only, as every gate generator here has) use
-the exact closed form instead.  Either way every propagation step is
-unitary up to rounding -- long runs take 1e5-1e6 steps and must not
-accumulate unitarity drift.  Time-ordered products of a step stack are
-reduced pairwise; both the closed form and the product carry leading batch
-axes, so several trains share one call.
+the exact closed form instead, built from the planes of H that are nonzero
+somewhere in the stack (4 of 9 for a lambda block, whose H^2 has the other
+5).  Either way every propagation step is unitary up to rounding -- long
+runs take 1e5-1e6 steps and must not accumulate unitarity drift.
+Time-ordered products of a step stack are reduced pairwise; both the
+closed form and the product carry leading batch axes, so several trains
+share one call.
 
 Stacks are multiplied as *planes*: an array of shape (d, d, ..., n) in
 which entry (i, j) of every matrix is one contiguous array.  A product of
@@ -107,6 +109,14 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     (d, d, ..., n) (see the module docstring).  The caller vouches
     for h^3 = s^2 h; Hermiticity and non-finite entries are still rejected
     as in :func:`matexp_hermitian_stack`.
+
+    Only planes that are nonzero somewhere in hs enter: h^2[i, j] sums
+    h[i, k] h[k, j] over the k, ascending, whose two planes are both
+    nonzero, and each output plane takes b h^2 and a h only where those
+    planes exist.  A skipped term is a product with a zero, so it could
+    change only the sign of a zero; the final + I over every plane turns
+    each -0 into +0, so the result has the bits of the dense sum over all
+    d^3 products.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"spectral radius s must be positive and finite, got {s}")
@@ -116,11 +126,24 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray) -> np.ndarray
     b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
     h = _planes(hs)
     d = h.shape[0]
-    sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex))
-    # the (d, d, n) planes broadcast against the batch axes of taus
-    batch = (slice(None), slice(None)) + (None,) * (x.ndim - 1)
-    out = np.multiply(b, sq[batch], out=np.empty((d, d) + x.shape, dtype=complex))
-    out += a * h[batch]
+    nonzero = np.any(hs, axis=-3).tolist()
+    # each (n,) plane of h broadcasts against the (..., n) planes of out
+    out = np.empty((d, d) + x.shape, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            ks = [k for k in range(d) if nonzero[i][k] and nonzero[k][j]]
+            if ks:
+                sq = h[i, ks[0]] * h[ks[0], j]
+                for k in ks[1:]:
+                    sq += h[i, k] * h[k, j]
+                np.multiply(b, sq, out=out[i, j])
+                if nonzero[i][j]:
+                    out[i, j] += a * h[i, j]
+            elif nonzero[i][j]:
+                np.multiply(a, h[i, j], out=out[i, j])
+            else:
+                out[i, j] = 0.0
+    # adding I everywhere also turns every -0 into +0, as the dense sum did
     out += np.eye(d).reshape((d, d) + (1,) * x.ndim)
     return _matrices(out)
 

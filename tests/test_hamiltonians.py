@@ -155,6 +155,23 @@ def test_generator_stack_equals_the_hamiltonian_block_at_each_time(kind, rng):
         assert np.array_equal(h, gate_hamiltonian(spec, t)[np.ix_(levels, levels)])
 
 
+@pytest.mark.parametrize("a", [0.7605, 0.0])
+def test_generator_planes_have_the_bits_of_the_drive_formulas(a, rng):
+    T = 0.37
+    ts = np.concatenate([[0.0, T / 4, T / 2, T], rng.uniform(0.0, T, size=100_000)])
+    phi = 2 * math.pi * ts / T
+    th = a * np.sin(phi)
+    expected = np.zeros((len(ts), 3, 3), dtype=complex)
+    expected[:, 0, 1] = expected[:, 1, 0] = np.sin(th)
+    expected[:, 2, 1] = np.cos(th) * np.exp(-1j * phi)
+    expected[:, 1, 2] = np.cos(th) * np.exp(1j * phi)
+    for kind in GateKind:
+        _, stack = gate_generators(GateSpec(kind, Schedule(a, T)), ts)
+        # the uint64 view also compares the signs of zeros
+        assert np.array_equal(np.ascontiguousarray(stack).view(np.uint64),
+                              expected.view(np.uint64)), kind
+
+
 class TestDarkStates:
     def test_phase_dark_state_at_t0_is_level_one(self):
         spec = GateSpec(GateKind.PHASE, Schedule(0.7605, 1.0))

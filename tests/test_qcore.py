@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack,
-                                matexp_hermitian, matexp_hermitian_stack,
+from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, exchange_hamiltonian,
+                                       gate_generators)
+from holonomy_sim.qcore import (_matmul, _matrices, _planes, hermiticity_defect,
+                                matexp_cubic_stack, matexp_hermitian, matexp_hermitian_stack,
                                 ordered_product, unitarity_defect)
 
 from conftest import random_hermitian
@@ -212,3 +214,53 @@ def test_hermiticity_defect():
     assert hermiticity_defect(stack) == 2.0
     assert hermiticity_defect(stack.reshape(3, 1, 2, 2)) == 2.0
     assert hermiticity_defect(np.zeros((0, 3, 3), dtype=complex)) == 0.0
+
+
+def _dense_closed_form(hs, s, taus):
+    """The closed form over every plane: all d^3 products of h^2, then b h^2 + a h + I
+    as whole (d, d, ...) arrays -- the reference the zero-plane skipping must match."""
+    x = s * np.asarray(taus, dtype=float)
+    a = (-1j / s) * np.sin(x)
+    b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
+    h = _planes(hs)
+    d = h.shape[0]
+    sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex))
+    batch = (slice(None), slice(None)) + (None,) * (x.ndim - 1)
+    return _matrices(b * sq[batch] + a * h[batch] + np.eye(d).reshape((d, d) + (1,) * x.ndim))
+
+
+def _bits(u):
+    # np.array_equal has -0.0 == +0.0; the uint64 view tells them apart
+    return np.ascontiguousarray(u).view(np.uint64)
+
+
+def _cubic_cases(rng):
+    """(name, stack, s, nonzero planes of the stack) for the closed-form bit tests."""
+    # t = 0, T/2 and T put sin(theta) at exactly +-0 even for a > 0
+    ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=61)])
+    for a in (0.7605, 0.0):
+        for kind in GateKind:
+            stack = gate_generators(GateSpec(kind, Schedule(a, 1.0)), ts)[1]
+            # a = 0: sin(theta) == 0 everywhere leaves the lo<->anc planes zero
+            yield f"{kind.value}-a{a}", stack, 1.0, 4 if a else 2
+    s = 1.7
+    qs, _ = np.linalg.qr(rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3)))
+    yield "spin-one", (qs * [-s, 0.0, s]) @ qs.conj().transpose(0, 2, 1), s, 9
+    j12, j13 = 1.3, 0.4
+    stack = exchange_hamiltonian(j12, j13, 2 * math.pi * ts)
+    yield "exchange", stack, math.hypot(j12, j13), None
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_cubic_stack_has_the_bits_of_the_dense_closed_form(batch, rng):
+    for name, stack, s, planes in _cubic_cases(rng):
+        n = len(stack)
+        if planes is not None:
+            assert np.count_nonzero(np.any(stack, axis=0)) == planes, name
+        # steps of either sign, zero, pi kicks and s * tau beyond pi, where a and b
+        # change sign and products with zero planes give -0.0
+        taus = rng.uniform(-7.0, 7.0, size=batch + (n,)) / s
+        taus[..., :4] = [0.0, math.pi / s, -math.pi / s, 4.0 / s]
+        got = matexp_cubic_stack(stack, s, taus)
+        assert got.shape == batch + (n,) + stack.shape[1:], name
+        assert np.array_equal(_bits(got), _bits(_dense_closed_form(stack, s, taus))), name
