@@ -7,9 +7,8 @@ adiabatic-frame cross-check, and sweep experiments with seeded,
 reproducible noise.
 """
 from ._version import __version__
-from .control import (ControlKind, KickSchedule, PulseTrain, Segments,
-                      generate_segments, integral_C, make_kicks, mean_control,
-                      net_area, resonance_condition)
+from .control import (ControlKind, PulseTrain, Segments, generate_segments, integral_C,
+                      mean_control, net_area, resonance_condition)
 from .experiments import (ExperimentConfig, KickEquivalenceReport,
                           RealizationRecord, SweepResult, SweepRow,
                           compare_positive_vs_zero_energy, config_from_dict,
@@ -34,9 +33,8 @@ __all__ = [
     "GateKind", "GateSpec", "Schedule", "project_dfs", "dark_states",
     "exchange_hamiltonian", "gate_generators", "gate_hamiltonian", "total_z",
     # control
-    "ControlKind", "PulseTrain", "Segments", "KickSchedule",
-    "generate_segments", "integral_C", "mean_control", "net_area",
-    "resonance_condition", "make_kicks",
+    "ControlKind", "PulseTrain", "Segments", "generate_segments",
+    "integral_C", "mean_control", "net_area", "resonance_condition",
     # propagation
     "StepPolicy", "PropagationResult", "propagate_lab", "propagate_lab_batch",
     "propagate_adiabatic", "adiabatic_hamiltonian",

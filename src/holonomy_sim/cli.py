@@ -33,8 +33,7 @@ from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
                       generate_segments, integral_C, resonance_condition)
 from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
-                          json_text, sweep, train_schedule, write_csv, write_json,
-                          write_json_bundle)
+                          json_text, sweep, write_csv, write_json, write_json_bundle)
 from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_hamiltonian,
                            gate_generators, gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
@@ -89,13 +88,13 @@ def cmd_gate(args) -> int:
         if args.control:
             text = args.control if args.control.strip().startswith("{") else _read(args.control)
             train = control_from_dict(_loads(text))
-        segments, kicks = train_schedule(train, args.T)
+        segments = generate_segments(train, args.T)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: invalid control: {exc}", file=sys.stderr)
         return 2
 
     try:
-        result = propagate_lab(spec, segments, kicks=kicks, policy=policy)
+        result = propagate_lab(spec, segments, policy)
     except ValueError as exc:
         print(f"error: gate run failed: {exc}", file=sys.stderr)
         return 2
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gate = sub.add_parser("gate", help="run one gate propagation")
-    gate.add_argument("--kind", required=True, choices=["phase", "xgate", "cphase"])
+    gate.add_argument("--kind", required=True, choices=[k.value for k in GateKind])
     gate.add_argument("--a", type=float, required=True, help="drive amplitude")
     gate.add_argument("--T", type=float, required=True, help="cycle period")
     gate.add_argument("--control", help="control train as JSON (inline or file path)")

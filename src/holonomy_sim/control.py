@@ -3,9 +3,9 @@
 The dynamics only sees the running integral C(t) = int_0^t [1 + c(s)] ds,
 so very different pulse shapes (strong positive squares, zero-mean
 alternating squares, even delta kicks) act identically whenever their
-integrals agree modulo 2*pi.  This module generates the piecewise-constant
-trains (as Segments: edges plus values) and delta-kick schedules, and
-computes their integrals and areas.
+integrals agree modulo 2*pi.  This module lays out every train as one
+Segments -- piecewise-constant values over edges, plus delta kicks -- and
+computes its integral and areas.
 
 Randomness is drawn from numpy's PCG64 seeded through SeedSequence, one
 fresh uniform r per (on-)segment in time order, so a (kind, J, dt, p, seed,
@@ -15,6 +15,7 @@ RNG_DESCRIPTION documents the exact scheme for run manifests.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -47,7 +48,6 @@ class ControlKind(enum.Enum):
     DELTA_KICK_ALTERNATING = "delta_kick_alternating"
 
 
-SQUARE_KINDS = (ControlKind.POSITIVE_SQUARE, ControlKind.ZERO_ENERGY_ALTERNATING)
 KICK_KINDS = (ControlKind.DELTA_KICK_POSITIVE, ControlKind.DELTA_KICK_ALTERNATING)
 
 
@@ -85,19 +85,26 @@ class PulseTrain:
 
 @dataclass(frozen=True)
 class Segments:
-    """Piecewise-constant c(t): values[k] on [edges[k], edges[k + 1]].
+    """The realized c(t) of a train: piecewise-constant values plus delta kicks.
 
-    The edges start at 0 and ascend strictly, so they tile [0, span] with
-    no gap or overlap; every edge and value is finite.  Both fields are
-    stored as tuples of floats, so equal trains compare and hash equal.
+    values[k] holds on [edges[k], edges[k + 1]]; the edges start at 0 and
+    ascend strictly, so they tile [0, span] with no gap or overlap.  Kick i
+    adds a delta of area kick_signs[i] * KICK_AREA at kick_times[i]; the
+    instants ascend strictly inside (0, span) and the signs are +-1.
+    Segments(edges, values) has no kicks.  Every number is finite, and all
+    fields are stored as tuples, so equal trains compare and hash equal.
     """
 
     edges: tuple
     values: tuple
+    kick_times: tuple = ()
+    kick_signs: tuple = ()
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        times = np.asarray(self.kick_times, dtype=float)
+        signs = np.asarray(self.kick_signs)
         if (edges.ndim != 1 or values.ndim != 1 or not len(values)
                 or len(edges) != len(values) + 1):
             raise ValueError(f"need n + 1 edges for n >= 1 values, got "
@@ -106,12 +113,23 @@ class Segments:
             raise ValueError("segment edges and values must be finite")
         if edges[0] != 0.0:
             raise ValueError(f"segments must start at 0, got {edges[0]}")
-        with np.errstate(over="ignore"):  # an overflowing step is -inf or +inf
-            ascending = np.all(np.diff(edges) > 0.0)
-        if not ascending:
+        if not np.all(edges[1:] > edges[:-1]):
             raise ValueError("segment edges must ascend strictly")
+        if times.ndim != 1 or signs.shape != times.shape:
+            raise ValueError(f"kick times and signs must have equal length, got "
+                             f"{np.shape(times)} times and {np.shape(signs)} signs")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("kick times must be finite")
+        if not np.all(times[1:] > times[:-1]):
+            raise ValueError("kick times must be strictly ascending")
+        if not np.all((signs == 1) | (signs == -1)):
+            raise ValueError("kick signs must be +-1")
+        if len(times) and not (0.0 < times[0] and times[-1] < edges[-1]):
+            raise ValueError("kick instants must lie strictly inside (0, span)")
         object.__setattr__(self, "edges", tuple(edges.tolist()))
         object.__setattr__(self, "values", tuple(values.tolist()))
+        object.__setattr__(self, "kick_times", tuple(times.tolist()))
+        object.__setattr__(self, "kick_signs", tuple(signs.astype(int).tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -119,27 +137,6 @@ class Segments:
     @property
     def span(self) -> float:
         return self.edges[-1]
-
-
-@dataclass(frozen=True)
-class KickSchedule:
-    """Delta kicks of area KICK_AREA: ascending instants in (0, T), signs +-1.
-
-    KickSchedule() is the empty schedule, a train without kicks.
-    """
-
-    times: tuple = ()
-    signs: tuple = ()
-
-    def __post_init__(self):
-        if len(self.times) != len(self.signs):
-            raise ValueError("times and signs must have equal length")
-        if not all(math.isfinite(t) for t in self.times):
-            raise ValueError("kick times must be finite")
-        if any(t1 >= t2 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("kick times must be strictly ascending")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +-1")
 
 
 def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
@@ -156,20 +153,24 @@ def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
 
 
 def generate_segments(train: PulseTrain, T: float) -> Segments:
-    """Tile [0, T] with the train's piecewise-constant c(t).
+    """The train's realized c(t) over [0, T]: the one layout of every kind.
 
     POSITIVE_SQUARE alternates [on, off] segments of length dt (duty 50%),
     a fresh random amplitude per on-segment.  ZERO_ENERGY_ALTERNATING flips
-    the sign each segment, fresh amplitude per segment.  NO_CONTROL and the
-    delta-kick kinds give a single zero segment (kicks live in a
-    KickSchedule, not in segments).  Edge k is k*dt, the last one min(n*dt, T).
+    the sign each segment, fresh amplitude per segment.  Edge k is k*dt, the
+    last one min(n*dt, T).  NO_CONTROL is a single zero segment, and the
+    delta-kick kinds are that segment plus the kicks of _make_kicks at
+    spacing dt with jitter p/2, seeded by train.seed.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    if train.kind in SQUARE_KINDS and train.dt >= T:
-        raise ValueError(f"dt {train.dt} must be smaller than T {T}")
-    if train.kind is ControlKind.NO_CONTROL or train.kind in KICK_KINDS:
+    if train.kind is ControlKind.NO_CONTROL:
         return Segments((0.0, T), (0.0,))
+    if train.dt >= T:
+        raise ValueError(f"dt {train.dt} must be smaller than T {T}")
+    if train.kind in KICK_KINDS:
+        return Segments((0.0, T), (0.0,),
+                        *_make_kicks(train.kind, T, train.dt, train.seed, train.p / 2.0))
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train.seed)))
     starts = _multiples_below(train.dt, T, 0)
@@ -184,7 +185,7 @@ def generate_segments(train: PulseTrain, T: float) -> Segments:
 
 
 def integral_C(segments: Segments, t: float) -> float:
-    """C(t) = int_0^t [1 + c(s)] ds, exact for piecewise-constant c."""
+    """C(t) = int_0^t [1 + c(s)] ds, exact; a kick at an instant <= t adds sign*KICK_AREA."""
     span = segments.span
     tol = 1e-9 * max(span, 1.0)
     if not -tol <= t <= span + tol:
@@ -192,18 +193,20 @@ def integral_C(segments: Segments, t: float) -> float:
     t = min(max(t, 0.0), span)
     edges = np.asarray(segments.edges)
     covered = np.clip(t - edges[:-1], 0.0, np.diff(edges))
-    return sum(((1.0 + np.asarray(segments.values)) * covered).tolist())
+    kicked = bisect.bisect_right(segments.kick_times, t)
+    smooth = sum(((1.0 + np.asarray(segments.values)) * covered).tolist())
+    return smooth + KICK_AREA * sum(segments.kick_signs[:kicked])
 
 
 def mean_control(segments: Segments) -> float:
-    """(1/T) * int c dt over the tiled span, including off intervals."""
+    """(1/T) * int c dt over the tiled span, including off intervals and kicks."""
     return net_area(segments) / segments.span
 
 
-def net_area(segments: Segments, kicks: KickSchedule = KickSchedule()) -> float:
+def net_area(segments: Segments) -> float:
     """int c dt -- the net energy-cost proxy.  Delta kicks add sign*KICK_AREA each."""
     total = sum((np.asarray(segments.values) * np.diff(segments.edges)).tolist())
-    return total + KICK_AREA * sum(kicks.signs)
+    return total + KICK_AREA * sum(segments.kick_signs)
 
 
 def resonance_condition(J: float, dt: float):
@@ -217,28 +220,19 @@ def resonance_condition(J: float, dt: float):
     return abs(J * dt - TWO_PI * n) <= RESONANCE_TOL, n
 
 
-def make_kicks(kind: ControlKind, T: float, interval: float, seed: int = 0,
-               jitter: float = 0.0) -> KickSchedule:
-    """Kick instants on a jittered grid i*interval, i = 1, 2, ... inside (0, T).
+def _make_kicks(kind: ControlKind, T: float, interval: float, seed: int, jitter: float):
+    """(times, signs) of kicks on a jittered grid i*interval, i = 1, 2, ... inside (0, T).
 
     jitter in [0, 1] displaces each instant by uniform(-1/2, 1/2) * jitter *
     interval, which keeps the times strictly ascending.  Signs are all +1
     for the positive kind and alternate starting at +1 for the zero-energy
     kind.
     """
-    if kind not in KICK_KINDS:
-        raise ValueError(f"not a delta-kick kind: {kind}")
-    if not 0.0 < interval < T:
-        raise ValueError(f"interval must lie in (0, T), got {interval}")
-    if not 0.0 <= jitter <= 1.0:
-        raise ValueError(f"jitter must lie in [0, 1], got {jitter}")
     times = _multiples_below(interval, T, 1)
     if jitter > 0.0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         times = times + interval * jitter * (rng.random(len(times)) - 0.5)
     times = times[(0.0 < times) & (times < T)]
     if kind is ControlKind.DELTA_KICK_POSITIVE:
-        signs = np.ones(len(times), dtype=int)
-    else:
-        signs = (-1) ** np.arange(len(times))
-    return KickSchedule(tuple(times.tolist()), tuple(signs.tolist()))
+        return times, np.ones(len(times), dtype=int)
+    return times, (-1) ** np.arange(len(times))

@@ -13,7 +13,8 @@ differ at most in the amplitude J.  Such realizations share their segment
 edges, so a job builds its trains and propagates them as one batch.  A run
 of n realizations is split into ceil(n / MAX_BATCH) jobs of nearly equal
 size: the whole mean-control sweep is one run, while a runtime or dt sweep,
-whose grid value moves the step grid, has one run per grid point.
+whose grid value moves the step grid, has one run per grid point.  Every
+train, kicks included, is laid out by control.generate_segments.
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ from itertools import groupby
 import numpy as np
 
 from ._version import __version__
-from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, KickSchedule,
-                      PulseTrain, generate_segments, make_kicks, mean_control,
-                      net_area, resonance_condition)
+from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, PulseTrain,
+                      generate_segments, mean_control, net_area, resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
@@ -56,6 +56,12 @@ class ExperimentConfig:
         if experiment == "kick-equivalence" and len(self.grid) != 1:
             raise ValueError(f"kick-equivalence takes one grid value, the kick spacing, "
                              f"got {len(self.grid)}")
+        if experiment == "mean-control":
+            T, dt = self.gate.schedule.T, self.control.dt
+            ratio = T / dt
+            off = ratio % 1.0  # nan when T / dt overflows
+            if not min(off, 1.0 - off) <= 1e-9 * ratio:
+                raise ValueError(f"dt {dt} does not divide T {T}")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:
@@ -164,19 +170,6 @@ def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
     return tuple(rows)
 
 
-def train_schedule(train: PulseTrain, T: float):
-    """(segments, kicks) of a train over [0, T]: the one place a train is laid out.
-
-    Delta-kick kinds put their events in a kick schedule (interval = dt,
-    jitter = p/2, seeded by train.seed) over a zero base segment; the other
-    kinds get the empty KickSchedule().
-    """
-    segments = generate_segments(train, T)
-    if train.kind not in KICK_KINDS:
-        return segments, KickSchedule()
-    return segments, make_kicks(train.kind, T, train.dt, seed=train.seed, jitter=train.p / 2.0)
-
-
 def _jobs(cfg: ExperimentConfig, points) -> list:
     """The sweep's jobs: lists of (j, k) realizations, in (j, k) order.
 
@@ -197,12 +190,12 @@ def _job_records(cfg, gamma_ideal, points, job):
     """The records of one job, whose trains share their edges: one batch."""
     spec = points[job[0][0]][0]
     seeds = [realization_seed(cfg.master_seed, j, k) for j, k in job]
-    trains = [train_schedule(replace(points[j][1], seed=seed), spec.schedule.T)
+    trains = [generate_segments(replace(points[j][1], seed=seed), spec.schedule.T)
               for (j, _), seed in zip(job, seeds)]
     results = propagate_lab_batch(spec, trains, cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
     records = []
-    for (j, k), seed, (segments, _), result in zip(job, seeds, trains, results):
+    for (j, k), seed, segments, result in zip(job, seeds, trains, results):
         hol = evaluate_holonomy(result.U, dark, gamma_ideal)
         measured = None
         if cfg.control.kind is not ControlKind.NO_CONTROL:
@@ -216,11 +209,8 @@ def _job_records(cfg, gamma_ideal, points, job):
 
 
 def _mean_control_point(cfg: ExperimentConfig, target: float):
-    # at duty 50% the per-segment random factor averages to 1, so J = 2 * target
-    T = cfg.gate.schedule.T
-    ratio = T / cfg.control.dt
-    if abs(ratio - round(ratio)) > 1e-9 * ratio:
-        raise ValueError(f"dt {cfg.control.dt} does not divide T {T}")
+    # at duty 50% the per-segment random factor averages to 1, so J = 2 * target;
+    # ExperimentConfig has checked that dt divides T
     return cfg.gate, replace(cfg.control, J=2.0 * target)
 
 
@@ -280,20 +270,17 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
         raise ValueError(f"kick comparison requires a delta-kick train, got a "
                          f"{cfg.experiment} config")
     spec, train = EXPERIMENTS[cfg.experiment][2](cfg, cfg.grid[0])
-    T = spec.schedule.T
-    segments, positive = train_schedule(
-        replace(train, kind=ControlKind.DELTA_KICK_POSITIVE, seed=cfg.master_seed), T)
-    _, alternating = train_schedule(
-        replace(train, kind=ControlKind.DELTA_KICK_ALTERNATING, seed=cfg.master_seed), T)
-    res_pos, res_alt = propagate_lab_batch(
-        spec, [(segments, positive), (segments, alternating)], cfg.policy)
+    positive, alternating = (
+        generate_segments(replace(train, kind=kind, seed=cfg.master_seed), spec.schedule.T)
+        for kind in KICK_KINDS)
+    res_pos, res_alt = propagate_lab_batch(spec, [positive, alternating], cfg.policy)
     dark = dark_states(spec, 0.0)[-1]
     gamma_ideal = berry_closed_form(spec.schedule.a)
     return KickEquivalenceReport(
-        kick_count=len(positive.times),
+        kick_count=len(positive.kick_times),
         max_unitary_diff=float(np.max(np.abs(res_pos.U - res_alt.U))),
-        net_area_positive=net_area(segments, positive),
-        net_area_alternating=net_area(segments, alternating),
+        net_area_positive=net_area(positive),
+        net_area_alternating=net_area(alternating),
         f_positive=evaluate_holonomy(res_pos.U, dark, gamma_ideal).f,
         f_alternating=evaluate_holonomy(res_alt.U, dark, gamma_ideal).f,
         steps=res_pos.steps_taken + res_alt.steps_taken,

@@ -3,9 +3,10 @@
 Stepping is midpoint-sampled piecewise-constant exponentiation: each step
 applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt).  Step boundaries always
 coincide with control-segment boundaries (square pulses are represented
-without smearing) and with kick instants.  Delta kicks are applied as the
-exact factors exp(-i * sign * pi * H(tau)) (control.KICK_AREA = pi), never
-resolved in time.
+without smearing) and with kick instants.  A train is one control.Segments,
+kicks included; its delta kicks are applied as the exact factors
+exp(-i * sign * pi * H(tau)) (control.KICK_AREA = pi), never resolved in
+time.
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
@@ -27,7 +28,7 @@ The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
 eigenvalue differences are constant, the control enters that frame only
 through the integral C(t) -- the mechanism behind the control scheme's
-insensitivity to pulse details.
+insensitivity to pulse details.  It takes trains without kicks.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import KICK_AREA, MAX_STEPS, KickSchedule, Segments
+from .control import KICK_AREA, MAX_STEPS, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
 from .qcore import (matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
                     unitarity_defect)
@@ -85,21 +86,22 @@ class PropagationResult:
     unitarity_defect: float
 
 
-def _step_grid(segments: Segments, kicks: KickSchedule, policy: StepPolicy):
-    """Step boundaries, the segment of every step, and kick positions.
+def _step_grid(segments: Segments, policy: StepPolicy):
+    """Step boundaries, midpoints and widths, the segment of every step, and kick positions.
 
-    Returns (bounds, seg_idx, kick_pos): step k runs from bounds[k] to
-    bounds[k + 1] inside segment seg_idx[k], and kick_pos[i] is the index
-    of the step that kick i precedes (its instant is bounds[kick_pos[i]]).
-    Only the segment edges and the kick instants enter, so one grid serves
-    every train that shares them.  Raises ValueError, before allocating,
-    when the steps and kicks together exceed MAX_STEPS.
+    Returns (bounds, mids, widths, seg_idx, kick_pos): step k runs from
+    bounds[k] to bounds[k + 1], with midpoint mids[k] and width widths[k],
+    inside segment seg_idx[k], and kick_pos[i] is the index of the step
+    that kick i precedes (its instant is bounds[kick_pos[i]]).  Only the
+    segment edges and the kick instants enter, so one grid serves every
+    train that shares them.  Raises ValueError, before allocating, when the
+    steps and kicks together exceed MAX_STEPS.
     """
     span = segments.span
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
     edges = np.asarray(segments.edges)
     starts, lengths = edges[:-1], np.diff(edges)
-    kick_times = np.asarray(kicks.times, dtype=float)
+    kick_times = np.asarray(segments.kick_times, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing count is inf, rejected below
         counts = np.maximum(policy.substeps_per_segment, np.ceil(lengths / max_step - 1e-9))
     total = counts.sum() + len(kick_times)
@@ -118,12 +120,10 @@ def _step_grid(segments: Segments, kicks: KickSchedule, policy: StepPolicy):
     bounds = np.concatenate([[0.0], np.repeat(starts, counts) + offsets])
     bounds[-1] = span
     if len(kick_times):
-        if kick_times[0] <= 0.0 or kick_times[-1] >= span:
-            raise ValueError("kick instants must lie strictly inside (0, span)")
         bounds = np.unique(np.concatenate([bounds, kick_times]))
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     seg_idx = np.clip(np.searchsorted(starts, mids, side="right") - 1, 0, len(segments) - 1)
-    return bounds, seg_idx, np.searchsorted(bounds, kick_times)
+    return bounds, mids, np.diff(bounds), seg_idx, np.searchsorted(bounds, kick_times)
 
 
 def _step_exponents(tilings, seg_idx: np.ndarray, widths: np.ndarray,
@@ -179,33 +179,29 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
 def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None) -> list:
     """Lab-frame evolution of the gate generator under several control trains.
 
-    trains is a sequence of (segments, kicks) pairs with equal segment
-    edges and equal kick instants -- the realizations of a sweep job differ
-    only in their random amplitudes and in J.  The step grid and the
-    generators are built once for all of them; each train adds only its
-    row of step exponents (1 + c) * dt and kick exponents sign * KICK_AREA.
+    trains is a sequence of Segments with equal edges and equal kick
+    instants -- the realizations of a sweep job differ only in their random
+    amplitudes and in J.  The step grid and the generators are built once
+    for all of them; each train adds only its row of step exponents
+    (1 + c) * dt and kick exponents sign * KICK_AREA.
     Kick i contributes the factor exp(-i * sign_i * pi * H(t_i)) right before
     the step that starts at its instant.  Returns one PropagationResult per
-    pair, in order; each is bit-identical to propagating that train alone.
+    train, in order; each is bit-identical to propagating that train alone.
     """
     policy = policy or StepPolicy()
     trains = list(trains)
     if not trains:
-        raise ValueError("need at least one (segments, kicks) train")
-    segments, kicks = trains[0]
-    for other, other_kicks in trains[1:]:
-        if other.edges != segments.edges or other_kicks.times != kicks.times:
-            raise ValueError("trains of one batch must share their segment edges and "
-                             "kick times")
-    bounds, seg_idx, kick_pos = _step_grid(segments, kicks, policy)
-    widths = np.diff(bounds)
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
-    taus = _step_exponents([segs for segs, _ in trains], seg_idx, widths, mids)
+        raise ValueError("need at least one train")
+    first = trains[0]
+    if any(t.edges != first.edges or t.kick_times != first.kick_times for t in trains[1:]):
+        raise ValueError("trains of one batch must share their segment edges and kick times")
+    _, mids, widths, seg_idx, kick_pos = _step_grid(first, policy)
+    taus = _step_exponents(trains, seg_idx, widths, mids)
     # rebinding frees the arrays without kick rows before the product runs;
     # kept alive, they left glibc trimming and refaulting every block's buffers
-    mids = np.insert(mids, kick_pos, kicks.times)
+    mids = np.insert(mids, kick_pos, first.kick_times)
     taus = np.insert(taus, kick_pos,
-                     KICK_AREA * np.array([k.signs for _, k in trains], dtype=float), axis=1)
+                     KICK_AREA * np.array([t.kick_signs for t in trains], dtype=float), axis=1)
     levels, blocks = _chunked_product(spec, mids, taus)
     results = []
     for block in blocks:
@@ -215,10 +211,10 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     return results
 
 
-def propagate_lab(spec: GateSpec, segments: Segments, kicks: KickSchedule = KickSchedule(),
+def propagate_lab(spec: GateSpec, segments: Segments,
                   policy: StepPolicy | None = None) -> PropagationResult:
     """Lab-frame evolution under one control train: a batch of one."""
-    return propagate_lab_batch(spec, [(segments, kicks)], policy)[0]
+    return propagate_lab_batch(spec, [segments], policy)[0]
 
 
 def adiabatic_hamiltonian(s: Schedule, t, C) -> np.ndarray:
@@ -250,18 +246,19 @@ def adiabatic_hamiltonian(s: Schedule, t, C) -> np.ndarray:
 
 def propagate_adiabatic(s: Schedule, segments: Segments,
                         policy: StepPolicy | None = None) -> PropagationResult:
-    """Adiabatic-frame evolution; C(t) accumulated exactly per step.
+    """Adiabatic-frame evolution of a train without kicks; C(t) accumulated exactly per step.
 
     The (D1, D1) element of the result has the same modulus and phase as
     the lab-frame <D1(0)|U(T)|D1(0)> (dark states carry no dynamical
     phase), which is what the frame-equivalence checks compare.
     """
+    if segments.kick_times:
+        raise ValueError("the adiabatic frame takes no delta kicks")
     policy = policy or StepPolicy()
-    bounds, seg_idx, _ = _step_grid(segments, KickSchedule(), policy)
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
-    increments = _step_exponents([segments], seg_idx, np.diff(bounds), mids)[0]
+    _, mids, widths, seg_idx, _ = _step_grid(segments, policy)
+    increments = _step_exponents([segments], seg_idx, widths, mids)[0]
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
     hs = adiabatic_hamiltonian(s, mids, c_mid)
-    u = ordered_product(matexp_hermitian_stack(hs, np.diff(bounds)))
+    u = ordered_product(matexp_hermitian_stack(hs, widths))
     return PropagationResult(u, len(mids), unitarity_defect(u))

@@ -286,6 +286,7 @@ class TestSweepCommand:
         "dt-above-T": ("dt-zero-energy", lambda c: (c.update(grid=[20.0]),
                                                     c["gate"].update(T=10.0))),
         "dt-not-dividing-T": ("mean-control", lambda c: c["control"].update(dt=0.003)),
+        "T-over-dt-overflows": ("mean-control", lambda c: c["control"].update(dt=5e-324)),
         "dt-above-MAX_STEPS": ("mean-control", lambda c: c["control"].update(dt=1e-7)),
     }
 
@@ -328,6 +329,13 @@ class TestSweepCommand:
         sweep = parser._subparsers._group_actions[0].choices["sweep"]
         action = next(a for a in sweep._actions if a.dest == "experiment")
         assert action.choices == list(EXPERIMENTS)
+
+    def test_gate_kind_choices_are_the_gate_kinds(self):
+        parser = cli.build_parser()
+        gate = parser._subparsers._group_actions[0].choices["gate"]
+        action = next(a for a in gate._actions if a.dest == "kind")
+        kinds = [kind.value for kind in GateKind]
+        assert action.choices == kinds == ["phase", "xgate", "cphase"]
 
     def test_shipped_configs_resolve_to_the_experiment_they_are_run_with(self):
         resolved = {p.stem: config_from_dict(json.loads(p.read_text())).experiment

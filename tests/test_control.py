@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_sim.control import (KICK_AREA, KICK_KINDS, MAX_STEPS, ControlKind, KickSchedule,
-                                  PulseTrain, Segments, generate_segments, integral_C,
-                                  make_kicks, mean_control, net_area, resonance_condition)
+from holonomy_sim.control import (KICK_AREA, KICK_KINDS, MAX_STEPS, ControlKind, PulseTrain,
+                                  Segments, generate_segments, integral_C, mean_control,
+                                  net_area, resonance_condition)
 
 TWO_PI = 2 * math.pi
 
@@ -91,6 +91,14 @@ class TestIntegralC:
         segs = generate_segments(train, 0.02)
         assert integral_C(segs, 0.005) == pytest.approx(0.005 * 51.0, abs=1e-12)
 
+    def test_kick_counts_from_its_instant(self):
+        segs = generate_segments(PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.25), 1.0)
+        assert segs.kick_times == (0.25, 0.5, 0.75)
+        before = np.nextafter(0.5, 0.0)
+        assert integral_C(segs, before) == before + math.pi
+        assert integral_C(segs, 0.5) == 0.5 + 2 * math.pi
+        assert integral_C(segs, 1.0) == 1.0 + 3 * math.pi
+
     def test_out_of_range_rejected(self):
         segs = generate_segments(PulseTrain(ControlKind.NO_CONTROL), 1.0)
         with pytest.raises(ValueError, match="outside"):
@@ -110,20 +118,21 @@ class TestAreas:
         assert mean_control(segs) == pytest.approx(4.0, abs=1e-12)
 
     def test_positive_kicks_net_area(self):
-        segs = generate_segments(PulseTrain(ControlKind.NO_CONTROL), 1.0)
-        kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
-        assert net_area(segs, kicks) == pytest.approx(9 * math.pi)
-        alt = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.1)
-        assert net_area(segs, alt) == pytest.approx(math.pi)  # 9 kicks, odd count
+        segs = generate_segments(PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.1), 1.0)
+        assert net_area(segs) == pytest.approx(9 * math.pi)
+        alt = generate_segments(PulseTrain(ControlKind.DELTA_KICK_ALTERNATING, dt=0.1), 1.0)
+        assert net_area(alt) == pytest.approx(math.pi)  # 9 kicks, odd count
+        # three kicks over T = 2
+        segs = generate_segments(PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.5), 2.0)
+        assert mean_control(segs) == 1.5 * math.pi
 
     def test_every_kick_has_area_pi_and_no_kicks_add_none(self):
         segs = generate_segments(PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=3.0,
                                             dt=0.1, p=1.0, seed=2), 0.7)
         assert KICK_AREA == math.pi
-        assert KickSchedule() == KickSchedule((), ())
-        assert net_area(segs, KickSchedule()) == net_area(segs)
-        assert (net_area(segs, KickSchedule((0.2, 0.3, 0.5), (1, 1, -1)))
-                == net_area(segs) + math.pi)
+        assert segs == Segments(segs.edges, segs.values, (), ())
+        kicked = Segments(segs.edges, segs.values, (0.2, 0.3, 0.5), (1, 1, -1))
+        assert net_area(kicked) == net_area(segs) + math.pi
 
 
 class TestResonance:
@@ -143,61 +152,48 @@ class TestResonance:
             resonance_condition(0.0, 0.1)
 
 
+def kick_train(kind, T, interval, seed=0, jitter=0.0):
+    """The kicks of generate_segments at spacing interval with jitter p/2 = jitter."""
+    return generate_segments(PulseTrain(kind, dt=interval, p=2.0 * jitter, seed=seed), T)
+
+
 class TestMakeKicks:
     def test_zero_jitter_grid(self):
-        kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
-        assert len(kicks.times) == 9
-        np.testing.assert_allclose(kicks.times, [0.1 * i for i in range(1, 10)])
-        assert kicks.signs == tuple([1] * 9)
+        segs = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
+        assert segs.edges == (0.0, 1.0) and segs.values == (0.0,)
+        assert len(segs.kick_times) == 9
+        np.testing.assert_allclose(segs.kick_times, [0.1 * i for i in range(1, 10)])
+        assert segs.kick_signs == tuple([1] * 9)
 
     def test_alternating_sign_sum(self):
         for interval in (0.1, 0.07, 0.21):
-            kicks = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, interval)
-            assert sum(kicks.signs) in (-1, 0, 1)
+            segs = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, interval)
+            assert sum(segs.kick_signs) in (-1, 0, 1)
 
     def test_jittered_times_stay_ordered_and_inside(self):
-        kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.05,
-                           seed=5, jitter=0.9)
-        assert all(0.0 < t < 1.0 for t in kicks.times)
-        assert all(a < b for a, b in zip(kicks.times, kicks.times[1:]))
+        times = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.05, seed=5,
+                           jitter=0.9).kick_times
+        assert all(0.0 < t < 1.0 for t in times)
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_jitter_is_seeded(self):
-        k1 = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.05, seed=9, jitter=0.5)
-        k2 = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.05, seed=9, jitter=0.5)
+        k1 = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.05, seed=9, jitter=0.5)
+        k2 = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.05, seed=9, jitter=0.5)
         assert k1 == k2
 
-    def test_rejects_square_kind_and_bad_interval(self):
-        with pytest.raises(ValueError, match="kind"):
-            make_kicks(ControlKind.POSITIVE_SQUARE, 1.0, 0.1)
-        with pytest.raises(ValueError, match="interval"):
-            make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 1.5)
+    def test_rejects_bad_interval(self):
+        with pytest.raises(ValueError, match="dt 1.5 must be smaller than T 1.0"):
+            kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 1.5)
 
 
 def test_exp_iC_periodicity_between_kick_pairs():
     """Positive and alternating kick trains differ by multiples of 2*pi in C."""
     times = tuple(0.1 * i for i in range(1, 10))
-    pos = KickSchedule(times, tuple([1] * 9))
-    alt = KickSchedule(times, tuple((-1) ** i for i in range(9)))
+    pos = Segments((0.0, 1.0), (0.0,), times, tuple([1] * 9))
+    alt = Segments((0.0, 1.0), (0.0,), times, tuple((-1) ** i for i in range(9)))
     for t in np.linspace(0.0, 1.0, 101):
-        c_pos = t + math.pi * sum(1 for tau in times if tau <= t)
-        c_alt = t + math.pi * sum(s for tau, s in zip(times, alt.signs) if tau <= t)
-        diff = c_pos - c_alt
+        diff = integral_C(pos, t) - integral_C(alt, t)
         assert abs(diff / TWO_PI - round(diff / TWO_PI)) <= 1e-12
-
-
-def test_kick_schedule_validation():
-    with pytest.raises(ValueError, match="ascending"):
-        KickSchedule((0.2, 0.1), (1, 1))
-    with pytest.raises(ValueError, match="signs"):
-        KickSchedule((0.1, 0.2), (1, 2))
-    with pytest.raises(ValueError, match="length"):
-        KickSchedule((0.1, 0.2), (1,))
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_kick_schedule_rejects_non_finite(value):
-    with pytest.raises(ValueError, match="times must be finite"):
-        KickSchedule((0.1, value), (1, -1))
 
 
 def test_pulse_train_validation():
@@ -250,7 +246,7 @@ def loop_integral_C(edges, values, t):
 
 
 def loop_kicks(kind, T, interval, seed, jitter):
-    """make_kicks written one instant and one draw at a time."""
+    """_make_kicks written one instant and one draw at a time."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     times = []
     i = 1
@@ -290,36 +286,52 @@ def test_generate_segments_matches_loop_reference_bit_for_bit(kind, T, dt, p):
 @pytest.mark.parametrize("T, interval", [(0.7, 0.13), (1.0, 0.02), (10.0, 0.1)])
 @pytest.mark.parametrize("jitter", [0.0, 0.5, 1.0])
 def test_make_kicks_matches_loop_reference_bit_for_bit(kind, T, interval, jitter):
-    kicks = make_kicks(kind, T, interval, seed=4, jitter=jitter)
+    segs = kick_train(kind, T, interval, seed=4, jitter=jitter)
     times, signs = loop_kicks(kind, T, interval, 4, jitter)
-    assert bits(kicks.times) == bits(times)
-    assert kicks.signs == tuple(signs)
+    assert bits(segs.kick_times) == bits(times)
+    assert segs.kick_signs == tuple(signs)
 
 
-@pytest.mark.parametrize("edges, values, message", [
-    ((0.0, 1.0), (), "edges for n >= 1 values"),
-    ((0.0,), (), "edges for n >= 1 values"),
-    ((0.0, 1.0), (1.0, 2.0), "edges for n >= 1 values"),
-    ((0.1, 1.0), (1.0,), "start at 0"),
-    ((0.0, 0.5, 0.5), (1.0, 2.0), "ascend"),
-    ((0.0, 0.6, 0.5), (1.0, 2.0), "ascend"),
-    ((0.0, -1.7e308, 1.7e308), (1.0, 2.0), "ascend"),  # the second step overflows
-    ((0.0, math.nan), (1.0,), "finite"),
-    ((0.0, math.inf), (1.0,), "finite"),
-    ((0.0, 1.0), (math.nan,), "finite"),
-    ((0.0, 1.0), (-math.inf,), "finite"),
+TILE = ((0.0, 1.0), (0.0,))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((0.0, 1.0), ()), "edges for n >= 1 values"),
+    (((0.0,), ()), "edges for n >= 1 values"),
+    (((0.0, 1.0), (1.0, 2.0)), "edges for n >= 1 values"),
+    (((0.1, 1.0), (1.0,)), "start at 0"),
+    (((0.0, 0.5, 0.5), (1.0, 2.0)), "ascend"),
+    (((0.0, 0.6, 0.5), (1.0, 2.0)), "ascend"),
+    (((0.0, -1.7e308, 1.7e308), (1.0, 2.0)), "ascend"),  # the second step overflows
+    (((0.0, math.nan), (1.0,)), "finite"),
+    (((0.0, math.inf), (1.0,)), "finite"),
+    (((0.0, 1.0), (math.nan,)), "finite"),
+    (((0.0, 1.0), (-math.inf,)), "finite"),
+    ((*TILE, (0.0, 0.5), (1, 1)), r"strictly inside \(0, span\)"),
+    ((*TILE, (0.5, 1.0), (1, 1)), r"strictly inside \(0, span\)"),
+    ((*TILE, (-1.7e308, 0.5), (1, 1)), r"strictly inside \(0, span\)"),
+    ((*TILE, (0.2, 0.1), (1, 1)), "strictly ascending"),
+    ((*TILE, (0.2, 0.2), (1, 1)), "strictly ascending"),
+    ((*TILE, (0.1, 0.2), (1, 2)), r"signs must be \+-1"),
+    ((*TILE, (0.1, 0.2), (1, 0)), r"signs must be \+-1"),
+    ((*TILE, (0.1, 0.2), (1, math.nan)), r"signs must be \+-1"),
+    ((*TILE, (0.1, 0.2), (1,)), "equal length"),
+    ((*TILE, (0.1,), ()), "equal length"),
+    ((*TILE, (0.1, math.nan), (1, -1)), "kick times must be finite"),
+    ((*TILE, (0.1, math.inf), (1, -1)), "kick times must be finite"),
+    ((*TILE, (-math.inf, 0.1), (1, -1)), "kick times must be finite"),
 ])
-def test_segments_reject_bad_tilings(edges, values, message):
+def test_segments_reject_bad_tilings(fields, message):
     with pytest.raises(ValueError, match=message):
-        Segments(edges, values)
+        Segments(*fields)
 
 
 @pytest.mark.parametrize("build", [
     lambda: generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-12), 1.0),
     lambda: generate_segments(PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=1.0,
                                          dt=5e-324), 1.0),
-    lambda: make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 1e-12),
-    lambda: make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1.0 / (MAX_STEPS - 1)),
+    lambda: kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 1e-12),
+    lambda: kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1.0 / (MAX_STEPS - 1)),
 ], ids=["segments", "segments-overflow", "kicks", "kicks-just-above"])
 def test_run_size_cap_rejects_before_allocating(build):
     tracemalloc.start()
@@ -338,15 +350,25 @@ def test_segments_store_float_tuples():
     assert segs == Segments((0.0, 1.0, 3.0), (2.0, -1.0))
     assert hash(segs) == hash(Segments((0.0, 1.0, 3.0), (2.0, -1.0)))
     assert len(segs) == 2 and segs.span == 3.0
+    kicked = Segments(segs.edges, segs.values, np.array([0.5, 2]), np.array([-1.0, 1.0]))
+    assert kicked.kick_times == (0.5, 2.0) and kicked.kick_signs == (-1, 1)
+    assert all(type(s) is int for s in kicked.kick_signs)
+    assert hash(kicked) == hash(Segments((0.0, 1.0, 3.0), (2.0, -1.0), (0.5, 2.0), (-1, 1)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(), max_size=6), st.lists(st.floats(), max_size=5))
-def test_any_edges_and_values_give_segments_or_value_error(edges, values):
+@given(st.lists(st.floats(), max_size=6), st.lists(st.floats(), max_size=5),
+       st.lists(st.floats(), max_size=3),
+       st.lists(st.sampled_from([1, -1, 1.0, 0, 2, math.nan]), max_size=3))
+def test_any_edges_and_values_give_segments_or_value_error(edges, values, times, signs):
     try:
-        segs = Segments(edges, values)
+        segs = Segments(edges, values, times, signs)
     except ValueError:
         return
     assert len(segs.edges) == len(segs) + 1 and segs.edges[0] == 0.0
     assert all(a < b for a, b in zip(segs.edges, segs.edges[1:]))
     assert all(map(math.isfinite, segs.edges + segs.values))
+    kicks = (0.0,) + segs.kick_times + (segs.span,)
+    assert all(a < b for a, b in zip(kicks, kicks[1:]))
+    assert len(segs.kick_signs) == len(segs.kick_times)
+    assert all(s in (-1, 1) and type(s) is int for s in segs.kick_signs)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonomy_sim import experiments
-from holonomy_sim.control import (ControlKind, KickSchedule, PulseTrain, generate_segments,
-                                  mean_control)
+from holonomy_sim.control import ControlKind, PulseTrain, generate_segments, mean_control
 from holonomy_sim.experiments import (MAX_BATCH, ExperimentConfig, RealizationRecord,
                                       _jobs, compare_positive_vs_zero_energy,
                                       config_from_dict, config_to_dict,
@@ -86,12 +85,19 @@ class TestConfigValidation:
             replace(runtime_config(), sweep_variable="mean_control")
 
     def test_mean_control_requires_commensurate_dt(self):
-        cfg = ExperimentConfig(
-            gate=GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
-            control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.003, p=0.5),
-            sweep_variable="mean_control", grid=(1.0,))
-        with pytest.raises(ValueError, match="divide"):
-            sweep(cfg)
+        with pytest.raises(ValueError, match="dt 0.003 does not divide T 1.0"):
+            ExperimentConfig(
+                gate=GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
+                control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.003, p=0.5),
+                sweep_variable="mean_control", grid=(1.0,))
+
+    # checked when the config is parsed, not per grid point; 5e-324 overflows T / dt
+    @pytest.mark.parametrize("dt", [0.3, 5e-324])
+    def test_mean_control_dt_must_divide_T_when_parsed(self, dt):
+        data = config_to_dict(mean_control_config())
+        data["control"]["dt"] = dt
+        with pytest.raises(ValueError, match=f"dt {dt} does not divide T 1.0"):
+            config_from_dict(data)
 
     def test_dt_sweep_requires_alternating_or_kicks(self):
         with pytest.raises(ValueError, match="dt-zero-energy takes 'dt' with "
@@ -231,7 +237,7 @@ class TestSweepJobs:
             seed = realization_seed(cfg.master_seed, j, k)
             train = replace(cfg.control, J=2.0 * cfg.grid[j], seed=seed)
             segments = generate_segments(train, 1.0)
-            alone = propagate_lab(cfg.gate, segments, KickSchedule(), cfg.policy)
+            alone = propagate_lab(cfg.gate, segments, cfg.policy)
             hol = evaluate_holonomy(alone.U, dark, gamma_ideal)
             assert record == RealizationRecord(
                 grid_index=j, realization_index=k, x=cfg.grid[j], seed=seed,

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, KickSchedule,
-                                  PulseTrain, Segments, generate_segments, make_kicks)
+from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, PulseTrain, Segments,
+                                  generate_segments)
 from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule,
                                        dark_states, exchange_hamiltonian, gate_generators,
                                        gate_hamiltonian, project_dfs, total_z)
@@ -26,7 +27,17 @@ def dark_amplitude(spec, result):
     return complex(np.vdot(d, result.U @ d))
 
 
-def loop_bounds(segments, kicks, policy):
+def kick_train(kind, T, interval, seed=0, jitter=0.0):
+    """A delta-kick train laid out by generate_segments, jitter p/2 = jitter."""
+    return generate_segments(PulseTrain(kind, dt=interval, p=2.0 * jitter, seed=seed), T)
+
+
+def with_signs(train, signs):
+    """train with its kick signs replaced."""
+    return replace(train, kick_signs=tuple(signs))
+
+
+def loop_bounds(segments, policy):
     """Step boundaries built one edge at a time, as a reference for _step_grid."""
     span = segments.span
     max_step = policy.max_step or span / DEFAULT_STEPS_PER_PERIOD
@@ -35,13 +46,13 @@ def loop_bounds(segments, kicks, policy):
         n = max(policy.substeps_per_segment, math.ceil((t1 - t0) / max_step - 1e-9))
         edges.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
     edges[-1] = span
-    return sorted(set(edges) | set(kicks.times))
+    return sorted(set(edges) | set(segments.kick_times))
 
 
-def sequential_reference(spec, segments, kicks, policy):
+def sequential_reference(spec, segments, policy):
     """Step-by-step eigh propagation: one matexp_hermitian per step and kick."""
-    bounds = loop_bounds(segments, kicks, policy)
-    kick_at = dict(zip(kicks.times, kicks.signs))
+    bounds = loop_bounds(segments, policy)
+    kick_at = dict(zip(segments.kick_times, segments.kick_signs))
     u = np.eye(spec.dim, dtype=complex)
     for t0, t1 in zip(bounds, bounds[1:]):
         if t0 in kick_at:
@@ -75,7 +86,7 @@ def test_cphase_run_with_control_matches_sequential_reference():
     segments = generate_segments(train, 1.0)
     policy = StepPolicy(max_step=1.0 / 512)
     u = propagate_lab(spec, segments, policy=policy).U
-    reference = sequential_reference(spec, segments, KickSchedule(), policy)
+    reference = sequential_reference(spec, segments, policy)
     assert np.max(np.abs(u - reference)) <= 1e-10
     # the coupled block is (5, 9, 13); every other level is left exactly alone
     rest = [i for i in range(16) if i not in (5, 9, 13)]
@@ -86,31 +97,34 @@ def test_cphase_run_with_control_matches_sequential_reference():
 
 def test_kicked_phase_run_matches_sequential_reference():
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
-    segments = generate_segments(NO_CONTROL, 1.0)
-    kicks = make_kicks(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.02, seed=5, jitter=0.4)
+    train = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.02, seed=5, jitter=0.4)
     policy = StepPolicy(max_step=1.0 / 1024)
-    u = propagate_lab(spec, segments, kicks=kicks, policy=policy).U
-    assert np.max(np.abs(u - sequential_reference(spec, segments, kicks, policy))) <= 1e-10
+    u = propagate_lab(spec, train, policy=policy).U
+    assert np.max(np.abs(u - sequential_reference(spec, train, policy))) <= 1e-10
 
 
 def test_step_grid_bounds_match_edge_by_edge_construction():
     segments = Segments((0.0, 0.3, 0.35, 1.0), (2.0, -1.0, 0.0))
-    kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
+    kicks = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.07, seed=2, jitter=0.5)
+    kicked = replace(segments, kick_times=kicks.kick_times, kick_signs=kicks.kick_signs)
     for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
-        for k in (KickSchedule(), kicks):
-            bounds, seg_idx, kick_pos = _step_grid(segments, k, policy)
-            np.testing.assert_array_equal(bounds, loop_bounds(segments, k, policy))
+        for train in (segments, kicked):
+            bounds, mids, widths, seg_idx, kick_pos = _step_grid(train, policy)
+            np.testing.assert_array_equal(bounds, loop_bounds(train, policy))
+            # the midpoints and widths are those of the bounds, to the bit
+            assert np.array_equal(mids, 0.5 * (bounds[1:] + bounds[:-1]))
+            assert np.array_equal(widths, np.diff(bounds))
             # every step lies inside the segment it is assigned to
-            edges = np.asarray(segments.edges)
+            edges = np.asarray(train.edges)
             assert np.all(edges[seg_idx] <= bounds[:-1])
             assert np.all(bounds[1:] <= edges[seg_idx + 1])
-            np.testing.assert_array_equal(bounds[kick_pos], k.times)
+            np.testing.assert_array_equal(bounds[kick_pos], train.kick_times)
 
 
 def test_step_grid_stays_finite_for_a_span_near_the_float_limit():
     # length * (j + 1) would overflow here; every edge must still be finite and increasing
     span = 2.8e307
-    bounds, _, _ = _step_grid(Segments((0.0, span), (0.0,)), KickSchedule(), StepPolicy())
+    bounds, *_ = _step_grid(Segments((0.0, span), (0.0,)), StepPolicy())
     assert len(bounds) == DEFAULT_STEPS_PER_PERIOD + 1
     assert np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)
     assert bounds[-1] == span
@@ -128,27 +142,25 @@ def test_schedule_rejects_a_period_whose_phase_overflows(T):
 def test_step_grid_rejects_runs_above_the_cap():
     segments = Segments((0.0, 1.0), (0.0,))
     with pytest.raises(ValueError, match="needs 100000000 steps and kicks"):
-        _step_grid(segments, KickSchedule(), StepPolicy(max_step=1e-8))
+        _step_grid(segments, StepPolicy(max_step=1e-8))
     with pytest.raises(ValueError, match="needs inf steps"):
-        _step_grid(Segments((0.0, 1e300), (0.0,)), KickSchedule(),
-                   StepPolicy(max_step=1e-300))
+        _step_grid(Segments((0.0, 1e300), (0.0,)), StepPolicy(max_step=1e-300))
     # kicks count toward the cap too
-    kicks = KickSchedule((0.25, 0.5, 0.75), (1, 1, 1))
+    kicked = Segments((0.0, 1.0), (0.0,), (0.25, 0.5, 0.75), (1, 1, 1))
     with pytest.raises(ValueError, match="above the cap MAX_STEPS"):
-        _step_grid(segments, kicks, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
+        _step_grid(kicked, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
 
 
 def shared_grid_batches(T):
     """Batches of trains with equal edges and kick times: three seeded
     realizations of each square kind, and one kick schedule under both signs."""
-    batches = [[(generate_segments(PulseTrain(kind, J=J, dt=0.05, p=1.0, seed=seed), T),
-                 KickSchedule()) for seed in (1, 2, 3)]
+    batches = [[generate_segments(PulseTrain(kind, J=J, dt=0.05, p=1.0, seed=seed), T)
+                for seed in (1, 2, 3)]
                for kind, J in ((ControlKind.POSITIVE_SQUARE, 40.0),
                                (ControlKind.ZERO_ENERGY_ALTERNATING, 60.0))]
-    segments = generate_segments(NO_CONTROL, T)
-    pos = make_kicks(ControlKind.DELTA_KICK_POSITIVE, T, 0.07, seed=2, jitter=0.5)
-    alt = KickSchedule(pos.times, tuple((-1) ** i for i in range(len(pos.times))))
-    batches.append([(segments, pos), (segments, alt)])
+    pos = kick_train(ControlKind.DELTA_KICK_POSITIVE, T, 0.07, seed=2, jitter=0.5)
+    alt = with_signs(pos, ((-1) ** i for i in range(len(pos.kick_times))))
+    batches.append([pos, alt])
     return batches
 
 
@@ -160,8 +172,8 @@ def test_batch_is_bit_identical_to_one_run_per_train(spec):
     for batch in shared_grid_batches(1.0):
         results = propagate_lab_batch(spec, batch)
         assert len(results) == len(batch)
-        for (segments, kicks), result in zip(batch, results):
-            alone = propagate_lab(spec, segments, kicks)
+        for train, result in zip(batch, results):
+            alone = propagate_lab(spec, train)
             assert np.array_equal(result.U, alone.U)
             assert result.steps_taken == alone.steps_taken
             assert result.unitarity_defect == alone.unitarity_defect
@@ -171,10 +183,10 @@ def test_batch_rejects_trains_on_different_grids():
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     a = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05), 1.0)
     b = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.04), 1.0)
-    kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
-    shifted = KickSchedule(tuple(t + 1e-3 for t in kicks.times), kicks.signs)
-    none = KickSchedule()
-    for batch in ([(a, none), (b, none)], [(a, kicks), (a, shifted)], [(a, kicks), (a, none)]):
+    kicks = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
+    shifted = replace(kicks, kick_times=tuple(t + 1e-3 for t in kicks.kick_times))
+    none = generate_segments(NO_CONTROL, 1.0)
+    for batch in ([a, b], [kicks, shifted], [kicks, none]):
         with pytest.raises(ValueError, match="share their segment edges and kick times"):
             propagate_lab_batch(spec, batch)
     with pytest.raises(ValueError, match="at least one"):
@@ -217,18 +229,19 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     segments = generate_segments(
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
-    kicks = KickSchedule((0.5112, 0.5116, 0.5121, 0.5124), (1, -1, 1, -1))
+    segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
+                       kick_signs=(1, -1, 1, -1))
     policy = StepPolicy(max_step=1.0 / 2000)
     # the whole factor stack, steps and kicks interleaved, in one reduction
-    bounds, seg_idx, kick_pos = _step_grid(segments, kicks, policy)
+    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < CHUNK <= factor_pos[-1]
-    mids = np.insert(0.5 * (bounds[1:] + bounds[:-1]), kick_pos, kicks.times)
-    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * np.diff(bounds),
-                     kick_pos, KICK_AREA * np.asarray(kicks.signs, dtype=float))
+    mids = np.insert(mids, kick_pos, segments.kick_times)
+    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * widths,
+                     kick_pos, KICK_AREA * np.asarray(segments.kick_signs, dtype=float))
     levels, hs = gate_generators(spec, mids)
     whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
-    u = propagate_lab(spec, segments, kicks, policy).U
+    u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], whole)
 
 
@@ -375,6 +388,12 @@ class TestFrameEquivalence:
         assert diff <= 1e-4
 
 
+def test_adiabatic_frame_rejects_a_kick_train():
+    train = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
+    with pytest.raises(ValueError, match="takes no delta kicks"):
+        propagate_adiabatic(Schedule(A_REF, 1.0), train)
+
+
 def test_adiabatic_frame_sees_control_only_through_C():
     """Identical c(t) under different segment tilings gives identical U."""
     s = Schedule(A_REF, 1.0)
@@ -417,25 +436,23 @@ class TestKicks:
     @staticmethod
     def _check_kick_equivalence(interval):
         spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
-        segments = generate_segments(NO_CONTROL, 1.0)
-        pos = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, interval)
-        alt = KickSchedule(pos.times, tuple((-1) ** i for i in range(len(pos.times))))
-        u_pos = propagate_lab(spec, segments, kicks=pos).U
-        u_alt = propagate_lab(spec, segments, kicks=alt).U
+        pos = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, interval)
+        alt = with_signs(pos, ((-1) ** i for i in range(len(pos.kick_times))))
+        u_pos = propagate_lab(spec, pos).U
+        u_alt = propagate_lab(spec, alt).U
         assert np.max(np.abs(u_pos - u_alt)) <= 1e-10
 
     def test_empty_kick_schedule_is_no_op(self):
         spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
         segments = generate_segments(NO_CONTROL, 1.0)
         plain = propagate_lab(spec, segments).U
-        with_empty = propagate_lab(spec, segments, kicks=KickSchedule((), ())).U
+        with_empty = propagate_lab(spec, Segments(segments.edges, segments.values, (), ())).U
         np.testing.assert_array_equal(plain, with_empty)
 
     def test_kick_outside_span_rejected(self):
-        spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
         segments = generate_segments(NO_CONTROL, 1.0)
         with pytest.raises(ValueError, match="inside"):
-            propagate_lab(spec, segments, kicks=KickSchedule((1.5,), (1,)))
+            replace(segments, kick_times=(1.5,), kick_signs=(1,))
 
     def test_kicks_accelerate_the_passage(self):
         """pi kicks push a nonadiabatic run toward the ideal holonomy."""
@@ -444,9 +461,8 @@ class TestKicks:
         dark = dark_states(spec, 0.0)[-1]
         gamma = berry_closed_form(A_REF)
         bare = evaluate_holonomy(propagate_lab(spec, segments).U, dark, gamma).f
-        kicks = make_kicks(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.02)
-        kicked = evaluate_holonomy(propagate_lab(spec, segments, kicks=kicks).U,
-                                   dark, gamma).f
+        kicks = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.02)
+        kicked = evaluate_holonomy(propagate_lab(spec, kicks).U, dark, gamma).f
         assert kicked > bare + 0.3
 
 
