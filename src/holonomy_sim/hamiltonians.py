@@ -193,7 +193,7 @@ def dark_states(spec: GateSpec, t: float) -> list:
     return states
 
 
-def gate_generators(spec: GateSpec, ts):
+def gate_generators(spec: GateSpec, ts, out: np.ndarray | None = None):
     """Generators at every time in ts, restricted to the levels they act on.
 
     Returns ``(levels, stack)``: levels is the (lo, anc, hi) triple of the
@@ -201,7 +201,10 @@ def gate_generators(spec: GateSpec, ts):
     lo<->anc plus cos(theta)*e^{+-i phi} on anc<->hi.  It is Hermitian by
     construction with eigenvalues {-1, 0, +1}, so H^3 = H.  The full
     spec.dim generator holds stack[k] at rows and columns ``levels`` and is
-    zero elsewhere (see :func:`gate_hamiltonian`).
+    zero elsewhere (see :func:`gate_hamiltonian`).  out, if given, is the
+    (len(ts), 3, 3) stack to write, in any memory layout; otherwise the
+    stack is allocated as planes (3, 3, n), the memory qcore multiplies
+    stacks in.
     """
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
     s = spec.schedule
@@ -209,13 +212,16 @@ def gate_generators(spec: GateSpec, ts):
     phi = TWO_PI * s._check_t(ts) / s.T
     th = s.a * np.sin(phi)
     cos_th, e = np.cos(th), np.exp(-1j * phi)
-    # built as planes (3, 3, n), the memory qcore multiplies stacks in
-    planes = np.zeros((3, 3, len(phi)), dtype=complex)
+    if out is None:
+        out = np.empty((3, 3, len(phi)), dtype=complex).transpose(2, 0, 1)
+    planes = out.transpose(1, 2, 0)
+    # the planes a lambda coupling leaves zero: the diagonal and lo<->hi
+    planes[::2, ::2] = planes[1, 1] = 0.0
     planes[0, 1] = planes[1, 0] = np.sin(th)
     np.multiply(cos_th, e, out=planes[2, 1])
     # conj(exp(-i phi)) has the bits of exp(+i phi): cos is even, sin odd
     np.multiply(cos_th, np.conjugate(e), out=planes[1, 2])
-    return (lo, anc, hi), np.moveaxis(planes, -1, 0)
+    return (lo, anc, hi), out
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:

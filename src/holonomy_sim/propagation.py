@@ -19,10 +19,13 @@ qcore's plane memory (entry (i, j) of every factor one contiguous array)
 from the generators to the product, so each level of the product is three
 whole-plane multiply-adds, not one small matmul per factor.  Kick factors
 sit in the same stack as the steps, in time order.  The factor axis is
-processed in aligned blocks of a power-of-two width that narrows for wide
-batches (see _block_width), so memory is bounded by one block while U
-stays bit-identical to one reduction over the whole stack.  The block
-product is embedded into spec.dim at the end.
+processed in aligned blocks of a power-of-two width, 2048 for one or two
+trains, 1024 up to 16 and narrower for wider batches (see _block_width),
+so memory is bounded by one block while U stays bit-identical to one
+reduction over the whole stack.  The blocks of a batch write into one
+workspace allocated once per batch (see _chunked_product), so no block
+allocates a stack of its own.  The block product is embedded into
+spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -39,8 +42,8 @@ import numpy as np
 
 from .control import KICK_AREA, MAX_STEPS, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
-from .qcore import (matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
-                    unitarity_defect)
+from .qcore import (_matrices, cubic_work_size, matexp_cubic_stack, matexp_hermitian_stack,
+                    ordered_product, unitarity_defect)
 
 # Auto step refinement: about this many steps per drive period when the
 # policy does not pin max_step.  Calibrated so that halving the step at
@@ -50,11 +53,14 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 MIN_SUBSTEPS = 20
 
 # Factors per row in a block of the chunked time-ordered product for
-# batches of up to CHUNK_FULL_ROWS rows; wider batches narrow it (see
-# _block_width).  Widths are powers of two, so the blocks align with the
-# pairwise reduction tree.  Measured on the sweeps: a 32-row batch in
-# 1024-wide blocks peaks about 9 MiB higher and runs slower, while the
-# 10-row batches of a dt sweep run slower in narrower blocks.
+# batches of 3 to CHUNK_FULL_ROWS rows; 1- and 2-row batches take 2 * CHUNK
+# and wider batches narrow it (see _block_width).  Widths are powers of
+# two, so the blocks align with the pairwise reduction tree.  Measured on
+# the sweeps: a 32-row batch in 1024-wide blocks peaks about 9 MiB higher
+# and runs slower, while the 10-row batches of a dt sweep run slower in
+# narrower blocks.  The 1-row cphase bench gate (20,000 factors, 2 cores)
+# runs about a fifth faster in 2048-wide blocks than in 1024 at the same
+# peak RSS; 4096 is faster still but peaks about 1 MiB higher.
 CHUNK = 1024
 CHUNK_FULL_ROWS = 16
 
@@ -144,15 +150,32 @@ def _step_exponents(tilings, seg_idx: np.ndarray, widths: np.ndarray,
     return exponents
 
 
+def _factors(trains: list, policy: StepPolicy):
+    """Instants and exponents of every factor of a batch, and its number of steps.
+
+    Returns (ts, taus, steps): factor k sits at ts[k] with exponent taus[b, k]
+    for train b.  The steps contribute their midpoints and (1 + c) * dt, and
+    kick i its instant and sign_i * KICK_AREA, right before the step that
+    starts at that instant.
+    """
+    first = trains[0]
+    _, mids, widths, seg_idx, kick_pos = _step_grid(first, policy)
+    kick_taus = KICK_AREA * np.array([t.kick_signs for t in trains], dtype=float)
+    taus = np.insert(_step_exponents(trains, seg_idx, widths, mids), kick_pos, kick_taus, axis=1)
+    return np.insert(mids, kick_pos, first.kick_times), taus, len(widths)
+
+
 def _block_width(rows: int) -> int:
     """Factors per row in one block of _chunked_product for a batch of rows.
 
-    CHUNK up to CHUNK_FULL_ROWS rows; above, the largest power of two w
-    with rows * w <= 4 * CHUNK (128 at 32 rows), and at least 1.
+    The largest power of two w with rows * w <= 4 * CHUNK (128 at 32 rows),
+    and at least 1.  Up to CHUNK_FULL_ROWS rows it is held between CHUNK
+    and 2 * CHUNK: 2048 for 1 and 2 rows, 1024 for 3 to 16.
     """
+    width = 1 << max(0, (4 * CHUNK // rows).bit_length() - 1)
     if rows <= CHUNK_FULL_ROWS:
-        return CHUNK
-    return 1 << max(0, (4 * CHUNK // rows).bit_length() - 1)
+        return min(max(width, CHUNK), 2 * CHUNK)
+    return width
 
 
 def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
@@ -167,13 +190,34 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
     (an aligned block of 2^m factors is its first m levels), so the result
     is bit-identical while only one block of complex matrices is ever in
     memory.
+
+    The blocks share one workspace, allocated here once per batch: the
+    exponentials, one spare buffer and the block products.  The spare
+    holds the generators and the closed form's temporaries until the
+    exponentials exist, then the product levels and their term.  A short
+    last block uses the front of each buffer, every entry of which it
+    writes before reading.
     """
-    width = _block_width(len(taus))
-    blocks = []
-    for start in range(0, len(ts), width):
-        levels, hs = gate_generators(spec, ts[start:start + width])
-        blocks.append(ordered_product(matexp_cubic_stack(hs, 1.0, taus[:, start:start + width])))
-    return levels, ordered_product(np.stack(blocks, axis=1))
+    rows, n = taus.shape
+    width = _block_width(rows)
+    w, n_blocks = min(width, n), -(-n // width)
+    exps = np.empty(9 * rows * w, dtype=complex)
+    spare = np.empty(max(9 * w + cubic_work_size(w, rows * w), 9 * rows * w), dtype=complex)
+    blocks = _stack(np.empty(9 * rows * n_blocks, dtype=complex), rows, n_blocks)
+    for b, start in enumerate(range(0, n, width)):
+        m = min(width, n - start)
+        levels, hs = gate_generators(spec, ts[start:start + m], out=_stack(spare, m))
+        us = matexp_cubic_stack(hs, 1.0, taus[:, start:start + m], out=_stack(exps, rows, m),
+                                work=spare[9 * m:])
+        # the levels alternate between the spare's front and the spent exponentials
+        odd = 9 * rows * ((m + 1) // 2)
+        ordered_product(us, out=blocks[:, b], work=(spare[:odd], exps, spare[odd:]))
+    return levels, ordered_product(blocks)
+
+
+def _stack(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """(*shape, 3, 3) matrices held as planes (3, 3, *shape) at the front of a flat buffer."""
+    return _matrices(buffer[:9 * math.prod(shape)].reshape((3, 3) + shape))
 
 
 def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None) -> list:
@@ -195,19 +239,13 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     first = trains[0]
     if any(t.edges != first.edges or t.kick_times != first.kick_times for t in trains[1:]):
         raise ValueError("trains of one batch must share their segment edges and kick times")
-    _, mids, widths, seg_idx, kick_pos = _step_grid(first, policy)
-    taus = _step_exponents(trains, seg_idx, widths, mids)
-    # rebinding frees the arrays without kick rows before the product runs;
-    # kept alive, they left glibc trimming and refaulting every block's buffers
-    mids = np.insert(mids, kick_pos, first.kick_times)
-    taus = np.insert(taus, kick_pos,
-                     KICK_AREA * np.array([t.kick_signs for t in trains], dtype=float), axis=1)
-    levels, blocks = _chunked_product(spec, mids, taus)
+    ts, taus, steps = _factors(trains, policy)
+    levels, blocks = _chunked_product(spec, ts, taus)
     results = []
     for block in blocks:
         u = np.eye(spec.dim, dtype=complex)
         u[np.ix_(levels, levels)] = block
-        results.append(PropagationResult(u, len(widths), unitarity_defect(u)))
+        results.append(PropagationResult(u, steps, unitarity_defect(u)))
     return results
 
 

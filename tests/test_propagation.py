@@ -206,10 +206,48 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
         assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, 1.0, row)))
 
 
-@pytest.mark.parametrize("rows, width", [(1, CHUNK), (16, CHUNK), (17, 128), (32, 128),
+@pytest.mark.parametrize("rows, width", [(1, 2 * CHUNK), (2, 2 * CHUNK), (3, CHUNK),
+                                         (16, CHUNK), (17, 128), (32, 128),
                                          (40, 64), (4 * CHUNK, 1), (5 * CHUNK, 1)])
 def test_block_width_narrows_above_sixteen_rows(rows, width):
     assert _block_width(rows) == width
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)],
+                         ids=["w-1", "w", "w+1", "3w+5"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, blocks, extra,
+                                                                         rng):
+    n = blocks * _block_width(rows) + extra
+    spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=n))
+    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    _, products = _chunked_product(spec, ts, taus)
+    _, hs = gate_generators(spec, ts)
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 32])
+def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatch):
+    # every buffer starts as NaN, and the full blocks before the short one
+    # leave their own numbers behind: a block that read an entry it had not
+    # written would carry either into the product
+    n = 2 * _block_width(rows) + 3
+    spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=n))
+    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    _, hs = gate_generators(spec, ts)
+    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        buffer = empty(*args, **kwargs)
+        buffer.fill(np.nan)
+        return buffer
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    _, products = _chunked_product(spec, ts, taus)
+    assert np.array_equal(products, whole)
 
 
 @pytest.mark.parametrize("n", [256, 1500])
@@ -236,6 +274,27 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
     _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < CHUNK <= factor_pos[-1]
+    mids = np.insert(mids, kick_pos, segments.kick_times)
+    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * widths,
+                     kick_pos, KICK_AREA * np.asarray(segments.kick_signs, dtype=float))
+    levels, hs = gate_generators(spec, mids)
+    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
+    u = propagate_lab(spec, segments, policy).U
+    assert np.array_equal(u[np.ix_(levels, levels)], whole)
+
+
+def test_kicks_straddling_a_wide_block_edge_match_the_whole_stack():
+    # a one-train batch is walked in blocks of 2 * CHUNK: on a grid of 4000
+    # steps these kicks sit on both sides of the first block edge
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    segments = generate_segments(
+        PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
+    segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
+                       kick_signs=(1, -1, -1, 1))
+    policy = StepPolicy(max_step=1.0 / 4000)
+    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
+    factor_pos = kick_pos + np.arange(len(kick_pos))
+    assert factor_pos[0] < _block_width(1) <= factor_pos[-1]
     mids = np.insert(mids, kick_pos, segments.kick_times)
     taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * widths,
                      kick_pos, KICK_AREA * np.asarray(segments.kick_signs, dtype=float))

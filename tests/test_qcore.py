@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, exchange_hamiltonian,
                                        gate_generators)
-from holonomy_sim.qcore import (_matmul, _matrices, _planes, hermiticity_defect,
+from holonomy_sim.qcore import (_matmul, _matrices, _planes, cubic_work_size, hermiticity_defect,
                                 matexp_cubic_stack, matexp_hermitian, matexp_hermitian_stack,
                                 ordered_product, unitarity_defect)
 
@@ -264,3 +265,105 @@ def test_cubic_stack_has_the_bits_of_the_dense_closed_form(batch, rng):
         got = matexp_cubic_stack(stack, s, taus)
         assert got.shape == batch + (n,) + stack.shape[1:], name
         assert np.array_equal(_bits(got), _bits(_dense_closed_form(stack, s, taus))), name
+
+
+def _lambda_stack(rng, n=16):
+    return gate_generators(GateSpec(GateKind.PHASE, Schedule(0.7605, 1.0)),
+                           np.sort(rng.uniform(0.0, 1.0, size=n)))[1].copy()
+
+
+def test_exponentials_reject_taus_that_do_not_fit_the_stack(rng):
+    lam = _lambda_stack(rng, 1)
+    zeros = np.zeros((2, 3, 3), dtype=complex)
+    # a 1-factor stack used to broadcast against 3 taus, an all-zero stack of 2 to give 3
+    for stack, taus in [(lam, [0.1, 0.2, 0.3]), (zeros, [0.1, 0.2, 0.3]),
+                        (zeros, np.zeros((4, 3))), (zeros, 0.1)]:
+        both = rf"{re.escape(str(np.shape(taus)))}.*{re.escape(str(stack.shape))}"
+        with pytest.raises(ValueError, match=both):
+            matexp_cubic_stack(stack, 1.0, taus)
+        with pytest.raises(ValueError, match=both):
+            matexp_hermitian_stack(stack, taus)
+    # a batch of rows is fine for the closed form, not for eigh
+    assert matexp_cubic_stack(zeros, 1.0, np.zeros((4, 2))).shape == (4, 2, 3, 3)
+    with pytest.raises(ValueError, match=r"\(4, 2\)"):
+        matexp_hermitian_stack(zeros, np.zeros((4, 2)))
+
+
+def test_ordered_product_rejects_an_empty_stack():
+    for shape in [(0, 3, 3), (2, 0, 4, 4)]:
+        with pytest.raises(ValueError, match="at least one factor"):
+            ordered_product(np.zeros(shape, dtype=complex))
+
+
+def _defect_in_message(excinfo):
+    return float(re.search(r"defect (\S+) >", str(excinfo.value)).group(1))
+
+
+@pytest.mark.parametrize("plane, value", [((0, 2), 1e-6), ((2, 0), 3e-7 - 2e-6j),
+                                          ((1, 1), 4e-7j), ((0, 0), 2.5e-6j)])
+def test_hermiticity_check_catches_defects_in_planes_without_a_nonzero_mirror(plane, value, rng):
+    # lambda planes are (0,1), (1,0), (1,2), (2,1): the defect sits in a plane whose
+    # mirror is zero everywhere, or is an imaginary diagonal entry
+    hs = _lambda_stack(rng)
+    hs[5][plane] = value
+    for exp in (lambda: matexp_cubic_stack(hs, 1.0, np.ones(len(hs))),
+                lambda: matexp_hermitian_stack(hs, np.ones(len(hs)))):
+        with pytest.raises(ValueError, match="not Hermitian") as excinfo:
+            exp()
+        assert _defect_in_message(excinfo) == float(f"{hermiticity_defect(hs):.3e}")
+    # the same defect below HERMITICITY_TOL passes
+    hs[5][plane] = value * 1e-6
+    matexp_cubic_stack(hs, 1.0, np.ones(len(hs)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                   complex(0, math.inf)])
+@pytest.mark.parametrize("plane", [(0, 2), (1, 1), (0, 1)])
+def test_hermiticity_check_rejects_non_finite_entries_in_any_plane(plane, value, rng):
+    hs = _lambda_stack(rng)
+    hs[3][plane] = value
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matexp_cubic_stack(hs, 1.0, np.ones(len(hs)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matexp_hermitian_stack(hs, np.ones(len(hs)))
+
+
+def test_hermiticity_check_reports_the_defect_of_the_whole_stack(rng):
+    # defects in several pairs, both orientations: the largest one is reported
+    for d in (3, 4):
+        hs = np.stack([random_hermitian(rng, d) for _ in range(9)])
+        hs[2, 0, d - 1] += 3e-9
+        hs[7, d - 1, 1] -= 5e-9j
+        hs[4, 1, 1] += 2e-9j
+        with pytest.raises(ValueError) as excinfo:
+            matexp_hermitian_stack(hs, np.ones(9))
+        assert f"defect {hermiticity_defect(hs):.3e} >" in str(excinfo.value)
+
+
+def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
+    spec = GateSpec(GateKind.CPHASE, Schedule(1.2024, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=37))
+    taus = rng.uniform(-0.1, 0.1, size=(2, 37))
+    _, hs = gate_generators(spec, ts)
+    # gate_generators into a stack in plane memory and into a contiguous one
+    for out in (_matrices(np.full((3, 3, 37), np.nan, dtype=complex)),
+                np.full((37, 3, 3), np.nan, dtype=complex)):
+        _, got = gate_generators(spec, ts, out=out)
+        assert got is out and np.array_equal(_bits(got), _bits(hs))
+    us = matexp_cubic_stack(hs, 1.0, taus)
+    with pytest.raises(ValueError, match="needs 259"):
+        matexp_cubic_stack(hs, 1.0, taus, work=np.empty(258, dtype=complex))
+    work = np.full(cubic_work_size(37, 74), np.nan, dtype=complex)
+    for out in (_matrices(np.full((3, 3, 2, 37), np.nan, dtype=complex)),
+                np.full((2, 37, 3, 3), np.nan, dtype=complex)):
+        got = matexp_cubic_stack(hs, 1.0, taus, out=out, work=work)
+        assert got is out and np.array_equal(_bits(got), _bits(us))
+    product = ordered_product(us)
+    # the even levels may reuse the stack's own memory, which only the first level reads
+    stack = np.ascontiguousarray(_planes(us))
+    odd = np.full(9 * 2 * 19, np.nan, dtype=complex)
+    term = np.full(9 * 2 * 18, np.nan, dtype=complex)
+    out = np.full((3, 3, 2), np.nan, dtype=complex)
+    got = ordered_product(_matrices(stack), out=_matrices(out),
+                          work=(odd, stack.reshape(-1), term))
+    assert np.shares_memory(got, out) and np.array_equal(_bits(got), _bits(product))
