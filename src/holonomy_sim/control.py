@@ -28,9 +28,11 @@ TWO_PI = 2.0 * math.pi
 # float64 grid arrays, far above the ~4e4 steps per run of the shipped configs.
 MAX_STEPS = 10**7
 
-# Area of every delta kick.  exp(-i pi H) = exp(+i pi H) on the integer
-# spectrum {-1, 0, 1} of the logical generators, so a kick's sign never
-# changes the gate, only the net area it adds.
+# Area of every delta kick.  exp(-i pi H) = exp(+i pi H) = I - 2 H^2 on the
+# integer spectrum {-1, 0, 1} of the logical generators, so a kick's sign
+# never changes the gate, only the net area it adds: propagation applies
+# every kick as that one exact factor and reads no sign, which enters only
+# net_area and integral_C.
 KICK_AREA = math.pi
 
 # |J*dt - 2*pi*n| below which a dt-sweep row counts as resonant.

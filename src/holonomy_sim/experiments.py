@@ -10,11 +10,13 @@ a (config, master_seed) pair reproduces output files byte for byte.
 The pool's unit of work is a job of realizations taken in (grid index,
 realization index) order from a run of grid points whose gate and train
 differ at most in the amplitude J.  Such realizations share their segment
-edges, so a job builds its trains and propagates them as one batch.  A run
-of n realizations is split into ceil(n / MAX_BATCH) jobs of nearly equal
-size: the whole mean-control sweep is one run, while a runtime or dt sweep,
-whose grid value moves the step grid, has one run per grid point.  Every
-train, kicks included, is laid out by control.generate_segments.
+edges, so a job builds its trains and propagates them as one batch, in
+which realizations with equal segment values (those at J = 0) share one
+propagation.  A run of n realizations is split into ceil(n / MAX_BATCH)
+jobs of nearly equal size: the whole mean-control sweep is one run, while a
+runtime or dt sweep, whose grid value moves the step grid, has one run per
+grid point.  Every train, kicks included, is laid out by
+control.generate_segments.
 """
 from __future__ import annotations
 
@@ -261,10 +263,12 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
     """Propagate identical kick times with all-positive vs alternating signs.
 
     The kick spacing is the config's one grid value, as in a dt sweep.  The
-    two final unitaries agree exactly (each exp(-i*pi*H) equals
-    exp(+i*pi*H) on an integer spectrum) while the net control areas are
-    m*pi versus 0 or pi -- control at zero net energy cost.  The kick times
-    are seeded by master_seed.
+    two final unitaries are equal to the bit while the net control areas are
+    m*pi versus 0 or pi -- control at zero net energy cost.  Each kick is
+    the exact factor I - 2H^2, which is exp(-i*pi*H) and exp(+i*pi*H) alike
+    on the integer spectrum, so the two trains are one row of one batch and
+    max_unitary_diff is 0 by construction; the selftest checks the factor
+    against eigh at both signs.  The kick times are seeded by master_seed.
     """
     if cfg.experiment != "kick-equivalence":
         raise ValueError(f"kick comparison requires a delta-kick train, got a "

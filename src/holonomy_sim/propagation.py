@@ -5,15 +5,17 @@ applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt).  Step boundaries always
 coincide with control-segment boundaries (square pulses are represented
 without smearing) and with kick instants.  A train is one control.Segments,
 kicks included; its delta kicks are applied as the exact factors
-exp(-i * sign * pi * H(tau)) (control.KICK_AREA = pi), never resolved in
-time.
+exp(-+i * pi * H(tau)) = I - 2 H(tau)^2 (control.KICK_AREA = pi), never
+resolved in time.  The two signs give the same factor on the spectrum
+{-1, 0, 1}, so a kick's sign is not read here: it enters only the areas
+of control (net_area, integral_C).
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
 realizations of a sweep job, see experiments): one step grid, the 3x3
 lambda-block generators at all midpoints and kick instants, their
 exponentials in the closed form that H^3 = H allows (no
-eigendecomposition) for every train's exponents, and a pairwise
+eigendecomposition) for every distinct row of exponents, and a pairwise
 time-ordered product, all as whole-array numpy calls.  The stacks stay in
 qcore's plane memory (entry (i, j) of every factor one contiguous array)
 from the generators to the product, so each level of the product is three
@@ -22,10 +24,13 @@ sit in the same stack as the steps, in time order.  The factor axis is
 processed in aligned blocks of a power-of-two width, 2048 for one or two
 trains, 1024 up to 16 and narrower for wider batches (see _block_width),
 so memory is bounded by one block while U stays bit-identical to one
-reduction over the whole stack.  The blocks of a batch write into one
-workspace allocated once per batch (see _chunked_product), so no block
-allocates a stack of its own.  The block product is embedded into
-spec.dim at the end.
+reduction over the whole stack.  Each block stops its reduction at about
+TOP_NODES entries, and the nodes of all blocks finish the tree together.
+The blocks of a batch write into one workspace allocated once per batch
+(see _chunked_product), so no block allocates a stack of its own.  Trains
+of a batch with equal segment values (the J = 0 realizations of a sweep,
+or one kick layout under two sign patterns) are propagated once.  The
+product is embedded into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -63,6 +68,16 @@ MIN_SUBSTEPS = 20
 # peak RSS; 4096 is faster still but peaks about 1 MiB higher.
 CHUNK = 1024
 CHUNK_FULL_ROWS = 16
+
+# Entries (rows times nodes per row) at which a block of _chunked_product
+# stops its pairwise reduction; the nodes of all blocks then finish the
+# tree together.  Each level of the product costs a few numpy calls, so the
+# levels below this width are nearly all call overhead when run per block.
+# Measured in-process on the bench kick pair (one row of 24,094 factors)
+# and cphase gate (20,000): 16 to 256 ran 5-10% faster than reducing every
+# block to one node, and 1024 ran slower than that on the kick pair and on
+# the 29-row mean-control batch.
+TOP_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -115,32 +130,45 @@ def _step_grid(segments: Segments, policy: StepPolicy):
         raise ValueError(f"the run needs {total:.0f} steps and kicks, above the cap "
                          f"MAX_STEPS = {MAX_STEPS}")
     counts = counts.astype(int)
-    # edge j+1 of a segment: t_start + length * (j + 1) / n, as one array
+    # edge j+1 of a segment: t_start + length * (j + 1) / n, built in place in
+    # bounds[1:] so that at most one other full-length array is alive
+    bounds = np.empty(counts.sum() + 1)
+    bounds[0] = 0.0
+    offsets = bounds[1:]
+    # j + 1 as floats: ones whose running sum drops back to 1 at each segment start
     first = np.cumsum(counts) - counts
-    j_plus_1 = np.arange(1, counts.sum() + 1) - np.repeat(first, counts)
-    step_lengths, step_counts = np.repeat(lengths, counts), np.repeat(counts, counts)
+    offsets.fill(1.0)
+    offsets[first[1:]] = 1.0 - counts[:-1]
+    np.cumsum(offsets, out=offsets)
     with np.errstate(over="ignore"):  # length * (j + 1) passes the float range for a huge span
-        offsets = step_lengths * j_plus_1 / step_counts
-    huge = np.isinf(offsets)
-    offsets[huge] = step_lengths[huge] * (j_plus_1[huge] / step_counts[huge])
-    bounds = np.concatenate([[0.0], np.repeat(starts, counts) + offsets])
+        offsets *= np.repeat(lengths, counts)
+    offsets /= np.repeat(counts, counts)
+    huge = np.flatnonzero(np.isinf(offsets))
+    if len(huge):
+        seg = np.searchsorted(first, huge, side="right") - 1
+        offsets[huge] = lengths[seg] * ((huge - first[seg] + 1) / counts[seg])
+    offsets += np.repeat(starts, counts)
     bounds[-1] = span
     if len(kick_times):
         bounds = np.unique(np.concatenate([bounds, kick_times]))
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
-    seg_idx = np.clip(np.searchsorted(starts, mids, side="right") - 1, 0, len(segments) - 1)
-    return bounds, mids, np.diff(bounds), seg_idx, np.searchsorted(bounds, kick_times)
+    mids = np.add(bounds[1:], bounds[:-1])
+    mids *= 0.5
+    seg_idx = np.searchsorted(starts, mids, side="right")
+    seg_idx -= 1
+    np.clip(seg_idx, 0, len(segments) - 1, out=seg_idx)
+    widths = np.subtract(bounds[1:], bounds[:-1])
+    return bounds, mids, widths, seg_idx, np.searchsorted(bounds, kick_times)
 
 
-def _step_exponents(tilings, seg_idx: np.ndarray, widths: np.ndarray,
+def _step_exponents(values, seg_idx: np.ndarray, widths: np.ndarray,
                     mids: np.ndarray) -> np.ndarray:
-    """(1 + c) * dt of every step, one row per Segments of tilings on a shared grid.
+    """(1 + c) * dt of every step, one row per tuple of segment values on a shared grid.
 
-    Every row comes from one (trains, segments) matrix of segment values.
+    Every row comes from one (rows, segments) matrix of segment values.
     Raises ValueError when an exponent is not finite, i.e. when the control
     amplitude times dt overflows.
     """
-    values = np.array([segments.values for segments in tilings])
+    values = np.array(values)
     with np.errstate(over="ignore"):  # np.take keeps C order; values[:, seg_idx] is F order
         exponents = (1.0 + np.take(values, seg_idx, axis=1)) * widths
     if not np.all(np.isfinite(exponents)):
@@ -150,19 +178,20 @@ def _step_exponents(tilings, seg_idx: np.ndarray, widths: np.ndarray,
     return exponents
 
 
-def _factors(trains: list, policy: StepPolicy):
+def _factors(train: Segments, values: list, policy: StepPolicy):
     """Instants and exponents of every factor of a batch, and its number of steps.
 
-    Returns (ts, taus, steps): factor k sits at ts[k] with exponent taus[b, k]
-    for train b.  The steps contribute their midpoints and (1 + c) * dt, and
-    kick i its instant and sign_i * KICK_AREA, right before the step that
-    starts at that instant.
+    train gives the segment edges and kick instants, values one tuple of
+    segment values per row.  Returns (ts, taus, kicks, steps): factor k
+    sits at ts[k] with exponent taus[b, k] in row b.  The steps contribute
+    their midpoints and (1 + c) * dt, and kick i its instant and KICK_AREA
+    in every row, right before the step that starts at that instant;
+    kicks holds the indices of the kick factors.
     """
-    first = trains[0]
-    _, mids, widths, seg_idx, kick_pos = _step_grid(first, policy)
-    kick_taus = KICK_AREA * np.array([t.kick_signs for t in trains], dtype=float)
-    taus = np.insert(_step_exponents(trains, seg_idx, widths, mids), kick_pos, kick_taus, axis=1)
-    return np.insert(mids, kick_pos, first.kick_times), taus, len(widths)
+    _, mids, widths, seg_idx, kick_pos = _step_grid(train, policy)
+    taus = np.insert(_step_exponents(values, seg_idx, widths, mids), kick_pos, KICK_AREA, axis=1)
+    kicks = kick_pos + np.arange(len(kick_pos))
+    return np.insert(mids, kick_pos, train.kick_times), taus, kicks, len(widths)
 
 
 def _block_width(rows: int) -> int:
@@ -178,41 +207,63 @@ def _block_width(rows: int) -> int:
     return width
 
 
-def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray):
+def _top_depth(rows: int, width: int) -> int:
+    """Levels of the pairwise tree that one block of _chunked_product reduces.
+
+    A block of width factors per row stops at the largest power of two of
+    nodes per row with rows * nodes <= TOP_NODES (at least 1), so its
+    levels run on planes of at least about TOP_NODES entries.
+    """
+    nodes = min(width, 1 << max(0, (TOP_NODES // rows).bit_length() - 1))
+    return (width // nodes).bit_length() - 1
+
+
+def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=()):
     """Time-ordered product of exp(-i * taus[b, k] * H(ts[k])) over k, per row b.
 
-    Returns (levels, (B, d, d) products).  The factor axis is walked in
-    aligned blocks of _block_width(B): each block builds its generators,
-    checks them and squares them once for all B rows, and is reduced to one
-    factor per row; the block factors are then reduced once more.  Because
-    the width is a power of two, this performs exactly the multiplications
-    of the pairwise tree of :func:`ordered_product` over the whole stack
-    (an aligned block of 2^m factors is its first m levels), so the result
-    is bit-identical while only one block of complex matrices is ever in
-    memory.
+    kicks holds the ascending indices of the factors that are pi pulses
+    (see matexp_cubic_stack), none by default.  Returns (levels, (B, d, d)
+    products).  The factor axis is walked in aligned blocks of
+    _block_width(B): each block builds its generators, checks them and
+    squares them once for all B rows, and is reduced _top_depth levels, to
+    about TOP_NODES / B nodes per row.  The nodes of all blocks are then
+    reduced together, the top of the tree.  Because the width is a power of
+    two, this performs exactly the multiplications of the pairwise tree of
+    :func:`ordered_product` over the whole stack (an aligned block of 2^m
+    factors is its first m levels), so the result is bit-identical while
+    only one block of complex matrices is ever in memory.
 
     The blocks share one workspace, allocated here once per batch: the
-    exponentials, one spare buffer and the block products.  The spare
-    holds the generators and the closed form's temporaries until the
-    exponentials exist, then the product levels and their term.  A short
+    exponentials, one spare buffer and the nodes.  The spare holds the
+    generators and the closed form's temporaries until the exponentials
+    exist, then the product levels and their term; the top of the tree
+    runs in the exponentials, the spare and the nodes' own memory.  A short
     last block uses the front of each buffer, every entry of which it
     writes before reading.
     """
     rows, n = taus.shape
+    kicks = np.asarray(kicks, dtype=int)
     width = _block_width(rows)
-    w, n_blocks = min(width, n), -(-n // width)
-    exps = np.empty(9 * rows * w, dtype=complex)
-    spare = np.empty(max(9 * w + cubic_work_size(w, rows * w), 9 * rows * w), dtype=complex)
-    blocks = _stack(np.empty(9 * rows * n_blocks, dtype=complex), rows, n_blocks)
-    for b, start in enumerate(range(0, n, width)):
+    depth = _top_depth(rows, width)
+    w, n_nodes = min(width, n), -(-n >> depth)
+    top = 9 * rows * ((n_nodes + 1) // 2)
+    exps = np.empty(max(9 * rows * w, top), dtype=complex)
+    spare = np.empty(max(9 * w + cubic_work_size(w, rows * w), 9 * rows * w, top),
+                     dtype=complex)
+    flat = np.empty(9 * rows * n_nodes, dtype=complex)
+    nodes = _stack(flat, rows, n_nodes)
+    for start in range(0, n, width):
         m = min(width, n - start)
+        lo, hi = np.searchsorted(kicks, (start, start + m))
         levels, hs = gate_generators(spec, ts[start:start + m], out=_stack(spare, m))
         us = matexp_cubic_stack(hs, 1.0, taus[:, start:start + m], out=_stack(exps, rows, m),
-                                work=spare[9 * m:])
+                                work=spare[9 * m:], pi_pulses=kicks[lo:hi] - start)
         # the levels alternate between the spare's front and the spent exponentials
         odd = 9 * rows * ((m + 1) // 2)
-        ordered_product(us, out=blocks[:, b], work=(spare[:odd], exps, spare[odd:]))
-    return levels, ordered_product(blocks)
+        at = start >> depth
+        ordered_product(us, out=nodes[:, at:at + (-(-m >> depth))],
+                        work=(spare[:odd], exps, spare[odd:]), depth=depth)
+    return levels, ordered_product(nodes, work=(exps, flat, spare))
 
 
 def _stack(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -226,11 +277,13 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     trains is a sequence of Segments with equal edges and equal kick
     instants -- the realizations of a sweep job differ only in their random
     amplitudes and in J.  The step grid and the generators are built once
-    for all of them; each train adds only its row of step exponents
-    (1 + c) * dt and kick exponents sign * KICK_AREA.
-    Kick i contributes the factor exp(-i * sign_i * pi * H(t_i)) right before
-    the step that starts at its instant.  Returns one PropagationResult per
-    train, in order; each is bit-identical to propagating that train alone.
+    for all of them, and each distinct tuple of segment values adds one row
+    of step exponents (1 + c) * dt: trains with equal values share a row.
+    Kick i contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2,
+    exactly and whatever its sign (see matexp_cubic_stack), right before
+    the step that starts at its instant; the signs enter only the areas of
+    control.  Returns one PropagationResult per train, in order; each is
+    bit-identical to propagating that train alone.
     """
     policy = policy or StepPolicy()
     trains = list(trains)
@@ -239,12 +292,14 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
     first = trains[0]
     if any(t.edges != first.edges or t.kick_times != first.kick_times for t in trains[1:]):
         raise ValueError("trains of one batch must share their segment edges and kick times")
-    ts, taus, steps = _factors(trains, policy)
-    levels, blocks = _chunked_product(spec, ts, taus)
+    rows = {}
+    index = [rows.setdefault(t.values, len(rows)) for t in trains]
+    ts, taus, kicks, steps = _factors(first, list(rows), policy)
+    levels, products = _chunked_product(spec, ts, taus, kicks)
     results = []
-    for block in blocks:
+    for row in index:
         u = np.eye(spec.dim, dtype=complex)
-        u[np.ix_(levels, levels)] = block
+        u[np.ix_(levels, levels)] = products[row]
         results.append(PropagationResult(u, steps, unitarity_defect(u)))
     return results
 
@@ -294,7 +349,7 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
         raise ValueError("the adiabatic frame takes no delta kicks")
     policy = policy or StepPolicy()
     _, mids, widths, seg_idx, _ = _step_grid(segments, policy)
-    increments = _step_exponents([segments], seg_idx, widths, mids)[0]
+    increments = _step_exponents([segments.values], seg_idx, widths, mids)[0]
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
     hs = adiabatic_hamiltonian(s, mids, c_mid)

@@ -10,7 +10,10 @@ somewhere in the stack (4 of 9 for a lambda block, whose H^2 has the other
 runs take 1e5-1e6 steps and must not accumulate unitarity drift.
 Time-ordered products of a step stack are reduced pairwise; both the
 closed form and the product carry leading batch axes, so several trains
-share one call.
+share one call.  The closed form takes the indices of pi pulses, whose
+exponential it makes exactly I - 2 H^2 for either sign, and the product
+can stop part way up its tree, so that a caller reducing a long stack in
+blocks finishes the upper levels of all blocks in one call.
 
 Stacks are multiplied as *planes*: an array of shape (d, d, ..., n) in
 which entry (i, j) of every matrix is one contiguous array.  A product of
@@ -140,7 +143,8 @@ def cubic_work_size(n: int, size: int) -> int:
 
 def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
                        out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
+                       work: np.ndarray | None = None,
+                       pi_pulses: np.ndarray | None = None) -> np.ndarray:
     """exp(-i*h_k*tau_k) for Hermitian h_k with h^3 = s^2 h, without eigh.
 
     The spectrum of such an h is a subset of {-s, 0, +s}, so the series
@@ -159,6 +163,13 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     complex array of at least cubic_work_size(n, taus.size) entries for
     the temporaries (allocated when not given).  hs, taus, out and work
     may not overlap.
+
+    pi_pulses, if given, indexes the factors (on the last axis of taus)
+    whose exponent s * tau is +-pi.  The exact sin(s tau) is 0 there, but
+    sin of the rounded pi is 1.2e-16 with the sign of tau, so the sine
+    term is dropped: with s = 1 such a factor is exactly
+    I - 2 h^2, since b = -2 sin^2(+-pi / 2) rounds to -2, the same for
+    either sign.
 
     Only planes that are nonzero somewhere in hs enter: h^2[i, j] sums
     h[i, k] h[k, j] over the k, ascending, whose two planes are both
@@ -196,6 +207,8 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     # a = (-1j / s) sin(x) and b = (-2 / s^2) sin(x / 2)^2, rounded as those expressions
     np.multiply(s, taus, out=x)
     np.multiply(-1j / s, np.sin(x, out=tmp[:size].reshape(taus.shape)), out=a)
+    if pi_pulses is not None:
+        a[..., pi_pulses] = 0.0
     b = np.sin(np.multiply(0.5, x, out=x), out=x)
     np.multiply(-2.0 / s ** 2, np.square(b, out=b), out=b)
     if out is None:
@@ -222,7 +235,7 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
 
 
 def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
-                    work: tuple | None = None) -> np.ndarray:
+                    work: tuple | None = None, depth: int | None = None) -> np.ndarray:
     """Time-ordered product stack[..., n-1, :, :] @ ... @ stack[..., 0, :, :].
 
     Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
@@ -231,32 +244,44 @@ def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
     next level unchanged.  The matrices are reduced as planes, whatever the
     memory layout of stack.
 
-    out, if given, is the (..., d, d) result array, in any memory layout,
-    and is returned.  work, if given, is (odd, even, term): flat contiguous
-    complex arrays for the odd levels, the even levels and the _matmul
-    term, of at least ceil(n/2), ceil(n/4) and floor(n/2) factors (d * d
-    entries each per batch row).  Only the first level reads stack, so even
-    may be the memory of stack itself.  Both are allocated when not given.
+    depth, if given, stops the tree after that many levels (or at one
+    node) and returns the (..., ceil(n / 2**depth), d, d) stack of its
+    nodes: node i is the product of factors [i * 2**depth, (i + 1) *
+    2**depth).  A stack cut into runs of a multiple of 2**depth factors
+    gives, run by run, the nodes of the whole stack's tree, and reducing
+    those nodes performs the rest of its multiplications, so the product
+    keeps its bits.
+
+    out, if given, is the result array, (..., d, d), or (..., nodes, d, d)
+    with depth, in any memory layout, and is returned.  work, if given,
+    is (odd, even, term): flat contiguous complex arrays for the odd
+    levels, the even levels and the _matmul term, of at least ceil(n/2),
+    ceil(n/4) and floor(n/2) factors (d * d entries each per batch row).
+    Only the first level reads stack, so even may be the memory of stack
+    itself.  Both are allocated when not given.
     """
     p = _planes(stack)
     d, n, batch = p.shape[0], p.shape[-1], p.shape[2:-1]
     if n == 0:
         raise ValueError(f"ordered_product needs at least one factor, got shape {stack.shape}")
+    whole = depth is None
+    if whole:
+        depth = (n - 1).bit_length()
     per_factor = d * d * math.prod(batch)
     if out is None:
-        out = np.empty(batch + (d, d), dtype=complex)
+        nodes = () if whole else (-(-n >> depth),)
+        out = np.empty(batch + nodes + (d, d), dtype=complex)
     if work is None:
         work = tuple(np.empty(per_factor * k, dtype=complex)
                      for k in ((n + 1) // 2, (n + 3) // 4, n // 2))
-    *levels, term = work
-    depth = 0
-    while p.shape[-1] > 1:
+    *buffers, term = work
+    for k in range(min(depth, (n - 1).bit_length())):
         half = p.shape[-1] // 2
         size = p.shape[-1] - half
-        level = levels[depth % 2][:per_factor * size].reshape((d, d) + batch + (size,))
+        level = buffers[k % 2][:per_factor * size].reshape((d, d) + batch + (size,))
         _matmul(p[..., 1:2 * half:2], p[..., 0:2 * half:2], out=level[..., :half],
                 term=term[:per_factor * half].reshape((d, d) + batch + (half,)))
         level[..., half:] = p[..., 2 * half:]
-        p, depth = level, depth + 1
-    _planes(out)[...] = p[..., 0]
+        p = level
+    _planes(out)[...] = p[..., 0] if whole else p
     return out

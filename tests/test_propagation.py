@@ -5,14 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holonomy_sim import propagation
 from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, PulseTrain, Segments,
                                   generate_segments)
 from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule,
                                        dark_states, exchange_hamiltonian, gate_generators,
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, StepPolicy,
-                                      _block_width, _chunked_product, _step_grid,
+from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, TOP_NODES, StepPolicy,
+                                      _block_width, _chunked_product, _step_grid, _top_depth,
                                       adiabatic_hamiltonian, propagate_adiabatic,
                                       propagate_lab, propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
@@ -193,6 +194,33 @@ def test_batch_rejects_trains_on_different_grids():
         propagate_lab_batch(spec, [])
 
 
+def test_trains_with_equal_values_share_one_row(monkeypatch):
+    spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
+
+    def train(J, seed):
+        return generate_segments(
+            PulseTrain(ControlKind.POSITIVE_SQUARE, J=J, dt=0.05, p=1.0, seed=seed), 1.0)
+
+    # at J = 0 every seed gives the same all-zero values
+    batch = [train(0.0, 1), train(40.0, 1), train(0.0, 2), train(40.0, 1), train(40.0, 2),
+             train(0.0, 3)]
+    rows = []
+    chunked = propagation._chunked_product
+
+    def spy(spec, ts, taus, kicks=()):
+        rows.append(len(taus))
+        return chunked(spec, ts, taus, kicks)
+
+    monkeypatch.setattr(propagation, "_chunked_product", spy)
+    results = propagate_lab_batch(spec, batch)
+    assert rows == [3]
+    for segments, result in zip(batch, results):
+        alone = propagate_lab(spec, segments)
+        assert np.array_equal(result.U, alone.U)
+        assert result.unitarity_defect == alone.unitarity_defect
+    assert results[0].U is not results[2].U
+
+
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
@@ -225,6 +253,32 @@ def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, bl
     _, products = _chunked_product(spec, ts, taus)
     _, hs = gate_generators(spec, ts)
     assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
+
+
+@pytest.mark.parametrize("rows, nodes", [(1, 64), (2, 32), (3, 16), (16, 4), (17, 2),
+                                         (32, 2), (33, 1), (4 * CHUNK, 1)])
+def test_blocks_stop_at_top_nodes_per_batch(rows, nodes):
+    width = _block_width(rows)
+    assert width >> _top_depth(rows, width) == nodes
+    assert rows * nodes <= max(rows, TOP_NODES)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 17, 32])
+def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
+    # three blocks and a ragged tail of 37, whose nodes do not fill a block;
+    # pi pulses sit on both sides of the block edges and in the tail
+    width = _block_width(rows)
+    n = 3 * width + 37
+    spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
+    ts = np.sort(rng.uniform(0.0, 1.0, size=n))
+    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    kicks = np.unique(np.concatenate([[width - 1, width, 2 * width, n - 1],
+                                      rng.choice(n, size=8, replace=False)]))
+    taus[:, kicks] = KICK_AREA
+    _, products = _chunked_product(spec, ts, taus, kicks)
+    _, hs = gate_generators(spec, ts)
+    assert np.array_equal(products,
+                          ordered_product(matexp_cubic_stack(hs, 1.0, taus, pi_pulses=kicks)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 32])
@@ -263,6 +317,28 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
 
 
+def exact_kicks(hs):
+    """I - 2 H^2 of every generator of a (n, 3, 3) stack: the pi pulse, either sign.
+
+    H^2 is summed over k in order, one whole-plane product per term, as the
+    closed form sums it."""
+    h = np.ascontiguousarray(hs.transpose(1, 2, 0))
+    sq = sum(h[:, k, None] * h[None, k] for k in range(3))
+    return (np.eye(3)[..., None] - 2.0 * sq).transpose(2, 0, 1)
+
+
+def whole_stack_with_exact_kicks(spec, segments, policy):
+    """(levels, product) of the train's factors reduced as one stack: closed-form
+    steps at the midpoints and exact, sign-free kick factors in between."""
+    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
+    steps = (1.0 + np.asarray(segments.values)[seg_idx]) * widths
+    levels, hs = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
+    factor_pos = kick_pos + np.arange(len(kick_pos))
+    stack = matexp_cubic_stack(hs, 1.0, np.insert(steps, kick_pos, 0.0))
+    stack[factor_pos] = exact_kicks(hs[factor_pos])
+    return levels, ordered_product(stack)
+
+
 def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     segments = generate_segments(
@@ -271,14 +347,10 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
                        kick_signs=(1, -1, 1, -1))
     policy = StepPolicy(max_step=1.0 / 2000)
     # the whole factor stack, steps and kicks interleaved, in one reduction
-    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
+    kick_pos = _step_grid(segments, policy)[-1]
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < CHUNK <= factor_pos[-1]
-    mids = np.insert(mids, kick_pos, segments.kick_times)
-    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * widths,
-                     kick_pos, KICK_AREA * np.asarray(segments.kick_signs, dtype=float))
-    levels, hs = gate_generators(spec, mids)
-    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
+    levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], whole)
 
@@ -292,14 +364,10 @@ def test_kicks_straddling_a_wide_block_edge_match_the_whole_stack():
     segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
                        kick_signs=(1, -1, -1, 1))
     policy = StepPolicy(max_step=1.0 / 4000)
-    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
+    kick_pos = _step_grid(segments, policy)[-1]
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < _block_width(1) <= factor_pos[-1]
-    mids = np.insert(mids, kick_pos, segments.kick_times)
-    taus = np.insert((1.0 + np.asarray(segments.values)[seg_idx]) * widths,
-                     kick_pos, KICK_AREA * np.asarray(segments.kick_signs, dtype=float))
-    levels, hs = gate_generators(spec, mids)
-    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
+    levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], whole)
 
@@ -316,6 +384,19 @@ def test_long_run_memory_stays_bounded():
         tracemalloc.stop()
     assert result.steps_taken == 200_000
     assert peak < 32 * 2 ** 20
+
+
+def test_step_grid_of_a_long_run_peaks_below_10_mib():
+    # 200,000 steps: the four full-length arrays it returns take 6.1 MiB
+    segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
+    tracemalloc.start()
+    try:
+        _, mids, *_ = _step_grid(segments, StepPolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mids) == 200_000
+    assert peak < 10 * 2 ** 20
 
 
 def test_overflowing_control_is_rejected():
@@ -500,6 +581,15 @@ class TestKicks:
         u_pos = propagate_lab(spec, pos).U
         u_alt = propagate_lab(spec, alt).U
         assert np.max(np.abs(u_pos - u_alt)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda kind: kind.value)
+    def test_positive_and_alternating_kicks_give_bit_identical_u(self, kind):
+        spec = GateSpec(kind, Schedule(A_REF, 1.0))
+        pos = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.03, seed=5, jitter=0.6)
+        alt = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.03, seed=5, jitter=0.6)
+        assert pos.kick_times == alt.kick_times and pos.kick_signs != alt.kick_signs
+        u_pos, u_alt = propagate_lab(spec, pos).U, propagate_lab(spec, alt).U
+        assert np.array_equal(u_pos.view(np.uint64), u_alt.view(np.uint64))
 
     def test_empty_kick_schedule_is_no_op(self):
         spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))

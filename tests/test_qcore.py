@@ -367,3 +367,45 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
     got = ordered_product(_matrices(stack), out=_matrices(out),
                           work=(odd, stack.reshape(-1), term))
     assert np.shares_memory(got, out) and np.array_equal(_bits(got), _bits(product))
+
+
+def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
+    # sin of the rounded pi is 1.2e-16 with the sign of tau: a pi pulse drops
+    # that term, so +pi and -pi give the bits of I - 2 h^2
+    pulses = np.array([0, 3, 4, 17, 39])
+    for kind in GateKind:
+        _, hs = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
+                                np.sort(rng.uniform(0.0, 1.0, size=40)))
+        h = _planes(hs)
+        sq = _matmul(h, h, np.empty((3, 3, 40), dtype=complex))
+        exact = _matrices(np.eye(3)[..., None] - 2.0 * sq)[pulses]
+        taus = rng.uniform(-0.1, 0.1, size=(2, 40))
+        taus[0, pulses] = math.pi
+        taus[1, pulses] = [math.pi, -math.pi, -math.pi, math.pi, -math.pi]
+        got = matexp_cubic_stack(hs, 1.0, taus, pi_pulses=pulses)
+        plain = matexp_cubic_stack(hs, 1.0, taus)
+        for row in got:
+            assert np.array_equal(_bits(row[pulses]), _bits(exact)), kind
+        # without the marker the two signs differ in the last bits
+        assert not np.array_equal(plain[0, pulses], plain[1, pulses])
+        np.testing.assert_allclose(got[1, pulses], plain[1, pulses], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exact, matexp_hermitian_stack(hs[pulses], taus[1, pulses]),
+                                   rtol=0, atol=1e-14)
+        others = np.setdiff1d(np.arange(40), pulses)
+        assert np.array_equal(_bits(got[:, others]), _bits(plain[:, others]))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 100])
+@pytest.mark.parametrize("depth", [0, 1, 3, 7])
+def test_ordered_product_stops_at_depth_on_the_nodes_of_the_whole_tree(n, depth, rng):
+    stack = 0.6 * (rng.standard_normal((2, n, 3, 3)) + 1j * rng.standard_normal((2, n, 3, 3)))
+    nodes = ordered_product(stack, depth=depth)
+    size = 2 ** depth
+    assert nodes.shape == (2, -(-n // size), 3, 3)
+    for i in range(nodes.shape[1]):
+        assert np.array_equal(nodes[:, i], ordered_product(stack[:, i * size:(i + 1) * size]))
+    assert np.array_equal(ordered_product(nodes), ordered_product(stack))
+    # runs of a multiple of 2**depth factors give the nodes run by run
+    cut = 2 * size
+    parts = [ordered_product(stack[:, i:i + cut], depth=depth) for i in range(0, n, cut)]
+    assert np.array_equal(np.concatenate(parts, axis=1), nodes)
