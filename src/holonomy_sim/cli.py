@@ -12,8 +12,9 @@ replaces it), control.dt in the dt experiments (the grid value replaces
 it), realizations in kick-equivalence.  The run comes before any write: an
 exit 2 leaves no --out-dir, and exit 4 is reported after the run.
 
-Parallelism for sweeps comes from --threads, falling back to the CPU
-count; outputs are byte-identical regardless of the setting.
+Parallelism for sweeps comes from --threads, 1 by default: on the
+shipped sweeps two threads ran slower than one.  Outputs are
+byte-identical regardless of the setting.
 """
 from __future__ import annotations
 
@@ -43,14 +44,6 @@ from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian_sta
                     unitarity_defect)
 
 UNITARITY_EXIT_TOL = 1e-8
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    if value < 1:
-        raise ValueError(f"--threads must be >= 1, got {value}")
-    return value
 
 
 def _complex_matrix_json(m: np.ndarray):
@@ -191,7 +184,9 @@ def cmd_sweep(args) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        threads = _resolve_threads(args.threads)
+        threads = args.threads
+        if threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
         if args.plot and cfg.experiment == "kick-equivalence":
             raise ValueError("--plot charts a sweep; kick-equivalence writes no plot.svg")
     except ValueError as exc:
@@ -416,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, help="override master_seed")
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--plot", action="store_true", help="also write an SVG chart")
-    sweep.add_argument("--threads", type=int,
+    sweep.add_argument("--threads", type=int, default=1,
                        help="worker threads sharing the sweep's jobs of up to 32 "
-                            "realizations (default: CPU count)")
+                            "realizations (default: 1)")
     sweep.set_defaults(func=cmd_sweep)
 
     selftest = sub.add_parser("selftest", help="run the invariant suite")

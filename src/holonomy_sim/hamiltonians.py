@@ -210,8 +210,14 @@ def gate_generators(spec: GateSpec, ts, out: np.ndarray | None = None):
     s = spec.schedule
     # phi and theta as Schedule.phi and Schedule.theta give them, checking ts once
     phi = TWO_PI * s._check_t(ts) / s.T
-    th = s.a * np.sin(phi)
-    cos_th, e = np.cos(th), np.exp(-1j * phi)
+    # exp(-i phi) = cos(phi) - i sin(phi), sharing sin(phi) with theta: the
+    # bits of np.exp(-1j * phi), whose complex exp takes the same cos and sin
+    e = np.empty(len(phi), dtype=complex)
+    np.cos(phi, out=e.real)
+    sin_phi = np.sin(phi, out=e.imag)
+    th = s.a * sin_phi
+    np.negative(sin_phi, out=sin_phi)
+    cos_th = np.cos(th)
     if out is None:
         out = np.empty((3, 3, len(phi)), dtype=complex).transpose(2, 0, 1)
     planes = out.transpose(1, 2, 0)

@@ -20,17 +20,25 @@ time-ordered product, all as whole-array numpy calls.  The stacks stay in
 qcore's plane memory (entry (i, j) of every factor one contiguous array)
 from the generators to the product, so each level of the product is three
 whole-plane multiply-adds, not one small matmul per factor.  Kick factors
-sit in the same stack as the steps, in time order.  The factor axis is
-processed in aligned blocks of a power-of-two width, 2048 for one or two
-trains, 1024 up to 16 and narrower for wider batches (see _block_width),
-so memory is bounded by one block while U stays bit-identical to one
-reduction over the whole stack.  Each block stops its reduction at about
-TOP_NODES entries, and the nodes of all blocks finish the tree together.
-The blocks of a batch write into one workspace allocated once per batch
-(see _chunked_product), so no block allocates a stack of its own.  Trains
-of a batch with equal segment values (the J = 0 realizations of a sweep,
-or one kick layout under two sign patterns) are propagated once.  The
-product is embedded into spec.dim at the end.
+sit in the same stack as the steps, in time order.  The factor instants
+and exponents are laid out in one pass into the arrays the product reads
+(see _factors): the step bounds are built in place, the kick instants
+merged in by one sort, and every kick instant doubled, so that the
+midpoints and widths of that one array are the instants and widths of all
+factors, a kick spanning no time.  One search per segment start splits
+the instants into segments, and (1 + c) * dt is the segment values
+repeated over them and multiplied by the widths in place; without kicks
+nothing is copied.  The factor axis is processed in aligned blocks of a
+power-of-two width, 2048 for one or two trains, 1024 up to 16 and
+narrower for wider batches (see _block_width), so memory is bounded by
+one block while U stays bit-identical to one reduction over the whole
+stack.  Each block stops its reduction at about TOP_NODES entries, and
+the nodes of all blocks finish the tree together.  The blocks of a batch
+write into one workspace allocated once per batch (see _chunked_product),
+so no block allocates a stack of its own.  Trains of a batch with equal
+segment values (the J = 0 realizations of a sweep, or one kick layout
+under two sign patterns) are propagated once.  The product is embedded
+into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -107,25 +115,22 @@ class PropagationResult:
     unitarity_defect: float
 
 
-def _step_grid(segments: Segments, policy: StepPolicy):
-    """Step boundaries, midpoints and widths, the segment of every step, and kick positions.
+def _bounds(segments: Segments, policy: StepPolicy):
+    """Step boundaries with the kick instants merged in, and the position of every kick.
 
-    Returns (bounds, mids, widths, seg_idx, kick_pos): step k runs from
-    bounds[k] to bounds[k + 1], with midpoint mids[k] and width widths[k],
-    inside segment seg_idx[k], and kick_pos[i] is the index of the step
-    that kick i precedes (its instant is bounds[kick_pos[i]]).  Only the
-    segment edges and the kick instants enter, so one grid serves every
-    train that shares them.  Raises ValueError, before allocating, when the
-    steps and kicks together exceed MAX_STEPS.
+    Returns (bounds, kick_pos): step k runs from bounds[k] to bounds[k + 1],
+    and kick i sits at bounds[kick_pos[i]], right before the step that
+    starts there.  Only the segment edges and the kick instants enter, so
+    one grid serves every train that shares them.  Raises ValueError,
+    before allocating, when the steps and kicks together exceed MAX_STEPS.
     """
     span = segments.span
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
     edges = np.asarray(segments.edges)
     starts, lengths = edges[:-1], np.diff(edges)
-    kick_times = np.asarray(segments.kick_times, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing count is inf, rejected below
         counts = np.maximum(policy.substeps_per_segment, np.ceil(lengths / max_step - 1e-9))
-    total = counts.sum() + len(kick_times)
+    total = counts.sum() + len(segments.kick_times)
     if not total <= MAX_STEPS:
         raise ValueError(f"the run needs {total:.0f} steps and kicks, above the cap "
                          f"MAX_STEPS = {MAX_STEPS}")
@@ -149,32 +154,71 @@ def _step_grid(segments: Segments, policy: StepPolicy):
         offsets[huge] = lengths[seg] * ((huge - first[seg] + 1) / counts[seg])
     offsets += np.repeat(starts, counts)
     bounds[-1] = span
+    kick_times = np.fromiter(segments.kick_times, float, len(segments.kick_times))
     if len(kick_times):
-        bounds = np.unique(np.concatenate([bounds, kick_times]))
+        # one sort, dropping exact duplicates (a kick on a step bound) as np.unique does
+        bounds = np.concatenate((bounds, kick_times))
+        bounds.sort()
+        new = bounds[1:] != bounds[:-1]
+        if not new.all():
+            bounds = bounds[np.concatenate(([True], new))]
+    return bounds, np.searchsorted(bounds, kick_times)
+
+
+def _midpoints(bounds: np.ndarray) -> np.ndarray:
+    """0.5 * (bounds[k] + bounds[k + 1]) of every step, formed in place."""
     mids = np.add(bounds[1:], bounds[:-1])
     mids *= 0.5
-    seg_idx = np.searchsorted(starts, mids, side="right")
-    seg_idx -= 1
-    np.clip(seg_idx, 0, len(segments) - 1, out=seg_idx)
-    widths = np.subtract(bounds[1:], bounds[:-1])
-    return bounds, mids, widths, seg_idx, np.searchsorted(bounds, kick_times)
+    return mids
 
 
-def _step_exponents(values, seg_idx: np.ndarray, widths: np.ndarray,
-                    mids: np.ndarray) -> np.ndarray:
-    """(1 + c) * dt of every step, one row per tuple of segment values on a shared grid.
+def _segment_counts(segments: Segments, ts: np.ndarray) -> np.ndarray:
+    """How many of the ascending instants ts lie in each segment.
 
-    Every row comes from one (rows, segments) matrix of segment values.
-    Raises ValueError when an exponent is not finite, i.e. when the control
-    amplitude times dt overflows.
+    An instant belongs to the last segment that starts at or before it,
+    the rule np.searchsorted(starts, ts, side="right") - 1 applies to each
+    instant; since ts ascends, one search per segment start finds the same
+    split.  The bounds a segment is cut into can end an ulp off its edge,
+    and a kick on the edge then leaves a sliver of one segment's steps on
+    the other side, so the counts are read off the instants, not off the
+    number of steps each segment was cut into.
     """
-    values = np.array(values)
-    with np.errstate(over="ignore"):  # np.take keeps C order; values[:, seg_idx] is F order
-        exponents = (1.0 + np.take(values, seg_idx, axis=1)) * widths
+    ends = np.searchsorted(ts, segments.edges[1:-1])
+    return np.diff(ends, prepend=0, append=len(ts))
+
+
+def _step_grid(segments: Segments, policy: StepPolicy):
+    """Step boundaries, midpoints and widths, the segment of every step, and kick positions.
+
+    Returns (bounds, mids, widths, seg_idx, kick_pos): step k runs from
+    bounds[k] to bounds[k + 1], with midpoint mids[k] and width widths[k],
+    inside segment seg_idx[k], and kick_pos[i] is the index of the step
+    that kick i precedes (its instant is bounds[kick_pos[i]]).  Raises
+    ValueError as :func:`_bounds` does.
+    """
+    bounds, kick_pos = _bounds(segments, policy)
+    mids = _midpoints(bounds)
+    seg_idx = np.repeat(np.arange(len(segments)), _segment_counts(segments, mids))
+    return bounds, mids, np.diff(bounds), seg_idx, kick_pos
+
+
+def _step_exponents(values, counts: np.ndarray, widths: np.ndarray,
+                    ts: np.ndarray) -> np.ndarray:
+    """(1 + c) * dt at every instant of ts, one row per tuple of segment values.
+
+    counts[s] consecutive instants lie in segment s (see _segment_counts)
+    and widths holds their dt.  Every row comes from one (rows, segments)
+    matrix of segment values, repeated into the result and multiplied by
+    the widths in place.  Raises ValueError when an exponent is not
+    finite, i.e. when the control amplitude times dt overflows.
+    """
+    exponents = np.repeat(1.0 + np.array(values), counts, axis=1)
+    with np.errstate(over="ignore"):
+        exponents *= widths
     if not np.all(np.isfinite(exponents)):
         b, k = np.unravel_index(np.argmin(np.isfinite(exponents)), exponents.shape)
         raise ValueError(f"step exponent (1 + c) * dt = {exponents[b, k]} at "
-                         f"t = {mids[k]:.6g} is not finite: the control amplitude overflows")
+                         f"t = {ts[k]:.6g} is not finite: the control amplitude overflows")
     return exponents
 
 
@@ -186,12 +230,25 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
     sits at ts[k] with exponent taus[b, k] in row b.  The steps contribute
     their midpoints and (1 + c) * dt, and kick i its instant and KICK_AREA
     in every row, right before the step that starts at that instant;
-    kicks holds the indices of the kick factors.
+    kicks holds the indices of the kick factors.  ts and taus are
+    allocated once at their final length: the midpoints and widths of one
+    array of bounds in which every kick instant appears twice, and the
+    exponents repeated from the segment values and multiplied in place.
     """
-    _, mids, widths, seg_idx, kick_pos = _step_grid(train, policy)
-    taus = np.insert(_step_exponents(values, seg_idx, widths, mids), kick_pos, KICK_AREA, axis=1)
+    bounds, kick_pos = _bounds(train, policy)
+    steps = len(bounds) - 1
     kicks = kick_pos + np.arange(len(kick_pos))
-    return np.insert(mids, kick_pos, train.kick_times), taus, kicks, len(widths)
+    if len(kicks):
+        # every kick instant twice: the kick factor spans no time, and its
+        # midpoint 0.5 * (t + t) is t exactly for any t a Schedule accepts
+        reps = np.ones(len(bounds), dtype=np.intp)
+        reps[kick_pos] = 2
+        bounds = np.repeat(bounds, reps)
+    ts, widths = _midpoints(bounds), np.diff(bounds)
+    del bounds
+    taus = _step_exponents(values, _segment_counts(train, ts), widths, ts)
+    taus[:, kicks] = KICK_AREA
+    return ts, taus, kicks, steps
 
 
 def _block_width(rows: int) -> int:
@@ -348,8 +405,9 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
     if segments.kick_times:
         raise ValueError("the adiabatic frame takes no delta kicks")
     policy = policy or StepPolicy()
-    _, mids, widths, seg_idx, _ = _step_grid(segments, policy)
-    increments = _step_exponents([segments.values], seg_idx, widths, mids)[0]
+    _, mids, widths, _, _ = _step_grid(segments, policy)
+    increments = _step_exponents([segments.values], _segment_counts(segments, mids),
+                                 widths, mids)[0]
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
     hs = adiabatic_hamiltonian(s, mids, c_mid)

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import os
 import re
 import time
 from pathlib import Path
@@ -407,9 +406,19 @@ class TestSweepCommand:
             assert "physical_four" in err[0]
             assert not out.exists()
 
-    def test_thread_count_defaults_to_cpu_count(self):
-        assert cli._resolve_threads(None) == (os.cpu_count() or 1)
-        assert cli._resolve_threads(3) == 3
+    def test_sweep_runs_on_one_thread_by_default(self, tmp_path, monkeypatch):
+        seen, real_sweep = [], cli.sweep
+
+        def sweep(cfg, n_threads):
+            seen.append(n_threads)
+            return real_sweep(cfg, n_threads)
+
+        monkeypatch.setattr(cli, "sweep", sweep)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--experiment", "runtime", "--config",
+                        str(small_runtime_config(tmp_path)), "--out-dir", str(out)]) == 0
+        assert seen == [1]
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
     @pytest.mark.parametrize("couplings", [{"j12": 1.0}, {"j12": 1.0, "j13": 0.5}])
     def test_gate_couplings_are_unknown_keys(self, tmp_path, capsys, couplings):

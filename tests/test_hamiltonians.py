@@ -158,7 +158,7 @@ def test_generator_stack_equals_the_hamiltonian_block_at_each_time(kind, rng):
 @pytest.mark.parametrize("a", [0.7605, 0.0])
 def test_generator_planes_have_the_bits_of_the_drive_formulas(a, rng):
     T = 0.37
-    ts = np.concatenate([[0.0, T / 4, T / 2, T], rng.uniform(0.0, T, size=100_000)])
+    ts = np.concatenate([[0.0, T / 4, T / 2, 3 * T / 4, T], rng.uniform(0.0, T, size=100_000)])
     phi = 2 * math.pi * ts / T
     th = a * np.sin(phi)
     expected = np.zeros((len(ts), 3, 3), dtype=complex)

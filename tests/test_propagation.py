@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonomy_sim import propagation
 from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, PulseTrain, Segments,
@@ -13,7 +14,8 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
 from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, TOP_NODES, StepPolicy,
-                                      _block_width, _chunked_product, _step_grid, _top_depth,
+                                      _block_width, _chunked_product, _factors, _step_grid,
+                                      _top_depth,
                                       adiabatic_hamiltonian, propagate_adiabatic,
                                       propagate_lab, propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
@@ -48,6 +50,32 @@ def loop_bounds(segments, policy):
         edges.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
     edges[-1] = span
     return sorted(set(edges) | set(segments.kick_times))
+
+
+def inserted_factors(train, values, policy):
+    """(ts, taus, kicks, steps) of _factors built step by step, as its reference.
+
+    The edge-by-edge bounds of loop_bounds without the kicks, an np.unique
+    merge of the kick instants, every midpoint's segment by searchsorted
+    over the segment starts, and the kick factors put in by np.insert."""
+    max_step = policy.max_step or train.span / DEFAULT_STEPS_PER_PERIOD
+    bounds = [0.0]
+    for t0, t1 in zip(train.edges, train.edges[1:]):
+        n = max(policy.substeps_per_segment, math.ceil((t1 - t0) / max_step - 1e-9))
+        bounds.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
+    bounds[-1] = train.span
+    kick_times = np.asarray(train.kick_times, dtype=float)
+    bounds = np.array(bounds)
+    if len(kick_times):
+        bounds = np.unique(np.concatenate([bounds, kick_times]))
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    seg_idx = np.searchsorted(train.edges[:-1], mids, side="right") - 1
+    seg_idx = np.clip(seg_idx, 0, len(train) - 1)
+    steps = (1.0 + np.take(np.array(values), seg_idx, axis=1)) * np.diff(bounds)
+    kick_pos = np.searchsorted(bounds, kick_times)
+    return (np.insert(mids, kick_pos, kick_times),
+            np.insert(steps, kick_pos, KICK_AREA, axis=1),
+            kick_pos + np.arange(len(kick_pos)), len(mids))
 
 
 def sequential_reference(spec, segments, policy):
@@ -150,6 +178,42 @@ def test_step_grid_rejects_runs_above_the_cap():
     kicked = Segments((0.0, 1.0), (0.0,), (0.25, 0.5, 0.75), (1, 1, 1))
     with pytest.raises(ValueError, match="above the cap MAX_STEPS"):
         _step_grid(kicked, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
+
+
+@st.composite
+def factor_batches(draw):
+    """A train with one or many segments, kicks at random instants, on step
+    bounds and on segment edges, a policy, and 1 or 29 rows of values."""
+    many = draw(st.sampled_from([1, 40]))
+    lengths = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=many))
+    edges = tuple(np.concatenate([[0.0], np.cumsum(lengths)]).tolist())
+    span = edges[-1]
+    policy = draw(st.sampled_from([StepPolicy(), StepPolicy(max_step=span / 997),
+                                   StepPolicy(substeps_per_segment=33, max_step=span / 2500)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_bounds = loop_bounds(Segments(edges, (0.0,) * len(lengths)), policy)[1:-1]
+    kicks = rng.uniform(0.0, span, size=draw(st.integers(0, 60))).tolist()
+    kicks += rng.choice(on_bounds, size=draw(st.integers(0, 10))).tolist()
+    kicks += list(edges[1:-1])[:draw(st.integers(0, len(edges) - 2))]
+    kicks = sorted({t for t in kicks if 0.0 < t < span})
+    rows = draw(st.sampled_from([1, 29]))
+    values = [tuple(rng.uniform(-5.0, 60.0, size=len(lengths)).tolist()) for _ in range(rows)]
+    train = Segments(edges, values[0], tuple(kicks), (1,) * len(kicks))
+    return train, values, policy
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_batches())
+def test_factor_stack_is_bit_identical_to_the_inserted_construction(batch):
+    train, values, policy = batch
+    ts, taus, kicks, steps = _factors(train, values, policy)
+    ref_ts, ref_taus, ref_kicks, ref_steps = inserted_factors(train, values, policy)
+    assert steps == ref_steps
+    np.testing.assert_array_equal(kicks, ref_kicks)
+    # the uint64 views also compare the signs of zeros
+    assert np.array_equal(ts.view(np.uint64), ref_ts.view(np.uint64))
+    assert np.array_equal(taus.view(np.uint64), ref_taus.view(np.uint64))
+    assert taus.flags.c_contiguous
 
 
 def shared_grid_batches(T):
@@ -397,6 +461,20 @@ def test_step_grid_of_a_long_run_peaks_below_10_mib():
         tracemalloc.stop()
     assert len(mids) == 200_000
     assert peak < 10 * 2 ** 20
+
+
+def test_factor_stack_of_a_long_run_peaks_below_6_mib():
+    # 200,000 steps: the midpoints and exponents it returns take 3.05 MiB and
+    # the stack peaks at 4.85 MiB traced; 6 MiB leaves about a quarter of margin
+    segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
+    tracemalloc.start()
+    try:
+        ts, taus, _, steps = _factors(segments, [segments.values], StepPolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == len(ts) == taus.shape[1] == 200_000
+    assert peak < 6 * 2 ** 20
 
 
 def test_overflowing_control_is_rejected():
