@@ -12,9 +12,7 @@ replaces it), control.dt in the dt experiments (the grid value replaces
 it), realizations in kick-equivalence.  The run comes before any write: an
 exit 2 leaves no --out-dir, and exit 4 is reported after the run.
 
-Parallelism for sweeps comes from --threads, 1 by default: on the
-shipped sweeps two threads ran slower than one.  Outputs are
-byte-identical regardless of the setting.
+Sweeps run serially.  --threads N is still accepted (N >= 1) and ignored.
 """
 from __future__ import annotations
 
@@ -184,9 +182,8 @@ def cmd_sweep(args) -> int:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
     try:
-        threads = args.threads
-        if threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {threads}")
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.plot and cfg.experiment == "kick-equivalence":
             raise ValueError("--plot charts a sweep; kick-equivalence writes no plot.svg")
     except ValueError as exc:
@@ -202,7 +199,7 @@ def cmd_sweep(args) -> int:
             writers = {"report.json": partial(
                 write_json, {k: v for k, v in vars(report).items() if k != "steps"})}
         else:
-            result = sweep(cfg, n_threads=threads)
+            result = sweep(cfg)
             total_steps = result.total_steps
             writers = {"results.csv": partial(write_csv, result.rows),
                        "bundle.json": partial(write_json_bundle, result, cfg)}
@@ -221,7 +218,6 @@ def cmd_sweep(args) -> int:
             "experiment": cfg.experiment,
             "config": config_to_dict(cfg),
             "rng": RNG_DESCRIPTION,
-            "threads": threads,
             "wall_time_s": time.monotonic() - start,
             "total_steps": total_steps,
             "outputs": list(writers),
@@ -412,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", required=True)
     sweep.add_argument("--plot", action="store_true", help="also write an SVG chart")
     sweep.add_argument("--threads", type=int, default=1,
-                       help="worker threads sharing the sweep's jobs of up to 32 "
-                            "realizations (default: 1)")
+                       help="ignored; sweeps run serially")
     sweep.set_defaults(func=cmd_sweep)
 
     selftest = sub.add_parser("selftest", help="run the invariant suite")

@@ -4,25 +4,24 @@ Each sweep propagates the configured gate over a grid, averages the
 quality factor over noise realizations, and returns an ordered table of
 rows plus per-realization records.  Seeding is positional: realization k
 of grid point j derives its generator from SeedSequence([master_seed, j,
-k]), so results are independent of execution order and thread count, and
-a (config, master_seed) pair reproduces output files byte for byte.
+k]), so results are independent of how realizations are batched, and a
+(config, master_seed) pair reproduces output files byte for byte.
 
-The pool's unit of work is a job of realizations taken in (grid index,
-realization index) order from a run of grid points whose gate and train
-differ at most in the amplitude J.  Such realizations share their segment
-edges, so a job builds its trains and propagates them as one batch, in
-which realizations with equal segment values (those at J = 0) share one
-propagation.  A run of n realizations is split into ceil(n / MAX_BATCH)
-jobs of nearly equal size: the whole mean-control sweep is one run, while a
-runtime or dt sweep, whose grid value moves the step grid, has one run per
-grid point.  Every train, kicks included, is laid out by
-control.generate_segments.
+A sweep runs its jobs one after another, in order.  A job is a list of
+realizations taken in (grid index, realization index) order from a run of
+grid points whose gate and train differ at most in the amplitude J.  Such
+realizations share their segment edges, so a job builds its trains and
+propagates them as one batch, in which realizations with equal segment
+values (those at J = 0) share one propagation.  A run of n realizations
+is split into ceil(n / MAX_BATCH) jobs of nearly equal size: the whole
+mean-control sweep is one run, while a runtime or dt sweep, whose grid
+value moves the step grid, has one run per grid point.  Every train,
+kicks included, is laid out by control.generate_segments.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 
@@ -134,14 +133,6 @@ def realization_seed(master_seed: int, grid_index: int, realization_index: int) 
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_jobs(jobs, worker, n_threads: int):
-    """worker(job) for every job, in order; a lone job runs without a pool."""
-    if n_threads <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
     """Collapse the records, in (j, k) order, into one row per grid point.
 
@@ -232,15 +223,16 @@ EXPERIMENTS = {
 }
 
 
-def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
+def sweep(cfg: ExperimentConfig) -> SweepResult:
     """Quality factor versus cfg.sweep_variable over cfg.grid.
 
     The runtime experiment sweeps T without control; mean-control sweeps
     the target average of a positive-square train, whose realized time
     average is recorded per realization; dt-zero-energy sweeps the
-    half-period of a zero-energy alternating train.  The pool runs jobs of
-    up to MAX_BATCH realizations that share one step grid (see the module
-    docstring); records come out in (grid index, realization index) order.
+    half-period of a zero-energy alternating train.  Jobs of up to
+    MAX_BATCH realizations that share one step grid run in order (see the
+    module docstring); records come out in (grid index, realization index)
+    order.
     """
     if cfg.experiment == "kick-equivalence":
         raise ValueError("a kick-equivalence config is not a sweep; run "
@@ -249,12 +241,8 @@ def sweep(cfg: ExperimentConfig, n_threads: int = 1) -> SweepResult:
     points = [point(cfg, x) for x in cfg.grid]
     # every grid point shares the amplitude a, hence the ideal phase
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
-
-    def worker(job):
-        return _job_records(cfg, gamma_ideal, points, job)
-
-    records = tuple(r for job in _run_jobs(_jobs(cfg, points), worker, n_threads)
-                    for r in job)
+    records = tuple(r for job in _jobs(cfg, points)
+                    for r in _job_records(cfg, gamma_ideal, points, job))
     return SweepResult(_assemble_rows(cfg, records, gamma_ideal), records,
                        sum(r.steps for r in records))
 

@@ -187,21 +187,6 @@ def _segment_counts(segments: Segments, ts: np.ndarray) -> np.ndarray:
     return np.diff(ends, prepend=0, append=len(ts))
 
 
-def _step_grid(segments: Segments, policy: StepPolicy):
-    """Step boundaries, midpoints and widths, the segment of every step, and kick positions.
-
-    Returns (bounds, mids, widths, seg_idx, kick_pos): step k runs from
-    bounds[k] to bounds[k + 1], with midpoint mids[k] and width widths[k],
-    inside segment seg_idx[k], and kick_pos[i] is the index of the step
-    that kick i precedes (its instant is bounds[kick_pos[i]]).  Raises
-    ValueError as :func:`_bounds` does.
-    """
-    bounds, kick_pos = _bounds(segments, policy)
-    mids = _midpoints(bounds)
-    seg_idx = np.repeat(np.arange(len(segments)), _segment_counts(segments, mids))
-    return bounds, mids, np.diff(bounds), seg_idx, kick_pos
-
-
 def _step_exponents(values, counts: np.ndarray, widths: np.ndarray,
                     ts: np.ndarray) -> np.ndarray:
     """(1 + c) * dt at every instant of ts, one row per tuple of segment values.
@@ -405,7 +390,8 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
     if segments.kick_times:
         raise ValueError("the adiabatic frame takes no delta kicks")
     policy = policy or StepPolicy()
-    _, mids, widths, _, _ = _step_grid(segments, policy)
+    bounds, _ = _bounds(segments, policy)
+    mids, widths = _midpoints(bounds), np.diff(bounds)
     increments = _step_exponents([segments.values], _segment_counts(segments, mids),
                                  widths, mids)[0]
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])

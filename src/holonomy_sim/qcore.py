@@ -106,18 +106,6 @@ def _check_hermitian_stack(h: np.ndarray, nonzero: list, diff: np.ndarray,
                          f"{HERMITICITY_TOL:.1e}")
 
 
-def matexp_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
-    """Unitary exp(-i*h*tau) of one Hermitian matrix: matexp_hermitian_stack of one.
-
-    Rejects inputs whose hermiticity defect exceeds HERMITICITY_TOL (the
-    defect is reported in the error).  The result is unitary to ~1e-15
-    regardless of tau, which is what keeps million-step propagations stable.
-    """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    return matexp_hermitian_stack(h[None], [tau])[0]
-
-
 def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d), via eigendecomposition.
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from holonomy_sim.qcore import matexp_hermitian_stack
+
 
 @pytest.fixture
 def rng():
@@ -10,3 +12,10 @@ def rng():
 def random_hermitian(rng, dim=4):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m + m.conj().T)
+
+
+def matexp_hermitian(h, tau):
+    """exp(-i*h*tau) of one Hermitian matrix: matexp_hermitian_stack of one."""
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    return matexp_hermitian_stack(h[None], [tau])[0]

@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -207,16 +210,27 @@ class TestSweepCommand:
             blobs.append((out / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_thread_count_does_not_change_csv_bytes(self, tmp_path):
+    def test_ignored_thread_flag_keeps_output_bytes(self, tmp_path):
         cfg = small_runtime_config(tmp_path)
-        blobs = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
+        outs = []
+        for name, flag in (("plain", []), ("t2", ["--threads", "2"])):
             out = tmp_path / name
-            assert run_cli(["sweep", "--experiment", "runtime", "--config",
-                            str(cfg), "--out-dir", str(out),
-                            "--threads", threads]) == 0
-            blobs.append((out / "results.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+            assert run_cli(["sweep", "--experiment", "runtime", "--config", str(cfg),
+                            "--out-dir", str(out)] + flag) == 0
+            assert "threads" not in json.loads((out / "manifest.json").read_text())
+            outs.append(out)
+        for name in ("results.csv", "bundle.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, holonomy_sim.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_plot_polyline_matches_grid_size(self, tmp_path):
         cfg = small_runtime_config(tmp_path, grid=(1.0, 2.0, 4.0, 8.0, 16.0))
@@ -405,20 +419,6 @@ class TestSweepCommand:
             assert len(err) == 1 and err[0].startswith("error: invalid config")
             assert "physical_four" in err[0]
             assert not out.exists()
-
-    def test_sweep_runs_on_one_thread_by_default(self, tmp_path, monkeypatch):
-        seen, real_sweep = [], cli.sweep
-
-        def sweep(cfg, n_threads):
-            seen.append(n_threads)
-            return real_sweep(cfg, n_threads)
-
-        monkeypatch.setattr(cli, "sweep", sweep)
-        out = tmp_path / "out"
-        assert run_cli(["sweep", "--experiment", "runtime", "--config",
-                        str(small_runtime_config(tmp_path)), "--out-dir", str(out)]) == 0
-        assert seen == [1]
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
     @pytest.mark.parametrize("couplings", [{"j12": 1.0}, {"j12": 1.0, "j13": 0.5}])
     def test_gate_couplings_are_unknown_keys(self, tmp_path, capsys, couplings):

@@ -146,12 +146,6 @@ class TestSweepRuntime:
                                         row.overlap_mean)
             assert abs(recomputed - row.f_mean) <= 1e-12
 
-    def test_thread_count_does_not_change_results(self):
-        serial = sweep(runtime_config())
-        threaded = sweep(runtime_config(), n_threads=4)
-        assert serial.rows == threaded.rows
-        assert serial.records == threaded.records
-
     def test_discretization_control_by_step_halving(self):
         for T in (1.0, 10.0):
             base = runtime_config(grid=(T,))
@@ -219,11 +213,6 @@ class TestSweepJobs:
         assert len(sizes) == 13 and sum(sizes) == 400
         assert set(sizes) == {30, 31}
 
-    def test_a_lone_job_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", None)
-        cfg = mean_control_config(grid=(0.0, 25.0), realizations=3)
-        assert sweep(cfg, n_threads=2).records == sweep(cfg).records
-
     def test_batched_records_equal_each_train_run_alone(self):
         cfg = replace(mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0),
                                           realizations=12),
@@ -244,7 +233,6 @@ class TestSweepJobs:
                 gamma_measured=hol.gamma_measured, overlap_abs=hol.overlap_abs, f=hol.f,
                 steps=alone.steps_taken, unitarity_defect=alone.unitarity_defect,
                 mean_control_measured=mean_control(segments))
-        assert sweep(cfg, n_threads=2).records == result.records
 
 
 class TestSweepDtZeroEnergy:

@@ -14,12 +14,14 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
 from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, TOP_NODES, StepPolicy,
-                                      _block_width, _chunked_product, _factors, _step_grid,
-                                      _top_depth,
+                                      _block_width, _bounds, _chunked_product, _factors,
+                                      _midpoints, _segment_counts, _top_depth,
                                       adiabatic_hamiltonian, propagate_adiabatic,
                                       propagate_lab, propagate_lab_batch)
-from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian,
-                                matexp_hermitian_stack, ordered_product, unitarity_defect)
+from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian_stack,
+                                ordered_product, unitarity_defect)
+
+from conftest import matexp_hermitian
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -41,7 +43,7 @@ def with_signs(train, signs):
 
 
 def loop_bounds(segments, policy):
-    """Step boundaries built one edge at a time, as a reference for _step_grid."""
+    """Step boundaries built one edge at a time, as a reference for _bounds."""
     span = segments.span
     max_step = policy.max_step or span / DEFAULT_STEPS_PER_PERIOD
     edges = [0.0]
@@ -50,6 +52,12 @@ def loop_bounds(segments, policy):
         edges.extend(t0 + (t1 - t0) * (j + 1) / n for j in range(n))
     edges[-1] = span
     return sorted(set(edges) | set(segments.kick_times))
+
+
+def segment_of(train, mids):
+    """The segment of every midpoint, by searchsorted over the segment starts."""
+    seg_idx = np.searchsorted(train.edges[:-1], mids, side="right") - 1
+    return np.clip(seg_idx, 0, len(train) - 1)
 
 
 def inserted_factors(train, values, policy):
@@ -69,9 +77,7 @@ def inserted_factors(train, values, policy):
     if len(kick_times):
         bounds = np.unique(np.concatenate([bounds, kick_times]))
     mids = 0.5 * (bounds[1:] + bounds[:-1])
-    seg_idx = np.searchsorted(train.edges[:-1], mids, side="right") - 1
-    seg_idx = np.clip(seg_idx, 0, len(train) - 1)
-    steps = (1.0 + np.take(np.array(values), seg_idx, axis=1)) * np.diff(bounds)
+    steps = (1.0 + np.take(np.array(values), segment_of(train, mids), axis=1)) * np.diff(bounds)
     kick_pos = np.searchsorted(bounds, kick_times)
     return (np.insert(mids, kick_pos, kick_times),
             np.insert(steps, kick_pos, KICK_AREA, axis=1),
@@ -138,12 +144,15 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
     kicked = replace(segments, kick_times=kicks.kick_times, kick_signs=kicks.kick_signs)
     for policy in (StepPolicy(), StepPolicy(substeps_per_segment=33, max_step=0.003)):
         for train in (segments, kicked):
-            bounds, mids, widths, seg_idx, kick_pos = _step_grid(train, policy)
+            bounds, kick_pos = _bounds(train, policy)
             np.testing.assert_array_equal(bounds, loop_bounds(train, policy))
-            # the midpoints and widths are those of the bounds, to the bit
+            # the midpoints are those of the bounds, to the bit
+            mids = _midpoints(bounds)
             assert np.array_equal(mids, 0.5 * (bounds[1:] + bounds[:-1]))
-            assert np.array_equal(widths, np.diff(bounds))
-            # every step lies inside the segment it is assigned to
+            # every step lies inside the segment it is counted in
+            seg_idx = segment_of(train, mids)
+            np.testing.assert_array_equal(
+                np.repeat(np.arange(len(train)), _segment_counts(train, mids)), seg_idx)
             edges = np.asarray(train.edges)
             assert np.all(edges[seg_idx] <= bounds[:-1])
             assert np.all(bounds[1:] <= edges[seg_idx + 1])
@@ -153,7 +162,7 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
 def test_step_grid_stays_finite_for_a_span_near_the_float_limit():
     # length * (j + 1) would overflow here; every edge must still be finite and increasing
     span = 2.8e307
-    bounds, *_ = _step_grid(Segments((0.0, span), (0.0,)), StepPolicy())
+    bounds, _ = _bounds(Segments((0.0, span), (0.0,)), StepPolicy())
     assert len(bounds) == DEFAULT_STEPS_PER_PERIOD + 1
     assert np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)
     assert bounds[-1] == span
@@ -171,13 +180,13 @@ def test_schedule_rejects_a_period_whose_phase_overflows(T):
 def test_step_grid_rejects_runs_above_the_cap():
     segments = Segments((0.0, 1.0), (0.0,))
     with pytest.raises(ValueError, match="needs 100000000 steps and kicks"):
-        _step_grid(segments, StepPolicy(max_step=1e-8))
+        _bounds(segments, StepPolicy(max_step=1e-8))
     with pytest.raises(ValueError, match="needs inf steps"):
-        _step_grid(Segments((0.0, 1e300), (0.0,)), StepPolicy(max_step=1e-300))
+        _bounds(Segments((0.0, 1e300), (0.0,)), StepPolicy(max_step=1e-300))
     # kicks count toward the cap too
     kicked = Segments((0.0, 1.0), (0.0,), (0.25, 0.5, 0.75), (1, 1, 1))
     with pytest.raises(ValueError, match="above the cap MAX_STEPS"):
-        _step_grid(kicked, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
+        _bounds(kicked, StepPolicy(max_step=1.0 / (MAX_STEPS - 2)))
 
 
 @st.composite
@@ -394,8 +403,9 @@ def exact_kicks(hs):
 def whole_stack_with_exact_kicks(spec, segments, policy):
     """(levels, product) of the train's factors reduced as one stack: closed-form
     steps at the midpoints and exact, sign-free kick factors in between."""
-    _, mids, widths, seg_idx, kick_pos = _step_grid(segments, policy)
-    steps = (1.0 + np.asarray(segments.values)[seg_idx]) * widths
+    bounds, kick_pos = _bounds(segments, policy)
+    mids = _midpoints(bounds)
+    steps = (1.0 + np.asarray(segments.values)[segment_of(segments, mids)]) * np.diff(bounds)
     levels, hs = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
     factor_pos = kick_pos + np.arange(len(kick_pos))
     stack = matexp_cubic_stack(hs, 1.0, np.insert(steps, kick_pos, 0.0))
@@ -411,7 +421,7 @@ def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
                        kick_signs=(1, -1, 1, -1))
     policy = StepPolicy(max_step=1.0 / 2000)
     # the whole factor stack, steps and kicks interleaved, in one reduction
-    kick_pos = _step_grid(segments, policy)[-1]
+    kick_pos = _bounds(segments, policy)[1]
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < CHUNK <= factor_pos[-1]
     levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
@@ -428,7 +438,7 @@ def test_kicks_straddling_a_wide_block_edge_match_the_whole_stack():
     segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
                        kick_signs=(1, -1, -1, 1))
     policy = StepPolicy(max_step=1.0 / 4000)
-    kick_pos = _step_grid(segments, policy)[-1]
+    kick_pos = _bounds(segments, policy)[1]
     factor_pos = kick_pos + np.arange(len(kick_pos))
     assert factor_pos[0] < _block_width(1) <= factor_pos[-1]
     levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
@@ -451,15 +461,17 @@ def test_long_run_memory_stays_bounded():
 
 
 def test_step_grid_of_a_long_run_peaks_below_10_mib():
-    # 200,000 steps: the four full-length arrays it returns take 6.1 MiB
+    # 200,000 steps: the bounds, midpoints and widths the adiabatic frame
+    # reads take 4.6 MiB
     segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
     tracemalloc.start()
     try:
-        _, mids, *_ = _step_grid(segments, StepPolicy())
+        bounds, _ = _bounds(segments, StepPolicy())
+        mids, widths = _midpoints(bounds), np.diff(bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(mids) == 200_000
+    assert len(mids) == len(widths) == 200_000
     assert peak < 10 * 2 ** 20
 
 

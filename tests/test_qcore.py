@@ -7,10 +7,10 @@ import pytest
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, exchange_hamiltonian,
                                        gate_generators)
 from holonomy_sim.qcore import (_matmul, _matrices, _planes, cubic_work_size, hermiticity_defect,
-                                matexp_cubic_stack, matexp_hermitian, matexp_hermitian_stack,
-                                ordered_product, unitarity_defect)
+                                matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
+                                unitarity_defect)
 
-from conftest import random_hermitian
+from conftest import matexp_hermitian, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
