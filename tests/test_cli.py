@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -419,6 +420,16 @@ class TestSweepCommand:
             assert len(err) == 1 and err[0].startswith("error: invalid config")
             assert "physical_four" in err[0]
             assert not out.exists()
+
+    def test_sweep_runs_on_one_thread_by_default(self, tmp_path, monkeypatch):
+        def start(thread):
+            raise AssertionError(f"sweep started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--experiment", "runtime", "--config",
+                        str(small_runtime_config(tmp_path)), "--out-dir", str(out)]) == 0
+        assert "threads" not in json.loads((out / "manifest.json").read_text())
 
     @pytest.mark.parametrize("couplings", [{"j12": 1.0}, {"j12": 1.0, "j13": 0.5}])
     def test_gate_couplings_are_unknown_keys(self, tmp_path, capsys, couplings):

@@ -213,6 +213,20 @@ class TestSweepJobs:
         assert len(sizes) == 13 and sum(sizes) == 400
         assert set(sizes) == {30, 31}
 
+    def test_sweep_runs_each_job_once_in_order(self, monkeypatch):
+        cfg = mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0), realizations=12)
+        seen, real_job_records = [], experiments._job_records
+
+        def job_records(cfg, gamma_ideal, points, job):
+            seen.append(job)
+            return real_job_records(cfg, gamma_ideal, points, job)
+
+        monkeypatch.setattr(experiments, "_job_records", job_records)
+        result = sweep(cfg)
+        assert seen == _jobs(cfg, sweep_points(cfg))
+        assert [(r.grid_index, r.realization_index) for r in result.records] == [
+            rk for job in seen for rk in job]
+
     def test_batched_records_equal_each_train_run_alone(self):
         cfg = replace(mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0),
                                           realizations=12),
