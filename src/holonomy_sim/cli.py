@@ -32,7 +32,8 @@ from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
                       generate_segments, integral_C, resonance_condition)
 from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
-                          json_text, sweep, write_csv, write_json, write_json_bundle)
+                          json_text, sweep, write_csv, write_json, write_json_bundle,
+                          write_text)
 from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_hamiltonian,
                            gate_generators, gate_hamiltonian, project_dfs, total_z)
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
@@ -165,8 +166,7 @@ def _write_svg(rows, path, xlabel: str) -> None:
             parts.append(f'<polygon fill="crimson" points="{cx:.2f},{cy - 6:.2f} '
                          f'{cx - 5:.2f},{cy + 4:.2f} {cx + 5:.2f},{cy + 4:.2f}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text("\n".join(parts) + "\n", path)
 
 
 def cmd_sweep(args) -> int:
@@ -330,7 +330,7 @@ def _check_kick_equivalence(rng):
         spec = GateSpec(kind, Schedule(0.7605, 1.0))
         ts = rng.uniform(0, 1.0, size=100)
         levels, block = gate_generators(spec, ts)
-        pulses = matexp_cubic_stack(block, 1.0, np.full(len(ts), math.pi),
+        pulses = matexp_cubic_stack(block, np.full(len(ts), math.pi),
                                     pi_pulses=np.arange(len(ts)))
         kicks = np.tile(np.eye(spec.dim, dtype=complex), (len(ts), 1, 1))
         rows, cols = np.ix_(levels, levels)

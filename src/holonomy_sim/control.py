@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .hamiltonians import TWO_PI
 
 # Cap on the segments, kicks or propagation steps of one run: about 0.5 GB of
 # float64 grid arrays, far above the ~4e4 steps per run of the shipped configs.

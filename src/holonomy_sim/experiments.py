@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import groupby
 
 import numpy as np
@@ -298,10 +298,15 @@ def json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def write_text(text: str, path) -> None:
+    """text to path in UTF-8, its newlines written as LF on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_json(data, path) -> None:
     """json_text(data) to path with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_text(data))
+    write_text(json_text(data), path)
 
 
 def write_csv(rows, path) -> None:
@@ -309,27 +314,26 @@ def write_csv(rows, path) -> None:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in vars(r).values()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text("\n".join(lines) + "\n", path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "gate": {"kind": cfg.gate.kind.value, "a": cfg.gate.schedule.a,
-                 "T": cfg.gate.schedule.T},
-        "control": {"kind": cfg.control.kind.value, "J": cfg.control.J,
-                    "dt": cfg.control.dt, "p": cfg.control.p,
-                    "seed": cfg.control.seed},
-        "sweep_variable": cfg.sweep_variable,
-        "grid": list(cfg.grid),
-        "realizations": cfg.realizations,
-        "master_seed": cfg.master_seed,
-        "policy": {"substeps_per_segment": cfg.policy.substeps_per_segment,
-                   "max_step": cfg.policy.max_step},
-    }
+    """The config as config_from_dict reads it: the fields of its dataclasses,
+    the gate's schedule flattened into the gate and each kind as its value."""
+    return {**vars(cfg),
+            "gate": {"kind": cfg.gate.kind.value, **vars(cfg.gate.schedule)},
+            "control": {**vars(cfg.control), "kind": cfg.control.kind.value},
+            "grid": list(cfg.grid),
+            "policy": dict(vars(cfg.policy))}
 
 
 _REQUIRED = object()
+
+
+def _keys(cls) -> dict:
+    """The config keys of dataclass cls, each mapped to its field's default
+    or, for a field without one, to _REQUIRED."""
+    return {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
 
 
 def _take(mapping, allowed: dict, where: str) -> dict:
@@ -374,8 +378,7 @@ def _integer(value, name: str) -> int:
 
 def control_from_dict(data: dict) -> PulseTrain:
     """Strict parser for a control train; unknown keys error, kind is required."""
-    c = _take(data, {"kind": _REQUIRED, "J": 0.0, "dt": 0.0, "p": 0.0, "seed": 0},
-              "control")
+    c = _take(data, _keys(PulseTrain), "control")
     return PulseTrain(kind=ControlKind(c["kind"]), J=_real(c["J"], "control.J"),
                       dt=_real(c["dt"], "control.dt"), p=_real(c["p"], "control.p"),
                       seed=_integer(c["seed"], "control.seed"))
@@ -383,20 +386,18 @@ def control_from_dict(data: dict) -> PulseTrain:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Strict parser for the declarative config format; unknown keys error."""
-    top = _take(data, {"gate": _REQUIRED, "control": _REQUIRED,
-                       "sweep_variable": _REQUIRED, "grid": _REQUIRED,
-                       "realizations": 1, "master_seed": 0, "policy": {}},
-                "config")
+    # the file holds the policy as an object, so an omitted one is empty
+    top = _take(data, {**_keys(ExperimentConfig), "policy": {}}, "config")
     # the kind is read before the keys are checked, so a gate with no model
     # here is named by its kind, whatever keys it carries
     g = top["gate"]
     kind = GateKind(g["kind"]) if isinstance(g, dict) and "kind" in g else None
-    g = _take(g, {"kind": _REQUIRED, "a": _REQUIRED, "T": _REQUIRED}, "gate")
+    g = _take(g, {"kind": _REQUIRED, **_keys(Schedule)}, "gate")
     gate = GateSpec(kind, Schedule(_real(g["a"], "gate.a"), _real(g["T"], "gate.T")))
     control = control_from_dict(top["control"])
     if not isinstance(top["grid"], (list, tuple)):
         raise ValueError(f"grid must be a JSON array, got {top['grid']!r}")
-    p = _take(top["policy"], {"substeps_per_segment": 20, "max_step": None}, "policy")
+    p = _take(top["policy"], _keys(StepPolicy), "policy")
     policy = StepPolicy(
         substeps_per_segment=_integer(p["substeps_per_segment"],
                                       "policy.substeps_per_segment"),

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import GateKind, Schedule
-
-TWO_PI = 2.0 * math.pi
+from .hamiltonians import TWO_PI, GateKind, Schedule
 
 BESSEL_MAX_ARG = 50.0
 

@@ -29,16 +29,15 @@ factors, a kick spanning no time.  One search per segment start splits
 the instants into segments, and (1 + c) * dt is the segment values
 repeated over them and multiplied by the widths in place; without kicks
 nothing is copied.  The factor axis is processed in aligned blocks of a
-power-of-two width, 2048 for one or two trains, 1024 up to 16 and
-narrower for wider batches (see _block_width), so memory is bounded by
-one block while U stays bit-identical to one reduction over the whole
-stack.  Each block stops its reduction at about TOP_NODES entries, and
-the nodes of all blocks finish the tree together.  The blocks of a batch
-write into one workspace allocated once per batch (see _chunked_product),
-so no block allocates a stack of its own.  Trains of a batch with equal
-segment values (the J = 0 realizations of a sweep, or one kick layout
-under two sign patterns) are propagated once.  The product is embedded
-into spec.dim at the end.
+power-of-two width (see _block_width), so memory is bounded by one block
+while U stays bit-identical to one reduction over the whole stack.  Each
+block stops its reduction part way (see _top_depth), and the nodes of all
+blocks finish the tree together.  The blocks of a batch write into one
+workspace allocated once per batch (see _chunked_product), so no block
+allocates a stack of its own.  Trains of a batch with equal segment
+values (the J = 0 realizations of a sweep, or one kick layout under two
+sign patterns) are propagated once.  The product is embedded into
+spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -65,15 +64,13 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 
 MIN_SUBSTEPS = 20
 
-# Factors per row in a block of the chunked time-ordered product for
-# batches of 3 to CHUNK_FULL_ROWS rows; 1- and 2-row batches take 2 * CHUNK
-# and wider batches narrow it (see _block_width).  Widths are powers of
-# two, so the blocks align with the pairwise reduction tree.  Measured on
-# the sweeps: a 32-row batch in 1024-wide blocks peaks about 9 MiB higher
-# and runs slower, while the 10-row batches of a dt sweep run slower in
-# narrower blocks.  The 1-row cphase bench gate (20,000 factors, 2 cores)
-# runs about a fifth faster in 2048-wide blocks than in 1024 at the same
-# peak RSS; 4096 is faster still but peaks about 1 MiB higher.
+# The block widths of the chunked time-ordered product; _block_width
+# states the rule.  Measured on the sweeps: a 32-row batch in 1024-wide
+# blocks peaks about 9 MiB higher and runs slower, while the 10-row batches
+# of a dt sweep run slower in narrower blocks.  The 1-row cphase bench gate
+# (20,000 factors, 2 cores) runs about a fifth faster in 2048-wide blocks
+# than in 1024 at the same peak RSS; 4096 is faster still but peaks about
+# 1 MiB higher.
 CHUNK = 1024
 CHUNK_FULL_ROWS = 16
 
@@ -241,7 +238,8 @@ def _block_width(rows: int) -> int:
 
     The largest power of two w with rows * w <= 4 * CHUNK (128 at 32 rows),
     and at least 1.  Up to CHUNK_FULL_ROWS rows it is held between CHUNK
-    and 2 * CHUNK: 2048 for 1 and 2 rows, 1024 for 3 to 16.
+    and 2 * CHUNK: 2048 for 1 and 2 rows, 1024 for 3 to 16.  Every width
+    is a power of two, so the blocks align with the pairwise reduction tree.
     """
     width = 1 << max(0, (4 * CHUNK // rows).bit_length() - 1)
     if rows <= CHUNK_FULL_ROWS:
@@ -298,7 +296,7 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=())
         m = min(width, n - start)
         lo, hi = np.searchsorted(kicks, (start, start + m))
         levels, hs = gate_generators(spec, ts[start:start + m], out=_stack(spare, m))
-        us = matexp_cubic_stack(hs, 1.0, taus[:, start:start + m], out=_stack(exps, rows, m),
+        us = matexp_cubic_stack(hs, taus[:, start:start + m], out=_stack(exps, rows, m),
                                 work=spare[9 * m:], pi_pulses=kicks[lo:hi] - start)
         # the levels alternate between the spare's front and the spent exponentials
         odd = 9 * rows * ((m + 1) // 2)

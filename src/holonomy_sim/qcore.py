@@ -2,8 +2,8 @@
 
 Everything here is a pure function on numpy arrays: states are 1-d complex
 vectors, operators are square complex matrices.  General Hermitian
-exponentials go through the eigendecomposition; generators with H^3 = s^2 H
-(a spectrum of -s, 0 and +s only, as every gate generator here has) use
+exponentials go through the eigendecomposition; generators with H^3 = H
+(a spectrum of -1, 0 and +1 only, as every gate generator here has) use
 the exact closed form instead, built from the planes of H that are nonzero
 somewhere in the stack (4 of 9 for a lambda block, whose H^2 has the other
 5).  Either way every propagation step is unitary up to rounding -- long
@@ -51,19 +51,16 @@ def _matrices(p: np.ndarray) -> np.ndarray:
     return p.transpose(tuple(range(2, p.ndim)) + (0, 1))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-            term: np.ndarray | None = None) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """out = a @ b per matrix, for planes a, b and out of shape (d, d, ...).
 
     out = sum_k a[:, k] b[k, :], k in order, as d whole-plane multiplies
     accumulated in place: the arithmetic of every entry is elementwise, so
     a matrix gets the same bits wherever it sits in the stack.  term holds
-    each product before it is added; it has the shape of out, must overlap
-    none of a, b and out, and is allocated when not given.
+    each product before it is added; it has the shape of out and must
+    overlap none of a, b and out.
     """
     d = a.shape[0]
-    if term is None:
-        term = np.empty_like(out)
     np.multiply(a[:, 0, None], b[None, 0], out=out)
     for k in range(1, d):
         out += np.multiply(a[:, k, None], b[None, k], out=term)
@@ -129,19 +126,20 @@ def cubic_work_size(n: int, size: int) -> int:
     return 2 * size + (size + 1) // 2 + 2 * n
 
 
-def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
+def matexp_cubic_stack(hs: np.ndarray, taus: np.ndarray,
                        out: np.ndarray | None = None,
                        work: np.ndarray | None = None,
                        pi_pulses: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i*h_k*tau_k) for Hermitian h_k with h^3 = s^2 h, without eigh.
+    """exp(-i*h_k*tau_k) for Hermitian h_k with h^3 = h, without eigh.
 
-    The spectrum of such an h is a subset of {-s, 0, +s}, so the series
-    collapses to exp(-i h tau) = I - i sin(s tau)/s h + (cos(s tau) - 1)/s^2 h^2
+    The spectrum of such an h is a subset of {-1, 0, +1}, so the series
+    collapses to exp(-i h tau) = I - i sin(tau) h + (cos(tau) - 1) h^2
     (Moler & Van Loan, SIAM Rev. 45, 2003).  cos - 1 is evaluated as
-    -2 sin^2(s tau / 2) to keep small steps accurate.  hs has shape
+    -2 sin^2(tau / 2) to keep small steps accurate.  A generator with
+    h^3 = s^2 h enters as h / s with exponent s * tau.  hs has shape
     (n, d, d) and taus shape (..., n): every row of taus is exponentiated
     against the same hs and h^2, giving (..., n, d, d).  The caller vouches
-    for h^3 = s^2 h; Hermiticity and non-finite entries are still rejected
+    for h^3 = h; Hermiticity and non-finite entries are still rejected
     as in :func:`matexp_hermitian_stack`, and so is a last axis of taus
     that is not n.
 
@@ -153,11 +151,10 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     may not overlap.
 
     pi_pulses, if given, indexes the factors (on the last axis of taus)
-    whose exponent s * tau is +-pi.  The exact sin(s tau) is 0 there, but
-    sin of the rounded pi is 1.2e-16 with the sign of tau, so the sine
-    term is dropped: with s = 1 such a factor is exactly
-    I - 2 h^2, since b = -2 sin^2(+-pi / 2) rounds to -2, the same for
-    either sign.
+    whose exponent tau is +-pi.  The exact sin(tau) is 0 there, but sin
+    of the rounded pi is 1.2e-16 with the sign of tau, so the sine term is
+    dropped: such a factor is exactly I - 2 h^2, since b = -2 sin^2(+-pi / 2)
+    rounds to -2, the same for either sign.
 
     Only planes that are nonzero somewhere in hs enter: h^2[i, j] sums
     h[i, k] h[k, j] over the k, ascending, whose two planes are both
@@ -168,8 +165,6 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     d^3 products.  The Hermiticity check likewise compares only the
     nonzero planes with their mirrors (see _check_hermitian_stack).
     """
-    if not 0 < s < math.inf:
-        raise ValueError(f"spectral radius s must be positive and finite, got {s}")
     taus = np.asarray(taus, dtype=float)
     n = len(hs)
     if taus.shape[-1:] != (n,):
@@ -181,7 +176,7 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     elif len(work) < cubic_work_size(n, size):
         raise ValueError(f"work has {len(work)} entries, needs {cubic_work_size(n, size)}")
     # work holds, in order: a; a * h[i, j], whose memory first holds the
-    # check's magnitudes and sin(x); x = s * taus as floats, overwritten by b;
+    # check's magnitudes and sin(taus); x = taus / 2, overwritten by b;
     # h^2[i, j] and one product of its sum
     a, ah = work[:size].reshape(taus.shape), work[size:2 * size].reshape(taus.shape)
     tmp = work[size:2 * size].view(float)
@@ -192,13 +187,12 @@ def matexp_cubic_stack(hs: np.ndarray, s: float, taus: np.ndarray,
     d = h.shape[0]
     nonzero = np.any(hs, axis=-3).tolist()
     _check_hermitian_stack(h, nonzero, sq, tmp[:n])
-    # a = (-1j / s) sin(x) and b = (-2 / s^2) sin(x / 2)^2, rounded as those expressions
-    np.multiply(s, taus, out=x)
-    np.multiply(-1j / s, np.sin(x, out=tmp[:size].reshape(taus.shape)), out=a)
+    # a = -1j sin(taus) and b = -2 sin(taus / 2)^2, rounded as those expressions
+    np.multiply(-1j, np.sin(taus, out=tmp[:size].reshape(taus.shape)), out=a)
     if pi_pulses is not None:
         a[..., pi_pulses] = 0.0
-    b = np.sin(np.multiply(0.5, x, out=x), out=x)
-    np.multiply(-2.0 / s ** 2, np.square(b, out=b), out=b)
+    b = np.sin(np.multiply(0.5, taus, out=x), out=x)
+    np.multiply(-2.0, np.square(b, out=b), out=b)
     if out is None:
         out = _matrices(np.empty((d, d) + taus.shape, dtype=complex))
     # each (n,) plane of h broadcasts against the (..., n) planes of p

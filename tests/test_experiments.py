@@ -414,6 +414,23 @@ class TestConfigRoundTrip:
         cfg = config_from_dict(data)
         assert cfg.policy == StepPolicy(substeps_per_segment=25, max_step=0.01)
 
+    def test_required_keys_alone_take_every_default(self):
+        data = {"gate": {"kind": "phase", "a": A_REF, "T": 1.0},
+                "control": {"kind": "no_control"}, "sweep_variable": "T", "grid": [1.0, 4.0]}
+        assert config_from_dict(data) == ExperimentConfig(
+            GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)),
+            PulseTrain(ControlKind.NO_CONTROL), "T", (1.0, 4.0))
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_echoes_every_key_and_parses_back(self, path):
+        data = json.loads(path.read_text())
+        cfg = config_from_dict(data)
+        echo = config_to_dict(cfg)
+        for key, value in data.items():
+            # an object may omit keys that take their defaults; the echo fills them in
+            assert echo[key] == ({**echo[key], **value} if isinstance(value, dict) else value), key
+        assert config_from_dict(echo) == cfg
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

@@ -107,7 +107,7 @@ def test_closed_form_step_matches_eigh_exponential(spec, rng):
     ts = rng.uniform(0.0, 1.0, size=8)
     taus = np.concatenate([rng.uniform(-3.0, 3.0, size=6), [math.pi, -math.pi]])
     levels, hs = gate_generators(spec, ts)
-    steps = matexp_cubic_stack(hs, 1.0, taus)
+    steps = matexp_cubic_stack(hs, taus)
     for t, tau, step in zip(ts, taus, steps):
         full = np.eye(spec.dim, dtype=complex)
         full[np.ix_(levels, levels)] = step
@@ -302,9 +302,9 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     levels, products = _chunked_product(spec, ts, taus)
     _, hs = gate_generators(spec, ts)
     assert levels == (1, 2, 3) and products.shape == (3, 3, 3)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
     for row, product in zip(taus, products):
-        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, 1.0, row)))
+        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, row)))
 
 
 @pytest.mark.parametrize("rows, width", [(1, 2 * CHUNK), (2, 2 * CHUNK), (3, CHUNK),
@@ -325,7 +325,7 @@ def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, bl
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, products = _chunked_product(spec, ts, taus)
     _, hs = gate_generators(spec, ts)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
 
 
 @pytest.mark.parametrize("rows, nodes", [(1, 64), (2, 32), (3, 16), (16, 4), (17, 2),
@@ -351,7 +351,7 @@ def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
     _, products = _chunked_product(spec, ts, taus, kicks)
     _, hs = gate_generators(spec, ts)
     assert np.array_equal(products,
-                          ordered_product(matexp_cubic_stack(hs, 1.0, taus, pi_pulses=kicks)))
+                          ordered_product(matexp_cubic_stack(hs, taus, pi_pulses=kicks)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 32])
@@ -364,7 +364,7 @@ def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatc
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, hs = gate_generators(spec, ts)
-    whole = ordered_product(matexp_cubic_stack(hs, 1.0, taus))
+    whole = ordered_product(matexp_cubic_stack(hs, taus))
     empty = np.empty
 
     def poisoned(*args, **kwargs):
@@ -387,7 +387,7 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, products = _chunked_product(spec, ts, taus)
     _, hs = gate_generators(spec, ts)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, 1.0, taus)))
+    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
 
 
 def exact_kicks(hs):
@@ -408,7 +408,7 @@ def whole_stack_with_exact_kicks(spec, segments, policy):
     steps = (1.0 + np.asarray(segments.values)[segment_of(segments, mids)]) * np.diff(bounds)
     levels, hs = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
     factor_pos = kick_pos + np.arange(len(kick_pos))
-    stack = matexp_cubic_stack(hs, 1.0, np.insert(steps, kick_pos, 0.0))
+    stack = matexp_cubic_stack(hs, np.insert(steps, kick_pos, 0.0))
     stack[factor_pos] = exact_kicks(hs[factor_pos])
     return levels, ordered_product(stack)
 
@@ -537,8 +537,8 @@ def test_exchange_model_evolution_stays_in_the_dfs_as_the_scaled_block(j12, j13)
     assert np.max(np.abs(u @ z - z @ u)) <= 1e-12
     blocks, leaks = zip(*(project_dfs(h) for h in hs))
     assert max(leaks) <= 1e-13
-    block_u = ordered_product(matexp_cubic_stack(np.stack(blocks), math.hypot(j12, j13),
-                                                 taus))
+    s = math.hypot(j12, j13)
+    block_u = ordered_product(matexp_cubic_stack(np.stack(blocks) / s, s * taus))
     idx = list(DFS_INDICES)
     outside = [i for i in range(16) if i not in DFS_INDICES]
     np.testing.assert_allclose(u[np.ix_(idx, idx)], block_u, atol=1e-12)

@@ -106,26 +106,24 @@ def test_matexp_stack_matches_single(rng):
 
 
 def test_cubic_stack_matches_eigh_for_scaled_spin_one(rng):
-    # s * (spin-1 S_x in a random unitary frame) has spectrum {-s, 0, +s}
+    # s * (spin-1 S_x in a random unitary frame) has spectrum {-s, 0, +s}, so it
+    # enters the closed form as h / s with exponents s * tau
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
     for s in (1.0, 0.3, 2.7):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         h = s * q @ sx @ q.conj().T
         taus = np.array([0.0, 1e-9, 0.4, -2.5, math.pi, -math.pi])
-        us = matexp_cubic_stack(np.stack([h] * len(taus)), s, taus)
+        us = matexp_cubic_stack(np.stack([h] * len(taus)) / s, s * taus)
         for u, tau in zip(us, taus):
             np.testing.assert_allclose(u, matexp_hermitian(h, tau), atol=1e-13)
 
 
-def test_cubic_stack_rejects_non_hermitian_and_bad_scale():
+def test_cubic_stack_rejects_non_hermitian_and_non_finite():
     bad = np.array([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]], dtype=complex)
     with pytest.raises(ValueError, match="defect"):
-        matexp_cubic_stack(bad, 1.0, [1.0])
+        matexp_cubic_stack(bad, [1.0])
     with pytest.raises(ValueError, match="defect"):
-        matexp_cubic_stack(np.full((1, 3, 3), np.nan, dtype=complex), 1.0, [1.0])
-    for s in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            matexp_cubic_stack(np.zeros((1, 3, 3), dtype=complex), s, [1.0])
+        matexp_cubic_stack(np.full((1, 3, 3), np.nan, dtype=complex), [1.0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -152,10 +150,10 @@ def test_cubic_stack_exponentiates_every_row_of_taus(rng):
     qs, _ = np.linalg.qr(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
     hs = qs @ sx @ qs.conj().transpose(0, 2, 1)
     taus = rng.uniform(-3.0, 3.0, size=(4, 5))
-    us = matexp_cubic_stack(hs, 1.0, taus)
+    us = matexp_cubic_stack(hs, taus)
     assert us.shape == (4, 5, 3, 3)
     for row, u in zip(taus, us):
-        assert np.array_equal(u, matexp_cubic_stack(hs, 1.0, row))
+        assert np.array_equal(u, matexp_cubic_stack(hs, row))
 
 
 def _in_layouts(stack):
@@ -199,8 +197,8 @@ def test_cubic_stack_matches_eigh_in_every_layout(d, batch, rng):
     n, s = 6, 1.7
     hs = _spectrum_stack(rng, n, d, s)
     taus = rng.uniform(-3.0, 3.0, size=batch + (n,))
-    for name, stack in _in_layouts(hs):
-        us = matexp_cubic_stack(stack, s, taus)
+    for name, stack in _in_layouts(hs / s):
+        us = matexp_cubic_stack(stack, s * taus)
         assert us.shape == batch + (n, d, d), name
         for idx in np.ndindex(*batch + (n,)):
             np.testing.assert_allclose(us[idx], matexp_hermitian(hs[idx[-1]], taus[idx]),
@@ -217,15 +215,15 @@ def test_hermiticity_defect():
     assert hermiticity_defect(np.zeros((0, 3, 3), dtype=complex)) == 0.0
 
 
-def _dense_closed_form(hs, s, taus):
+def _dense_closed_form(hs, taus):
     """The closed form over every plane: all d^3 products of h^2, then b h^2 + a h + I
     as whole (d, d, ...) arrays -- the reference the zero-plane skipping must match."""
-    x = s * np.asarray(taus, dtype=float)
-    a = (-1j / s) * np.sin(x)
-    b = (-2.0 / s ** 2) * np.sin(0.5 * x) ** 2
+    x = np.asarray(taus, dtype=float)
+    a = -1j * np.sin(x)
+    b = -2.0 * np.sin(0.5 * x) ** 2
     h = _planes(hs)
     d = h.shape[0]
-    sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex))
+    sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex), np.empty_like(h))
     batch = (slice(None), slice(None)) + (None,) * (x.ndim - 1)
     return _matrices(b * sq[batch] + a * h[batch] + np.eye(d).reshape((d, d) + (1,) * x.ndim))
 
@@ -236,35 +234,36 @@ def _bits(u):
 
 
 def _cubic_cases(rng):
-    """(name, stack, s, nonzero planes of the stack) for the closed-form bit tests."""
+    """(name, stack with h^3 = h, nonzero planes of the stack) for the closed-form bit
+    tests; a stack with h^3 = s^2 h enters divided by s."""
     # t = 0, T/2 and T put sin(theta) at exactly +-0 even for a > 0
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=61)])
     for a in (0.7605, 0.0):
         for kind in GateKind:
             stack = gate_generators(GateSpec(kind, Schedule(a, 1.0)), ts)[1]
             # a = 0: sin(theta) == 0 everywhere leaves the lo<->anc planes zero
-            yield f"{kind.value}-a{a}", stack, 1.0, 4 if a else 2
+            yield f"{kind.value}-a{a}", stack, 4 if a else 2
     s = 1.7
     qs, _ = np.linalg.qr(rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3)))
-    yield "spin-one", (qs * [-s, 0.0, s]) @ qs.conj().transpose(0, 2, 1), s, 9
+    yield "spin-one", (qs * [-s, 0.0, s]) @ qs.conj().transpose(0, 2, 1) / s, 9
     j12, j13 = 1.3, 0.4
     stack = exchange_hamiltonian(j12, j13, 2 * math.pi * ts)
-    yield "exchange", stack, math.hypot(j12, j13), None
+    yield "exchange", stack / math.hypot(j12, j13), None
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_cubic_stack_has_the_bits_of_the_dense_closed_form(batch, rng):
-    for name, stack, s, planes in _cubic_cases(rng):
+    for name, stack, planes in _cubic_cases(rng):
         n = len(stack)
         if planes is not None:
             assert np.count_nonzero(np.any(stack, axis=0)) == planes, name
-        # steps of either sign, zero, pi kicks and s * tau beyond pi, where a and b
+        # steps of either sign, zero, pi kicks and tau beyond pi, where a and b
         # change sign and products with zero planes give -0.0
-        taus = rng.uniform(-7.0, 7.0, size=batch + (n,)) / s
-        taus[..., :4] = [0.0, math.pi / s, -math.pi / s, 4.0 / s]
-        got = matexp_cubic_stack(stack, s, taus)
+        taus = rng.uniform(-7.0, 7.0, size=batch + (n,))
+        taus[..., :4] = [0.0, math.pi, -math.pi, 4.0]
+        got = matexp_cubic_stack(stack, taus)
         assert got.shape == batch + (n,) + stack.shape[1:], name
-        assert np.array_equal(_bits(got), _bits(_dense_closed_form(stack, s, taus))), name
+        assert np.array_equal(_bits(got), _bits(_dense_closed_form(stack, taus))), name
 
 
 def _lambda_stack(rng, n=16):
@@ -280,11 +279,11 @@ def test_exponentials_reject_taus_that_do_not_fit_the_stack(rng):
                         (zeros, np.zeros((4, 3))), (zeros, 0.1)]:
         both = rf"{re.escape(str(np.shape(taus)))}.*{re.escape(str(stack.shape))}"
         with pytest.raises(ValueError, match=both):
-            matexp_cubic_stack(stack, 1.0, taus)
+            matexp_cubic_stack(stack, taus)
         with pytest.raises(ValueError, match=both):
             matexp_hermitian_stack(stack, taus)
     # a batch of rows is fine for the closed form, not for eigh
-    assert matexp_cubic_stack(zeros, 1.0, np.zeros((4, 2))).shape == (4, 2, 3, 3)
+    assert matexp_cubic_stack(zeros, np.zeros((4, 2))).shape == (4, 2, 3, 3)
     with pytest.raises(ValueError, match=r"\(4, 2\)"):
         matexp_hermitian_stack(zeros, np.zeros((4, 2)))
 
@@ -306,14 +305,14 @@ def test_hermiticity_check_catches_defects_in_planes_without_a_nonzero_mirror(pl
     # mirror is zero everywhere, or is an imaginary diagonal entry
     hs = _lambda_stack(rng)
     hs[5][plane] = value
-    for exp in (lambda: matexp_cubic_stack(hs, 1.0, np.ones(len(hs))),
+    for exp in (lambda: matexp_cubic_stack(hs, np.ones(len(hs))),
                 lambda: matexp_hermitian_stack(hs, np.ones(len(hs)))):
         with pytest.raises(ValueError, match="not Hermitian") as excinfo:
             exp()
         assert _defect_in_message(excinfo) == float(f"{hermiticity_defect(hs):.3e}")
     # the same defect below HERMITICITY_TOL passes
     hs[5][plane] = value * 1e-6
-    matexp_cubic_stack(hs, 1.0, np.ones(len(hs)))
+    matexp_cubic_stack(hs, np.ones(len(hs)))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
@@ -323,7 +322,7 @@ def test_hermiticity_check_rejects_non_finite_entries_in_any_plane(plane, value,
     hs = _lambda_stack(rng)
     hs[3][plane] = value
     with pytest.raises(ValueError, match="not Hermitian"):
-        matexp_cubic_stack(hs, 1.0, np.ones(len(hs)))
+        matexp_cubic_stack(hs, np.ones(len(hs)))
     with pytest.raises(ValueError, match="not Hermitian"):
         matexp_hermitian_stack(hs, np.ones(len(hs)))
 
@@ -350,13 +349,13 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
                 np.full((37, 3, 3), np.nan, dtype=complex)):
         _, got = gate_generators(spec, ts, out=out)
         assert got is out and np.array_equal(_bits(got), _bits(hs))
-    us = matexp_cubic_stack(hs, 1.0, taus)
+    us = matexp_cubic_stack(hs, taus)
     with pytest.raises(ValueError, match="needs 259"):
-        matexp_cubic_stack(hs, 1.0, taus, work=np.empty(258, dtype=complex))
+        matexp_cubic_stack(hs, taus, work=np.empty(258, dtype=complex))
     work = np.full(cubic_work_size(37, 74), np.nan, dtype=complex)
     for out in (_matrices(np.full((3, 3, 2, 37), np.nan, dtype=complex)),
                 np.full((2, 37, 3, 3), np.nan, dtype=complex)):
-        got = matexp_cubic_stack(hs, 1.0, taus, out=out, work=work)
+        got = matexp_cubic_stack(hs, taus, out=out, work=work)
         assert got is out and np.array_equal(_bits(got), _bits(us))
     product = ordered_product(us)
     # the even levels may reuse the stack's own memory, which only the first level reads
@@ -377,13 +376,13 @@ def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
         _, hs = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
                                 np.sort(rng.uniform(0.0, 1.0, size=40)))
         h = _planes(hs)
-        sq = _matmul(h, h, np.empty((3, 3, 40), dtype=complex))
+        sq = _matmul(h, h, np.empty((3, 3, 40), dtype=complex), np.empty_like(h))
         exact = _matrices(np.eye(3)[..., None] - 2.0 * sq)[pulses]
         taus = rng.uniform(-0.1, 0.1, size=(2, 40))
         taus[0, pulses] = math.pi
         taus[1, pulses] = [math.pi, -math.pi, -math.pi, math.pi, -math.pi]
-        got = matexp_cubic_stack(hs, 1.0, taus, pi_pulses=pulses)
-        plain = matexp_cubic_stack(hs, 1.0, taus)
+        got = matexp_cubic_stack(hs, taus, pi_pulses=pulses)
+        plain = matexp_cubic_stack(hs, taus)
         for row in got:
             assert np.array_equal(_bits(row[pulses]), _bits(exact)), kind
         # without the marker the two signs differ in the last bits
