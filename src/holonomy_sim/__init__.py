@@ -21,13 +21,13 @@ from .holonomy import (HolonomyResult, PhaseUndefinedError, bessel_j0,
                        extract_phase, gate_matrix, quality_factor, wrap_angle)
 from .propagation import (PropagationResult, StepPolicy, adiabatic_hamiltonian,
                           propagate_adiabatic, propagate_lab, propagate_lab_batch)
-from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian_stack,
+from .qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                     ordered_product, unitarity_defect)
 
 __all__ = [
     "__version__",
     # qcore
-    "matexp_hermitian_stack", "matexp_cubic_stack",
+    "matexp_hermitian_stack", "matexp_lambda_stack",
     "ordered_product", "hermiticity_defect", "unitarity_defect",
     # hamiltonians
     "GateKind", "GateSpec", "Schedule", "project_dfs", "dark_states",

@@ -39,7 +39,7 @@ from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_h
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
-from .qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian_stack,
+from .qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                     unitarity_defect)
 
 UNITARITY_EXIT_TOL = 1e-8
@@ -242,7 +242,7 @@ def _check_matexp_unitarity(rng):
 
 
 def _check_hermiticity_and_gap(rng):
-    worst_h, worst_gap, worst_cubic = 0.0, 0.0, 0.0
+    worst_h, worst_gap = 0.0, 0.0
     s = Schedule(0.7605, 1.0)
     for t in rng.uniform(0, 1.0, size=100):
         for kind in (GateKind.PHASE, GateKind.XGATE):
@@ -250,17 +250,19 @@ def _check_hermiticity_and_gap(rng):
             worst_h = max(worst_h, hermiticity_defect(h))
             ev = np.linalg.eigvalsh(h)
             worst_gap = max(worst_gap, float(np.max(np.abs(ev - [-1, 0, 0, 1]))))
-    # the lab engine's closed-form step exponential rests on H^3 = s^2 H,
-    # s = 1 for the lambda blocks and hypot(J12, J13) for the exchange model
+    # the lab engine's closed-form step exponential rests on H^3 = s^2 H with
+    # s^2 = x^2 + |y|^2 = 1 for the lambda couplings; the exchange model has
+    # s = hypot(J12, J13)
     ts = rng.uniform(0, 1.0, size=100)
-    stacks = [(1.0, gate_generators(GateSpec(kind, s), ts)[1])
-              for kind in (GateKind.PHASE, GateKind.XGATE, GateKind.CPHASE)]
-    stacks.append((math.hypot(1.0, 0.7), exchange_hamiltonian(1.0, 0.7, s.phi(ts))))
-    for scale, hs in stacks:
-        worst_cubic = max(worst_cubic, float(np.max(np.abs(hs @ hs @ hs - scale ** 2 * hs))))
-    ok = worst_h <= 1e-13 and worst_gap <= 1e-10 and worst_cubic <= 1e-12
+    couplings = [gate_generators(GateSpec(kind, s), ts)[1:] for kind in GateKind]
+    worst_norm = max(float(np.max(np.abs(x ** 2 + np.abs(y) ** 2 - 1.0))) for x, y in couplings)
+    hs = exchange_hamiltonian(1.0, 0.7, s.phi(ts))
+    worst_cubic = float(np.max(np.abs(hs @ hs @ hs - (1.0 + 0.7 ** 2) * hs)))
+    ok = (worst_h <= 1e-13 and worst_gap <= 1e-10 and worst_norm <= 1e-12
+          and worst_cubic <= 1e-12)
     return ok, (f"hermiticity {worst_h:.2e} (1e-13), spectrum dev {worst_gap:.2e} (1e-10), "
-                f"H^3 - s^2 H {worst_cubic:.2e} (1e-12)")
+                f"x^2 + |y|^2 - 1 {worst_norm:.2e} (1e-12), exchange H^3 - s^2 H "
+                f"{worst_cubic:.2e} (1e-12)")
 
 
 def _check_dark_states(rng):
@@ -329,9 +331,9 @@ def _check_kick_equivalence(rng):
     for kind in GateKind:
         spec = GateSpec(kind, Schedule(0.7605, 1.0))
         ts = rng.uniform(0, 1.0, size=100)
-        levels, block = gate_generators(spec, ts)
-        pulses = matexp_cubic_stack(block, np.full(len(ts), math.pi),
-                                    pi_pulses=np.arange(len(ts)))
+        levels, x, y = gate_generators(spec, ts)
+        pulses = matexp_lambda_stack(x, y, np.full(len(ts), math.pi),
+                                     pi_pulses=np.arange(len(ts)))
         kicks = np.tile(np.eye(spec.dim, dtype=complex), (len(ts), 1, 1))
         rows, cols = np.ix_(levels, levels)
         kicks[:, rows, cols] = pulses

@@ -7,9 +7,9 @@ the levels listed in _EMBEDDINGS.  Its nonzero eigenvalues are -1 and +1
 at every instant (the gap never closes and never moves), which is what
 makes the accelerated-adiabaticity control scheme work: energy
 differences in the rotating frame are constants.  So every generator
-satisfies H^3 = H; gate_generators returns whole time grids in that form
--- the coupled levels and the 3x3 stack -- which is what lets propagation
-exponentiate in closed form.
+satisfies H^3 = H; gate_generators returns whole time grids as the coupled
+levels and the two couplings x = sin(theta) and y = cos(theta) e^{-i phi},
+which is what lets propagation exponentiate in closed form.
 
 The four-physical-qubit exchange Hamiltonian (XY hopping plus a
 Dzialoshinski-Moriya term on one bond, :func:`exchange_hamiltonian`)
@@ -193,49 +193,42 @@ def dark_states(spec: GateSpec, t: float) -> list:
     return states
 
 
-def gate_generators(spec: GateSpec, ts, out: np.ndarray | None = None):
-    """Generators at every time in ts, restricted to the levels they act on.
+def gate_generators(spec: GateSpec, ts, out: tuple | None = None):
+    """The lambda couplings of the generator at every time in ts.
 
-    Returns ``(levels, stack)``: levels is the (lo, anc, hi) triple of the
-    embedding and stack[k] the 3x3 lambda coupling at ts[k], sin(theta) on
-    lo<->anc plus cos(theta)*e^{+-i phi} on anc<->hi.  It is Hermitian by
-    construction with eigenvalues {-1, 0, +1}, so H^3 = H.  The full
-    spec.dim generator holds stack[k] at rows and columns ``levels`` and is
-    zero elsewhere (see :func:`gate_hamiltonian`).  out, if given, is the
-    (len(ts), 3, 3) stack to write, in any memory layout; otherwise the
-    stack is allocated as planes (3, 3, n), the memory qcore multiplies
-    stacks in.
+    Returns ``(levels, x, y)``: levels is the (lo, anc, hi) triple of the
+    embedding, x = sin(theta) (real) couples lo<->anc and y = cos(theta) *
+    e^{-i phi} (complex) couples anc to hi, at ts[k] in entry k.  The full
+    spec.dim generator holds x at (lo, anc) and (anc, lo), y at (hi, anc)
+    and conj(y) at (anc, hi), and is zero elsewhere (see
+    :func:`gate_hamiltonian`); x^2 + |y|^2 = 1 gives it the eigenvalues
+    {-1, 0, +1}, so H^3 = H.  out, if given, is the pair (x, y) of float
+    and complex arrays of len(ts) entries to write.
     """
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
     s = spec.schedule
     # phi and theta as Schedule.phi and Schedule.theta give them, checking ts once
     phi = TWO_PI * s._check_t(ts) / s.T
+    x, y = out if out is not None else (np.empty(len(phi)), np.empty(len(phi), dtype=complex))
     # exp(-i phi) = cos(phi) - i sin(phi), sharing sin(phi) with theta: the
     # bits of np.exp(-1j * phi), whose complex exp takes the same cos and sin
-    e = np.empty(len(phi), dtype=complex)
-    np.cos(phi, out=e.real)
-    sin_phi = np.sin(phi, out=e.imag)
-    th = s.a * sin_phi
+    np.cos(phi, out=y.real)
+    sin_phi = np.sin(phi, out=y.imag)
+    th = np.multiply(s.a, sin_phi, out=x)
     np.negative(sin_phi, out=sin_phi)
-    cos_th = np.cos(th)
-    if out is None:
-        out = np.empty((3, 3, len(phi)), dtype=complex).transpose(2, 0, 1)
-    planes = out.transpose(1, 2, 0)
-    # the planes a lambda coupling leaves zero: the diagonal and lo<->hi
-    planes[::2, ::2] = planes[1, 1] = 0.0
-    planes[0, 1] = planes[1, 0] = np.sin(th)
-    np.multiply(cos_th, e, out=planes[2, 1])
-    # conj(exp(-i phi)) has the bits of exp(+i phi): cos is even, sin odd
-    np.multiply(cos_th, np.conjugate(e), out=planes[1, 2])
-    return (lo, anc, hi), out
+    np.multiply(np.cos(th), y, out=y)
+    np.sin(th, out=x)
+    return (lo, anc, hi), x, y
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:
     """Generator for spec.kind at time t on the full spec.dim space.
 
-    The embedding of :func:`gate_generators` at the single time t.
+    The embedding of the couplings :func:`gate_generators` gives at the
+    single time t.
     """
-    levels, stack = gate_generators(spec, [t])
+    (lo, anc, hi), x, y = gate_generators(spec, [t])
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    h[np.ix_(levels, levels)] = stack[0]
+    h[lo, anc] = h[anc, lo] = x[0]
+    h[hi, anc], h[anc, hi] = y[0], np.conjugate(y[0])
     return h

@@ -12,13 +12,13 @@ of control (net_area, integral_C).
 
 The lab frame is one array pipeline for every gate kind and for a batch
 of trains that share their segment edges and kick instants (the
-realizations of a sweep job, see experiments): one step grid, the 3x3
-lambda-block generators at all midpoints and kick instants, their
-exponentials in the closed form that H^3 = H allows (no
-eigendecomposition) for every distinct row of exponents, and a pairwise
-time-ordered product, all as whole-array numpy calls.  The stacks stay in
-qcore's plane memory (entry (i, j) of every factor one contiguous array)
-from the generators to the product, so each level of the product is three
+realizations of a sweep job, see experiments): one step grid, the lambda
+couplings (x, y) of the generator at all midpoints and kick instants, the
+exponentials of their 3x3 blocks in the closed form that H^3 = H allows
+(no eigendecomposition) for every distinct row of exponents, and a
+pairwise time-ordered product, all as whole-array numpy calls.  The
+exponentials stay in qcore's plane memory (entry (i, j) of every factor
+one contiguous array) up to the product, so each product level is three
 whole-plane multiply-adds, not one small matmul per factor.  Kick factors
 sit in the same stack as the steps, in time order.  The factor instants
 and exponents are laid out in one pass into the arrays the product reads
@@ -54,7 +54,7 @@ import numpy as np
 
 from .control import KICK_AREA, MAX_STEPS, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
-from .qcore import (_matrices, cubic_work_size, matexp_cubic_stack, matexp_hermitian_stack,
+from .qcore import (_matrices, lambda_work_size, matexp_hermitian_stack, matexp_lambda_stack,
                     ordered_product, unitarity_defect)
 
 # Auto step refinement: about this many steps per drive period when the
@@ -125,7 +125,9 @@ def _bounds(segments: Segments, policy: StepPolicy):
     max_step = policy.max_step if policy.max_step is not None else span / DEFAULT_STEPS_PER_PERIOD
     edges = np.asarray(segments.edges)
     starts, lengths = edges[:-1], np.diff(edges)
-    with np.errstate(over="ignore"):  # an overflowing count is inf, rejected below
+    # an overflowing count, or one over a max_step that underflowed to 0, is
+    # inf, rejected below
+    with np.errstate(over="ignore", divide="ignore"):
         counts = np.maximum(policy.substeps_per_segment, np.ceil(lengths / max_step - 1e-9))
     total = counts.sum() + len(segments.kick_times)
     if not total <= MAX_STEPS:
@@ -262,11 +264,11 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=())
     """Time-ordered product of exp(-i * taus[b, k] * H(ts[k])) over k, per row b.
 
     kicks holds the ascending indices of the factors that are pi pulses
-    (see matexp_cubic_stack), none by default.  Returns (levels, (B, d, d)
+    (see matexp_lambda_stack), none by default.  Returns (levels, (B, d, d)
     products).  The factor axis is walked in aligned blocks of
-    _block_width(B): each block builds its generators, checks them and
-    squares them once for all B rows, and is reduced _top_depth levels, to
-    about TOP_NODES / B nodes per row.  The nodes of all blocks are then
+    _block_width(B): each block builds its couplings, exponentiates them for
+    all B rows, and is reduced _top_depth levels, to about TOP_NODES / B
+    nodes per row.  The nodes of all blocks are then
     reduced together, the top of the tree.  Because the width is a power of
     two, this performs exactly the multiplications of the pairwise tree of
     :func:`ordered_product` over the whole stack (an aligned block of 2^m
@@ -275,8 +277,9 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=())
 
     The blocks share one workspace, allocated here once per batch: the
     exponentials, one spare buffer and the nodes.  The spare holds the
-    generators and the closed form's temporaries until the exponentials
-    exist, then the product levels and their term; the top of the tree
+    couplings (x as contiguous floats at its front, then y) and the closed
+    form's temporaries until the exponentials exist, then the product
+    levels and their term; the top of the tree
     runs in the exponentials, the spare and the nodes' own memory.  A short
     last block uses the front of each buffer, every entry of which it
     writes before reading.
@@ -288,18 +291,20 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=())
     w, n_nodes = min(width, n), -(-n >> depth)
     top = 9 * rows * ((n_nodes + 1) // 2)
     exps = np.empty(max(9 * rows * w, top), dtype=complex)
-    spare = np.empty(max(9 * w + cubic_work_size(w, rows * w), 9 * rows * w, top),
+    spare = np.empty(max((w + 1) // 2 + w + lambda_work_size(w, rows * w), 9 * rows * w, top),
                      dtype=complex)
     flat = np.empty(9 * rows * n_nodes, dtype=complex)
     nodes = _stack(flat, rows, n_nodes)
     for start in range(0, n, width):
         m = min(width, n - start)
         lo, hi = np.searchsorted(kicks, (start, start + m))
-        levels, hs = gate_generators(spec, ts[start:start + m], out=_stack(spare, m))
-        us = matexp_cubic_stack(hs, taus[:, start:start + m], out=_stack(exps, rows, m),
-                                work=spare[9 * m:], pi_pulses=kicks[lo:hi] - start)
+        half = (m + 1) // 2
+        levels, x, y = gate_generators(spec, ts[start:start + m],
+                                       out=(spare[:half].view(float)[:m], spare[half:half + m]))
+        us = matexp_lambda_stack(x, y, taus[:, start:start + m], out=_stack(exps, rows, m),
+                                 work=spare[half + m:], pi_pulses=kicks[lo:hi] - start)
         # the levels alternate between the spare's front and the spent exponentials
-        odd = 9 * rows * ((m + 1) // 2)
+        odd = 9 * rows * half
         at = start >> depth
         ordered_product(us, out=nodes[:, at:at + (-(-m >> depth))],
                         work=(spare[:odd], exps, spare[odd:]), depth=depth)
@@ -316,11 +321,11 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
 
     trains is a sequence of Segments with equal edges and equal kick
     instants -- the realizations of a sweep job differ only in their random
-    amplitudes and in J.  The step grid and the generators are built once
+    amplitudes and in J.  The step grid and the couplings are built once
     for all of them, and each distinct tuple of segment values adds one row
     of step exponents (1 + c) * dt: trains with equal values share a row.
     Kick i contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2,
-    exactly and whatever its sign (see matexp_cubic_stack), right before
+    exactly and whatever its sign (see matexp_lambda_stack), right before
     the step that starts at its instant; the signs enter only the areas of
     control.  Returns one PropagationResult per train, in order; each is
     bit-identical to propagating that train alone.

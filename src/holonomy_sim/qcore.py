@@ -2,18 +2,18 @@
 
 Everything here is a pure function on numpy arrays: states are 1-d complex
 vectors, operators are square complex matrices.  General Hermitian
-exponentials go through the eigendecomposition; generators with H^3 = H
-(a spectrum of -1, 0 and +1 only, as every gate generator here has) use
-the exact closed form instead, built from the planes of H that are nonzero
-somewhere in the stack (4 of 9 for a lambda block, whose H^2 has the other
-5).  Either way every propagation step is unitary up to rounding -- long
-runs take 1e5-1e6 steps and must not accumulate unitarity drift.
-Time-ordered products of a step stack are reduced pairwise; both the
-closed form and the product carry leading batch axes, so several trains
-share one call.  The closed form takes the indices of pi pulses, whose
-exponential it makes exactly I - 2 H^2 for either sign, and the product
-can stop part way up its tree, so that a caller reducing a long stack in
-blocks finishes the upper levels of all blocks in one call.
+exponentials go through the eigendecomposition; the lambda-coupled gate
+generator, given by its two couplings x (real) and y (complex), has the
+spectrum {-1, 0, +1} and is exponentiated in exact closed form instead,
+Hermitian by construction.  Either way every propagation step is unitary
+up to rounding -- long runs take 1e5-1e6 steps and must not accumulate
+unitarity drift.  Time-ordered products of a step stack are reduced
+pairwise; both the closed form and the product carry leading batch axes,
+so several trains share one call.  The closed form takes the indices of
+pi pulses, whose exponential it makes exactly I - 2 H^2 for either sign,
+and the product can stop part way up its tree, so that a caller reducing
+a long stack in blocks finishes the upper levels of all blocks in one
+call.
 
 Stacks are multiplied as *planes*: an array of shape (d, d, ..., n) in
 which entry (i, j) of every matrix is one contiguous array.  A product of
@@ -24,12 +24,10 @@ per small matrix.  The public functions take and return the usual
 
 A caller that exponentiates and reduces many same-sized stacks (the
 blocks of one propagation) can hand in its own memory: the closed form,
-the product and the generators of hamiltonians take an optional out= for
+the product and the couplings of hamiltonians take an optional out= for
 their result, and the first two a work= for their temporaries, so a loop
 over blocks allocates no stack of its own.  Without them they allocate
-the same arrays and run the same code.  The Hermiticity check of every
-exponential compares only the planes that are nonzero somewhere with
-their mirrors, and still reports the defect of the whole stack.
+the same arrays and run the same code.
 """
 from __future__ import annotations
 
@@ -78,31 +76,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
 
 
-def _check_hermitian_stack(h: np.ndarray, nonzero: list, diff: np.ndarray,
-                           mag: np.ndarray) -> None:
-    """Reject planes h of shape (d, d, n) unless Hermitian within HERMITICITY_TOL.
-
-    nonzero[i][j] tells whether plane (i, j) is nonzero somewhere, as np.any
-    finds it (a NaN counts).  Only a pair (i, j), (j, i) with a nonzero
-    plane can deviate, and |h_ij - conj(h_ji)| = |h_ji - conj(h_ij)|, so
-    each such pair is compared once; the defect reported is
-    hermiticity_defect of the stack.  diff (n complex) and mag (n floats)
-    hold one pair's deviation.
-    """
-    defects = [0.0]
-    # an infinite entry gives inf - inf = nan: the defect check reports it
-    with np.errstate(invalid="ignore"):
-        for i, row in enumerate(nonzero):
-            for j in range(i, len(row)):
-                if row[j] or nonzero[j][i]:
-                    np.subtract(h[i, j], np.conjugate(h[j, i], out=diff), out=diff)
-                    defects.append(np.abs(diff, out=mag).max(initial=0.0))
-    defect = float(np.max(defects))  # a nan anywhere makes the max nan
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > "
-                         f"{HERMITICITY_TOL:.1e}")
-
-
 def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d), via eigendecomposition.
 
@@ -110,44 +83,53 @@ def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     (n,); non-Hermitian and non-finite stacks are rejected.
     """
     taus = np.asarray(taus)
-    n = len(hs)
-    if taus.shape != (n,):
+    if taus.shape != (len(hs),):
         raise ValueError(f"taus of shape {taus.shape} do not fit the stack of shape "
                          f"{hs.shape}: one exponent per matrix")
-    _check_hermitian_stack(_planes(hs), np.any(hs, axis=-3).tolist(),
-                           np.empty(n, dtype=complex), np.empty(n))
+    # an infinite entry gives inf - inf = nan, which the comparison rejects
+    with np.errstate(invalid="ignore"):
+        defect = hermiticity_defect(hs)
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > "
+                         f"{HERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * taus[:, None])
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def cubic_work_size(n: int, size: int) -> int:
-    """Complex entries of the work array of matexp_cubic_stack: n matrices, size exponents."""
-    return 2 * size + (size + 1) // 2 + 2 * n
+def lambda_work_size(n: int, size: int) -> int:
+    """Complex entries of the work array of matexp_lambda_stack: n couplings, size exponents."""
+    return size + (size + 1) // 2 + 2 * n + (n + 1) // 2
 
 
-def matexp_cubic_stack(hs: np.ndarray, taus: np.ndarray,
-                       out: np.ndarray | None = None,
-                       work: np.ndarray | None = None,
-                       pi_pulses: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i*h_k*tau_k) for Hermitian h_k with h^3 = h, without eigh.
+def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
+                        out: np.ndarray | None = None,
+                        work: np.ndarray | None = None,
+                        pi_pulses: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i*h_k*tau_k) for the lambda couplings h_k of x[k] and y[k], without eigh.
 
-    The spectrum of such an h is a subset of {-1, 0, +1}, so the series
-    collapses to exp(-i h tau) = I - i sin(tau) h + (cos(tau) - 1) h^2
-    (Moler & Van Loan, SIAM Rev. 45, 2003).  cos - 1 is evaluated as
-    -2 sin^2(tau / 2) to keep small steps accurate.  A generator with
-    h^3 = s^2 h enters as h / s with exponent s * tau.  hs has shape
-    (n, d, d) and taus shape (..., n): every row of taus is exponentiated
-    against the same hs and h^2, giving (..., n, d, d).  The caller vouches
-    for h^3 = h; Hermiticity and non-finite entries are still rejected
-    as in :func:`matexp_hermitian_stack`, and so is a last axis of taus
-    that is not n.
+    h = [[0, x, 0], [x, 0, conj(y)], [0, y, 0]] is Hermitian by construction
+    (x real, conj(y) formed here).  The caller vouches for x^2 + |y|^2 = 1,
+    which gives h the spectrum {-1, 0, +1} (couplings of norm s enter
+    divided by s, with exponents s * tau), so exp(-i h tau) = I - i sin(tau)
+    h + (cos(tau) - 1) h^2 (Moler & Van Loan, SIAM Rev. 45, 2003), cos - 1
+    evaluated as -2 sin^2(tau / 2) to keep small steps accurate.  x and y
+    have shape (n,) and taus shape (..., n): every row of taus is
+    exponentiated against the same couplings, giving (..., n, 3, 3).  A
+    complex x, x and y not 1-d of one shape, non-finite couplings and a last
+    axis of taus that is not n are rejected.
 
-    out, if given, is the (..., n, d, d) result array, in any memory
+    Each plane of h^2 is the one nonzero term of the dense sum over k of
+    h[i, k] h[k, j], in its operand order: numpy's complex multiply may
+    fuse, so conj(y) y and y conj(y) differ in the last bit of their
+    imaginary parts.  Adding I to every plane last turns each -0 into +0,
+    so the result has the bits of I + a h + b h^2 summed densely.
+
+    out, if given, is the (..., n, 3, 3) result array, in any memory
     layout, and is returned; otherwise it is allocated as a view of planes
-    (d, d, ..., n) (see the module docstring).  work is a flat contiguous
-    complex array of at least cubic_work_size(n, taus.size) entries for
-    the temporaries (allocated when not given).  hs, taus, out and work
+    (3, 3, ..., n) (see the module docstring).  work is a flat contiguous
+    complex array of at least lambda_work_size(n, taus.size) entries for
+    the temporaries (allocated when not given).  x, y, taus, out and work
     may not overlap.
 
     pi_pulses, if given, indexes the factors (on the last axis of taus)
@@ -155,64 +137,55 @@ def matexp_cubic_stack(hs: np.ndarray, taus: np.ndarray,
     of the rounded pi is 1.2e-16 with the sign of tau, so the sine term is
     dropped: such a factor is exactly I - 2 h^2, since b = -2 sin^2(+-pi / 2)
     rounds to -2, the same for either sign.
-
-    Only planes that are nonzero somewhere in hs enter: h^2[i, j] sums
-    h[i, k] h[k, j] over the k, ascending, whose two planes are both
-    nonzero, and each output plane takes b h^2 and a h only where those
-    planes exist.  A skipped term is a product with a zero, so it could
-    change only the sign of a zero; the final + I over every plane turns
-    each -0 into +0, so the result has the bits of the dense sum over all
-    d^3 products.  The Hermiticity check likewise compares only the
-    nonzero planes with their mirrors (see _check_hermitian_stack).
     """
+    x, y = np.asarray(x), np.asarray(y, dtype=complex)
+    if np.iscomplexobj(x):
+        raise ValueError("the coupling x = sin(theta) must be real, got a complex array")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"couplings x of shape {x.shape} and y of shape {y.shape} "
+                         f"must be 1-d of one shape")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("couplings x and y must be finite")
     taus = np.asarray(taus, dtype=float)
-    n = len(hs)
-    if taus.shape[-1:] != (n,):
-        raise ValueError(f"taus of shape {taus.shape} do not fit the stack of shape "
-                         f"{hs.shape}: one exponent per matrix on the last axis")
+    n = len(x)
+    if taus.shape[-1:] != x.shape:
+        raise ValueError(f"taus of shape {taus.shape} do not fit the couplings of shape "
+                         f"{x.shape}: one exponent per coupling on the last axis")
     size = taus.size
     if work is None:
-        work = np.empty(cubic_work_size(n, size), dtype=complex)
-    elif len(work) < cubic_work_size(n, size):
-        raise ValueError(f"work has {len(work)} entries, needs {cubic_work_size(n, size)}")
-    # work holds, in order: a; a * h[i, j], whose memory first holds the
-    # check's magnitudes and sin(taus); x = taus / 2, overwritten by b;
-    # h^2[i, j] and one product of its sum
-    a, ah = work[:size].reshape(taus.shape), work[size:2 * size].reshape(taus.shape)
-    tmp = work[size:2 * size].view(float)
-    x = work[2 * size:].view(float)[:size].reshape(taus.shape)
-    end = 2 * size + (size + 1) // 2
-    sq, prod = work[end:end + n], work[end + n:end + 2 * n]
-    h = _planes(hs)
-    d = h.shape[0]
-    nonzero = np.any(hs, axis=-3).tolist()
-    _check_hermitian_stack(h, nonzero, sq, tmp[:n])
+        work = np.empty(lambda_work_size(n, size), dtype=complex)
+    elif len(work) < lambda_work_size(n, size):
+        raise ValueError(f"work has {len(work)} entries, needs {lambda_work_size(n, size)}")
+    # work holds, in order: a; sin(taus), overwritten by b; conj(y); one
+    # plane of h^2; x x
+    a = work[:size].reshape(taus.shape)
+    end = size + (size + 1) // 2
+    b = work[size:end].view(float)[:size].reshape(taus.shape)
+    cy, sq = work[end:end + n], work[end + n:end + 2 * n]
+    xx = work[end + 2 * n:].view(float)[:n]
     # a = -1j sin(taus) and b = -2 sin(taus / 2)^2, rounded as those expressions
-    np.multiply(-1j, np.sin(taus, out=tmp[:size].reshape(taus.shape)), out=a)
+    np.multiply(-1j, np.sin(taus, out=b), out=a)
     if pi_pulses is not None:
         a[..., pi_pulses] = 0.0
-    b = np.sin(np.multiply(0.5, taus, out=x), out=x)
+    np.sin(np.multiply(0.5, taus, out=b), out=b)
     np.multiply(-2.0, np.square(b, out=b), out=b)
     if out is None:
-        out = _matrices(np.empty((d, d) + taus.shape, dtype=complex))
-    # each (n,) plane of h broadcasts against the (..., n) planes of p
+        out = _matrices(np.empty((3, 3) + taus.shape, dtype=complex))
+    # each (n,) coupling broadcasts against the (..., n) planes of p
     p = _planes(out)
-    for i in range(d):
-        for j in range(d):
-            ks = [k for k in range(d) if nonzero[i][k] and nonzero[k][j]]
-            if ks:
-                np.multiply(h[i, ks[0]], h[ks[0], j], out=sq)
-                for k in ks[1:]:
-                    sq += np.multiply(h[i, k], h[k, j], out=prod)
-                np.multiply(b, sq, out=p[i, j])
-                if nonzero[i][j]:
-                    p[i, j] += np.multiply(a, h[i, j], out=ah)
-            elif nonzero[i][j]:
-                np.multiply(a, h[i, j], out=p[i, j])
-            else:
-                p[i, j] = 0.0
+    np.conjugate(y, out=cy)
+    np.multiply(b, np.multiply(x, x, out=xx), out=p[0, 0])
+    np.add(xx, np.multiply(cy, y, out=sq), out=sq)
+    np.multiply(b, sq, out=p[1, 1])
+    np.multiply(b, np.multiply(y, cy, out=sq), out=p[2, 2])
+    np.multiply(b, np.multiply(x, cy, out=sq), out=p[0, 2])
+    np.multiply(b, np.multiply(x, y, out=sq), out=p[2, 0])
+    np.multiply(a, x, out=p[0, 1])
+    p[1, 0] = p[0, 1]
+    np.multiply(a, cy, out=p[1, 2])
+    np.multiply(a, y, out=p[2, 1])
     # adding I everywhere also turns every -0 into +0, as the dense sum did
-    p += np.eye(d).reshape((d, d) + (1,) * taus.ndim)
+    p += np.eye(3).reshape((3, 3) + (1,) * taus.ndim)
     return out
 
 

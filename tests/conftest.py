@@ -19,3 +19,12 @@ def matexp_hermitian(h, tau):
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     return matexp_hermitian_stack(h[None], [tau])[0]
+
+
+def lambda_stack(x, y):
+    """The (n, 3, 3) lambda couplings [[0, x, 0], [x, 0, conj(y)], [0, y, 0]] of x and y."""
+    hs = np.zeros((len(x), 3, 3), dtype=complex)
+    hs[:, 0, 1] = hs[:, 1, 0] = x
+    hs[:, 2, 1] = y
+    hs[:, 1, 2] = np.conjugate(y)
+    return hs

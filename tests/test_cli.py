@@ -145,6 +145,14 @@ class TestGateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(prefix) and "MAX_STEPS" in err[0]
 
+    def test_period_whose_step_underflows_exits_2_with_one_line(self, capsys):
+        # T / DEFAULT_STEPS_PER_PERIOD rounds to 0: the step count is infinite
+        code = run_cli(["gate", "--kind", "phase", "--a", "0.7605", "--T", "1e-320"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gate run failed")
+        assert "MAX_STEPS" in err[0]
+
     @pytest.mark.parametrize("target", ["dir", "file-as-dir"])
     def test_unwritable_out_exits_4(self, target, tmp_path, capsys):
         (tmp_path / "a-file").write_text("")
@@ -296,6 +304,7 @@ class TestSweepCommand:
         "positive-square-runtime": ("runtime", lambda c: c.update(control={
             "kind": "positive_square", "J": 1.0, "dt": 0.1})),
         "negative-T": ("runtime", lambda c: c.update(grid=[-1.0, 1.0])),
+        "T-underflows-the-step": ("runtime", lambda c: c.update(grid=[1e-320, 1.0])),
         "zero-dt": ("dt-zero-energy", lambda c: c.update(grid=[0.0, 0.25])),
         "dt-above-T": ("dt-zero-energy", lambda c: (c.update(grid=[20.0]),
                                                     c["gate"].update(T=10.0))),
@@ -569,7 +578,7 @@ class TestSelftest:
 # often as argparse errors.  Ordinary runs stay small (T <= 2, dt >= 0.25, two
 # grid points) and odd sizes are rejected before anything is allocated, so a
 # command takes milliseconds.
-ODD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "abc", ""]
+ODD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "1e-320", "abc", ""]
 ODD_COUNTS = ["0", "-3", "1e3", "x", "99999999999", "1" + "0" * 400]
 ODD_JSON = ["{", '{"kind":', "[]", "null", "{}", "{'kind': 'no_control'}",
             '{"kind": "no_control"} x', '{"kind": "positive_square", "J": NaN}']
@@ -585,11 +594,11 @@ ODD_CONFIGS = st.fixed_dictionaries({
     "gate": st.fixed_dictionaries({
         "kind": st.sampled_from(["phase", "xgate", "cphase", "physical_four"]),
         "a": st.sampled_from([0.7605, 0, -1, 30, math.nan]),
-        "T": st.sampled_from([0.5, 1.0, 2.0, 0, -1, 1e308, math.inf])}),
+        "T": st.sampled_from([0.5, 1.0, 2.0, 0, -1, 1e308, 1e-320, math.inf])}),
     "control": CONTROLS | JSON_NUMBERS,
     "sweep_variable": st.sampled_from(["T", "mean_control", "dt", "x"]),
-    "grid": st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 40.0, 0, -1, 1e-300, 1e308]),
-                     max_size=3),
+    "grid": st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 40.0, 0, -1, 1e-300, 1e-320,
+                                      1e308]), max_size=3),
     "realizations": st.sampled_from([1, 2, 0, -1, 1.5, "1"]),
     "master_seed": JSON_NUMBERS,
     "policy": st.fixed_dictionaries({

@@ -18,10 +18,10 @@ from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, TOP_NODES
                                       _midpoints, _segment_counts, _top_depth,
                                       adiabatic_hamiltonian, propagate_adiabatic,
                                       propagate_lab, propagate_lab_batch)
-from holonomy_sim.qcore import (hermiticity_defect, matexp_cubic_stack, matexp_hermitian_stack,
+from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                                 ordered_product, unitarity_defect)
 
-from conftest import matexp_hermitian
+from conftest import lambda_stack, matexp_hermitian
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -106,8 +106,8 @@ def sequential_reference(spec, segments, policy):
 def test_closed_form_step_matches_eigh_exponential(spec, rng):
     ts = rng.uniform(0.0, 1.0, size=8)
     taus = np.concatenate([rng.uniform(-3.0, 3.0, size=6), [math.pi, -math.pi]])
-    levels, hs = gate_generators(spec, ts)
-    steps = matexp_cubic_stack(hs, taus)
+    levels, x, y = gate_generators(spec, ts)
+    steps = matexp_lambda_stack(x, y, taus)
     for t, tau, step in zip(ts, taus, steps):
         full = np.eye(spec.dim, dtype=complex)
         full[np.ix_(levels, levels)] = step
@@ -300,11 +300,11 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(3, n))
     levels, products = _chunked_product(spec, ts, taus)
-    _, hs = gate_generators(spec, ts)
+    _, x, y = gate_generators(spec, ts)
     assert levels == (1, 2, 3) and products.shape == (3, 3, 3)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
+    assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
     for row, product in zip(taus, products):
-        assert np.array_equal(product, ordered_product(matexp_cubic_stack(hs, row)))
+        assert np.array_equal(product, ordered_product(matexp_lambda_stack(x, y, row)))
 
 
 @pytest.mark.parametrize("rows, width", [(1, 2 * CHUNK), (2, 2 * CHUNK), (3, CHUNK),
@@ -324,8 +324,8 @@ def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, bl
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, products = _chunked_product(spec, ts, taus)
-    _, hs = gate_generators(spec, ts)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
+    _, x, y = gate_generators(spec, ts)
+    assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
 
 @pytest.mark.parametrize("rows, nodes", [(1, 64), (2, 32), (3, 16), (16, 4), (17, 2),
@@ -349,9 +349,9 @@ def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
                                       rng.choice(n, size=8, replace=False)]))
     taus[:, kicks] = KICK_AREA
     _, products = _chunked_product(spec, ts, taus, kicks)
-    _, hs = gate_generators(spec, ts)
+    _, x, y = gate_generators(spec, ts)
     assert np.array_equal(products,
-                          ordered_product(matexp_cubic_stack(hs, taus, pi_pulses=kicks)))
+                          ordered_product(matexp_lambda_stack(x, y, taus, pi_pulses=kicks)))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 32])
@@ -363,8 +363,8 @@ def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatc
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
-    _, hs = gate_generators(spec, ts)
-    whole = ordered_product(matexp_cubic_stack(hs, taus))
+    _, x, y = gate_generators(spec, ts)
+    whole = ordered_product(matexp_lambda_stack(x, y, taus))
     empty = np.empty
 
     def poisoned(*args, **kwargs):
@@ -386,8 +386,8 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
     _, products = _chunked_product(spec, ts, taus)
-    _, hs = gate_generators(spec, ts)
-    assert np.array_equal(products, ordered_product(matexp_cubic_stack(hs, taus)))
+    _, x, y = gate_generators(spec, ts)
+    assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
 
 def exact_kicks(hs):
@@ -406,10 +406,10 @@ def whole_stack_with_exact_kicks(spec, segments, policy):
     bounds, kick_pos = _bounds(segments, policy)
     mids = _midpoints(bounds)
     steps = (1.0 + np.asarray(segments.values)[segment_of(segments, mids)]) * np.diff(bounds)
-    levels, hs = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
+    levels, x, y = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
     factor_pos = kick_pos + np.arange(len(kick_pos))
-    stack = matexp_cubic_stack(hs, np.insert(steps, kick_pos, 0.0))
-    stack[factor_pos] = exact_kicks(hs[factor_pos])
+    stack = matexp_lambda_stack(x, y, np.insert(steps, kick_pos, 0.0))
+    stack[factor_pos] = exact_kicks(lambda_stack(x[factor_pos], y[factor_pos]))
     return levels, ordered_product(stack)
 
 
@@ -525,8 +525,9 @@ def test_step_boundaries_align_with_segments():
 @pytest.mark.parametrize("j12, j13", [(1.0, 0.7), (0.3, 2.7), (1.0, 0.0), (0.0, 2.0)])
 def test_exchange_model_evolution_stays_in_the_dfs_as_the_scaled_block(j12, j13):
     # one drive period of the 16-dim exchange model, exponentiated by eigh, is
-    # the evolution of its 4-dim DFS block in closed form with s = hypot(j12, j13):
-    # why the lambda block is the only model propagated
+    # the evolution of its 4-dim DFS block: the lambda couplings at theta0 =
+    # atan2(j13, j12) in closed form with exponents s * tau, s = hypot(j12, j13),
+    # and the decoupled level 0 -- why the lambda block is the only model propagated
     n = 64
     varphis = 2 * math.pi * (np.arange(n) + 0.5) / n
     taus = np.full(n, 1.0 / n)
@@ -535,10 +536,12 @@ def test_exchange_model_evolution_stays_in_the_dfs_as_the_scaled_block(j12, j13)
     assert unitarity_defect(u) <= 1e-12
     z = total_z()
     assert np.max(np.abs(u @ z - z @ u)) <= 1e-12
-    blocks, leaks = zip(*(project_dfs(h) for h in hs))
-    assert max(leaks) <= 1e-13
-    s = math.hypot(j12, j13)
-    block_u = ordered_product(matexp_cubic_stack(np.stack(blocks) / s, s * taus))
+    assert max(project_dfs(h)[1] for h in hs) <= 1e-13
+    s, theta0 = math.hypot(j12, j13), math.atan2(j13, j12)
+    x = np.full(n, math.sin(theta0))
+    y = math.cos(theta0) * np.exp(-1j * varphis)
+    block_u = np.eye(4, dtype=complex)
+    block_u[1:, 1:] = ordered_product(matexp_lambda_stack(x, y, s * taus))
     idx = list(DFS_INDICES)
     outside = [i for i in range(16) if i not in DFS_INDICES]
     np.testing.assert_allclose(u[np.ix_(idx, idx)], block_u, atol=1e-12)

@@ -4,13 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, exchange_hamiltonian,
-                                       gate_generators)
-from holonomy_sim.qcore import (_matmul, _matrices, _planes, cubic_work_size, hermiticity_defect,
-                                matexp_cubic_stack, matexp_hermitian_stack, ordered_product,
-                                unitarity_defect)
+from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_generators
+from holonomy_sim.qcore import (_matmul, _matrices, _planes, hermiticity_defect,
+                                lambda_work_size, matexp_hermitian_stack, matexp_lambda_stack,
+                                ordered_product, unitarity_defect)
 
-from conftest import matexp_hermitian, random_hermitian
+from conftest import lambda_stack, matexp_hermitian, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -105,25 +104,45 @@ def test_matexp_stack_matches_single(rng):
         np.testing.assert_allclose(us[k], matexp_hermitian(hs[k], taus[k]), atol=1e-13)
 
 
-def test_cubic_stack_matches_eigh_for_scaled_spin_one(rng):
-    # s * (spin-1 S_x in a random unitary frame) has spectrum {-s, 0, +s}, so it
-    # enters the closed form as h / s with exponents s * tau
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+def _couplings(rng, n, s=1.0):
+    """n random lambda couplings (x real, y complex) with x^2 + |y|^2 = s^2."""
+    theta, phi = rng.uniform(-math.pi, math.pi, size=(2, n))
+    return s * np.sin(theta), s * np.cos(theta) * np.exp(-1j * phi)
+
+
+def test_lambda_stack_matches_eigh_for_scaled_couplings(rng):
+    # couplings with x^2 + |y|^2 = s^2 have spectrum {-s, 0, +s}, so they enter
+    # the closed form divided by s with exponents s * tau
+    taus = np.array([0.0, 1e-9, 0.4, -2.5, math.pi, -math.pi])
     for s in (1.0, 0.3, 2.7):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        h = s * q @ sx @ q.conj().T
-        taus = np.array([0.0, 1e-9, 0.4, -2.5, math.pi, -math.pi])
-        us = matexp_cubic_stack(np.stack([h] * len(taus)) / s, s * taus)
-        for u, tau in zip(us, taus):
+        x, y = _couplings(rng, len(taus), s)
+        us = matexp_lambda_stack(x / s, y / s, s * taus)
+        for u, h, tau in zip(us, lambda_stack(x, y), taus):
             np.testing.assert_allclose(u, matexp_hermitian(h, tau), atol=1e-13)
 
 
-def test_cubic_stack_rejects_non_hermitian_and_non_finite():
-    bad = np.array([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]], dtype=complex)
-    with pytest.raises(ValueError, match="defect"):
-        matexp_cubic_stack(bad, [1.0])
-    with pytest.raises(ValueError, match="defect"):
-        matexp_cubic_stack(np.full((1, 3, 3), np.nan, dtype=complex), [1.0])
+@pytest.mark.parametrize("x, y, taus, match", [
+    (np.ones(2, dtype=complex), np.ones(2, dtype=complex), np.ones(2), "must be real"),
+    (np.ones(2), np.ones(3, dtype=complex), np.ones(2), r"\(2,\).*\(3,\).*of one shape"),
+    (np.ones((2, 1)), np.ones(2, dtype=complex), np.ones(2), "of one shape"),
+    (np.ones((2, 1)), np.ones((2, 1), dtype=complex), np.ones(2), "must be 1-d"),
+    (np.ones(()), np.ones((), dtype=complex), np.ones(()), "must be 1-d"),
+    (np.ones(2), np.ones(2, dtype=complex), np.ones(3), r"\(3,\) do not fit.*\(2,\)"),
+    (np.ones(2), np.ones(2, dtype=complex), np.ones((4, 1)), r"\(4, 1\) do not fit"),
+    (np.ones(2), np.ones(2, dtype=complex), 0.5, r"\(\) do not fit"),
+])
+def test_lambda_stack_rejects_couplings_and_taus_that_do_not_fit(x, y, taus, match):
+    with pytest.raises(ValueError, match=match):
+        matexp_lambda_stack(x, y, taus)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x", "y.real", "y.imag"])
+def test_lambda_stack_rejects_non_finite_couplings(where, value, rng):
+    x, y = _couplings(rng, 5)
+    {"x": x, "y.real": y.real, "y.imag": y.imag}[where][3] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        matexp_lambda_stack(x, y, np.ones(5))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -144,16 +163,13 @@ def test_batched_ordered_product_equals_product_of_each_slice(rng):
             assert np.array_equal(products[i, j], ordered_product(stack[i, j]))
 
 
-def test_cubic_stack_exponentiates_every_row_of_taus(rng):
-    # spin-1 S_x in five random unitary frames: spectrum {-1, 0, +1}
-    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
-    qs, _ = np.linalg.qr(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
-    hs = qs @ sx @ qs.conj().transpose(0, 2, 1)
+def test_lambda_stack_exponentiates_every_row_of_taus(rng):
+    x, y = _couplings(rng, 5)
     taus = rng.uniform(-3.0, 3.0, size=(4, 5))
-    us = matexp_cubic_stack(hs, taus)
+    us = matexp_lambda_stack(x, y, taus)
     assert us.shape == (4, 5, 3, 3)
     for row, u in zip(taus, us):
-        assert np.array_equal(u, matexp_cubic_stack(hs, row))
+        assert np.array_equal(u, matexp_lambda_stack(x, y, row))
 
 
 def _in_layouts(stack):
@@ -165,11 +181,11 @@ def _in_layouts(stack):
     yield "every-other", np.repeat(stack, 2, axis=-3)[..., ::2, :, :]
 
 
-def _spectrum_stack(rng, n, d, s):
-    """n random Hermitian d x d matrices with eigenvalues in {-s, 0, +s}."""
+def _spectrum_stack(rng, n, d):
+    """n random Hermitian d x d matrices with eigenvalues in {-1, 0, +1}."""
     m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     qs, _ = np.linalg.qr(m)
-    eig = s * rng.choice([-1.0, 0.0, 1.0], size=(n, d))
+    eig = rng.choice([-1.0, 0.0, 1.0], size=(n, d))
     return (qs * eig[:, None, :]) @ qs.conj().transpose(0, 2, 1)
 
 
@@ -177,7 +193,7 @@ def _spectrum_stack(rng, n, d, s):
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng):
     n = 7
-    _, vs = np.linalg.eigh(_spectrum_stack(rng, int(np.prod(batch, dtype=int)) * n, d, 1.0))
+    _, vs = np.linalg.eigh(_spectrum_stack(rng, int(np.prod(batch, dtype=int)) * n, d))
     vs = vs.reshape(batch + (n, d, d))
     expected = np.empty(batch + (d, d), dtype=complex)
     for idx in np.ndindex(*batch):
@@ -191,15 +207,15 @@ def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng
         np.testing.assert_allclose(product, expected, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("d", [3, 4, 16])
 @pytest.mark.parametrize("batch", [(), (2,)])
-def test_cubic_stack_matches_eigh_in_every_layout(d, batch, rng):
-    n, s = 6, 1.7
-    hs = _spectrum_stack(rng, n, d, s)
+def test_lambda_stack_matches_eigh_in_every_out_layout(batch, rng):
+    n = 6
+    x, y = _couplings(rng, n)
+    hs = lambda_stack(x, y)
     taus = rng.uniform(-3.0, 3.0, size=batch + (n,))
-    for name, stack in _in_layouts(hs / s):
-        us = matexp_cubic_stack(stack, s * taus)
-        assert us.shape == batch + (n, d, d), name
+    for name, out in _in_layouts(np.full(batch + (n, 3, 3), np.nan, dtype=complex)):
+        us = matexp_lambda_stack(x, y, taus, out=out)
+        assert us is out and us.shape == batch + (n, 3, 3), name
         for idx in np.ndindex(*batch + (n,)):
             np.testing.assert_allclose(us[idx], matexp_hermitian(hs[idx[-1]], taus[idx]),
                                        atol=1e-13, err_msg=name)
@@ -217,7 +233,7 @@ def test_hermiticity_defect():
 
 def _dense_closed_form(hs, taus):
     """The closed form over every plane: all d^3 products of h^2, then b h^2 + a h + I
-    as whole (d, d, ...) arrays -- the reference the zero-plane skipping must match."""
+    as whole (d, d, ...) arrays -- the reference the closed form on couplings must match."""
     x = np.asarray(taus, dtype=float)
     a = -1j * np.sin(x)
     b = -2.0 * np.sin(0.5 * x) ** 2
@@ -233,59 +249,42 @@ def _bits(u):
     return np.ascontiguousarray(u).view(np.uint64)
 
 
-def _cubic_cases(rng):
-    """(name, stack with h^3 = h, nonzero planes of the stack) for the closed-form bit
-    tests; a stack with h^3 = s^2 h enters divided by s."""
-    # t = 0, T/2 and T put sin(theta) at exactly +-0 even for a > 0
-    ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=61)])
-    for a in (0.7605, 0.0):
-        for kind in GateKind:
-            stack = gate_generators(GateSpec(kind, Schedule(a, 1.0)), ts)[1]
-            # a = 0: sin(theta) == 0 everywhere leaves the lo<->anc planes zero
-            yield f"{kind.value}-a{a}", stack, 4 if a else 2
-    s = 1.7
-    qs, _ = np.linalg.qr(rng.standard_normal((64, 3, 3)) + 1j * rng.standard_normal((64, 3, 3)))
-    yield "spin-one", (qs * [-s, 0.0, s]) @ qs.conj().transpose(0, 2, 1) / s, 9
-    j12, j13 = 1.3, 0.4
-    stack = exchange_hamiltonian(j12, j13, 2 * math.pi * ts)
-    yield "exchange", stack / math.hypot(j12, j13), None
-
-
 @pytest.mark.parametrize("batch", [(), (3,)])
-def test_cubic_stack_has_the_bits_of_the_dense_closed_form(batch, rng):
-    for name, stack, planes in _cubic_cases(rng):
-        n = len(stack)
-        if planes is not None:
-            assert np.count_nonzero(np.any(stack, axis=0)) == planes, name
-        # steps of either sign, zero, pi kicks and tau beyond pi, where a and b
-        # change sign and products with zero planes give -0.0
-        taus = rng.uniform(-7.0, 7.0, size=batch + (n,))
-        taus[..., :4] = [0.0, math.pi, -math.pi, 4.0]
-        got = matexp_cubic_stack(stack, taus)
-        assert got.shape == batch + (n,) + stack.shape[1:], name
-        assert np.array_equal(_bits(got), _bits(_dense_closed_form(stack, taus))), name
+@pytest.mark.parametrize("a", [0.7605, 0.0])
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_lambda_stack_has_the_bits_of_the_dense_closed_form(kind, a, batch, rng):
+    # t = 0, T/2 and T put sin(theta) at exactly +-0 even for a > 0; a = 0 puts
+    # it there everywhere
+    ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=61)])
+    _, x, y = gate_generators(GateSpec(kind, Schedule(a, 1.0)), ts)
+    assert x.dtype == float and y.dtype == complex and (a > 0 or not x.any())
+    n = len(ts)
+    # steps of either sign, zero, pi kicks and tau beyond pi, where a and b
+    # change sign and products with zero planes give -0.0
+    taus = rng.uniform(-7.0, 7.0, size=batch + (n,))
+    taus[..., :5] = [0.0, math.pi, -math.pi, 4.0, -4.0]
+    got = matexp_lambda_stack(x, y, taus)
+    assert got.shape == batch + (n, 3, 3)
+    assert np.array_equal(_bits(got), _bits(_dense_closed_form(lambda_stack(x, y), taus)))
 
 
 def _lambda_stack(rng, n=16):
-    return gate_generators(GateSpec(GateKind.PHASE, Schedule(0.7605, 1.0)),
-                           np.sort(rng.uniform(0.0, 1.0, size=n)))[1].copy()
+    _, x, y = gate_generators(GateSpec(GateKind.PHASE, Schedule(0.7605, 1.0)),
+                              np.sort(rng.uniform(0.0, 1.0, size=n)))
+    return lambda_stack(x, y)
 
 
-def test_exponentials_reject_taus_that_do_not_fit_the_stack(rng):
+def test_hermitian_stack_rejects_taus_that_do_not_fit_the_stack(rng):
     lam = _lambda_stack(rng, 1)
     zeros = np.zeros((2, 3, 3), dtype=complex)
     # a 1-factor stack used to broadcast against 3 taus, an all-zero stack of 2 to give 3
     for stack, taus in [(lam, [0.1, 0.2, 0.3]), (zeros, [0.1, 0.2, 0.3]),
-                        (zeros, np.zeros((4, 3))), (zeros, 0.1)]:
+                        (zeros, np.zeros((4, 3))), (zeros, 0.1), (zeros, np.zeros((4, 2)))]:
         both = rf"{re.escape(str(np.shape(taus)))}.*{re.escape(str(stack.shape))}"
-        with pytest.raises(ValueError, match=both):
-            matexp_cubic_stack(stack, taus)
         with pytest.raises(ValueError, match=both):
             matexp_hermitian_stack(stack, taus)
     # a batch of rows is fine for the closed form, not for eigh
-    assert matexp_cubic_stack(zeros, np.zeros((4, 2))).shape == (4, 2, 3, 3)
-    with pytest.raises(ValueError, match=r"\(4, 2\)"):
-        matexp_hermitian_stack(zeros, np.zeros((4, 2)))
+    assert matexp_lambda_stack(np.zeros(2), np.zeros(2), np.zeros((4, 2))).shape == (4, 2, 3, 3)
 
 
 def test_ordered_product_rejects_an_empty_stack():
@@ -305,14 +304,12 @@ def test_hermiticity_check_catches_defects_in_planes_without_a_nonzero_mirror(pl
     # mirror is zero everywhere, or is an imaginary diagonal entry
     hs = _lambda_stack(rng)
     hs[5][plane] = value
-    for exp in (lambda: matexp_cubic_stack(hs, np.ones(len(hs))),
-                lambda: matexp_hermitian_stack(hs, np.ones(len(hs)))):
-        with pytest.raises(ValueError, match="not Hermitian") as excinfo:
-            exp()
-        assert _defect_in_message(excinfo) == float(f"{hermiticity_defect(hs):.3e}")
+    with pytest.raises(ValueError, match="not Hermitian") as excinfo:
+        matexp_hermitian_stack(hs, np.ones(len(hs)))
+    assert _defect_in_message(excinfo) == float(f"{hermiticity_defect(hs):.3e}")
     # the same defect below HERMITICITY_TOL passes
     hs[5][plane] = value * 1e-6
-    matexp_cubic_stack(hs, np.ones(len(hs)))
+    matexp_hermitian_stack(hs, np.ones(len(hs)))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan),
@@ -321,8 +318,6 @@ def test_hermiticity_check_catches_defects_in_planes_without_a_nonzero_mirror(pl
 def test_hermiticity_check_rejects_non_finite_entries_in_any_plane(plane, value, rng):
     hs = _lambda_stack(rng)
     hs[3][plane] = value
-    with pytest.raises(ValueError, match="not Hermitian"):
-        matexp_cubic_stack(hs, np.ones(len(hs)))
     with pytest.raises(ValueError, match="not Hermitian"):
         matexp_hermitian_stack(hs, np.ones(len(hs)))
 
@@ -343,19 +338,23 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
     spec = GateSpec(GateKind.CPHASE, Schedule(1.2024, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=37))
     taus = rng.uniform(-0.1, 0.1, size=(2, 37))
-    _, hs = gate_generators(spec, ts)
-    # gate_generators into a stack in plane memory and into a contiguous one
-    for out in (_matrices(np.full((3, 3, 37), np.nan, dtype=complex)),
-                np.full((37, 3, 3), np.nan, dtype=complex)):
-        _, got = gate_generators(spec, ts, out=out)
-        assert got is out and np.array_equal(_bits(got), _bits(hs))
-    us = matexp_cubic_stack(hs, taus)
-    with pytest.raises(ValueError, match="needs 259"):
-        matexp_cubic_stack(hs, taus, work=np.empty(258, dtype=complex))
-    work = np.full(cubic_work_size(37, 74), np.nan, dtype=complex)
+    _, x, y = gate_generators(spec, ts)
+    # gate_generators into x as a float view of complex memory, as the lab frame
+    # lays it out, and into plain arrays
+    spare = np.full(19 + 37, np.nan, dtype=complex)
+    for out in ((spare[:19].view(float)[:37], spare[19:]),
+                (np.full(37, np.nan), np.full(37, np.nan, dtype=complex))):
+        _, *got = gate_generators(spec, ts, out=out)
+        assert all(g is o for g, o in zip(got, out))
+        assert np.array_equal(_bits(got[0]), _bits(x)) and np.array_equal(_bits(got[1]), _bits(y))
+    us = matexp_lambda_stack(x, y, taus)
+    assert lambda_work_size(37, 74) == 204
+    with pytest.raises(ValueError, match="needs 204"):
+        matexp_lambda_stack(x, y, taus, work=np.empty(203, dtype=complex))
+    work = np.full(lambda_work_size(37, 74), np.nan, dtype=complex)
     for out in (_matrices(np.full((3, 3, 2, 37), np.nan, dtype=complex)),
                 np.full((2, 37, 3, 3), np.nan, dtype=complex)):
-        got = matexp_cubic_stack(hs, taus, out=out, work=work)
+        got = matexp_lambda_stack(x, y, taus, out=out, work=work)
         assert got is out and np.array_equal(_bits(got), _bits(us))
     product = ordered_product(us)
     # the even levels may reuse the stack's own memory, which only the first level reads
@@ -373,16 +372,17 @@ def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
     # that term, so +pi and -pi give the bits of I - 2 h^2
     pulses = np.array([0, 3, 4, 17, 39])
     for kind in GateKind:
-        _, hs = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
-                                np.sort(rng.uniform(0.0, 1.0, size=40)))
+        _, x, y = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
+                                  np.sort(rng.uniform(0.0, 1.0, size=40)))
+        hs = lambda_stack(x, y)
         h = _planes(hs)
         sq = _matmul(h, h, np.empty((3, 3, 40), dtype=complex), np.empty_like(h))
         exact = _matrices(np.eye(3)[..., None] - 2.0 * sq)[pulses]
         taus = rng.uniform(-0.1, 0.1, size=(2, 40))
         taus[0, pulses] = math.pi
         taus[1, pulses] = [math.pi, -math.pi, -math.pi, math.pi, -math.pi]
-        got = matexp_cubic_stack(hs, taus, pi_pulses=pulses)
-        plain = matexp_cubic_stack(hs, taus)
+        got = matexp_lambda_stack(x, y, taus, pi_pulses=pulses)
+        plain = matexp_lambda_stack(x, y, taus)
         for row in got:
             assert np.array_equal(_bits(row[pulses]), _bits(exact)), kind
         # without the marker the two signs differ in the last bits
