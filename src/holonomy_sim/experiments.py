@@ -12,7 +12,10 @@ realizations taken in (grid index, realization index) order from a run of
 grid points whose gate and train differ at most in the amplitude J.  Such
 realizations share their segment edges, so a job builds its trains and
 propagates them as one batch, in which realizations with equal segment
-values (those at J = 0) share one propagation.  A run of n realizations
+values (those at J = 0) share one propagation, and realizations with one
+value on a segment (the off segments of a positive square train, at any
+J) share that segment's exponentials and its node (see
+propagation.propagate_lab_batch).  A run of n realizations
 is split into ceil(n / MAX_BATCH) jobs of nearly equal size: the whole
 mean-control sweep is one run, while a runtime or dt sweep, whose grid
 value moves the step grid, has one run per grid point.  Every train,

@@ -15,29 +15,34 @@ of trains that share their segment edges and kick instants (the
 realizations of a sweep job, see experiments): one step grid, the lambda
 couplings (x, y) of the generator at all midpoints and kick instants, the
 exponentials of their 3x3 blocks in the closed form that H^3 = H allows
-(no eigendecomposition) for every distinct row of exponents, and a
-pairwise time-ordered product, all as whole-array numpy calls.  The
-exponentials stay in qcore's plane memory (entry (i, j) of every factor
-one contiguous array) up to the product, so each product level is three
-whole-plane multiply-adds, not one small matmul per factor.  Kick factors
-sit in the same stack as the steps, in time order.  The factor instants
-and exponents are laid out in one pass into the arrays the product reads
-(see _factors): the step bounds are built in place, the kick instants
-merged in by one sort, and every kick instant doubled, so that the
-midpoints and widths of that one array are the instants and widths of all
-factors, a kick spanning no time.  One search per segment start splits
-the instants into segments, and (1 + c) * dt is the segment values
-repeated over them and multiplied by the widths in place; without kicks
-nothing is copied.  The factor axis is processed in aligned blocks of a
-power-of-two width (see _block_width), so memory is bounded by one block
-while U stays bit-identical to one reduction over the whole stack.  Each
-block stops its reduction part way (see _top_depth), and the nodes of all
-blocks finish the tree together.  The blocks of a batch write into one
-workspace allocated once per batch (see _chunked_product), so no block
-allocates a stack of its own.  Trains of a batch with equal segment
-values (the J = 0 realizations of a sweep, or one kick layout under two
-sign patterns) are propagated once.  The product is embedded into
-spec.dim at the end.
+(no eigendecomposition), and a pairwise time-ordered product, all as
+whole-array numpy calls.  The exponentials stay in qcore's plane memory
+(entry (i, j) of every factor one contiguous array) up to the product, so
+each product level is three whole-plane multiply-adds, not one small
+matmul per factor.  Kick factors sit in the same stack as the steps, in
+time order.  The factor instants and exponents are laid out in one pass
+into the arrays the product reads (see _factors): the step bounds are
+built in place, the kick instants merged in by one sort, and every kick
+instant doubled, so that the midpoints and widths of that one array are
+the instants and widths of all factors, a kick spanning no time.  One
+search per segment start splits the instants into segments, and (1 + c)
+* dt is the segment values repeated over them and multiplied by the widths
+in place; without kicks nothing is copied.
+
+The product is segment first: each control segment's factors (its steps
+and the kicks inside it) are reduced by the pairwise tree to one node, and
+each train's segment nodes by the pairwise tree in time order.  This
+association depends only on the segment edges and kick instants, which
+every train of a batch shares, so each train's U is bit-identical to its
+propagation alone, while a segment is reduced once per distinct value the
+batch's trains hold on it: the off segments of a positive square train are
+0 in every realization and are exponentiated once for all of them, and
+trains with equal values throughout (the J = 0 realizations of a sweep, or
+one kick layout under two sign patterns) are one row.  A one-segment train
+(no control, delta kicks) is reduced by the pairwise tree over its whole
+stack.  The segments are exponentiated and reduced in calls of bounded
+size that share one workspace (see _chunked_product).  The product is
+embedded into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -54,8 +59,8 @@ import numpy as np
 
 from .control import KICK_AREA, MAX_STEPS, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
-from .qcore import (_matrices, lambda_work_size, matexp_hermitian_stack, matexp_lambda_stack,
-                    ordered_product, unitarity_defect)
+from .qcore import (_matrices, _planes, matexp_hermitian_stack, matexp_lambda_stack, ordered_product,
+                    unitarity_defect)
 
 # Auto step refinement: about this many steps per drive period when the
 # policy does not pin max_step.  Calibrated so that halving the step at
@@ -64,25 +69,31 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 
 MIN_SUBSTEPS = 20
 
-# The block widths of the chunked time-ordered product; _block_width
-# states the rule.  Measured on the sweeps: a 32-row batch in 1024-wide
-# blocks peaks about 9 MiB higher and runs slower, while the 10-row batches
-# of a dt sweep run slower in narrower blocks.  The 1-row cphase bench gate
-# (20,000 factors, 2 cores) runs about a fifth faster in 2048-wide blocks
-# than in 1024 at the same peak RSS; 4096 is faster still but peaks about
-# 1 MiB higher.
-CHUNK = 1024
-CHUNK_FULL_ROWS = 16
+# The share of the product one call exponentiates and reduces: at most
+# BLOCK entries (rows times factors) and WIDTH factors a row, and at most
+# WIDTH entries above ROWS rows.  Measured in-process on 2 cores: the
+# 10-row jobs of the dt sweep run slowest above and below about 10,000
+# entries, and the 29-row mean-control batch runs as fast at 4096 as at
+# 10,240 entries, while its workspace (about 290 bytes an entry) sets its
+# memory peak.
+BLOCK = 10240
+WIDTH = 4096
+ROWS = 16
 
-# Entries (rows times nodes per row) at which a block of _chunked_product
-# stops its pairwise reduction; the nodes of all blocks then finish the
-# tree together.  Each level of the product costs a few numpy calls, so the
-# levels below this width are nearly all call overhead when run per block.
-# Measured in-process on the bench kick pair (one row of 24,094 factors)
-# and cphase gate (20,000): 16 to 256 ran 5-10% faster than reducing every
-# block to one node, and 1024 ran slower than that on the kick pair and on
-# the 29-row mean-control batch.
-TOP_NODES = 64
+# The segment nodes held before they are reduced: an aligned group of the
+# largest power of two of segments with at most NODES nodes (rows times
+# segments), or of all of them.
+NODES = 2048
+
+# A short segment is padded with copies of its last factor to a multiple of
+# PAD factors, so that the first log2(PAD) levels of its tree run on whole
+# rows (see ordered_product's n).
+PAD = 4
+
+# The aligned blocks of a long segment stop their reduction at nodes of
+# NODE factors: the levels below are nearly all call overhead when run per
+# block.
+NODE = 32
 
 
 @dataclass(frozen=True)
@@ -235,80 +246,147 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
     return ts, taus, kicks, steps
 
 
-def _block_width(rows: int) -> int:
-    """Factors per row in one block of _chunked_product for a batch of rows.
-
-    The largest power of two w with rows * w <= 4 * CHUNK (128 at 32 rows),
-    and at least 1.  Up to CHUNK_FULL_ROWS rows it is held between CHUNK
-    and 2 * CHUNK: 2048 for 1 and 2 rows, 1024 for 3 to 16.  Every width
-    is a power of two, so the blocks align with the pairwise reduction tree.
-    """
-    width = 1 << max(0, (4 * CHUNK // rows).bit_length() - 1)
-    if rows <= CHUNK_FULL_ROWS:
-        return min(max(width, CHUNK), 2 * CHUNK)
-    return width
+def _budget(m: int) -> int:
+    """The most entries (rows times factors) one call of _chunked_product takes for m rows."""
+    return min(BLOCK, WIDTH * m) if m <= ROWS else WIDTH
 
 
-def _top_depth(rows: int, width: int) -> int:
-    """Levels of the pairwise tree that one block of _chunked_product reduces.
+def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
+                     counts=None, share=None):
+    """Time-ordered product of exp(-i * taus[r, k] * H(ts[k])) over k, segment first.
 
-    A block of width factors per row stops at the largest power of two of
-    nodes per row with rows * nodes <= TOP_NODES (at least 1), so its
-    levels run on planes of at least about TOP_NODES entries.
-    """
-    nodes = min(width, 1 << max(0, (TOP_NODES // rows).bit_length() - 1))
-    return (width // nodes).bit_length() - 1
+    The factors fall into consecutive segments of counts[s] factors (one
+    segment by default), and share[r, s] is the first row whose exponents
+    on segment s equal row r's (r itself by default).  kicks holds the
+    ascending indices of the factors that are pi pulses (see
+    matexp_lambda_stack), none by default.  Returns (levels, (R, d, d)
+    products), one per row of taus.
 
+    Each segment is reduced by ordered_product over its factors, once for
+    each of its k_s distinct rows, and each row's segment nodes by
+    ordered_product in time order.  The segments are walked in aligned
+    groups of a power of two of them (about NODES nodes), each reduced to
+    one node per row: the nodes of that tree over the segments, so the
+    product keeps its bits.  In a group, segments of one length and one k_s
+    are exponentiated and reduced together, in calls of at most _budget(k_s)
+    entries, each segment padded to a multiple of PAD factors.  Where every
+    row holds its own value (k_s = R) and no pad is needed a call reads the
+    exponents in place; the others gather theirs, and a shared segment's
+    node is then copied to each row that reads it.  A segment above half a
+    call's budget runs alone, cut from its start into aligned blocks of a
+    power of two of factors, each reduced to nodes of NODE factors (see
+    ordered_product's depth), so a one-segment train keeps the whole
+    stack's tree.
 
-def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=()):
-    """Time-ordered product of exp(-i * taus[b, k] * H(ts[k])) over k, per row b.
-
-    kicks holds the ascending indices of the factors that are pi pulses
-    (see matexp_lambda_stack), none by default.  Returns (levels, (B, d, d)
-    products).  The factor axis is walked in aligned blocks of
-    _block_width(B): each block builds its couplings, exponentiates them for
-    all B rows, and is reduced _top_depth levels, to about TOP_NODES / B
-    nodes per row.  The nodes of all blocks are then
-    reduced together, the top of the tree.  Because the width is a power of
-    two, this performs exactly the multiplications of the pairwise tree of
-    :func:`ordered_product` over the whole stack (an aligned block of 2^m
-    factors is its first m levels), so the result is bit-identical while
-    only one block of complex matrices is ever in memory.
-
-    The blocks share one workspace, allocated here once per batch: the
-    exponentials, one spare buffer and the nodes.  The spare holds the
-    couplings (x as contiguous floats at its front, then y) and the closed
-    form's temporaries until the exponentials exist, then the product
-    levels and their term; the top of the tree
-    runs in the exponentials, the spare and the nodes' own memory.  A short
-    last block uses the front of each buffer, every entry of which it
-    writes before reading.
+    The calls share one workspace, allocated here and grown to the largest
+    call: the exponentials and one spare buffer, which holds the couplings
+    (x as contiguous floats at its front, then y) and the closed form's
+    temporaries until the exponentials exist, then the odd product levels
+    and their term.
     """
     rows, n = taus.shape
-    kicks = np.asarray(kicks, dtype=int)
-    width = _block_width(rows)
-    depth = _top_depth(rows, width)
-    w, n_nodes = min(width, n), -(-n >> depth)
-    top = 9 * rows * ((n_nodes + 1) // 2)
-    exps = np.empty(max(9 * rows * w, top), dtype=complex)
-    spare = np.empty(max((w + 1) // 2 + w + lambda_work_size(w, rows * w), 9 * rows * w, top),
-                     dtype=complex)
-    flat = np.empty(9 * rows * n_nodes, dtype=complex)
-    nodes = _stack(flat, rows, n_nodes)
-    for start in range(0, n, width):
-        m = min(width, n - start)
-        lo, hi = np.searchsorted(kicks, (start, start + m))
-        half = (m + 1) // 2
-        levels, x, y = gate_generators(spec, ts[start:start + m],
-                                       out=(spare[:half].view(float)[:m], spare[half:half + m]))
-        us = matexp_lambda_stack(x, y, taus[:, start:start + m], out=_stack(exps, rows, m),
-                                 work=spare[half + m:], pi_pulses=kicks[lo:hi] - start)
-        # the levels alternate between the spare's front and the spent exponentials
-        odd = 9 * rows * half
-        at = start >> depth
-        ordered_product(us, out=nodes[:, at:at + (-(-m >> depth))],
-                        work=(spare[:odd], exps, spare[odd:]), depth=depth)
-    return levels, ordered_product(nodes, work=(exps, flat, spare))
+    counts = np.array([n]) if counts is None else np.asarray(counts)
+    segments = len(counts)
+    firsts = np.cumsum(counts) - counts
+    if share is None:
+        k = np.full(segments, rows)
+    else:
+        own = share == np.arange(rows)[:, None]
+        k = own.sum(axis=0)
+        # row r's node of segment s is node rank[r, s] of the segment's k_s
+        rank = (np.cumsum(own, axis=0) - 1)[share, np.arange(segments)]
+    span = min(1 << (segments - 1).bit_length(), 1 << max(1, NODES // rows).bit_length() - 1)
+    # the workspace is grown, not sized for the largest call up front: a
+    # fresh buffer is faulted in page by page, a cost each job of a sweep
+    # pays again (a one-segment runtime job ran 30% slower with one twice
+    # the size it reads)
+    exps, spare = (np.empty(9 * rows * span, dtype=complex) for _ in range(2))
+
+    def workspace(entries):
+        """The exponentials and the spare buffer, each of at least 9 * entries."""
+        nonlocal exps, spare
+        if len(exps) < 9 * entries:
+            exps = spare = None  # freed before the larger pair is allocated
+            exps, spare = np.empty(9 * entries, dtype=complex), np.empty(9 * entries, dtype=complex)
+        return exps, spare
+
+    is_kick = np.zeros(n, dtype=bool) if len(kicks) else None
+    if len(kicks):
+        is_kick[np.asarray(kicks)] = True
+    key = counts * (rows + 1) + k
+    nodes = np.empty((3, 3, rows, min(span, segments)), dtype=complex)
+    top = np.empty((3, 3, rows, -(-segments // span)), dtype=complex)
+    levels = None
+
+    def reduce(segs, offset, length, out, depth=None):
+        """Write the nodes of factors [offset, offset + length) of c segments to out.
+
+        out is (k_s, c, 3, 3), or (k_s, 1, nodes, 3, 3) for one segment's
+        block and its depth nodes.
+        """
+        nonlocal levels
+        m, c, first = k[segs[0]], len(segs), firsts[segs[0]] + offset
+        width = length if depth is not None else -(-length // PAD) * PAD
+        w = c * width
+        if width == length and segs[-1] - segs[0] == c - 1:
+            cols = slice(first, first + w)
+        else:
+            cols = (firsts[segs, None] + offset + np.minimum(np.arange(width), length - 1)).ravel()
+        half = (w + 1) // 2
+        exps, spare = workspace(m * (w + 1))
+        levels, x, y = gate_generators(spec, ts[cols],
+                                       out=(spare[:half].view(float)[:w], spare[half:half + w]))
+        if m == rows:
+            mine = taus[:, cols]
+        else:  # row j: the j-th row of each segment that shares no earlier row's
+            owner = np.nonzero(own[:, segs].T)[1].reshape(c, m).T
+            mine = taus[np.repeat(owner, width, axis=1), np.arange(n)[cols]]
+        us = matexp_lambda_stack(x, y, mine, out=_stack(exps, m, w), work=spare[half + w:],
+                                 pi_pulses=None if is_kick is None else np.flatnonzero(is_kick[cols]))
+        odd = 9 * m * c * ((width + 1) // 2)
+        ordered_product(us.reshape(m, c, width, 3, 3), out=out, depth=depth, n=length,
+                        work=(spare[:odd], exps, spare[odd:]))
+
+    for at, base in enumerate(range(0, segments, span)):
+        end = min(base + span, segments)
+        keys = key[base:end]
+        classes = ([np.arange(base, end)] if end - base == 1 or (keys == keys[0]).all()
+                   else [base + np.flatnonzero(keys == cls) for cls in np.unique(keys)])
+        for segs in classes:
+            m, length = int(k[segs[0]]), int(counts[segs[0]])
+            width = -(-length // PAD) * PAD
+            budget = _budget(m)
+            long = 2 * m * width > budget
+            per = 1 if long else budget // (m * width)
+            per = -(-len(segs) // -(-len(segs) // per))  # nearly equal calls
+            for i in range(0, len(segs), per):
+                part = segs[i:i + per]
+                direct = m == rows and part[-1] - part[0] == len(part) - 1
+                out = (_matrices(nodes[..., part[0] - base:part[-1] + 1 - base]) if direct
+                       else _matrices(np.empty((3, 3, m, len(part)), dtype=complex)))
+                if long:
+                    block = 1 << (budget // (2 * m)).bit_length() - 1
+                    depth = min(NODE, block).bit_length() - 1
+                    blocks = _matrices(np.empty((3, 3, m, 1, -(-length >> depth)), dtype=complex))
+                    for a in range(0, length, block):
+                        reduce(part, a, min(block, length - a),
+                               blocks[:, :, a >> depth:-(-min(a + block, length) >> depth)], depth)
+                    exps, spare = workspace(m * (blocks.shape[2] + 1))
+                    odd = 9 * m * ((blocks.shape[2] + 1) // 2)
+                    ordered_product(blocks, out=out, work=(spare[:odd], exps, spare[odd:]))
+                else:
+                    reduce(part, 0, length, out)
+                if not direct:
+                    p = _planes(out)
+                    nodes[..., part - base] = p if m == rows else p[:, :, rank[:, part],
+                                                                     np.arange(len(part))]
+        if segments == 1:
+            return levels, _matrices(nodes[..., 0])
+        odd = 9 * rows * ((end - base + 1) // 2)
+        exps, spare = workspace(2 * odd // 9)
+        ordered_product(_matrices(nodes[..., :end - base]), out=_matrices(top[..., at]),
+                        work=(spare[:odd], exps, spare[odd:]))
+    return levels, ordered_product(_matrices(top)) if at else _matrices(top[..., 0])
 
 
 def _stack(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -316,19 +394,37 @@ def _stack(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return _matrices(buffer[:9 * math.prod(shape)].reshape((3, 3) + shape))
 
 
+def _shared_values(values: np.ndarray):
+    """For (rows, segments) values, the first row holding each row's value on each segment.
+
+    Values are compared as numbers, so 0.0 and -0.0 are one value: both give
+    the exponents dt.  Returns None when no two rows hold one value on a
+    segment.
+    """
+    ranked = np.sort(values, axis=0)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return None
+    share = np.empty(values.shape, dtype=int)
+    for r in range(len(values)):
+        share[r] = np.argmax(values[:r + 1] == values[r], axis=0)
+    return share
+
+
 def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None) -> list:
     """Lab-frame evolution of the gate generator under several control trains.
 
     trains is a sequence of Segments with equal edges and equal kick
     instants -- the realizations of a sweep job differ only in their random
-    amplitudes and in J.  The step grid and the couplings are built once
-    for all of them, and each distinct tuple of segment values adds one row
-    of step exponents (1 + c) * dt: trains with equal values share a row.
-    Kick i contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2,
-    exactly and whatever its sign (see matexp_lambda_stack), right before
-    the step that starts at its instant; the signs enter only the areas of
-    control.  Returns one PropagationResult per train, in order; each is
-    bit-identical to propagating that train alone.
+    amplitudes and in J.  The step grid is built once for all of them, and
+    each distinct tuple of segment values adds one row of step exponents
+    (1 + c) * dt: trains with equal values share a row.  The product is
+    segment first (see the module docstring): on each segment, rows that
+    hold one value share its exponentials and its node (see
+    _shared_values).  Kick i contributes the factor exp(-i * pi * H(t_i)) =
+    I - 2 H(t_i)^2, exactly and whatever its sign (see matexp_lambda_stack),
+    right before the step that starts at its instant; the signs enter only
+    the areas of control.  Returns one PropagationResult per train, in
+    order; each is bit-identical to propagating that train alone.
     """
     policy = policy or StepPolicy()
     trains = list(trains)
@@ -339,8 +435,10 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
         raise ValueError("trains of one batch must share their segment edges and kick times")
     rows = {}
     index = [rows.setdefault(t.values, len(rows)) for t in trains]
-    ts, taus, kicks, steps = _factors(first, list(rows), policy)
-    levels, products = _chunked_product(spec, ts, taus, kicks)
+    values = np.array(list(rows))
+    ts, taus, kicks, steps = _factors(first, values, policy)
+    counts = _segment_counts(first, ts) if len(first) > 1 else None
+    levels, products = _chunked_product(spec, ts, taus, kicks, counts, _shared_values(values))
     results = []
     for row in index:
         u = np.eye(spec.dim, dtype=complex)

@@ -190,7 +190,8 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
 
 
 def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
-                    work: tuple | None = None, depth: int | None = None) -> np.ndarray:
+                    work: tuple | None = None, depth: int | None = None,
+                    n: int | None = None) -> np.ndarray:
     """Time-ordered product stack[..., n-1, :, :] @ ... @ stack[..., 0, :, :].
 
     Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
@@ -198,6 +199,18 @@ def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
     factors take ceil(log2 n) levels; an odd last factor carries over to the
     next level unchanged.  The matrices are reduced as planes, whatever the
     memory layout of stack.
+
+    n, if given, is the number of factors: the first n on axis -3.  The
+    others pad each row; they are finite matrices whose products are never
+    read.  A level multiplies the pairs of whole rows, the pad included:
+    with more than one batch row that is the one shape whose numpy loops
+    run as one (pairs of rows cut short run about twice slower).  A row of
+    odd length is padded for that with a copy of its last entry, and an odd
+    last factor is put back over the product it made with its neighbour or
+    the pad.  A row padded to a multiple of 2**m runs m levels without a
+    copy.  Without depth, the last few nodes of each row (two, or an odd
+    number up to five) are multiplied as views of their planes, the last
+    product straight into out.
 
     depth, if given, stops the tree after that many levels (or at one
     node) and returns the (..., ceil(n / 2**depth), d, d) stack of its
@@ -210,13 +223,14 @@ def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
     out, if given, is the result array, (..., d, d), or (..., nodes, d, d)
     with depth, in any memory layout, and is returned.  work, if given,
     is (odd, even, term): flat contiguous complex arrays for the odd
-    levels, the even levels and the _matmul term, of at least ceil(n/2),
-    ceil(n/4) and floor(n/2) factors (d * d entries each per batch row).
-    Only the first level reads stack, so even may be the memory of stack
-    itself.  Both are allocated when not given.
+    levels, the even levels and the _matmul term, of at least ceil(N/2),
+    ceil(N/4) and ceil(N/2) factors, N the length of axis -3 (d * d
+    entries each per batch row).  Only the first level reads stack, so even
+    may be the memory of stack itself.  Both are allocated when not given.
     """
     p = _planes(stack)
-    d, n, batch = p.shape[0], p.shape[-1], p.shape[2:-1]
+    d, length, batch = p.shape[0], p.shape[-1], p.shape[2:-1]
+    n = length if n is None else n
     if n == 0:
         raise ValueError(f"ordered_product needs at least one factor, got shape {stack.shape}")
     whole = depth is None
@@ -228,15 +242,32 @@ def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
         out = np.empty(batch + nodes + (d, d), dtype=complex)
     if work is None:
         work = tuple(np.empty(per_factor * k, dtype=complex)
-                     for k in ((n + 1) // 2, (n + 3) // 4, n // 2))
+                     for k in ((length + 1) // 2, (length + 3) // 4, (length + 1) // 2))
     *buffers, term = work
+    planes = (d, d) + batch
     for k in range(min(depth, (n - 1).bit_length())):
-        half = p.shape[-1] // 2
-        size = p.shape[-1] - half
-        level = buffers[k % 2][:per_factor * size].reshape((d, d) + batch + (size,))
-        _matmul(p[..., 1:2 * half:2], p[..., 0:2 * half:2], out=level[..., :half],
-                term=term[:per_factor * half].reshape((d, d) + batch + (half,)))
-        level[..., half:] = p[..., 2 * half:]
-        p = level
-    _planes(out)[...] = p[..., 0] if whole else p
+        if whole and per_factor > d * d and (n == 2 or n % 2 and n <= 5):
+            # the last few nodes of each row, multiplied as views: a carried
+            # node stays in place and the last product goes straight to out
+            nodes = [p[..., j] for j in range(n)]
+            while len(nodes) > 1:
+                nodes = [_matmul(b, a, out=_planes(out) if len(nodes) == 2
+                                 else np.empty(planes, dtype=complex),
+                                 term=term[:per_factor].reshape(planes))
+                         for a, b in zip(nodes[0::2], nodes[1::2])] + nodes[len(nodes) & ~1:]
+            return out
+        half, pairs = n // 2, p.shape[-1] // 2
+        if p.shape[-1] % 2 and pairs > 2 and per_factor > d * d:  # pad odd rows
+            padded = np.empty(planes + (p.shape[-1] + 1,), dtype=complex)
+            padded[..., :-1] = p
+            padded[..., -1] = p[..., -1]
+            p, pairs = padded, pairs + 1
+        size = p.shape[-1] - pairs
+        level = buffers[k % 2][:per_factor * size].reshape(planes + (size,))
+        _matmul(p[..., 1:2 * pairs:2], p[..., 0:2 * pairs:2], out=level[..., :pairs],
+                term=term[:per_factor * pairs].reshape(planes + (pairs,)))
+        if n % 2:
+            level[..., half] = p[..., n - 1]
+        p, n = level, n - half
+    _planes(out)[...] = p[..., 0] if whole else p[..., :n]
     return out

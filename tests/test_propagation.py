@@ -13,11 +13,10 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule
                                        dark_states, exchange_hamiltonian, gate_generators,
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (CHUNK, DEFAULT_STEPS_PER_PERIOD, TOP_NODES, StepPolicy,
-                                      _block_width, _bounds, _chunked_product, _factors,
-                                      _midpoints, _segment_counts, _top_depth,
-                                      adiabatic_hamiltonian, propagate_adiabatic,
-                                      propagate_lab, propagate_lab_batch)
+from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, PAD, WIDTH, StepPolicy, _bounds,
+                                      _budget, _chunked_product, _factors, _midpoints,
+                                      _segment_counts, _shared_values, adiabatic_hamiltonian,
+                                      propagate_adiabatic, propagate_lab, propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                                 ordered_product, unitarity_defect)
 
@@ -280,9 +279,9 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     rows = []
     chunked = propagation._chunked_product
 
-    def spy(spec, ts, taus, kicks=()):
+    def spy(spec, ts, taus, *args):
         rows.append(len(taus))
-        return chunked(spec, ts, taus, kicks)
+        return chunked(spec, ts, taus, *args)
 
     monkeypatch.setattr(propagation, "_chunked_product", spy)
     results = propagate_lab_batch(spec, batch)
@@ -294,7 +293,15 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     assert results[0].U is not results[2].U
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def block_width(rows):
+    """The factors a row of one block of a long segment: the largest power of
+    two that fills at most half the budget of _chunked_product's calls."""
+    return 1 << (_budget(rows) // (2 * rows)).bit_length() - 1
+
+
+# 1 to 1025 factors of a 3-row batch fit one call, 3077 take three blocks
+# of 1024 and a tail of 5
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3077])
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -307,19 +314,12 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
         assert np.array_equal(product, ordered_product(matexp_lambda_stack(x, y, row)))
 
 
-@pytest.mark.parametrize("rows, width", [(1, 2 * CHUNK), (2, 2 * CHUNK), (3, CHUNK),
-                                         (16, CHUNK), (17, 128), (32, 128),
-                                         (40, 64), (4 * CHUNK, 1), (5 * CHUNK, 1)])
-def test_block_width_narrows_above_sixteen_rows(rows, width):
-    assert _block_width(rows) == width
-
-
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)],
                          ids=["w-1", "w", "w+1", "3w+5"])
 @pytest.mark.parametrize("rows", [1, 2])
 def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, blocks, extra,
                                                                          rng):
-    n = blocks * _block_width(rows) + extra
+    n = blocks * block_width(rows) + extra
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -328,19 +328,11 @@ def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, bl
     assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
 
-@pytest.mark.parametrize("rows, nodes", [(1, 64), (2, 32), (3, 16), (16, 4), (17, 2),
-                                         (32, 2), (33, 1), (4 * CHUNK, 1)])
-def test_blocks_stop_at_top_nodes_per_batch(rows, nodes):
-    width = _block_width(rows)
-    assert width >> _top_depth(rows, width) == nodes
-    assert rows * nodes <= max(rows, TOP_NODES)
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3, 17, 32])
 def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
     # three blocks and a ragged tail of 37, whose nodes do not fill a block;
     # pi pulses sit on both sides of the block edges and in the tail
-    width = _block_width(rows)
+    width = block_width(rows)
     n = 3 * width + 37
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -359,7 +351,7 @@ def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatc
     # every buffer starts as NaN, and the full blocks before the short one
     # leave their own numbers behind: a block that read an entry it had not
     # written would carry either into the product
-    n = 2 * _block_width(rows) + 3
+    n = 2 * block_width(rows) + 3
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -380,8 +372,8 @@ def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatc
 @pytest.mark.parametrize("n", [256, 1500])
 @pytest.mark.parametrize("rows", [16, 17, 32, 40])
 def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
-    # 1500 factors divide none of the widths 1024, 128 and 64; 256 spans
-    # several narrow blocks but fits in one block of CHUNK
+    # 256 factors of 16 rows fit one call; the others take blocks of
+    # block_width(rows) factors (256, 64 or 32) and a ragged tail
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -400,50 +392,219 @@ def exact_kicks(hs):
     return (np.eye(3)[..., None] - 2.0 * sq).transpose(2, 0, 1)
 
 
-def whole_stack_with_exact_kicks(spec, segments, policy):
-    """(levels, product) of the train's factors reduced as one stack: closed-form
-    steps at the midpoints and exact, sign-free kick factors in between."""
+def stack_with_exact_kicks(spec, segments, policy):
+    """(levels, instants, stack) of the train's factors: closed-form steps at
+    the midpoints and exact, sign-free kick factors in between."""
     bounds, kick_pos = _bounds(segments, policy)
     mids = _midpoints(bounds)
     steps = (1.0 + np.asarray(segments.values)[segment_of(segments, mids)]) * np.diff(bounds)
-    levels, x, y = gate_generators(spec, np.insert(mids, kick_pos, segments.kick_times))
+    ts = np.insert(mids, kick_pos, segments.kick_times)
+    levels, x, y = gate_generators(spec, ts)
     factor_pos = kick_pos + np.arange(len(kick_pos))
     stack = matexp_lambda_stack(x, y, np.insert(steps, kick_pos, 0.0))
     stack[factor_pos] = exact_kicks(lambda_stack(x[factor_pos], y[factor_pos]))
-    return levels, ordered_product(stack)
+    return levels, ts, stack
 
 
-def test_kicks_straddling_a_chunk_edge_match_the_whole_stack():
+def segment_first(train, ts, stack):
+    """The product of a factor stack at the instants ts, segment by segment:
+    each segment's factors reduced with ordered_product, then the segment
+    nodes with ordered_product.  An instant belongs to the last segment that
+    starts at or before it."""
+    seg = segment_of(train, ts)
+    nodes = [ordered_product(stack[seg == s]) for s in range(len(train))]
+    return ordered_product(np.array(nodes))
+
+
+def kick_places(segments, policy):
+    """(segment, place in it) of each kick factor of the train."""
+    ts, _, kicks, _ = _factors(segments, [segments.values], policy)
+    counts = _segment_counts(segments, ts)
+    firsts = np.cumsum(counts) - counts
+    seg = np.searchsorted(firsts, kicks, side="right") - 1
+    return seg, kicks - firsts[seg], counts
+
+
+def test_kicks_in_a_padded_segment_match_the_segment_first_reference():
+    # three kicks split three steps and add their own factors: 106 in their
+    # segment, not a multiple of PAD, so its call, apart from the 100-factor
+    # segments, pads it with copies of its last factor
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     segments = generate_segments(
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
-    segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
-                       kick_signs=(1, -1, 1, -1))
+    segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121), kick_signs=(1, -1, 1))
     policy = StepPolicy(max_step=1.0 / 2000)
-    # the whole factor stack, steps and kicks interleaved, in one reduction
-    kick_pos = _bounds(segments, policy)[1]
-    factor_pos = kick_pos + np.arange(len(kick_pos))
-    assert factor_pos[0] < CHUNK <= factor_pos[-1]
-    levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
+    seg, _, counts = kick_places(segments, policy)
+    assert (seg == 10).all() and counts[10] == 106 and counts[10] % PAD
+    levels, ts, stack = stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
-    assert np.array_equal(u[np.ix_(levels, levels)], whole)
+    assert np.array_equal(u[np.ix_(levels, levels)], segment_first(segments, ts, stack))
 
 
-def test_kicks_straddling_a_wide_block_edge_match_the_whole_stack():
-    # a one-train batch is walked in blocks of 2 * CHUNK: on a grid of 4000
-    # steps these kicks sit on both sides of the first block edge
+def test_kicks_straddling_a_block_edge_of_a_long_segment_match_the_segment_first_reference():
+    # two segments of 4000 steps: each runs in blocks of block_width(1), and
+    # these kicks sit on both sides of the first block edge of the first one
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     segments = generate_segments(
-        PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
-    segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121, 0.5124),
+        PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.5, p=1.0, seed=1), 1.0)
+    segments = replace(segments, kick_times=(0.2555, 0.2558, 0.2561, 0.2564),
                        kick_signs=(1, -1, -1, 1))
-    policy = StepPolicy(max_step=1.0 / 4000)
-    kick_pos = _bounds(segments, policy)[1]
-    factor_pos = kick_pos + np.arange(len(kick_pos))
-    assert factor_pos[0] < _block_width(1) <= factor_pos[-1]
-    levels, whole = whole_stack_with_exact_kicks(spec, segments, policy)
+    policy = StepPolicy(max_step=1.0 / 8000)
+    seg, place, counts = kick_places(segments, policy)
+    assert (seg == 0).all() and place[0] < block_width(1) <= place[-1] < counts[0]
+    levels, ts, stack = stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
-    assert np.array_equal(u[np.ix_(levels, levels)], whole)
+    assert np.array_equal(u[np.ix_(levels, levels)], segment_first(segments, ts, stack))
+
+
+def test_one_segment_kick_train_matches_the_whole_stack():
+    # a train without control is one segment, whose tree is the whole stack's
+    spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
+    segments = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1e-3, seed=3, jitter=0.4)
+    policy = StepPolicy(max_step=1.0 / 8000)
+    levels, _, stack = stack_with_exact_kicks(spec, segments, policy)
+    assert len(segments) == 1 and len(stack) > 2 * WIDTH
+    u = propagate_lab(spec, segments, policy).U
+    assert np.array_equal(u[np.ix_(levels, levels)], ordered_product(stack))
+
+
+def shared_segment_batches():
+    """(spec, trains, policy) batches whose trains share some segments and
+    differ on others, with kicks inside segments and a short last segment."""
+    edges = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.97, 1.0)
+    rng = np.random.default_rng(7)
+    on = rng.uniform(5.0, 60.0, size=(4, 11))
+    off = np.arange(11) % 2 == 1
+    values = np.where(off, 0.0, on)
+    values[1, 2] = values[0, 2]           # rows 0 and 1 share segment 2
+    values[2] = values[0]                 # row 2 is row 0 but for two segments
+    values[2, [4, 10]] = [3.0, -0.5]
+    values[3] = 0.0                       # a J = 0 row
+    hand = [Segments(edges, tuple(v), (0.15, 0.55, 0.9850), (1, -1, 1)) for v in values]
+    # a thinned mean-control job: J = 0 realizations and off segments shared
+    generated = [generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=J, dt=0.05,
+                                              p=0.5, seed=seed), 1.0)
+                 for J in (0.0, 40.0, 80.0) for seed in (1, 2)]
+    return [(GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)), hand,
+             StepPolicy(max_step=1.0 / 3000)),
+            (GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)), hand, StepPolicy()),
+            (GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)), generated, StepPolicy())]
+
+
+def reference_product(spec, train, policy):
+    """(levels, segment-first product) of one train from the test-local factors."""
+    ts, taus, kicks, _ = inserted_factors(train, [train.values], policy)
+    levels, x, y = gate_generators(spec, ts)
+    return levels, segment_first(train, ts, matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_shared_segments_are_bit_identical_to_each_train_alone(case):
+    spec, trains, policy = shared_segment_batches()[case]
+    results = propagate_lab_batch(spec, trains, policy)
+    for train, result in zip(trains, results):
+        alone = propagate_lab(spec, train, policy).U
+        assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
+        levels, reference = reference_product(spec, train, policy)
+        assert np.array_equal(result.U[np.ix_(levels, levels)].view(np.uint64),
+                              reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_shared_segments_agree_with_the_whole_stack_tree(case):
+    spec, trains, policy = shared_segment_batches()[case]
+    for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
+        ts, taus, kicks, _ = inserted_factors(train, [train.values], policy)
+        levels, x, y = gate_generators(spec, ts)
+        whole = ordered_product(matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
+        np.testing.assert_allclose(result.U[np.ix_(levels, levels)], whole, rtol=0, atol=1e-13)
+
+
+def counted_exponentials(monkeypatch):
+    """Spy on matexp_lambda_stack: a list that collects the exponentials of
+    each call.  A call pads each segment with copies of its last factor
+    (fewer than PAD) so that its tree runs on whole rows; a factor equal to
+    the one before it is such a copy and is not counted."""
+    counted = []
+    closed_form = propagation.matexp_lambda_stack
+
+    def spy(x, y, taus, **kwargs):
+        copies = (x[1:] == x[:-1]) & (y[1:] == y[:-1]) & (taus[:, 1:] == taus[:, :-1]).all(axis=0)
+        counted.append(taus.shape[0] * (len(x) - int(copies.sum())))
+        return closed_form(x, y, taus, **kwargs)
+
+    monkeypatch.setattr(propagation, "matexp_lambda_stack", spy)
+    return counted
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_each_segment_is_exponentiated_once_per_distinct_value(case, monkeypatch):
+    spec, trains, policy = shared_segment_batches()[case]
+    ts, _, _, _ = _factors(trains[0], [trains[0].values], policy)
+    counts = _segment_counts(trains[0], ts)
+    distinct = [len(set(values)) for values in zip(*(t.values for t in trains))]
+    counted = counted_exponentials(monkeypatch)
+    propagate_lab_batch(spec, trains, policy)
+    assert sum(counted) == sum(k * m for k, m in zip(distinct, counts))
+    assert sum(counted) < len(trains) * len(ts)
+
+
+def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkeypatch):
+    # the kick at 0.3001 splits a step of the first segment in two; v and w
+    # give one exponent (1 + v) * dt on its first step, not on the halves
+    edges, kick = (0.0, 0.5, 1.0), (0.3001,)
+    policy = StepPolicy(max_step=1.0 / 600)
+    probe = Segments(edges, (0.0, 0.0), kick, (1,))
+    ts, taus, kicks, _ = _factors(probe, [probe.values], policy)
+    counts = _segment_counts(probe, ts)
+    widths = np.delete(taus[0, :counts[0]], kicks)
+    halves = widths[~np.isclose(widths, widths[0])]
+    assert len(halves) == 2
+    # adjacent floats 1 + v < 1 + w, whose products with the first width round alike
+    ones = 1.3 + np.arange(2000) * np.spacing(1.3)
+    i = next(i for i in range(len(ones) - 1)
+             if ones[i] * widths[0] == ones[i + 1] * widths[0]
+             and (ones[i] * halves != ones[i + 1] * halves).any())
+    v, w = ones[i] - 1.0, ones[i + 1] - 1.0
+    trains = [Segments(edges, (v, 2.0), kick, (1,)), Segments(edges, (w, 2.0), kick, (-1,))]
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    counted = counted_exponentials(monkeypatch)
+    results = propagate_lab_batch(spec, trains, policy)
+    assert sum(counted) == 2 * counts[0] + counts[1]
+    monkeypatch.undo()
+    for train, result in zip(trains, results):
+        assert np.array_equal(result.U.view(np.uint64),
+                              propagate_lab(spec, train, policy).U.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
+    # segments of about 2500, 1250 and 5000 steps: the first and the third
+    # run in blocks, the first shared by every train, the third by two of
+    # three; kicks sit in both, and across the first block edge of the third
+    edges = (0.0, 0.25, 0.375, 0.875, 1.0)
+    kicks = (0.1, 0.2, 0.5795, 0.5797, 0.5801, 0.95)
+    values = [(3.0, 10.0, 7.0, 0.0), (3.0, 11.0, 7.0, -2.0), (3.0, 12.0, 8.0, 0.0)]
+    trains = [Segments(edges, v, kicks, (1, -1, 1, 1, -1, 1)) for v in values]
+    spec = GateSpec(kind, Schedule(A_REF, 1.0))
+    policy = StepPolicy(max_step=1.0 / 10_000)
+    seg, place, counts = kick_places(trains[0], policy)
+    assert 2 * counts[2] > WIDTH
+    assert place[seg == 2].min() < block_width(2) < place[seg == 2].max()
+    for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
+        alone = propagate_lab(spec, train, policy).U
+        assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
+        levels, reference = reference_product(spec, train, policy)
+        assert np.array_equal(result.U[np.ix_(levels, levels)], reference)
+
+
+def test_shared_values_point_at_the_first_row_of_each_value():
+    values = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 3.0], [5.0, 1.0, 2.0], [0.0, 4.0, 3.0]])
+    np.testing.assert_array_equal(_shared_values(values),
+                                  [[0, 0, 0], [0, 0, 1], [2, 0, 0], [0, 3, 1]])
+    # no value held by two rows on one segment: no sharing map
+    assert _shared_values(values[[0, 2]] + [[0.0], [1.0]]) is None
+    assert _shared_values(values[:1]) is None
 
 
 def test_long_run_memory_stays_bounded():

@@ -360,7 +360,7 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
     # the even levels may reuse the stack's own memory, which only the first level reads
     stack = np.ascontiguousarray(_planes(us))
     odd = np.full(9 * 2 * 19, np.nan, dtype=complex)
-    term = np.full(9 * 2 * 18, np.nan, dtype=complex)
+    term = np.full(9 * 2 * 19, np.nan, dtype=complex)
     out = np.full((3, 3, 2), np.nan, dtype=complex)
     got = ordered_product(_matrices(stack), out=_matrices(out),
                           work=(odd, stack.reshape(-1), term))
@@ -408,3 +408,21 @@ def test_ordered_product_stops_at_depth_on_the_nodes_of_the_whole_tree(n, depth,
     cut = 2 * size
     parts = [ordered_product(stack[:, i:i + cut], depth=depth) for i in range(0, n, cut)]
     assert np.array_equal(np.concatenate(parts, axis=1), nodes)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 11, 20, 21, 43])
+def test_ordered_product_of_padded_rows_has_the_bits_of_the_unpadded_stack(n, batch, rng):
+    # rows padded to a multiple of 4 and 8 with NaN-free junk, and rows of odd
+    # length, give the bits of the plain stack's tree, whole and to depth 2
+    stack = 0.6 * (rng.standard_normal(batch + (n, 3, 3))
+                   + 1j * rng.standard_normal(batch + (n, 3, 3)))
+    whole, nodes = ordered_product(stack), ordered_product(stack, depth=2)
+    for pad in (-n % 4, -n % 8 + 8):
+        junk = 0.6 * rng.standard_normal(batch + (pad, 3, 3)) + 0j
+        padded = np.concatenate([stack, junk], axis=-3)
+        assert np.array_equal(_bits(ordered_product(padded, n=n)), _bits(whole))
+        assert np.array_equal(_bits(ordered_product(padded, n=n, depth=2)), _bits(nodes))
+        out = np.full(batch + (3, 3), np.nan, dtype=complex)
+        assert ordered_product(_matrices(_planes(padded).copy()), out=out, n=n) is out
+        assert np.array_equal(_bits(out), _bits(whole))
