@@ -31,17 +31,15 @@ in place; without kicks nothing is copied.
 
 The product is segment first: each control segment's factors (its steps
 and the kicks inside it) are reduced by the pairwise tree to one node, and
-each train's segment nodes by the pairwise tree in time order.  This
-association depends only on the segment edges and kick instants, which
-every train of a batch shares, so each train's U is bit-identical to its
-propagation alone, while a segment is reduced once per distinct value the
-batch's trains hold on it: the off segments of a positive square train are
-0 in every realization and are exponentiated once for all of them, and
+each train's segment nodes by the pairwise tree in time order, in calls of
+bounded size (see _chunked_product).  This association depends only on the
+segment edges and kick instants, which every train of a batch shares, so
+each train's U is bit-identical to its propagation alone, while a segment
+is reduced once per distinct value the batch's trains hold on it: the off
+segments of a positive square train are 0 in every realization, and
 trains with equal values throughout (the J = 0 realizations of a sweep, or
 one kick layout under two sign patterns) are one row.  A one-segment train
-(no control, delta kicks) is reduced by the pairwise tree over its whole
-stack.  The segments are exponentiated and reduced in calls of bounded
-size that share one workspace (see _chunked_product).  The product is
+(no control, delta kicks) keeps the whole stack's tree.  The product is
 embedded into spec.dim at the end.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
@@ -84,16 +82,6 @@ ROWS = 16
 # largest power of two of segments with at most NODES nodes (rows times
 # segments), or of all of them.
 NODES = 2048
-
-# A short segment is padded with copies of its last factor to a multiple of
-# PAD factors, so that the first log2(PAD) levels of its tree run on whole
-# rows (see ordered_product's n).
-PAD = 4
-
-# The aligned blocks of a long segment stop their reduction at nodes of
-# NODE factors: the levels below are nearly all call overhead when run per
-# block.
-NODE = 32
 
 
 @dataclass(frozen=True)
@@ -221,8 +209,9 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
     """Instants and exponents of every factor of a batch, and its number of steps.
 
     train gives the segment edges and kick instants, values one tuple of
-    segment values per row.  Returns (ts, taus, kicks, steps): factor k
-    sits at ts[k] with exponent taus[b, k] in row b.  The steps contribute
+    segment values per row.  Returns (ts, taus, kicks, counts, steps):
+    factor k sits at ts[k] with exponent taus[b, k] in row b, and counts[s]
+    consecutive factors in segment s (see _segment_counts).  The steps give
     their midpoints and (1 + c) * dt, and kick i its instant and KICK_AREA
     in every row, right before the step that starts at that instant;
     kicks holds the indices of the kick factors.  ts and taus are
@@ -241,14 +230,20 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
         bounds = np.repeat(bounds, reps)
     ts, widths = _midpoints(bounds), np.diff(bounds)
     del bounds
-    taus = _step_exponents(values, _segment_counts(train, ts), widths, ts)
+    counts = _segment_counts(train, ts)
+    taus = _step_exponents(values, counts, widths, ts)
     taus[:, kicks] = KICK_AREA
-    return ts, taus, kicks, steps
+    return ts, taus, kicks, counts, steps
 
 
 def _budget(m: int) -> int:
     """The most entries (rows times factors) one call of _chunked_product takes for m rows."""
     return min(BLOCK, WIDTH * m) if m <= ROWS else WIDTH
+
+
+def _piece(m: int) -> int:
+    """The factors of a full piece of a segment with m rows: at most half of _budget(m)."""
+    return 1 << (_budget(m) // (2 * m)).bit_length() - 1
 
 
 def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
@@ -262,78 +257,57 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
     matexp_lambda_stack), none by default.  Returns (levels, (R, d, d)
     products), one per row of taus.
 
-    Each segment is reduced by ordered_product over its factors, once for
-    each of its k_s distinct rows, and each row's segment nodes by
-    ordered_product in time order.  The segments are walked in aligned
-    groups of a power of two of them (about NODES nodes), each reduced to
-    one node per row: the nodes of that tree over the segments, so the
-    product keeps its bits.  In a group, segments of one length and one k_s
-    are exponentiated and reduced together, in calls of at most _budget(k_s)
-    entries, each segment padded to a multiple of PAD factors.  Where every
-    row holds its own value (k_s = R) and no pad is needed a call reads the
-    exponents in place; the others gather theirs, and a shared segment's
-    node is then copied to each row that reads it.  A segment above half a
-    call's budget runs alone, cut from its start into aligned blocks of a
-    power of two of factors, each reduced to nodes of NODE factors (see
-    ordered_product's depth), so a one-segment train keeps the whole
-    stack's tree.
-
-    The calls share one workspace, allocated here and grown to the largest
-    call: the exponentials and one spare buffer, which holds the couplings
-    (x as contiguous floats at its front, then y) and the closed form's
-    temporaries until the exponentials exist, then the odd product levels
-    and their term.
+    Each segment is reduced by ordered_product once for each of its k_s
+    distinct rows, and each row's segment nodes in time order, in aligned
+    groups of a power of two of segments (about NODES nodes) whose nodes
+    are those of the tree over the segments.  A segment is cut from its
+    start into pieces of _piece(k_s) factors, the last one ragged: reduced
+    in full, each is a node of the segment's tree, and a segment's piece
+    nodes reduce to its own node with its bits.  The pieces of a group of
+    one length and one k_s run together, in calls of at most _budget(k_s)
+    entries or alone if full; a call of consecutive pieces whose rows all
+    differ reads its exponents and writes its nodes in place.  The calls
+    share one workspace, grown to the largest: the exponentials and a spare
+    buffer for the couplings (x as floats at its front, then y) and the
+    closed form's temporaries, then both for ordered_product's work.
     """
     rows, n = taus.shape
     counts = np.array([n]) if counts is None else np.asarray(counts)
     segments = len(counts)
     firsts = np.cumsum(counts) - counts
     if share is None:
-        k = np.full(segments, rows)
-    else:
-        own = share == np.arange(rows)[:, None]
-        k = own.sum(axis=0)
-        # row r's node of segment s is node rank[r, s] of the segment's k_s
-        rank = (np.cumsum(own, axis=0) - 1)[share, np.arange(segments)]
+        share = np.broadcast_to(np.arange(rows)[:, None], (rows, segments))
+    own = share == np.arange(rows)[:, None]
+    k = own.sum(axis=0)
+    sizes = np.array([0] + [_piece(m) for m in range(1, rows + 1)])
     span = min(1 << (segments - 1).bit_length(), 1 << max(1, NODES // rows).bit_length() - 1)
-    # the workspace is grown, not sized for the largest call up front: a
-    # fresh buffer is faulted in page by page, a cost each job of a sweep
-    # pays again (a one-segment runtime job ran 30% slower with one twice
-    # the size it reads)
+    bases = np.arange(0, segments, span)
+    # the nodes of a group's pieces, as many as the most pieces of a group
+    nodes = np.empty((3, 3, rows, np.add.reduceat(-(-counts // sizes[k]), bases).max()), complex)
+    top = np.empty((3, 3, rows, len(bases)), dtype=complex)
+    # grown, not sized up front: each job of a sweep faults a fresh buffer
+    # in again (a one-segment runtime job ran 30% slower with twice the size)
     exps, spare = (np.empty(9 * rows * span, dtype=complex) for _ in range(2))
 
-    def workspace(entries):
-        """The exponentials and the spare buffer, each of at least 9 * entries."""
+    def workspace(rows, factors):
+        """The exponentials and the spare buffer: work for rows rows of factors."""
         nonlocal exps, spare
-        if len(exps) < 9 * entries:
+        size = 9 * rows * (factors + factors % 2)
+        if len(exps) < size:
             exps = spare = None  # freed before the larger pair is allocated
-            exps, spare = np.empty(9 * entries, dtype=complex), np.empty(9 * entries, dtype=complex)
+            exps, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
         return exps, spare
 
-    is_kick = np.zeros(n, dtype=bool) if len(kicks) else None
-    if len(kicks):
-        is_kick[np.asarray(kicks)] = True
-    key = counts * (rows + 1) + k
-    nodes = np.empty((3, 3, rows, min(span, segments)), dtype=complex)
-    top = np.empty((3, 3, rows, -(-segments // span)), dtype=complex)
-    levels = None
+    is_kick = np.bincount(kicks, minlength=n) > 0 if len(kicks) else None
 
-    def reduce(segs, offset, length, out, depth=None):
-        """Write the nodes of factors [offset, offset + length) of c segments to out.
-
-        out is (k_s, c, 3, 3), or (k_s, 1, nodes, 3, 3) for one segment's
-        block and its depth nodes.
-        """
-        nonlocal levels
-        m, c, first = k[segs[0]], len(segs), firsts[segs[0]] + offset
-        width = length if depth is not None else -(-length // PAD) * PAD
-        w = c * width
-        if width == length and segs[-1] - segs[0] == c - 1:
-            cols = slice(first, first + w)
-        else:
-            cols = (firsts[segs, None] + offset + np.minimum(np.arange(width), length - 1)).ravel()
+    def reduce(m, width, segs, starts, out):
+        """Write to out, (m, c, 3, 3), the nodes of the pieces of width factors of
+        segments segs that start at factors starts; return the product's levels."""
+        c, w = len(segs), len(segs) * width
+        cols = (slice(starts[0], starts[0] + w) if starts[-1] - starts[0] == w - width
+                else (starts[:, None] + np.arange(width)).ravel())  # unless consecutive
+        exps, spare = workspace(m * c, width)
         half = (w + 1) // 2
-        exps, spare = workspace(m * (w + 1))
         levels, x, y = gate_generators(spec, ts[cols],
                                        out=(spare[:half].view(float)[:w], spare[half:half + w]))
         if m == rows:
@@ -341,57 +315,51 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
         else:  # row j: the j-th row of each segment that shares no earlier row's
             owner = np.nonzero(own[:, segs].T)[1].reshape(c, m).T
             mine = taus[np.repeat(owner, width, axis=1), np.arange(n)[cols]]
-        us = matexp_lambda_stack(x, y, mine, out=_stack(exps, m, w), work=spare[half + w:],
-                                 pi_pulses=None if is_kick is None else np.flatnonzero(is_kick[cols]))
-        odd = 9 * m * c * ((width + 1) // 2)
-        ordered_product(us.reshape(m, c, width, 3, 3), out=out, depth=depth, n=length,
-                        work=(spare[:odd], exps, spare[odd:]))
+        pulses = None if is_kick is None else np.flatnonzero(is_kick[cols])
+        us = matexp_lambda_stack(x, y, mine, out=_matrices(exps[:9 * m * w].reshape(3, 3, m, w)),
+                                 work=spare[half + w:], pi_pulses=pulses)
+        ordered_product(us.reshape(m, c, width, 3, 3), out=out, work=(exps, spare))
+        return levels
 
-    for at, base in enumerate(range(0, segments, span)):
+    for at, base in enumerate(bases):
         end = min(base + span, segments)
-        keys = key[base:end]
-        classes = ([np.arange(base, end)] if end - base == 1 or (keys == keys[0]).all()
-                   else [base + np.flatnonzero(keys == cls) for cls in np.unique(keys)])
-        for segs in classes:
-            m, length = int(k[segs[0]]), int(counts[segs[0]])
-            width = -(-length // PAD) * PAD
-            budget = _budget(m)
-            long = 2 * m * width > budget
-            per = 1 if long else budget // (m * width)
-            per = -(-len(segs) // -(-len(segs) // per))  # nearly equal calls
-            for i in range(0, len(segs), per):
-                part = segs[i:i + per]
+        many = -(-counts[base:end] // sizes[k[base:end]])
+        # the group's pieces in the order of their columns of nodes: segment,
+        # first factor, length, and each segment's first (views if one each)
+        if many.max() == 1:
+            seg, start, length = np.arange(base, end), firsts[base:end], counts[base:end]
+            heads = slice(0, end - base)
+        else:
+            seg = np.repeat(np.arange(base, end), many)
+            heads = np.cumsum(many) - many
+            start = (np.arange(len(seg)) - heads.repeat(many)) * sizes[k[seg]]
+            length = np.minimum(sizes[k[seg]], counts[seg] - start)
+            start += firsts[seg]
+        if (length == length[0]).all() and (k[seg] == k[seg[0]]).all():
+            classes = [np.arange(len(seg))]
+        else:
+            keys = length * (rows + 1) + k[seg]
+            classes = [np.flatnonzero(keys == cls) for cls in sorted(set(keys.tolist()))]
+        for pieces in classes:
+            m, width = int(k[seg[pieces[0]]]), int(length[pieces[0]])
+            per = 1 if width == sizes[m] else _budget(m) // (m * width)
+            per = -(-len(pieces) // -(-len(pieces) // per))  # nearly equal calls
+            for i in range(0, len(pieces), per):
+                part = pieces[i:i + per]
                 direct = m == rows and part[-1] - part[0] == len(part) - 1
-                out = (_matrices(nodes[..., part[0] - base:part[-1] + 1 - base]) if direct
+                out = (_matrices(nodes[..., part[0]:part[-1] + 1]) if direct
                        else _matrices(np.empty((3, 3, m, len(part)), dtype=complex)))
-                if long:
-                    block = 1 << (budget // (2 * m)).bit_length() - 1
-                    depth = min(NODE, block).bit_length() - 1
-                    blocks = _matrices(np.empty((3, 3, m, 1, -(-length >> depth)), dtype=complex))
-                    for a in range(0, length, block):
-                        reduce(part, a, min(block, length - a),
-                               blocks[:, :, a >> depth:-(-min(a + block, length) >> depth)], depth)
-                    exps, spare = workspace(m * (blocks.shape[2] + 1))
-                    odd = 9 * m * ((blocks.shape[2] + 1) // 2)
-                    ordered_product(blocks, out=out, work=(spare[:odd], exps, spare[odd:]))
-                else:
-                    reduce(part, 0, length, out)
-                if not direct:
-                    p = _planes(out)
-                    nodes[..., part - base] = p if m == rows else p[:, :, rank[:, part],
-                                                                     np.arange(len(part))]
-        if segments == 1:
-            return levels, _matrices(nodes[..., 0])
-        odd = 9 * rows * ((end - base + 1) // 2)
-        exps, spare = workspace(2 * odd // 9)
-        ordered_product(_matrices(nodes[..., :end - base]), out=_matrices(top[..., at]),
-                        work=(spare[:odd], exps, spare[odd:]))
-    return levels, ordered_product(_matrices(top)) if at else _matrices(top[..., 0])
-
-
-def _stack(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """(*shape, 3, 3) matrices held as planes (3, 3, *shape) at the front of a flat buffer."""
-    return _matrices(buffer[:9 * math.prod(shape)].reshape((3, 3) + shape))
+                levels = reduce(m, width, seg[part], start[part], out)
+                if not direct:  # row r reads node rank[r, j] of the m of piece j
+                    j = np.arange(len(part))
+                    rank = (np.cumsum(own[:, seg[part]], axis=0) - 1)[share[:, seg[part]], j]
+                    nodes[..., part] = _planes(out)[:, :, rank, j]
+        for s in np.flatnonzero(many > 1):  # the piece nodes of a segment reduced to its own
+            nodes[..., heads[s]] = _planes(ordered_product(
+                _matrices(nodes[..., heads[s]:heads[s] + many[s]])))
+        ordered_product(_matrices(nodes[..., heads]), out=_matrices(top[..., at]),
+                        work=workspace(rows, end - base))
+    return levels, ordered_product(_matrices(top))
 
 
 def _shared_values(values: np.ndarray):
@@ -435,10 +403,9 @@ def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None
         raise ValueError("trains of one batch must share their segment edges and kick times")
     rows = {}
     index = [rows.setdefault(t.values, len(rows)) for t in trains]
-    values = np.array(list(rows))
-    ts, taus, kicks, steps = _factors(first, values, policy)
-    counts = _segment_counts(first, ts) if len(first) > 1 else None
-    levels, products = _chunked_product(spec, ts, taus, kicks, counts, _shared_values(values))
+    ts, taus, kicks, counts, steps = _factors(first, list(rows), policy)
+    levels, products = _chunked_product(spec, ts, taus, kicks, counts,
+                                        _shared_values(np.array(list(rows))))
     results = []
     for row in index:
         u = np.eye(spec.dim, dtype=complex)

@@ -13,8 +13,8 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule
                                        dark_states, exchange_hamiltonian, gate_generators,
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
-from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, PAD, WIDTH, StepPolicy, _bounds,
-                                      _budget, _chunked_product, _factors, _midpoints,
+from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, StepPolicy, _bounds,
+                                      _chunked_product, _factors, _midpoints, _piece,
                                       _segment_counts, _shared_values, adiabatic_hamiltonian,
                                       propagate_adiabatic, propagate_lab, propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
@@ -214,9 +214,10 @@ def factor_batches(draw):
 @given(factor_batches())
 def test_factor_stack_is_bit_identical_to_the_inserted_construction(batch):
     train, values, policy = batch
-    ts, taus, kicks, steps = _factors(train, values, policy)
+    ts, taus, kicks, counts, steps = _factors(train, values, policy)
     ref_ts, ref_taus, ref_kicks, ref_steps = inserted_factors(train, values, policy)
     assert steps == ref_steps
+    np.testing.assert_array_equal(counts, _segment_counts(train, ts))
     np.testing.assert_array_equal(kicks, ref_kicks)
     # the uint64 views also compare the signs of zeros
     assert np.array_equal(ts.view(np.uint64), ref_ts.view(np.uint64))
@@ -293,14 +294,8 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     assert results[0].U is not results[2].U
 
 
-def block_width(rows):
-    """The factors a row of one block of a long segment: the largest power of
-    two that fills at most half the budget of _chunked_product's calls."""
-    return 1 << (_budget(rows) // (2 * rows)).bit_length() - 1
-
-
-# 1 to 1025 factors of a 3-row batch fit one call, 3077 take three blocks
-# of 1024 and a tail of 5
+# 1 to 1024 factors of a 3-row batch are one piece; 1025 and 3077 are pieces
+# of _piece(3) = 1024 and a ragged last piece of 1 and 5
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3077])
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
@@ -314,12 +309,12 @@ def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
         assert np.array_equal(product, ordered_product(matexp_lambda_stack(x, y, row)))
 
 
-@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)],
+@pytest.mark.parametrize("pieces, extra", [(1, -1), (1, 0), (1, 1), (3, 5)],
                          ids=["w-1", "w", "w+1", "3w+5"])
 @pytest.mark.parametrize("rows", [1, 2])
-def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, blocks, extra,
+def test_narrow_batches_in_wide_pieces_are_bit_identical_to_whole_stack(rows, pieces, extra,
                                                                          rng):
-    n = blocks * block_width(rows) + extra
+    n = pieces * _piece(rows) + extra
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -329,10 +324,10 @@ def test_narrow_batches_in_wide_blocks_are_bit_identical_to_whole_stack(rows, bl
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 17, 32])
-def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
-    # three blocks and a ragged tail of 37, whose nodes do not fill a block;
-    # pi pulses sit on both sides of the block edges and in the tail
-    width = block_width(rows)
+def test_pieces_of_one_segment_are_bit_identical_to_whole_stack(rows, rng):
+    # three full pieces and a ragged last piece of 37; pi pulses sit on both
+    # sides of the piece edges and in the last piece
+    width = _piece(rows)
     n = 3 * width + 37
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -347,11 +342,11 @@ def test_tree_top_over_all_blocks_is_bit_identical_to_whole_stack(rows, rng):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 32])
-def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatch):
-    # every buffer starts as NaN, and the full blocks before the short one
-    # leave their own numbers behind: a block that read an entry it had not
+def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatch):
+    # every buffer starts as NaN, and the full pieces before the short one
+    # leave their own numbers behind: a piece that read an entry it had not
     # written would carry either into the product
-    n = 2 * block_width(rows) + 3
+    n = 2 * _piece(rows) + 3
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -372,8 +367,8 @@ def test_short_last_block_reads_no_stale_workspace_entries(rows, rng, monkeypatc
 @pytest.mark.parametrize("n", [256, 1500])
 @pytest.mark.parametrize("rows", [16, 17, 32, 40])
 def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
-    # 256 factors of 16 rows fit one call; the others take blocks of
-    # block_width(rows) factors (256, 64 or 32) and a ragged tail
+    # 256 factors of 16 rows are one piece; the others take pieces of
+    # _piece(rows) factors (256, 64 or 32) and a ragged last piece
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -418,32 +413,30 @@ def segment_first(train, ts, stack):
 
 def kick_places(segments, policy):
     """(segment, place in it) of each kick factor of the train."""
-    ts, _, kicks, _ = _factors(segments, [segments.values], policy)
-    counts = _segment_counts(segments, ts)
+    _, _, kicks, counts, _ = _factors(segments, [segments.values], policy)
     firsts = np.cumsum(counts) - counts
     seg = np.searchsorted(firsts, kicks, side="right") - 1
     return seg, kicks - firsts[seg], counts
 
 
-def test_kicks_in_a_padded_segment_match_the_segment_first_reference():
+def test_kicks_in_a_segment_of_its_own_length_match_the_segment_first_reference():
     # three kicks split three steps and add their own factors: 106 in their
-    # segment, not a multiple of PAD, so its call, apart from the 100-factor
-    # segments, pads it with copies of its last factor
+    # segment, which a call apart from the 100-factor segments reduces
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     segments = generate_segments(
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=1.0, seed=1), 1.0)
     segments = replace(segments, kick_times=(0.5112, 0.5116, 0.5121), kick_signs=(1, -1, 1))
     policy = StepPolicy(max_step=1.0 / 2000)
     seg, _, counts = kick_places(segments, policy)
-    assert (seg == 10).all() and counts[10] == 106 and counts[10] % PAD
+    assert (seg == 10).all() and counts[10] == 106 and (np.delete(counts, 10) == 100).all()
     levels, ts, stack = stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], segment_first(segments, ts, stack))
 
 
-def test_kicks_straddling_a_block_edge_of_a_long_segment_match_the_segment_first_reference():
-    # two segments of 4000 steps: each runs in blocks of block_width(1), and
-    # these kicks sit on both sides of the first block edge of the first one
+def test_kicks_straddling_a_piece_edge_of_a_long_segment_match_the_segment_first_reference():
+    # two segments of 4000 steps: each runs in pieces of _piece(1), and these
+    # kicks sit on both sides of the first piece edge of the first one
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     segments = generate_segments(
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.5, p=1.0, seed=1), 1.0)
@@ -451,7 +444,7 @@ def test_kicks_straddling_a_block_edge_of_a_long_segment_match_the_segment_first
                        kick_signs=(1, -1, -1, 1))
     policy = StepPolicy(max_step=1.0 / 8000)
     seg, place, counts = kick_places(segments, policy)
-    assert (seg == 0).all() and place[0] < block_width(1) <= place[-1] < counts[0]
+    assert (seg == 0).all() and place[0] < _piece(1) <= place[-1] < counts[0]
     levels, ts, stack = stack_with_exact_kicks(spec, segments, policy)
     u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], segment_first(segments, ts, stack))
@@ -463,14 +456,15 @@ def test_one_segment_kick_train_matches_the_whole_stack():
     segments = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1e-3, seed=3, jitter=0.4)
     policy = StepPolicy(max_step=1.0 / 8000)
     levels, _, stack = stack_with_exact_kicks(spec, segments, policy)
-    assert len(segments) == 1 and len(stack) > 2 * WIDTH
+    assert len(segments) == 1 and len(stack) > 4 * _piece(1)
     u = propagate_lab(spec, segments, policy).U
     assert np.array_equal(u[np.ix_(levels, levels)], ordered_product(stack))
 
 
 def shared_segment_batches():
     """(spec, trains, policy) batches whose trains share some segments and
-    differ on others, with kicks inside segments and a short last segment."""
+    differ on others, with kicks inside segments and a short last segment,
+    and a batch shaped like a dt sweep job, whose trains share none."""
     edges = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.97, 1.0)
     rng = np.random.default_rng(7)
     on = rng.uniform(5.0, 60.0, size=(4, 11))
@@ -485,10 +479,20 @@ def shared_segment_batches():
     generated = [generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=J, dt=0.05,
                                               p=0.5, seed=seed), 1.0)
                  for J in (0.0, 40.0, 80.0) for seed in (1, 2)]
+    # unshared rows over segments of odd length (21, 23 and 31 factors), and
+    # one of 1256 factors whose kicks sit across the edge of its first piece
+    # of _piece(3) = 1024 factors
+    lengths = np.resize([0.005, 0.0092], 70)
+    edges = tuple(np.concatenate([[0.0], 0.5 + np.cumsum(np.concatenate([[0.0], lengths]))]))
+    edges = edges[:-1] + (1.0,)
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, len(edges) - 1))
+    dt_job = [Segments(edges, tuple(v), (0.4086, 0.4097, 0.4101), (1, -1, 1)) for v in values]
     return [(GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)), hand,
              StepPolicy(max_step=1.0 / 3000)),
             (GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)), hand, StepPolicy()),
-            (GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)), generated, StepPolicy())]
+            (GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)), generated, StepPolicy()),
+            (GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)), dt_job,
+             StepPolicy(substeps_per_segment=21, max_step=1.0 / 2500))]
 
 
 def reference_product(spec, train, policy):
@@ -498,7 +502,7 @@ def reference_product(spec, train, policy):
     return levels, segment_first(train, ts, matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_shared_segments_are_bit_identical_to_each_train_alone(case):
     spec, trains, policy = shared_segment_batches()[case]
     results = propagate_lab_batch(spec, trains, policy)
@@ -510,7 +514,7 @@ def test_shared_segments_are_bit_identical_to_each_train_alone(case):
                               reference.view(np.uint64))
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_shared_segments_agree_with_the_whole_stack_tree(case):
     spec, trains, policy = shared_segment_batches()[case]
     for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
@@ -522,31 +526,28 @@ def test_shared_segments_agree_with_the_whole_stack_tree(case):
 
 def counted_exponentials(monkeypatch):
     """Spy on matexp_lambda_stack: a list that collects the exponentials of
-    each call.  A call pads each segment with copies of its last factor
-    (fewer than PAD) so that its tree runs on whole rows; a factor equal to
-    the one before it is such a copy and is not counted."""
+    each call."""
     counted = []
     closed_form = propagation.matexp_lambda_stack
 
     def spy(x, y, taus, **kwargs):
-        copies = (x[1:] == x[:-1]) & (y[1:] == y[:-1]) & (taus[:, 1:] == taus[:, :-1]).all(axis=0)
-        counted.append(taus.shape[0] * (len(x) - int(copies.sum())))
+        counted.append(taus.size)
         return closed_form(x, y, taus, **kwargs)
 
     monkeypatch.setattr(propagation, "matexp_lambda_stack", spy)
     return counted
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_each_segment_is_exponentiated_once_per_distinct_value(case, monkeypatch):
     spec, trains, policy = shared_segment_batches()[case]
-    ts, _, _, _ = _factors(trains[0], [trains[0].values], policy)
-    counts = _segment_counts(trains[0], ts)
+    ts, _, _, counts, _ = _factors(trains[0], [trains[0].values], policy)
     distinct = [len(set(values)) for values in zip(*(t.values for t in trains))]
     counted = counted_exponentials(monkeypatch)
     propagate_lab_batch(spec, trains, policy)
     assert sum(counted) == sum(k * m for k, m in zip(distinct, counts))
-    assert sum(counted) < len(trains) * len(ts)
+    # fewer than a row each exactly where some segment has fewer values than trains
+    assert (sum(counted) < len(trains) * len(ts)) == (min(distinct) < len(trains))
 
 
 def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkeypatch):
@@ -555,8 +556,7 @@ def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkey
     edges, kick = (0.0, 0.5, 1.0), (0.3001,)
     policy = StepPolicy(max_step=1.0 / 600)
     probe = Segments(edges, (0.0, 0.0), kick, (1,))
-    ts, taus, kicks, _ = _factors(probe, [probe.values], policy)
-    counts = _segment_counts(probe, ts)
+    _, taus, kicks, counts, _ = _factors(probe, [probe.values], policy)
     widths = np.delete(taus[0, :counts[0]], kicks)
     halves = widths[~np.isclose(widths, widths[0])]
     assert len(halves) == 2
@@ -579,9 +579,10 @@ def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkey
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
-    # segments of about 2500, 1250 and 5000 steps: the first and the third
-    # run in blocks, the first shared by every train, the third by two of
-    # three; kicks sit in both, and across the first block edge of the third
+    # segments of about 2500, 1250, 5000 and 1250 steps: the first three run
+    # in pieces (of 2048 factors for one or two distinct values, 1024 for
+    # three), the first shared by every train, the third by two of three;
+    # kicks sit in both, and across the first piece edge of the third
     edges = (0.0, 0.25, 0.375, 0.875, 1.0)
     kicks = (0.1, 0.2, 0.5795, 0.5797, 0.5801, 0.95)
     values = [(3.0, 10.0, 7.0, 0.0), (3.0, 11.0, 7.0, -2.0), (3.0, 12.0, 8.0, 0.0)]
@@ -589,8 +590,8 @@ def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
     spec = GateSpec(kind, Schedule(A_REF, 1.0))
     policy = StepPolicy(max_step=1.0 / 10_000)
     seg, place, counts = kick_places(trains[0], policy)
-    assert 2 * counts[2] > WIDTH
-    assert place[seg == 2].min() < block_width(2) < place[seg == 2].max()
+    assert counts[2] > 2 * _piece(2)
+    assert place[seg == 2].min() < _piece(2) < place[seg == 2].max()
     for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
         alone = propagate_lab(spec, train, policy).U
         assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
@@ -642,7 +643,7 @@ def test_factor_stack_of_a_long_run_peaks_below_6_mib():
     segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
     tracemalloc.start()
     try:
-        ts, taus, _, steps = _factors(segments, [segments.values], StepPolicy())
+        ts, taus, _, _, steps = _factors(segments, [segments.values], StepPolicy())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

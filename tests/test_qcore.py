@@ -357,13 +357,14 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
         got = matexp_lambda_stack(x, y, taus, out=out, work=work)
         assert got is out and np.array_equal(_bits(got), _bits(us))
     product = ordered_product(us)
-    # the even levels may reuse the stack's own memory, which only the first level reads
-    stack = np.ascontiguousarray(_planes(us))
-    odd = np.full(9 * 2 * 19, np.nan, dtype=complex)
-    term = np.full(9 * 2 * 19, np.nan, dtype=complex)
+    # the first work array may be the stack's own memory, which only the first
+    # level reads; each holds 38 factors a row, the 37 rounded up to even
+    first = np.full(9 * 2 * 38, np.nan, dtype=complex)
+    stack = first[:9 * 2 * 37].reshape(3, 3, 2, 37)
+    stack[...] = _planes(us)
+    second = np.full(9 * 2 * 38, np.nan, dtype=complex)
     out = np.full((3, 3, 2), np.nan, dtype=complex)
-    got = ordered_product(_matrices(stack), out=_matrices(out),
-                          work=(odd, stack.reshape(-1), term))
+    got = ordered_product(_matrices(stack), out=_matrices(out), work=(first, second))
     assert np.shares_memory(got, out) and np.array_equal(_bits(got), _bits(product))
 
 
@@ -394,35 +395,35 @@ def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
         assert np.array_equal(_bits(got[:, others]), _bits(plain[:, others]))
 
 
-@pytest.mark.parametrize("n", [1, 5, 64, 100])
-@pytest.mark.parametrize("depth", [0, 1, 3, 7])
-def test_ordered_product_stops_at_depth_on_the_nodes_of_the_whole_tree(n, depth, rng):
-    stack = 0.6 * (rng.standard_normal((2, n, 3, 3)) + 1j * rng.standard_normal((2, n, 3, 3)))
-    nodes = ordered_product(stack, depth=depth)
-    size = 2 ** depth
-    assert nodes.shape == (2, -(-n // size), 3, 3)
-    for i in range(nodes.shape[1]):
-        assert np.array_equal(nodes[:, i], ordered_product(stack[:, i * size:(i + 1) * size]))
-    assert np.array_equal(ordered_product(nodes), ordered_product(stack))
-    # runs of a multiple of 2**depth factors give the nodes run by run
-    cut = 2 * size
-    parts = [ordered_product(stack[:, i:i + cut], depth=depth) for i in range(0, n, cut)]
-    assert np.array_equal(np.concatenate(parts, axis=1), nodes)
+@pytest.mark.parametrize("size", [1, 4, 32])
+@pytest.mark.parametrize("n", [1, 5, 21, 64, 100, 333])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_products_of_aligned_runs_have_the_bits_of_the_whole_tree(batch, n, size, rng):
+    # runs of a power of two of factors from the start, the last one ragged,
+    # are nodes of the whole stack's tree: their full products, reduced in
+    # order, perform the rest of its multiplications
+    stack = 0.6 * (rng.standard_normal(batch + (n, 3, 3))
+                   + 1j * rng.standard_normal(batch + (n, 3, 3)))
+    runs = [ordered_product(stack[..., i:i + size, :, :]) for i in range(0, n, size)]
+    nodes = np.stack(runs, axis=-3)
+    assert np.array_equal(_bits(ordered_product(nodes)), _bits(ordered_product(stack)))
+    # the full runs reduced side by side, as one batch, give the same nodes
+    full = n // size
+    side = ordered_product(stack[..., :full * size, :, :].reshape(batch + (full, size, 3, 3)))
+    assert np.array_equal(_bits(side), _bits(nodes[..., :full, :, :]))
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 5)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 11, 20, 21, 43])
-def test_ordered_product_of_padded_rows_has_the_bits_of_the_unpadded_stack(n, batch, rng):
-    # rows padded to a multiple of 4 and 8 with NaN-free junk, and rows of odd
-    # length, give the bits of the plain stack's tree, whole and to depth 2
+def test_ordered_product_of_a_batch_has_the_bits_of_each_row_alone(n, batch, rng):
+    # a batch copies its rows of odd length to rows of even length and
+    # multiplies the last few nodes of each row as views; a row alone does
+    # neither
     stack = 0.6 * (rng.standard_normal(batch + (n, 3, 3))
                    + 1j * rng.standard_normal(batch + (n, 3, 3)))
-    whole, nodes = ordered_product(stack), ordered_product(stack, depth=2)
-    for pad in (-n % 4, -n % 8 + 8):
-        junk = 0.6 * rng.standard_normal(batch + (pad, 3, 3)) + 0j
-        padded = np.concatenate([stack, junk], axis=-3)
-        assert np.array_equal(_bits(ordered_product(padded, n=n)), _bits(whole))
-        assert np.array_equal(_bits(ordered_product(padded, n=n, depth=2)), _bits(nodes))
-        out = np.full(batch + (3, 3), np.nan, dtype=complex)
-        assert ordered_product(_matrices(_planes(padded).copy()), out=out, n=n) is out
-        assert np.array_equal(_bits(out), _bits(whole))
+    whole = ordered_product(stack)
+    for row in np.ndindex(*batch):
+        assert np.array_equal(_bits(whole[row]), _bits(ordered_product(stack[row])))
+    out = np.full(batch + (3, 3), np.nan, dtype=complex)
+    assert ordered_product(_matrices(_planes(stack).copy()), out=out) is out
+    assert np.array_equal(_bits(out), _bits(whole))
