@@ -3,22 +3,26 @@
 The dynamics only sees the running integral C(t) = int_0^t [1 + c(s)] ds,
 so very different pulse shapes (strong positive squares, zero-mean
 alternating squares, even delta kicks) act identically whenever their
-integrals agree modulo 2*pi.  This module lays out every train as one
+integrals agree modulo 2*pi.  This module lays out every train as a
 Segments -- piecewise-constant values over edges, plus delta kicks -- and
-computes its integral and areas.
+computes its integral and areas.  A job of trains that share their edges
+and kick instants (the realizations of a sweep job) is one Segments too:
+the layout is built and validated once, and the values form one (rows, n)
+matrix, with one row of kick signs per train; one train is the one-row
+case, stored with (n,) values.
 
 Randomness is drawn from numpy's PCG64 seeded through SeedSequence, one
 fresh uniform r per (on-)segment in time order, so a (kind, J, dt, p, seed,
-T) tuple always reproduces the same train bit for bit.
+T) tuple always reproduces the same train bit for bit, alone or as a row
+of a job.
 
 RNG_DESCRIPTION documents the exact scheme for run manifests.
 """
 from __future__ import annotations
 
-import bisect
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,60 +89,72 @@ class PulseTrain:
             raise ValueError(f"control seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segments:
-    """The realized c(t) of a train: piecewise-constant values plus delta kicks.
+    """The realized c(t) of one train, or of a job of trains on one layout.
 
-    values[k] holds on [edges[k], edges[k + 1]]; the edges start at 0 and
-    ascend strictly, so they tile [0, span] with no gap or overlap.  Kick i
-    adds a delta of area kick_signs[i] * KICK_AREA at kick_times[i]; the
-    instants ascend strictly inside (0, span) and the signs are +-1.
-    Segments(edges, values) has no kicks.  Every number is finite, and all
-    fields are stored as tuples, so equal trains compare and hash equal.
+    The layout is the edges and the kick instants: values[..., k] holds on
+    [edges[k], edges[k + 1]]; the edges start at 0 and ascend strictly, so
+    they tile [0, span] with no gap or overlap, and the kick instants
+    ascend strictly inside (0, span).  One train has values of shape (n,)
+    and kick_signs of shape (m,): kick i adds a delta of area kick_signs[i]
+    * KICK_AREA at kick_times[i].  A job has a (rows, n) value matrix and a
+    (rows, m) sign matrix, one row per train.  Segments(edges, values) has
+    no kicks.  Every number is finite, the signs are +-1, and all fields
+    are stored as read-only arrays (the signs as ints); segments compare
+    equal when their fields have equal shapes and values.
     """
 
-    edges: tuple
-    values: tuple
-    kick_times: tuple = ()
-    kick_signs: tuple = ()
+    edges: np.ndarray
+    values: np.ndarray
+    kick_times: np.ndarray = ()
+    kick_signs: np.ndarray = ()
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        times = np.asarray(self.kick_times, dtype=float)
-        signs = np.asarray(self.kick_signs)
-        if (edges.ndim != 1 or values.ndim != 1 or not len(values)
-                or len(edges) != len(values) + 1):
+        edges = np.array(self.edges, dtype=float)
+        values = np.array(self.values, dtype=float)
+        times = np.array(self.kick_times, dtype=float)
+        signs = np.array(self.kick_signs)
+        if not signs.size:  # no kicks: an empty row of signs per train
+            signs = signs.reshape(values.shape[:-1] + (0,))
+        if (edges.ndim != 1 or values.ndim not in (1, 2) or not values.size
+                or len(edges) != values.shape[-1] + 1):
             raise ValueError(f"need n + 1 edges for n >= 1 values, got "
-                             f"{np.shape(edges)} edges and {np.shape(values)} values")
-        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
+                             f"{np.shape(edges)} edges and {values.shape[-1:]} values")
+        if not (np.isfinite(edges).all() and np.isfinite(values).all()):
             raise ValueError("segment edges and values must be finite")
         if edges[0] != 0.0:
             raise ValueError(f"segments must start at 0, got {edges[0]}")
-        if not np.all(edges[1:] > edges[:-1]):
+        if not (edges[1:] > edges[:-1]).all():
             raise ValueError("segment edges must ascend strictly")
-        if times.ndim != 1 or signs.shape != times.shape:
+        if times.ndim != 1 or signs.shape != values.shape[:-1] + times.shape:
             raise ValueError(f"kick times and signs must have equal length, got "
-                             f"{np.shape(times)} times and {np.shape(signs)} signs")
-        if not np.all(np.isfinite(times)):
+                             f"{np.shape(times)} times and {signs.shape[-1:]} signs")
+        if not np.isfinite(times).all():
             raise ValueError("kick times must be finite")
-        if not np.all(times[1:] > times[:-1]):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("kick times must be strictly ascending")
-        if not np.all((signs == 1) | (signs == -1)):
+        if not ((signs == 1) | (signs == -1)).all():
             raise ValueError("kick signs must be +-1")
         if len(times) and not (0.0 < times[0] and times[-1] < edges[-1]):
             raise ValueError("kick instants must lie strictly inside (0, span)")
-        object.__setattr__(self, "edges", tuple(edges.tolist()))
-        object.__setattr__(self, "values", tuple(values.tolist()))
-        object.__setattr__(self, "kick_times", tuple(times.tolist()))
-        object.__setattr__(self, "kick_signs", tuple(signs.astype(int).tolist()))
+        for name, array in (("edges", edges), ("values", values), ("kick_times", times),
+                            ("kick_signs", signs.astype(int, copy=False))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, Segments):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @property
     def span(self) -> float:
-        return self.edges[-1]
+        return float(self.edges[-1])
 
 
 def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
@@ -154,61 +170,112 @@ def _multiples_below(step: float, T: float, first: int) -> np.ndarray:
     return grid[grid < T * (1.0 - 1e-12)]
 
 
-def generate_segments(train: PulseTrain, T: float) -> Segments:
-    """The train's realized c(t) over [0, T]: the one layout of every kind.
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a train's draws: PCG64 seeded through SeedSequence(seed)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _layout(train: PulseTrain):
+    """What the edges and kick instants of train over a given T depend on."""
+    if train.kind is ControlKind.NO_CONTROL:
+        return None
+    if train.kind in KICK_KINDS:  # the jitter p/2 of the instants is seeded
+        return "kicks", train.dt, train.p, train.seed if train.p else 0
+    return "squares", train.dt
+
+
+def generate_segments(trains: PulseTrain | list, T: float) -> Segments:
+    """The realized c(t) over [0, T] of one train, or of a job of trains on one layout.
+
+    trains is one PulseTrain, which gives values of shape (n,) and kick
+    signs of shape (m,), or a sequence of trains that share their edges and
+    kick instants, which gives one row of values and signs per train: they
+    may differ in J, in the seed and kind of a square train, and in the
+    kind of a kick train, whose instants are seeded only when p > 0.  The
+    layout is built once, from the first train, and validated once, with
+    the values, by Segments; each train draws its values from its own seed,
+    so a row has the bits of its train alone.
 
     POSITIVE_SQUARE alternates [on, off] segments of length dt (duty 50%),
     a fresh random amplitude per on-segment.  ZERO_ENERGY_ALTERNATING flips
     the sign each segment, fresh amplitude per segment.  Edge k is k*dt, the
     last one min(n*dt, T).  NO_CONTROL is a single zero segment, and the
-    delta-kick kinds are that segment plus the kicks of _make_kicks at
-    spacing dt with jitter p/2, seeded by train.seed.
+    delta-kick kinds are that segment plus the kicks of _kick_times at
+    spacing dt with jitter p/2, seeded by train.seed: all +1 for the
+    positive kind, alternating from +1 for the zero-energy kind.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    if train.kind is ControlKind.NO_CONTROL:
-        return Segments((0.0, T), (0.0,))
-    if train.dt >= T:
-        raise ValueError(f"dt {train.dt} must be smaller than T {T}")
-    if train.kind in KICK_KINDS:
-        return Segments((0.0, T), (0.0,),
-                        *_make_kicks(train.kind, T, train.dt, train.seed, train.p / 2.0))
+    rows = [trains] if isinstance(trains, PulseTrain) else list(trains)
+    if not rows:
+        raise ValueError("need at least one train")
+    first = rows[0]
+    if any(_layout(train) != _layout(first) for train in rows[1:]):
+        raise ValueError("trains of one job must share their segment edges and kick times")
+    if first.kind is not ControlKind.NO_CONTROL and first.dt >= T:
+        raise ValueError(f"dt {first.dt} must be smaller than T {T}")
+    edges, times = np.array([0.0, T]), np.empty(0)
+    if first.kind in KICK_KINDS:
+        times = _kick_times(T, first.dt, first.seed, first.p / 2.0)
+    elif first.kind is not ControlKind.NO_CONTROL:
+        starts = _multiples_below(first.dt, T, 0)
+        edges = np.append(starts, min(len(starts) * first.dt, T))
+    n = len(edges) - 1
+    values = np.zeros((len(rows), n))
+    signs = np.ones((len(rows), len(times)), dtype=int)
+    for row, sign, train in zip(values, signs, rows):
+        if train.kind is ControlKind.DELTA_KICK_ALTERNATING:
+            sign[1::2] = -1
+        elif train.kind is ControlKind.POSITIVE_SQUARE:
+            row[0::2] = train.J * (1.0 - train.p * (0.5 - _rng(train.seed).random((n + 1) // 2)))
+        elif train.kind is ControlKind.ZERO_ENERGY_ALTERNATING:
+            row[:] = train.J * (1.0 - train.p * (0.5 - _rng(train.seed).random(n)))
+            row[1::2] *= -1.0
+    if isinstance(trains, PulseTrain):
+        values, signs = values[0], signs[0]
+    return Segments(edges, values, times, signs)
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(train.seed)))
-    starts = _multiples_below(train.dt, T, 0)
-    n = len(starts)
-    if train.kind is ControlKind.POSITIVE_SQUARE:
-        values = np.zeros(n)
-        values[0::2] = train.J * (1.0 - train.p * (0.5 - rng.random((n + 1) // 2)))
-    else:
-        values = train.J * (1.0 - train.p * (0.5 - rng.random(n)))
-        values[1::2] *= -1.0
-    return Segments(np.append(starts, min(n * train.dt, T)), values)
 
+def integral_C(segments: Segments, t: float):
+    """C(t) = int_0^t [1 + c(s)] ds, exact; a kick at an instant <= t adds sign*KICK_AREA.
 
-def integral_C(segments: Segments, t: float) -> float:
-    """C(t) = int_0^t [1 + c(s)] ds, exact; a kick at an instant <= t adds sign*KICK_AREA."""
+    A float for one train, a list of one per row for a job (see net_area).
+    """
     span = segments.span
     tol = 1e-9 * max(span, 1.0)
     if not -tol <= t <= span + tol:
         raise ValueError(f"time {t} outside tiled range [0, {span}]")
     t = min(max(t, 0.0), span)
-    edges = np.asarray(segments.edges)
+    edges = segments.edges
     covered = np.clip(t - edges[:-1], 0.0, np.diff(edges))
-    kicked = bisect.bisect_right(segments.kick_times, t)
-    smooth = sum(((1.0 + np.asarray(segments.values)) * covered).tolist())
-    return smooth + KICK_AREA * sum(segments.kick_signs[:kicked])
+    kicked = np.searchsorted(segments.kick_times, t, side="right")
+    return _per_train((1.0 + segments.values) * covered, segments.kick_signs[..., :kicked])
 
 
-def mean_control(segments: Segments) -> float:
-    """(1/T) * int c dt over the tiled span, including off intervals and kicks."""
-    return net_area(segments) / segments.span
+def mean_control(segments: Segments):
+    """(1/T) * int c dt over the tiled span, including off intervals and kicks.
+
+    A float for one train, a list of one per row for a job (see net_area).
+    """
+    areas = net_area(segments)
+    span = segments.span
+    return areas / span if segments.values.ndim == 1 else [a / span for a in areas]
 
 
-def net_area(segments: Segments) -> float:
-    """int c dt -- the net energy-cost proxy.  Delta kicks add sign*KICK_AREA each."""
-    total = sum((np.asarray(segments.values) * np.diff(segments.edges)).tolist())
-    return total + KICK_AREA * sum(segments.kick_signs)
+def net_area(segments: Segments):
+    """int c dt -- the net energy-cost proxy.  Delta kicks add sign*KICK_AREA each.
+
+    A float for one train, a list of one per row for a job.
+    """
+    return _per_train(segments.values * np.diff(segments.edges), segments.kick_signs)
+
+
+def _per_train(smooth: np.ndarray, signs: np.ndarray):
+    """sum(smooth) + KICK_AREA * sum(signs) of one train, or a list of them, one
+    per row of a job: sequential sums, so a row has the bits of its train alone."""
+    if smooth.ndim == 1:
+        return sum(smooth.tolist()) + KICK_AREA * sum(signs.tolist())
+    return [sum(a) + KICK_AREA * sum(s) for a, s in zip(smooth.tolist(), signs.tolist())]
 
 
 def resonance_condition(J: float, dt: float):
@@ -222,19 +289,13 @@ def resonance_condition(J: float, dt: float):
     return abs(J * dt - TWO_PI * n) <= RESONANCE_TOL, n
 
 
-def _make_kicks(kind: ControlKind, T: float, interval: float, seed: int, jitter: float):
-    """(times, signs) of kicks on a jittered grid i*interval, i = 1, 2, ... inside (0, T).
+def _kick_times(T: float, interval: float, seed: int, jitter: float) -> np.ndarray:
+    """Kick instants on a jittered grid i*interval, i = 1, 2, ... inside (0, T).
 
     jitter in [0, 1] displaces each instant by uniform(-1/2, 1/2) * jitter *
-    interval, which keeps the times strictly ascending.  Signs are all +1
-    for the positive kind and alternate starting at +1 for the zero-energy
-    kind.
+    interval, which keeps the times strictly ascending.
     """
     times = _multiples_below(interval, T, 1)
     if jitter > 0.0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        times = times + interval * jitter * (rng.random(len(times)) - 0.5)
-    times = times[(0.0 < times) & (times < T)]
-    if kind is ControlKind.DELTA_KICK_POSITIVE:
-        return times, np.ones(len(times), dtype=int)
-    return times, (-1) ** np.arange(len(times))
+        times = times + interval * jitter * (_rng(seed).random(len(times)) - 0.5)
+    return times[(0.0 < times) & (times < T)]

@@ -10,16 +10,19 @@ k]), so results are independent of how realizations are batched, and a
 A sweep runs its jobs one after another, in order.  A job is a list of
 realizations taken in (grid index, realization index) order from a run of
 grid points whose gate and train differ at most in the amplitude J.  Such
-realizations share their segment edges, so a job builds its trains and
-propagates them as one batch, in which realizations with equal segment
-values (those at J = 0) share one propagation, and realizations with one
-value on a segment (the off segments of a positive square train, at any
-J) share that segment's exponentials and its node (see
-propagation.propagate_lab_batch).  A run of n realizations
-is split into ceil(n / MAX_BATCH) jobs of nearly equal size: the whole
-mean-control sweep is one run, while a runtime or dt sweep, whose grid
-value moves the step grid, has one run per grid point.  Every train,
-kicks included, is laid out by control.generate_segments.
+realizations share their segment edges, so a job is one array program:
+control.generate_segments lays out the edges once and draws each
+realization's values, from its own seed, into one value matrix;
+propagation.propagate_lab_batch propagates that matrix as one batch, in
+which realizations with equal segment values (those at J = 0) share one
+propagation, and realizations with one value on a segment (the off
+segments of a positive square train, at any J) share that segment's
+exponentials and its node; and the mean control of every row is read off
+the matrix.  A run of n realizations is split into ceil(n / MAX_BATCH)
+jobs of nearly equal size: the whole mean-control sweep is one run, while
+a runtime or dt sweep, whose grid value moves the step grid, has one run
+per grid point.  The kick comparison is one such job: one layout of the
+kicks with a row of signs per kind.
 """
 from __future__ import annotations
 
@@ -183,24 +186,25 @@ def _jobs(cfg: ExperimentConfig, points) -> list:
 
 
 def _job_records(cfg, gamma_ideal, points, job):
-    """The records of one job, whose trains share their edges: one batch."""
+    """The records of one job, whose trains share their layout: one value
+    matrix, one batch."""
     spec = points[job[0][0]][0]
     seeds = [realization_seed(cfg.master_seed, j, k) for j, k in job]
-    trains = [generate_segments(replace(points[j][1], seed=seed), spec.schedule.T)
-              for (j, _), seed in zip(job, seeds)]
-    results = propagate_lab_batch(spec, trains, cfg.policy)
+    segments = generate_segments([replace(points[j][1], seed=seed)
+                                  for (j, _), seed in zip(job, seeds)], spec.schedule.T)
+    results = propagate_lab_batch(spec, segments, cfg.policy)
+    measured = [None] * len(job)
+    if cfg.control.kind is not ControlKind.NO_CONTROL:
+        measured = mean_control(segments)
     dark = dark_states(spec, 0.0)[-1]
     records = []
-    for (j, k), seed, segments, result in zip(job, seeds, trains, results):
+    for (j, k), seed, result, mean in zip(job, seeds, results, measured):
         hol = evaluate_holonomy(result.U, dark, gamma_ideal)
-        measured = None
-        if cfg.control.kind is not ControlKind.NO_CONTROL:
-            measured = mean_control(segments)
         records.append(RealizationRecord(
             grid_index=j, realization_index=k, x=cfg.grid[j], seed=seed,
             gamma_measured=hol.gamma_measured, overlap_abs=hol.overlap_abs, f=hol.f,
             steps=result.steps_taken, unitarity_defect=result.unitarity_defect,
-            mean_control_measured=measured))
+            mean_control_measured=mean))
     return records
 
 
@@ -259,23 +263,24 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
     the exact factor I - 2H^2, which is exp(-i*pi*H) and exp(+i*pi*H) alike
     on the integer spectrum, so the two trains are one row of one batch and
     max_unitary_diff is 0 by construction; the selftest checks the factor
-    against eigh at both signs.  The kick times are seeded by master_seed.
+    against eigh at both signs.  The kick times are seeded by master_seed
+    and laid out once: the two trains are one job, a row of signs each.
     """
     if cfg.experiment != "kick-equivalence":
         raise ValueError(f"kick comparison requires a delta-kick train, got a "
                          f"{cfg.experiment} config")
     spec, train = EXPERIMENTS[cfg.experiment][2](cfg, cfg.grid[0])
-    positive, alternating = (
-        generate_segments(replace(train, kind=kind, seed=cfg.master_seed), spec.schedule.T)
-        for kind in KICK_KINDS)
-    res_pos, res_alt = propagate_lab_batch(spec, [positive, alternating], cfg.policy)
+    segments = generate_segments([replace(train, kind=kind, seed=cfg.master_seed)
+                                  for kind in KICK_KINDS], spec.schedule.T)
+    res_pos, res_alt = propagate_lab_batch(spec, segments, cfg.policy)
+    area_pos, area_alt = net_area(segments)
     dark = dark_states(spec, 0.0)[-1]
     gamma_ideal = berry_closed_form(spec.schedule.a)
     return KickEquivalenceReport(
-        kick_count=len(positive.kick_times),
+        kick_count=len(segments.kick_times),
         max_unitary_diff=float(np.max(np.abs(res_pos.U - res_alt.U))),
-        net_area_positive=net_area(positive),
-        net_area_alternating=net_area(alternating),
+        net_area_positive=area_pos,
+        net_area_alternating=area_alt,
         f_positive=evaluate_holonomy(res_pos.U, dark, gamma_ideal).f,
         f_alternating=evaluate_holonomy(res_alt.U, dark, gamma_ideal).f,
         steps=res_pos.steps_taken + res_alt.steps_taken,

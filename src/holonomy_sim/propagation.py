@@ -4,7 +4,8 @@ Stepping is midpoint-sampled piecewise-constant exponentiation: each step
 applies exp(-i * [1 + c(t_mid)] * H(t_mid) * dt).  Step boundaries always
 coincide with control-segment boundaries (square pulses are represented
 without smearing) and with kick instants.  A train is one control.Segments,
-kicks included; its delta kicks are applied as the exact factors
+kicks included, and so is a job of trains on one layout, whose values are
+a (rows, n) matrix; its delta kicks are applied as the exact factors
 exp(-+i * pi * H(tau)) = I - 2 H(tau)^2 (control.KICK_AREA = pi), never
 resolved in time.  The two signs give the same factor on the spectrum
 {-1, 0, 1}, so a kick's sign is not read here: it enters only the areas
@@ -39,8 +40,9 @@ is reduced once per distinct value the batch's trains hold on it: the off
 segments of a positive square train are 0 in every realization, and
 trains with equal values throughout (the J = 0 realizations of a sweep, or
 one kick layout under two sign patterns) are one row.  A one-segment train
-(no control, delta kicks) keeps the whole stack's tree.  The product is
-embedded into spec.dim at the end.
+(no control, delta kicks) keeps the whole stack's tree.  The distinct
+products are embedded into spec.dim at the end, and their unitarity
+defects taken, as one stack.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -152,7 +154,7 @@ def _bounds(segments: Segments, policy: StepPolicy):
         offsets[huge] = lengths[seg] * ((huge - first[seg] + 1) / counts[seg])
     offsets += np.repeat(starts, counts)
     bounds[-1] = span
-    kick_times = np.fromiter(segments.kick_times, float, len(segments.kick_times))
+    kick_times = segments.kick_times
     if len(kick_times):
         # one sort, dropping exact duplicates (a kick on a step bound) as np.unique does
         bounds = np.concatenate((bounds, kick_times))
@@ -378,46 +380,48 @@ def _shared_values(values: np.ndarray):
     return share
 
 
-def propagate_lab_batch(spec: GateSpec, trains, policy: StepPolicy | None = None) -> list:
-    """Lab-frame evolution of the gate generator under several control trains.
+def propagate_lab_batch(spec: GateSpec, segments: Segments,
+                        policy: StepPolicy | None = None) -> list:
+    """Lab-frame evolution of the gate generator under a job of control trains.
 
-    trains is a sequence of Segments with equal edges and equal kick
-    instants -- the realizations of a sweep job differ only in their random
-    amplitudes and in J.  The step grid is built once for all of them, and
-    each distinct tuple of segment values adds one row of step exponents
-    (1 + c) * dt: trains with equal values share a row.  The product is
-    segment first (see the module docstring): on each segment, rows that
-    hold one value share its exponentials and its node (see
-    _shared_values).  Kick i contributes the factor exp(-i * pi * H(t_i)) =
-    I - 2 H(t_i)^2, exactly and whatever its sign (see matexp_lambda_stack),
-    right before the step that starts at its instant; the signs enter only
-    the areas of control.  Returns one PropagationResult per train, in
-    order; each is bit-identical to propagating that train alone.
+    segments is one layout -- segment edges and kick instants -- with a
+    (rows, n) matrix of segment values, one row per train (the realizations
+    of a sweep job differ only in their random amplitudes and in J), or one
+    train's (n,) values.  The step grid is built once for all of them, and
+    each distinct row of values adds one row of step exponents (1 + c) * dt:
+    trains with equal values share a row.  The product is segment first
+    (see the module docstring): on each segment, rows that hold one value
+    share its exponentials and its node (see _shared_values).  Kick i
+    contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2, exactly
+    and whatever its sign (see matexp_lambda_stack), right before the step
+    that starts at its instant; the signs enter only the areas of control.
+    The distinct products are embedded into spec.dim and their unitarity
+    defects taken as one stack.  Returns one PropagationResult per train,
+    in order; each is bit-identical to propagating that train alone.
     """
     policy = policy or StepPolicy()
-    trains = list(trains)
-    if not trains:
-        raise ValueError("need at least one train")
-    first = trains[0]
-    if any(t.edges != first.edges or t.kick_times != first.kick_times for t in trains[1:]):
-        raise ValueError("trains of one batch must share their segment edges and kick times")
+    values = segments.values.reshape(-1, len(segments))
+    # rows compare as numbers: -0.0 + 0.0 is 0.0, and no value is NaN
     rows = {}
-    index = [rows.setdefault(t.values, len(rows)) for t in trains]
-    ts, taus, kicks, counts, steps = _factors(first, list(rows), policy)
+    index = [rows.setdefault(row.tobytes(), len(rows)) for row in values + 0.0]
+    distinct = values[[index.index(r) for r in range(len(rows))]]
+    ts, taus, kicks, counts, steps = _factors(segments, distinct, policy)
     levels, products = _chunked_product(spec, ts, taus, kicks, counts,
-                                        _shared_values(np.array(list(rows))))
-    results = []
-    for row in index:
-        u = np.eye(spec.dim, dtype=complex)
-        u[np.ix_(levels, levels)] = products[row]
-        results.append(PropagationResult(u, steps, unitarity_defect(u)))
-    return results
+                                        _shared_values(distinct))
+    us = np.tile(np.eye(spec.dim, dtype=complex), (len(products), 1, 1))
+    levels = np.array(levels)
+    us[:, levels[:, None], levels] = products
+    defects = unitarity_defect(us).tolist()
+    return [PropagationResult(u, steps, defects[row]) for u, row in zip(us[index], index)]
 
 
 def propagate_lab(spec: GateSpec, segments: Segments,
                   policy: StepPolicy | None = None) -> PropagationResult:
     """Lab-frame evolution under one control train: a batch of one."""
-    return propagate_lab_batch(spec, [segments], policy)[0]
+    if segments.values.ndim != 1:
+        raise ValueError("propagate_lab takes one train; propagate a job with "
+                         "propagate_lab_batch")
+    return propagate_lab_batch(spec, segments, policy)[0]
 
 
 def adiabatic_hamiltonian(s: Schedule, t, C) -> np.ndarray:
@@ -455,8 +459,10 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
     the lab-frame <D1(0)|U(T)|D1(0)> (dark states carry no dynamical
     phase), which is what the frame-equivalence checks compare.
     """
-    if segments.kick_times:
+    if len(segments.kick_times):
         raise ValueError("the adiabatic frame takes no delta kicks")
+    if segments.values.ndim != 1:
+        raise ValueError("the adiabatic frame takes one train")
     policy = policy or StepPolicy()
     bounds, _ = _bounds(segments, policy)
     mids, widths = _midpoints(bounds), np.diff(bounds)

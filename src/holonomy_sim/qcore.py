@@ -67,10 +67,12 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U^dagger U - I."""
-    d = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+def unitarity_defect(u: np.ndarray):
+    """Max-norm of U^dagger U - I: a float for one matrix, an array of one per
+    matrix for a (..., d, d) stack."""
+    defect = np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])),
+                    axis=(-2, -1))
+    return float(defect) if u.ndim == 2 else defect
 
 
 def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ def test_positive_square_without_randomness():
 def test_zero_energy_alternating_without_randomness():
     train = PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=10.0, dt=0.1, p=0.0)
     segs = generate_segments(train, 0.4)
-    assert segs.values == (10.0, -10.0, 10.0, -10.0)
+    assert segs.values.tolist() == [10.0, -10.0, 10.0, -10.0]
 
 
 def test_generation_is_deterministic():
@@ -93,7 +93,7 @@ class TestIntegralC:
 
     def test_kick_counts_from_its_instant(self):
         segs = generate_segments(PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.25), 1.0)
-        assert segs.kick_times == (0.25, 0.5, 0.75)
+        assert segs.kick_times.tolist() == [0.25, 0.5, 0.75]
         before = np.nextafter(0.5, 0.0)
         assert integral_C(segs, before) == before + math.pi
         assert integral_C(segs, 0.5) == 0.5 + 2 * math.pi
@@ -160,10 +160,10 @@ def kick_train(kind, T, interval, seed=0, jitter=0.0):
 class TestMakeKicks:
     def test_zero_jitter_grid(self):
         segs = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
-        assert segs.edges == (0.0, 1.0) and segs.values == (0.0,)
+        assert segs.edges.tolist() == [0.0, 1.0] and segs.values.tolist() == [0.0]
         assert len(segs.kick_times) == 9
         np.testing.assert_allclose(segs.kick_times, [0.1 * i for i in range(1, 10)])
-        assert segs.kick_signs == tuple([1] * 9)
+        assert segs.kick_signs.tolist() == [1] * 9
 
     def test_alternating_sign_sum(self):
         for interval in (0.1, 0.07, 0.21):
@@ -289,13 +289,12 @@ def test_make_kicks_matches_loop_reference_bit_for_bit(kind, T, interval, jitter
     segs = kick_train(kind, T, interval, seed=4, jitter=jitter)
     times, signs = loop_kicks(kind, T, interval, 4, jitter)
     assert bits(segs.kick_times) == bits(times)
-    assert segs.kick_signs == tuple(signs)
+    assert segs.kick_signs.tolist() == signs
 
 
 TILE = ((0.0, 1.0), (0.0,))
 
-
-@pytest.mark.parametrize("fields, message", [
+REJECTIONS = [
     (((0.0, 1.0), ()), "edges for n >= 1 values"),
     (((0.0,), ()), "edges for n >= 1 values"),
     (((0.0, 1.0), (1.0, 2.0)), "edges for n >= 1 values"),
@@ -320,10 +319,49 @@ TILE = ((0.0, 1.0), (0.0,))
     ((*TILE, (0.1, math.nan), (1, -1)), "kick times must be finite"),
     ((*TILE, (0.1, math.inf), (1, -1)), "kick times must be finite"),
     ((*TILE, (-math.inf, 0.1), (1, -1)), "kick times must be finite"),
-])
+]
+
+
+@pytest.mark.parametrize("fields, message", REJECTIONS)
 def test_segments_reject_bad_tilings(fields, message):
     with pytest.raises(ValueError, match=message):
         Segments(*fields)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("fields, message", REJECTIONS)
+def test_a_job_layout_rejects_every_bad_tiling_with_the_message_of_one_train(fields, message,
+                                                                             rows):
+    # the value and sign matrices of a job repeat the one train's row
+    with pytest.raises(ValueError, match=message) as one:
+        Segments(*fields)
+    edges, values, *kicks = fields
+    if kicks:
+        kicks = [kicks[0], [kicks[1]] * rows]
+    with pytest.raises(ValueError) as job:
+        Segments(edges, [values] * rows, *kicks)
+    assert str(job.value) == str(one.value)
+
+
+def test_a_job_draws_each_row_as_its_train_alone():
+    square = PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05, p=0.5, seed=1)
+    trains = [square, PulseTrain(ControlKind.POSITIVE_SQUARE, dt=0.05, seed=1),
+              PulseTrain(ControlKind.POSITIVE_SQUARE, J=80.0, dt=0.05, p=2.0, seed=7),
+              PulseTrain(ControlKind.ZERO_ENERGY_ALTERNATING, J=9.0, dt=0.05, p=1.0, seed=1)]
+    kicks = [PulseTrain(kind, dt=0.07, p=0.8, seed=5) for kind in KICK_KINDS]
+    for batch, T in ((trains, 0.93), (kicks, 1.0)):
+        job = generate_segments(batch, T)
+        assert job.values.shape == (len(batch), len(job))
+        assert job.kick_signs.shape == (len(batch), len(job.kick_times))
+        for row, signs, mean, train in zip(job.values, job.kick_signs, mean_control(job), batch):
+            alone = generate_segments(train, T)
+            assert bits(job.edges) == bits(alone.edges)
+            assert bits(job.kick_times) == bits(alone.kick_times)
+            assert bits(row) == bits(alone.values)
+            assert signs.tolist() == alone.kick_signs.tolist()
+            assert bits(mean) == bits(mean_control(alone))
+    assert generate_segments([square], 0.93) == Segments(
+        generate_segments(square, 0.93).edges, [generate_segments(square, 0.93).values])
 
 
 @pytest.mark.parametrize("build", [
@@ -344,16 +382,39 @@ def test_run_size_cap_rejects_before_allocating(build):
     assert peak < 1 << 20
 
 
-def test_segments_store_float_tuples():
+def test_segments_store_read_only_arrays():
     segs = Segments(np.array([0, 1, 3]), [2, -1])
-    assert segs.edges == (0.0, 1.0, 3.0) and segs.values == (2.0, -1.0)
+    assert segs.edges.tolist() == [0.0, 1.0, 3.0] and segs.values.tolist() == [2.0, -1.0]
+    assert segs.edges.dtype == segs.values.dtype == float
     assert segs == Segments((0.0, 1.0, 3.0), (2.0, -1.0))
-    assert hash(segs) == hash(Segments((0.0, 1.0, 3.0), (2.0, -1.0)))
-    assert len(segs) == 2 and segs.span == 3.0
+    assert segs != Segments((0.0, 1.0, 3.0), (2.0, 1.0))
+    assert segs != Segments((0.0, 1.0, 3.0), [(2.0, -1.0)])  # a job of one row
+    assert len(segs) == 2 and segs.span == 3.0 and type(segs.span) is float
     kicked = Segments(segs.edges, segs.values, np.array([0.5, 2]), np.array([-1.0, 1.0]))
-    assert kicked.kick_times == (0.5, 2.0) and kicked.kick_signs == (-1, 1)
-    assert all(type(s) is int for s in kicked.kick_signs)
-    assert hash(kicked) == hash(Segments((0.0, 1.0, 3.0), (2.0, -1.0), (0.5, 2.0), (-1, 1)))
+    assert kicked.kick_times.tolist() == [0.5, 2.0] and kicked.kick_signs.tolist() == [-1, 1]
+    assert kicked.kick_signs.dtype == int
+    assert kicked == Segments((0.0, 1.0, 3.0), (2.0, -1.0), (0.5, 2.0), (-1, 1))
+    for array in (kicked.edges, kicked.values, kicked.kick_times, kicked.kick_signs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the fields are the segments' own copies, and arrays are not hashable
+    edges = np.array([0.0, 1.0, 3.0])
+    owned = Segments(edges, (2.0, -1.0))
+    edges[0] = 5.0
+    assert owned.edges[0] == 0.0
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(segs)
+
+
+def test_a_job_carries_one_row_of_values_and_signs_per_train():
+    job = Segments((0.0, 1.0, 3.0), [(2.0, -1.0), (0.0, 4.0), (2.0, -1.0)])
+    assert job.values.shape == (3, 2) and job.kick_signs.shape == (3, 0) and len(job) == 2
+    kicked = Segments((0.0, 1.0), [(0.0,), (0.0,)], (0.25, 0.5), [(1, 1), (1, -1)])
+    assert kicked.kick_signs.tolist() == [[1, 1], [1, -1]]
+    assert net_area(kicked) == [2 * math.pi, 0.0]
+    assert mean_control(job) == [(2.0 - 2.0) / 3, 8.0 / 3, 0.0]
+    assert integral_C(kicked, 0.5) == [0.5 + 2 * math.pi, 0.5]
+    assert integral_C(job, 2.0) == [3.0 + 0.0, 1.0 + 5.0, 3.0 + 0.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,8 +428,8 @@ def test_any_edges_and_values_give_segments_or_value_error(edges, values, times,
         return
     assert len(segs.edges) == len(segs) + 1 and segs.edges[0] == 0.0
     assert all(a < b for a, b in zip(segs.edges, segs.edges[1:]))
-    assert all(map(math.isfinite, segs.edges + segs.values))
-    kicks = (0.0,) + segs.kick_times + (segs.span,)
+    assert all(map(math.isfinite, segs.edges.tolist() + segs.values.tolist()))
+    kicks = [0.0] + segs.kick_times.tolist() + [segs.span]
     assert all(a < b for a, b in zip(kicks, kicks[1:]))
     assert len(segs.kick_signs) == len(segs.kick_times)
-    assert all(s in (-1, 1) and type(s) is int for s in segs.kick_signs)
+    assert all(s in (-1, 1) and type(s) is int for s in segs.kick_signs.tolist())

@@ -41,6 +41,14 @@ def with_signs(train, signs):
     return replace(train, kick_signs=tuple(signs))
 
 
+def job(trains):
+    """The trains, which share their layout, as one Segments: their values
+    and kick signs as the rows of its matrices."""
+    first = trains[0]
+    return Segments(first.edges, [t.values for t in trains], first.kick_times,
+                    [t.kick_signs for t in trains])
+
+
 def loop_bounds(segments, policy):
     """Step boundaries built one edge at a time, as a reference for _bounds."""
     span = segments.span
@@ -244,7 +252,7 @@ def shared_grid_batches(T):
                          ids=lambda spec: spec.kind.value)
 def test_batch_is_bit_identical_to_one_run_per_train(spec):
     for batch in shared_grid_batches(1.0):
-        results = propagate_lab_batch(spec, batch)
+        results = propagate_lab_batch(spec, job(batch))
         assert len(results) == len(batch)
         for train, result in zip(batch, results):
             alone = propagate_lab(spec, train)
@@ -254,17 +262,19 @@ def test_batch_is_bit_identical_to_one_run_per_train(spec):
 
 
 def test_batch_rejects_trains_on_different_grids():
-    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
-    a = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05), 1.0)
-    b = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.04), 1.0)
-    kicks = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.1)
-    shifted = replace(kicks, kick_times=tuple(t + 1e-3 for t in kicks.kick_times))
-    none = generate_segments(NO_CONTROL, 1.0)
-    for batch in ([a, b], [kicks, shifted], [kicks, none]):
+    # a job's layout is built once, from its first train
+    a = PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.05)
+    b = PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.04)
+    kicks = PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.1, p=0.5, seed=1)
+    for batch in ([a, b], [kicks, replace(kicks, seed=2)], [kicks, NO_CONTROL],
+                  [a, replace(kicks, kind=ControlKind.DELTA_KICK_ALTERNATING, dt=0.05)]):
         with pytest.raises(ValueError, match="share their segment edges and kick times"):
-            propagate_lab_batch(spec, batch)
+            generate_segments(batch, 1.0)
     with pytest.raises(ValueError, match="at least one"):
-        propagate_lab_batch(spec, [])
+        generate_segments([], 1.0)
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    with pytest.raises(ValueError, match="propagate_lab takes one train"):
+        propagate_lab(spec, generate_segments([a, replace(a, seed=3)], 1.0))
 
 
 def test_trains_with_equal_values_share_one_row(monkeypatch):
@@ -274,9 +284,11 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
         return generate_segments(
             PulseTrain(ControlKind.POSITIVE_SQUARE, J=J, dt=0.05, p=1.0, seed=seed), 1.0)
 
-    # at J = 0 every seed gives the same all-zero values
+    # at J = 0 every seed gives the same all-zero values, and -0.0 is 0.0
+    zero = train(0.0, 3)
     batch = [train(0.0, 1), train(40.0, 1), train(0.0, 2), train(40.0, 1), train(40.0, 2),
-             train(0.0, 3)]
+             zero, replace(zero, values=-zero.values)]
+    assert np.signbit(batch[-1].values).all()
     rows = []
     chunked = propagation._chunked_product
 
@@ -285,13 +297,13 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
         return chunked(spec, ts, taus, *args)
 
     monkeypatch.setattr(propagation, "_chunked_product", spy)
-    results = propagate_lab_batch(spec, batch)
+    results = propagate_lab_batch(spec, job(batch))
     assert rows == [3]
     for segments, result in zip(batch, results):
         alone = propagate_lab(spec, segments)
         assert np.array_equal(result.U, alone.U)
         assert result.unitarity_defect == alone.unitarity_defect
-    assert results[0].U is not results[2].U
+    assert not np.shares_memory(results[0].U, results[2].U)
 
 
 # 1 to 1024 factors of a 3-row batch are one piece; 1025 and 3077 are pieces
@@ -505,7 +517,7 @@ def reference_product(spec, train, policy):
 @pytest.mark.parametrize("case", range(4))
 def test_shared_segments_are_bit_identical_to_each_train_alone(case):
     spec, trains, policy = shared_segment_batches()[case]
-    results = propagate_lab_batch(spec, trains, policy)
+    results = propagate_lab_batch(spec, job(trains), policy)
     for train, result in zip(trains, results):
         alone = propagate_lab(spec, train, policy).U
         assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
@@ -517,7 +529,7 @@ def test_shared_segments_are_bit_identical_to_each_train_alone(case):
 @pytest.mark.parametrize("case", range(4))
 def test_shared_segments_agree_with_the_whole_stack_tree(case):
     spec, trains, policy = shared_segment_batches()[case]
-    for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
+    for train, result in zip(trains, propagate_lab_batch(spec, job(trains), policy)):
         ts, taus, kicks, _ = inserted_factors(train, [train.values], policy)
         levels, x, y = gate_generators(spec, ts)
         whole = ordered_product(matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
@@ -544,7 +556,7 @@ def test_each_segment_is_exponentiated_once_per_distinct_value(case, monkeypatch
     ts, _, _, counts, _ = _factors(trains[0], [trains[0].values], policy)
     distinct = [len(set(values)) for values in zip(*(t.values for t in trains))]
     counted = counted_exponentials(monkeypatch)
-    propagate_lab_batch(spec, trains, policy)
+    propagate_lab_batch(spec, job(trains), policy)
     assert sum(counted) == sum(k * m for k, m in zip(distinct, counts))
     # fewer than a row each exactly where some segment has fewer values than trains
     assert (sum(counted) < len(trains) * len(ts)) == (min(distinct) < len(trains))
@@ -569,7 +581,7 @@ def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkey
     trains = [Segments(edges, (v, 2.0), kick, (1,)), Segments(edges, (w, 2.0), kick, (-1,))]
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     counted = counted_exponentials(monkeypatch)
-    results = propagate_lab_batch(spec, trains, policy)
+    results = propagate_lab_batch(spec, job(trains), policy)
     assert sum(counted) == 2 * counts[0] + counts[1]
     monkeypatch.undo()
     for train, result in zip(trains, results):
@@ -592,7 +604,7 @@ def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
     seg, place, counts = kick_places(trains[0], policy)
     assert counts[2] > 2 * _piece(2)
     assert place[seg == 2].min() < _piece(2) < place[seg == 2].max()
-    for train, result in zip(trains, propagate_lab_batch(spec, trains, policy)):
+    for train, result in zip(trains, propagate_lab_batch(spec, job(trains), policy)):
         alone = propagate_lab(spec, train, policy).U
         assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
         levels, reference = reference_product(spec, train, policy)
@@ -842,7 +854,8 @@ class TestKicks:
         spec = GateSpec(kind, Schedule(A_REF, 1.0))
         pos = kick_train(ControlKind.DELTA_KICK_POSITIVE, 1.0, 0.03, seed=5, jitter=0.6)
         alt = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 0.03, seed=5, jitter=0.6)
-        assert pos.kick_times == alt.kick_times and pos.kick_signs != alt.kick_signs
+        assert np.array_equal(pos.kick_times, alt.kick_times)
+        assert not np.array_equal(pos.kick_signs, alt.kick_signs)
         u_pos, u_alt = propagate_lab(spec, pos).U, propagate_lab(spec, alt).U
         assert np.array_equal(u_pos.view(np.uint64), u_alt.view(np.uint64))
 

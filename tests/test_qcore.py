@@ -221,6 +221,19 @@ def test_lambda_stack_matches_eigh_in_every_out_layout(batch, rng):
                                        atol=1e-13, err_msg=name)
 
 
+@pytest.mark.parametrize("d", [4, 16])
+def test_unitarity_defect_of_a_stack_has_the_bits_of_each_matrix(d, rng):
+    hs = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
+    us = matexp_hermitian_stack(hs + np.swapaxes(hs, -1, -2).conj(), rng.uniform(-3, 3, 40))
+    us[::3] *= 1.0 + 1e-9  # defects of several sizes
+    defects = unitarity_defect(us)
+    assert defects.shape == (40,)
+    for u, defect in zip(us, defects.tolist()):
+        alone = unitarity_defect(u)
+        assert type(alone) is float and alone == defect
+        assert alone == float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+
+
 def test_hermiticity_defect():
     assert hermiticity_defect(SX) == 0.0
     assert hermiticity_defect(np.array([[0, 1], [0, 0]], dtype=complex)) == 1.0
