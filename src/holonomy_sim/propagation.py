@@ -17,32 +17,26 @@ realizations of a sweep job, see experiments): one step grid, the lambda
 couplings (x, y) of the generator at all midpoints and kick instants, the
 exponentials of their 3x3 blocks in the closed form that H^3 = H allows
 (no eigendecomposition), and a pairwise time-ordered product, all as
-whole-array numpy calls.  The exponentials stay in qcore's plane memory
-(entry (i, j) of every factor one contiguous array) up to the product, so
-each product level is three whole-plane multiply-adds, not one small
-matmul per factor.  Kick factors sit in the same stack as the steps, in
-time order.  The factor instants and exponents are laid out in one pass
-into the arrays the product reads (see _factors): the step bounds are
-built in place, the kick instants merged in by one sort, and every kick
-instant doubled, so that the midpoints and widths of that one array are
-the instants and widths of all factors, a kick spanning no time.  One
-search per segment start splits the instants into segments, and (1 + c)
-* dt is the segment values repeated over them and multiplied by the widths
-in place; without kicks nothing is copied.
+whole-array numpy calls on qcore's planes.  Kick factors sit among the
+steps, in time order.  _factors lays out the factor instants and exponents
+in one pass: every kick instant is merged into the step bounds twice, so
+the midpoints and widths of that one array are those of all factors (a
+kick spans no time), and (1 + c) * dt is each segment's value repeated
+over its factors and multiplied by the widths in place.
 
 The product is segment first: each control segment's factors (its steps
 and the kicks inside it) are reduced by the pairwise tree to one node, and
-each train's segment nodes by the pairwise tree in time order, in calls of
-bounded size (see _chunked_product).  This association depends only on the
-segment edges and kick instants, which every train of a batch shares, so
-each train's U is bit-identical to its propagation alone, while a segment
-is reduced once per distinct value the batch's trains hold on it: the off
-segments of a positive square train are 0 in every realization, and
-trains with equal values throughout (the J = 0 realizations of a sweep, or
-one kick layout under two sign patterns) are one row.  A one-segment train
-(no control, delta kicks) keeps the whole stack's tree.  The distinct
-products are embedded into spec.dim at the end, and their unitarity
-defects taken, as one stack.
+each train's segment nodes by the pairwise tree in time order (see
+_chunked_product).  This association depends only on the segment edges
+and kick instants, which every train of a batch shares, so each train's U
+is bit-identical to its propagation alone, while a segment is reduced once
+per distinct value the batch's trains hold on it: the off segments of a
+positive square train are 0 in every realization, and trains with equal
+values throughout (the J = 0 realizations of a sweep, or one kick layout
+under two sign patterns) are one row.  A one-segment train (no control,
+delta kicks) keeps the whole stack's tree.  Every tree holds its factors
+or nodes in qcore's tree order, one contiguous multiply a level.  The
+distinct products are embedded into spec.dim as one stack.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -59,8 +53,8 @@ import numpy as np
 
 from .control import KICK_AREA, MAX_STEPS, Segments
 from .hamiltonians import GateSpec, Schedule, gate_generators
-from .qcore import (_matrices, _planes, matexp_hermitian_stack, matexp_lambda_stack, ordered_product,
-                    unitarity_defect)
+from .qcore import (_closed_form, _planes, matexp_hermitian_stack, ordered_product, tree_order,
+                    tree_product, unitarity_defect)
 
 # Auto step refinement: about this many steps per drive period when the
 # policy does not pin max_step.  Calibrated so that halving the step at
@@ -69,16 +63,12 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 
 MIN_SUBSTEPS = 20
 
-# The share of the product one call exponentiates and reduces: at most
-# BLOCK entries (rows times factors) and WIDTH factors a row, and at most
-# WIDTH entries above ROWS rows.  Measured in-process on 2 cores: the
-# 10-row jobs of the dt sweep run slowest above and below about 10,000
-# entries, and the 29-row mean-control batch runs as fast at 4096 as at
-# 10,240 entries, while its workspace (about 290 bytes an entry) sets its
-# memory peak.
+# One call of the product takes at most BLOCK entries (rows times factors)
+# and WIDTH factors a row.  On 2 cores, 10-row dt jobs ran fastest at about
+# 10,000 entries; in tree order 29 rows run 15-20% faster at 10,240 than at
+# 4096, one row 20% slower.  288 workspace bytes an entry set the peak.
 BLOCK = 10240
 WIDTH = 4096
-ROWS = 16
 
 # The segment nodes held before they are reduced: an aligned group of the
 # largest power of two of segments with at most NODES nodes (rows times
@@ -240,7 +230,7 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
 
 def _budget(m: int) -> int:
     """The most entries (rows times factors) one call of _chunked_product takes for m rows."""
-    return min(BLOCK, WIDTH * m) if m <= ROWS else WIDTH
+    return min(BLOCK, WIDTH * m)
 
 
 def _piece(m: int) -> int:
@@ -259,7 +249,7 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
     matexp_lambda_stack), none by default.  Returns (levels, (R, d, d)
     products), one per row of taus.
 
-    Each segment is reduced by ordered_product once for each of its k_s
+    Each segment is reduced by tree_product once for each of its k_s
     distinct rows, and each row's segment nodes in time order, in aligned
     groups of a power of two of segments (about NODES nodes) whose nodes
     are those of the tree over the segments.  A segment is cut from its
@@ -267,11 +257,12 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
     in full, each is a node of the segment's tree, and a segment's piece
     nodes reduce to its own node with its bits.  The pieces of a group of
     one length and one k_s run together, in calls of at most _budget(k_s)
-    entries or alone if full; a call of consecutive pieces whose rows all
-    differ reads its exponents and writes its nodes in place.  The calls
-    share one workspace, grown to the largest: the exponentials and a spare
-    buffer for the couplings (x as floats at its front, then y) and the
-    closed form's temporaries, then both for ordered_product's work.
+    entries or alone if full.  A call gathers its factors in tree_order
+    (factor, piece, row) and writes its nodes where the next tree reads
+    them: at the segment's place in its group, or the piece's in its
+    segment.  The calls share one workspace, grown to the largest: the
+    exponentials and a buffer for the couplings (x as floats, then y) and
+    the closed form's temporaries, then both for tree_product's work.
     """
     rows, n = taus.shape
     counts = np.array([n]) if counts is None else np.asarray(counts)
@@ -282,101 +273,99 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
     own = share == np.arange(rows)[:, None]
     k = own.sum(axis=0)
     sizes = np.array([0] + [_piece(m) for m in range(1, rows + 1)])
+    many = -(-counts // sizes[k])
     span = min(1 << (segments - 1).bit_length(), 1 << max(1, NODES // rows).bit_length() - 1)
     bases = np.arange(0, segments, span)
-    # the nodes of a group's pieces, as many as the most pieces of a group
-    nodes = np.empty((3, 3, rows, np.add.reduceat(-(-counts // sizes[k]), bases).max()), complex)
-    top = np.empty((3, 3, rows, len(bases)), dtype=complex)
-    # grown, not sized up front: each job of a sweep faults a fresh buffer
-    # in again (a one-segment runtime job ran 30% slower with twice the size)
-    exps, spare = (np.empty(9 * rows * span, dtype=complex) for _ in range(2))
+    # the nodes of a group, at their tree positions: one per segment, then
+    # the pieces of each segment of several
+    slots = np.add.reduceat(np.where(many > 1, many + 1, 1), bases).max()
+    nodes = np.empty((3, 3, slots, rows), dtype=complex)
+    top = np.empty((3, 3, len(bases), rows), dtype=complex)
+    # one allocation, grown as needed: glibc's malloc then keeps it on the heap
+    # from job to job (two halves were trimmed and faulted in by every job)
+    exps, spare = np.split(np.empty(18 * rows * span, dtype=complex), 2)
 
     def workspace(rows, factors):
         """The exponentials and the spare buffer: work for rows rows of factors."""
         nonlocal exps, spare
-        size = 9 * rows * (factors + factors % 2)
-        if len(exps) < size:
+        if len(exps) < 9 * rows * factors:
             exps = spare = None  # freed before the larger pair is allocated
-            exps, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+            exps, spare = np.split(np.empty(18 * rows * factors, dtype=complex), 2)
         return exps, spare
 
     is_kick = np.bincount(kicks, minlength=n) > 0 if len(kicks) else None
-
-    def reduce(m, width, segs, starts, out):
-        """Write to out, (m, c, 3, 3), the nodes of the pieces of width factors of
-        segments segs that start at factors starts; return the product's levels."""
-        c, w = len(segs), len(segs) * width
-        cols = (slice(starts[0], starts[0] + w) if starts[-1] - starts[0] == w - width
-                else (starts[:, None] + np.arange(width)).ravel())  # unless consecutive
-        exps, spare = workspace(m * c, width)
-        half = (w + 1) // 2
-        levels, x, y = gate_generators(spec, ts[cols],
-                                       out=(spare[:half].view(float)[:w], spare[half:half + w]))
-        if m == rows:
-            mine = taus[:, cols]
-        else:  # row j: the j-th row of each segment that shares no earlier row's
-            owner = np.nonzero(own[:, segs].T)[1].reshape(c, m).T
-            mine = taus[np.repeat(owner, width, axis=1), np.arange(n)[cols]]
-        pulses = None if is_kick is None else np.flatnonzero(is_kick[cols])
-        us = matexp_lambda_stack(x, y, mine, out=_matrices(exps[:9 * m * w].reshape(3, 3, m, w)),
-                                 work=spare[half + w:], pi_pulses=pulses)
-        ordered_product(us.reshape(m, c, width, 3, 3), out=out, work=(exps, spare))
-        return levels
-
-    for at, base in enumerate(bases):
-        end = min(base + span, segments)
-        many = -(-counts[base:end] // sizes[k[base:end]])
-        # the group's pieces in the order of their columns of nodes: segment,
-        # first factor, length, and each segment's first (views if one each)
-        if many.max() == 1:
-            seg, start, length = np.arange(base, end), firsts[base:end], counts[base:end]
-            heads = slice(0, end - base)
-        else:
-            seg = np.repeat(np.arange(base, end), many)
-            heads = np.cumsum(many) - many
-            start = (np.arange(len(seg)) - heads.repeat(many)) * sizes[k[seg]]
-            length = np.minimum(sizes[k[seg]], counts[seg] - start)
-            start += firsts[seg]
-        if (length == length[0]).all() and (k[seg] == k[seg[0]]).all():
-            classes = [np.arange(len(seg))]
-        else:
-            keys = length * (rows + 1) + k[seg]
-            classes = [np.flatnonzero(keys == cls) for cls in sorted(set(keys.tolist()))]
+    # group at of the top tree holds the segments from base on
+    for at, base in enumerate(bases[tree_order(len(bases))]):
+        segs = base + tree_order(min(span, segments - base))
+        several = np.flatnonzero(many[segs] > 1)
+        # the group's pieces at their nodes: segment and index in it, those of
+        # a segment of several after all, where it holds their reduced node
+        seg = np.concatenate([segs] + [np.full(many[segs[j]], segs[j]) for j in several])
+        index = np.concatenate([np.zeros(len(segs), dtype=int)]
+                               + [tree_order(many[segs[j]]) for j in several])
+        size, first = sizes[k[seg]], firsts[seg]
+        start = first + index * size
+        length = np.minimum(size, first + counts[seg] - start)
+        length[several] = 0
+        keys = length * (rows + 1) + k[seg]
+        classes = ([np.arange(len(seg))] if (keys == keys[0]).all() else
+                   [np.flatnonzero(keys == cls) for cls in sorted(set(keys[length > 0].tolist()))])
         for pieces in classes:
             m, width = int(k[seg[pieces[0]]]), int(length[pieces[0]])
             per = 1 if width == sizes[m] else _budget(m) // (m * width)
             per = -(-len(pieces) // -(-len(pieces) // per))  # nearly equal calls
             for i in range(0, len(pieces), per):
                 part = pieces[i:i + per]
-                direct = m == rows and part[-1] - part[0] == len(part) - 1
-                out = (_matrices(nodes[..., part[0]:part[-1] + 1]) if direct
-                       else _matrices(np.empty((3, 3, m, len(part)), dtype=complex)))
-                levels = reduce(m, width, seg[part], start[part], out)
+                c, w = len(part), len(part) * width
+                cols = (tree_order(width)[:, None] + start[part]).ravel()
+                exps, spare = workspace(m * c, width)
+                half = (w + 1) // 2
+                levels, x, y = gate_generators(
+                    spec, ts[cols], out=(spare[:half].view(float)[:w], spare[half:half + w]))
+                if m == rows:
+                    mine = taus.T[cols]
+                else:  # row j: the j-th row of each segment that shares no earlier row's
+                    owner = np.nonzero(own[:, seg[part]].T)[1].reshape(c, m)
+                    mine = taus.T[cols.reshape(width, c, 1), owner].reshape(w, m)
+                _closed_form(x[:, None], y[:, None], mine, exps[:9 * m * w].reshape(3, 3, w, m),
+                             spare[half + w:],
+                             None if is_kick is None else np.flatnonzero(is_kick[cols]))
+                del x, y  # views of the workspace, which a later call may grow
+                # straight into the nodes if they are consecutive and the rows all differ
+                direct = m == rows and part[-1] - part[0] == c - 1
+                out = (nodes[:, :, part[0]:part[-1] + 1] if direct
+                       else np.empty((3, 3, c, m), dtype=complex))
+                tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), out, (exps, spare))
                 if not direct:  # row r reads node rank[r, j] of the m of piece j
-                    j = np.arange(len(part))
+                    j = np.arange(c)
                     rank = (np.cumsum(own[:, seg[part]], axis=0) - 1)[share[:, seg[part]], j]
-                    nodes[..., part] = _planes(out)[:, :, rank, j]
-        for s in np.flatnonzero(many > 1):  # the piece nodes of a segment reduced to its own
-            nodes[..., heads[s]] = _planes(ordered_product(
-                _matrices(nodes[..., heads[s]:heads[s] + many[s]])))
-        ordered_product(_matrices(nodes[..., heads]), out=_matrices(top[..., at]),
-                        work=workspace(rows, end - base))
-    return levels, ordered_product(_matrices(top))
+                    nodes[:, :, part] = out[:, :, j[:, None], rank.T]
+        for j, end in zip(several, len(segs) + np.cumsum(many[segs[several]])):
+            # the piece nodes of a segment reduced to its own
+            tree_product(nodes[:, :, end - many[segs[j]]:end], nodes[:, :, j],
+                         workspace(rows, many[segs[j]]))
+        tree_product(nodes[:, :, :len(segs)], top[:, :, at], workspace(rows, len(segs)))
+    products = np.empty((rows, 3, 3), dtype=complex)
+    tree_product(top, _planes(products), workspace(rows, len(bases)))
+    return levels, products
 
 
 def _shared_values(values: np.ndarray):
     """For (rows, segments) values, the first row holding each row's value on each segment.
 
     Values are compared as numbers, so 0.0 and -0.0 are one value: both give
-    the exponents dt.  Returns None when no two rows hold one value on a
-    segment.
+    the exponents dt.  A stable sort of each column starts each run of one
+    value at its first row.  None when no two rows hold one value on a segment.
     """
     ranked = np.sort(values, axis=0)
-    if not (ranked[1:] == ranked[:-1]).any():
+    new = np.concatenate((np.ones((1, values.shape[1]), dtype=bool), ranked[1:] != ranked[:-1]))
+    if new.all():
         return None
-    share = np.empty(values.shape, dtype=int)
-    for r in range(len(values)):
-        share[r] = np.argmax(values[:r + 1] == values[r], axis=0)
+    order = np.argsort(values, axis=0, kind="stable")
+    # the sorted position of each run's start, carried down the run
+    runs = np.maximum.accumulate(np.where(new, np.arange(len(values))[:, None], 0), axis=0)
+    share = np.empty_like(order)
+    np.put_along_axis(share, order, np.take_along_axis(order, runs, axis=0), axis=0)
     return share
 
 

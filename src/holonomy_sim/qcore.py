@@ -7,27 +7,24 @@ generator, given by its two couplings x (real) and y (complex), has the
 spectrum {-1, 0, +1} and is exponentiated in exact closed form instead,
 Hermitian by construction.  Either way every propagation step is unitary
 up to rounding -- long runs take 1e5-1e6 steps and must not accumulate
-unitarity drift.  Time-ordered products of a step stack are reduced
-pairwise; both the closed form and the product carry leading batch axes,
-so several trains share one call.  The closed form takes the indices of
-pi pulses, whose exponential it makes exactly I - 2 H^2 for either sign.
+unitarity drift.  The closed form carries leading batch axes, so several
+trains share one call, and makes the exponential of a pi pulse exactly
+I - 2 H^2 for either sign.
 
-Stacks are multiplied as *planes*: an array of shape (d, d, ..., n) in
-which entry (i, j) of every matrix is one contiguous array.  A product of
-two such stacks is d whole-plane multiply-adds, which for the 3x3 lambda
+Stacks are multiplied as *planes*: an array of shape (d, d, ...) in which
+entry (i, j) of every matrix is one contiguous array.  A product of two
+such stacks is d whole-plane multiply-adds, which for the 3x3 lambda
 blocks and the 4x4 adiabatic frame costs less than np.matmul's fixed price
 per small matrix.  The public functions take and return the usual
-(..., n, d, d) layout as views of that memory.
-
-A caller that exponentiates and reduces many same-sized stacks (the
-pieces of one propagation) can hand in its own memory: the closed form,
-the product and the couplings of hamiltonians take an optional out= for
-their result, and the first two a work= for their temporaries, so a loop
-over pieces allocates no stack of its own.  Without them they allocate
-the same arrays and run the same code.
+(..., n, d, d) layout as views of that memory.  Time-ordered products are
+reduced pairwise from planes (d, d, n, ...) that hold the n factors in
+tree_order(n): every level pairs the two halves of one contiguous block,
+one _matmul for all products side by side.  A caller that lays out many
+stacks so (the pieces of a propagation) can hand over its own memory.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,12 +115,6 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     complex x, x and y not 1-d of one shape, non-finite couplings and a last
     axis of taus that is not n are rejected.
 
-    Each plane of h^2 is the one nonzero term of the dense sum over k of
-    h[i, k] h[k, j], in its operand order: numpy's complex multiply may
-    fuse, so conj(y) y and y conj(y) differ in the last bit of their
-    imaginary parts.  Adding I to every plane last turns each -0 into +0,
-    so the result has the bits of I + a h + b h^2 summed densely.
-
     out, if given, is the (..., n, 3, 3) result array, in any memory
     layout, and is returned; otherwise it is allocated as a view of planes
     (3, 3, ..., n) (see the module docstring).  work is a flat contiguous
@@ -146,32 +137,44 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("couplings x and y must be finite")
     taus = np.asarray(taus, dtype=float)
-    n = len(x)
     if taus.shape[-1:] != x.shape:
         raise ValueError(f"taus of shape {taus.shape} do not fit the couplings of shape "
                          f"{x.shape}: one exponent per coupling on the last axis")
-    size = taus.size
+    need = lambda_work_size(len(x), taus.size)
     if work is None:
-        work = np.empty(lambda_work_size(n, size), dtype=complex)
-    elif len(work) < lambda_work_size(n, size):
-        raise ValueError(f"work has {len(work)} entries, needs {lambda_work_size(n, size)}")
+        work = np.empty(need, dtype=complex)
+    elif len(work) < need:
+        raise ValueError(f"work has {len(work)} entries, needs {need}")
+    out = _matrices(np.empty((3, 3) + taus.shape, dtype=complex)) if out is None else out
+    _closed_form(x, y, taus, _planes(out), work, None if pi_pulses is None else (..., pi_pulses))
+    return out
+
+
+def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
+                 work: np.ndarray, pulses=None) -> np.ndarray:
+    """matexp_lambda_stack, unchecked, into planes p of shape (3, 3) + taus.shape,
+    for x and y of one shape that broadcasts against taus.
+
+    Each plane of h^2 is the one nonzero term of the dense sum over k of
+    h[i, k] h[k, j], in its operand order: numpy's complex multiply may
+    fuse, so conj(y) y and y conj(y) differ in the last bit of their
+    imaginary parts.  Adding I to every plane last turns each -0 into +0,
+    so the result has the bits of I + a h + b h^2 summed densely.
+    """
+    size, n = taus.size, x.size
     # work holds, in order: a; sin(taus), overwritten by b; conj(y); one
     # plane of h^2; x x
     a = work[:size].reshape(taus.shape)
     end = size + (size + 1) // 2
     b = work[size:end].view(float)[:size].reshape(taus.shape)
-    cy, sq = work[end:end + n], work[end + n:end + 2 * n]
-    xx = work[end + 2 * n:].view(float)[:n]
+    cy, sq = work[end:end + n].reshape(x.shape), work[end + n:end + 2 * n].reshape(x.shape)
+    xx = work[end + 2 * n:].view(float)[:n].reshape(x.shape)
     # a = -1j sin(taus) and b = -2 sin(taus / 2)^2, rounded as those expressions
     np.multiply(-1j, np.sin(taus, out=b), out=a)
-    if pi_pulses is not None:
-        a[..., pi_pulses] = 0.0
+    if pulses is not None:
+        a[pulses] = 0.0
     np.sin(np.multiply(0.5, taus, out=b), out=b)
     np.multiply(-2.0, np.square(b, out=b), out=b)
-    if out is None:
-        out = _matrices(np.empty((3, 3) + taus.shape, dtype=complex))
-    # each (n,) coupling broadcasts against the (..., n) planes of p
-    p = _planes(out)
     np.conjugate(y, out=cy)
     np.multiply(b, np.multiply(x, x, out=xx), out=p[0, 0])
     np.add(xx, np.multiply(cy, y, out=sq), out=sq)
@@ -180,69 +183,77 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     np.multiply(b, np.multiply(x, cy, out=sq), out=p[0, 2])
     np.multiply(b, np.multiply(x, y, out=sq), out=p[2, 0])
     np.multiply(a, x, out=p[0, 1])
-    p[1, 0] = p[0, 1]
     np.multiply(a, cy, out=p[1, 2])
     np.multiply(a, y, out=p[2, 1])
-    # adding I everywhere also turns every -0 into +0, as the dense sum did
-    p += np.eye(3).reshape((3, 3) + (1,) * taus.ndim)
+    # I is added plane by plane, as scalars, which also turns every -0 into
+    # +0, as the dense sum did; the add copies h[0, 1] into h[1, 0]
+    for i, j in np.ndindex(3, 3):
+        np.add(p[0, 1] if (i, j) == (1, 0) else p[i, j], float(i == j), out=p[i, j])
+    return p
+
+
+@functools.cache
+def tree_order(n: int) -> np.ndarray:
+    """Where tree_product holds n >= 1 factors: factor tree_order(n)[i] at i.
+
+    order(1) = [0], and order(n) is 2q for each q of order(ceil(n / 2))[:n // 2],
+    then 2q + 1 for the same q, then n - 1 if n is odd: the pairs of a level
+    sit n // 2 apart, their products in the order of the next level.  For a
+    power of two it is the FFT's bit-reversal order (Cooley & Tukey, Math.
+    Comp. 19, 1965).  Cached, so the array is read-only.
+    """
+    order = np.zeros(1, dtype=np.intp)
+    if n > 1:
+        evens = 2 * tree_order(n - n // 2)[:n // 2]
+        order = np.concatenate((evens, evens + 1, np.arange(n - n % 2, n)))
+    order.flags.writeable = False
+    return order
+
+
+def tree_product(p: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
+    """Time-ordered product of planes p (d, d, n, ...) holding the factors in
+    tree_order(n), into out, the (d, d, ...) planes of the result in any layout.
+
+    A level multiplies p[:, :, pairs + i] @ p[:, :, i] for all i < pairs =
+    n // 2 in one _matmul and carries an odd last factor over: the pairs and
+    multiply-adds, so the bits, of ordered_product.  work is two flat
+    contiguous complex arrays of at least p.size entries, for the levels and
+    their terms; only the first level reads p, so the first may be p's
+    memory.  Neither may overlap out.
+    """
+    d, n, lanes = p.shape[0], p.shape[2], p.shape[3:]
+    per_factor = d * d * math.prod(lanes)
+    here, there = work  # here holds the input of a level
+    if n == 1:
+        out[...] = p[:, :, 0]
+    while n > 1:  # the last pair straight into out
+        pairs, size = n // 2, n - n // 2
+        level = (out[:, :, None] if size == 1
+                 else there[:per_factor * size].reshape((d, d, size) + lanes))
+        term = there[per_factor * size:per_factor * n].reshape((d, d, pairs) + lanes)
+        _matmul(p[:, :, pairs:2 * pairs], p[:, :, :pairs], out=level[:, :, :pairs], term=term)
+        if n % 2:
+            level[:, :, pairs] = p[:, :, n - 1]
+        p, n, here, there = level, size, there, here
     return out
 
 
-def ordered_product(stack: np.ndarray, out: np.ndarray | None = None,
-                    work: tuple | None = None) -> np.ndarray:
+def ordered_product(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Time-ordered product stack[..., n-1, :, :] @ ... @ stack[..., 0, :, :].
 
     Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
-    multiplied (later @ earlier) by one _matmul per level, so n >= 1
-    factors take ceil(log2 n) levels; an odd last factor carries over to the
-    next level unchanged.  The matrices are reduced as planes, whatever the
-    memory layout of stack.  With several batch rows, a level of odd rows
-    runs on a copy padded with their last entries, so that its pairs span
-    whole rows (numpy runs rows cut short 1.3-1.6 times slower), and the
-    last few nodes of each row (two, or an odd number up to five) are
-    multiplied as views, the last product straight into out.
-
-    out, if given, is the (..., d, d) result array, in any memory layout,
-    and is returned.  work, if given, is two flat contiguous complex arrays
-    of at least n + n % 2 factors each (d * d entries per batch row) for
-    the levels, their _matmul terms and the padded copies; only the first
-    level reads stack, so the first may be the memory of stack itself.
-    Both are allocated when not given.
+    multiplied (later @ earlier) level by level, so n >= 1 factors take
+    ceil(log2 n) levels; an odd last factor carries over to the next level
+    unchanged.  The stack (any layout) is copied to planes in tree_order for
+    tree_product; out, if given, is the (..., d, d) result, in any layout.
     """
     p = _planes(stack)
     d, n, batch = p.shape[0], p.shape[-1], p.shape[2:-1]
     if n == 0:
         raise ValueError(f"ordered_product needs at least one factor, got shape {stack.shape}")
-    per_factor = d * d * math.prod(batch)
-    if out is None:
-        out = np.empty(batch + (d, d), dtype=complex)
-    if work is None:  # the first holds a padded copy only at the first level of odd rows
-        work = tuple(np.empty(per_factor * k, dtype=complex) for k in
-                     (n + 1 if n % 2 and per_factor > d * d else (n + 3) // 2, n + n % 2))
-    here, there = work  # here holds the input of a level
-    planes = (d, d) + batch
-    while n > 1:
-        if per_factor > d * d and (n == 2 or n % 2 and n <= 5):
-            # views of the last nodes: a carried one stays, the last product goes to out
-            nodes = [p[..., j] for j in range(n)]
-            term = there[:per_factor].reshape(planes)
-            while len(nodes) > 1:
-                nodes = [_matmul(b, a, out=_planes(out) if len(nodes) == 2
-                                 else np.empty(planes, dtype=complex), term=term)
-                         for a, b in zip(nodes[0::2], nodes[1::2])] + nodes[len(nodes) & ~1:]
-            return out
-        half = pairs = n // 2
-        if n % 2 and per_factor > d * d:  # copy odd rows to even ones
-            padded = there[:per_factor * (n + 1)].reshape(planes + (n + 1,))
-            padded[..., :-1], padded[..., -1] = p, p[..., -1]
-            p, pairs, here, there = padded, half + 1, there, here
-        size = n - half
-        level = there[:per_factor * size].reshape(planes + (size,))
-        term = there[per_factor * size:per_factor * (size + pairs)].reshape(planes + (pairs,))
-        _matmul(p[..., 1:2 * pairs:2], p[..., 0:2 * pairs:2], out=level[..., :pairs], term=term)
-        if n % 2:
-            level[..., half] = p[..., n - 1]
-        p, n = level, size
-        here, there = there, here
-    _planes(out)[...] = p[..., 0]
+    out = np.empty(batch + (d, d), dtype=complex) if out is None else out
+    work = tuple(np.empty(p.size, dtype=complex) for _ in range(2))
+    tree = work[0].reshape((d, d, n) + batch)
+    tree[...] = np.moveaxis(p[..., tree_order(n)], -1, 2)
+    tree_product(tree, _planes(out), work)
     return out

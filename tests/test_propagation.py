@@ -379,8 +379,8 @@ def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatc
 @pytest.mark.parametrize("n", [256, 1500])
 @pytest.mark.parametrize("rows", [16, 17, 32, 40])
 def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
-    # 256 factors of 16 rows are one piece; the others take pieces of
-    # _piece(rows) factors (256, 64 or 32) and a ragged last piece
+    # 256 factors of 16 or 17 rows are one piece; the others take pieces of
+    # _piece(rows) factors (256 or 128) and a ragged last piece
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     taus = rng.uniform(-0.05, 0.05, size=(rows, n))
@@ -537,16 +537,16 @@ def test_shared_segments_agree_with_the_whole_stack_tree(case):
 
 
 def counted_exponentials(monkeypatch):
-    """Spy on matexp_lambda_stack: a list that collects the exponentials of
-    each call."""
+    """Spy on the closed-form kernel the lab frame calls: a list that
+    collects the exponentials of each call."""
     counted = []
-    closed_form = propagation.matexp_lambda_stack
+    closed_form = propagation._closed_form
 
-    def spy(x, y, taus, **kwargs):
+    def spy(x, y, taus, *args, **kwargs):
         counted.append(taus.size)
-        return closed_form(x, y, taus, **kwargs)
+        return closed_form(x, y, taus, *args, **kwargs)
 
-    monkeypatch.setattr(propagation, "matexp_lambda_stack", spy)
+    monkeypatch.setattr(propagation, "_closed_form", spy)
     return counted
 
 
@@ -618,6 +618,25 @@ def test_shared_values_point_at_the_first_row_of_each_value():
     # no value held by two rows on one segment: no sharing map
     assert _shared_values(values[[0, 2]] + [[0.0], [1.0]]) is None
     assert _shared_values(values[:1]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda rows: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 40.0]), min_size=rows, max_size=rows)
+    | st.lists(st.floats(-50.0, 50.0), min_size=rows, max_size=rows).map(
+        lambda column: column[:1] * rows if column[-1] > 25.0 else column),
+    min_size=1, max_size=5)))
+def test_shared_values_match_a_loop_over_rows(columns):
+    # columns of signed zeros and repeats, of distinct floats, and all-equal ones
+    values = np.array(columns).T
+    rows, segments = values.shape
+    expected = np.array([[min(q for q in range(r + 1) if values[q, s] == values[r, s])
+                          for s in range(segments)] for r in range(rows)])
+    share = _shared_values(values)
+    if (expected == np.arange(rows)[:, None]).all():
+        assert share is None
+    else:
+        np.testing.assert_array_equal(share, expected)
 
 
 def test_long_run_memory_stays_bounded():

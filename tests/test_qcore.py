@@ -7,7 +7,7 @@ import pytest
 from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_generators
 from holonomy_sim.qcore import (_matmul, _matrices, _planes, hermiticity_defect,
                                 lambda_work_size, matexp_hermitian_stack, matexp_lambda_stack,
-                                ordered_product, unitarity_defect)
+                                ordered_product, tree_order, tree_product, unitarity_defect)
 
 from conftest import lambda_stack, matexp_hermitian, random_hermitian
 
@@ -370,15 +370,16 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
         got = matexp_lambda_stack(x, y, taus, out=out, work=work)
         assert got is out and np.array_equal(_bits(got), _bits(us))
     product = ordered_product(us)
-    # the first work array may be the stack's own memory, which only the first
-    # level reads; each holds 38 factors a row, the 37 rounded up to even
-    first = np.full(9 * 2 * 38, np.nan, dtype=complex)
-    stack = first[:9 * 2 * 37].reshape(3, 3, 2, 37)
-    stack[...] = _planes(us)
-    second = np.full(9 * 2 * 38, np.nan, dtype=complex)
+    # the first work array of tree_product may be the memory of the
+    # tree-ordered stack, which only the first level reads; each holds 37
+    # factors a row
+    first = np.full(9 * 2 * 37, np.nan, dtype=complex)
+    stack = first.reshape(3, 3, 37, 2)
+    stack[...] = np.moveaxis(_planes(us)[..., tree_order(37)], -1, 2)
+    second = np.full(9 * 2 * 37, np.nan, dtype=complex)
     out = np.full((3, 3, 2), np.nan, dtype=complex)
-    got = ordered_product(_matrices(stack), out=_matrices(out), work=(first, second))
-    assert np.shares_memory(got, out) and np.array_equal(_bits(got), _bits(product))
+    got = tree_product(stack, out, (first, second))
+    assert got is out and np.array_equal(_bits(_matrices(got)), _bits(product))
 
 
 def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
@@ -429,9 +430,8 @@ def test_products_of_aligned_runs_have_the_bits_of_the_whole_tree(batch, n, size
 @pytest.mark.parametrize("batch", [(), (1,), (3,), (2, 5)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 11, 20, 21, 43])
 def test_ordered_product_of_a_batch_has_the_bits_of_each_row_alone(n, batch, rng):
-    # a batch copies its rows of odd length to rows of even length and
-    # multiplies the last few nodes of each row as views; a row alone does
-    # neither
+    # a batch reduces its rows side by side, as the lanes of every level of
+    # one tree; a row alone is one lane
     stack = 0.6 * (rng.standard_normal(batch + (n, 3, 3))
                    + 1j * rng.standard_normal(batch + (n, 3, 3)))
     whole = ordered_product(stack)
@@ -440,3 +440,51 @@ def test_ordered_product_of_a_batch_has_the_bits_of_each_row_alone(n, batch, rng
     out = np.full(batch + (3, 3), np.nan, dtype=complex)
     assert ordered_product(_matrices(_planes(stack).copy()), out=out) is out
     assert np.array_equal(_bits(out), _bits(whole))
+
+
+def test_tree_order_is_a_permutation_that_pairs_the_first_level():
+    for n in range(1, 4097):
+        order = tree_order(n)
+        pairs = n // 2
+        assert np.array_equal(np.sort(order), np.arange(n)), n
+        assert order[-1] == n - 1, n
+        # position i < pairs holds factor 2q and position pairs + i factor 2q + 1
+        assert (order[:pairs] % 2 == 0).all() and np.array_equal(order[pairs:2 * pairs],
+                                                                 order[:pairs] + 1), n
+    # the powers of two are the bit-reversal order
+    assert tree_order(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert not tree_order(8).flags.writeable
+
+
+def _pairwise_in_time_order(planes):
+    """The pairwise tree over the factors of planes (d, d, n, ...) held in time
+    order: (2q + 1) @ (2q) at each level, an odd last factor carried over,
+    each entry summed over k in order as d whole-plane multiply-adds."""
+    d = planes.shape[0]
+    nodes = [planes[:, :, i] for i in range(planes.shape[2])]
+    while len(nodes) > 1:
+        products = []
+        for earlier, later in zip(nodes[0::2], nodes[1::2]):
+            product = later[:, 0, None] * earlier[None, 0]
+            for k in range(1, d):
+                product = product + later[:, k, None] * earlier[None, k]
+            products.append(product)
+        nodes = products + nodes[len(nodes) & ~1:]
+    return nodes[0]
+
+
+@pytest.mark.parametrize("lanes", [(), (1,), (7,), (3, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 21, 64, 97])
+@pytest.mark.parametrize("d", [3, 4])
+def test_tree_product_has_the_bits_of_the_pairwise_tree_in_time_order(d, n, lanes, rng):
+    planes = 0.6 * (rng.standard_normal((d, d, n) + lanes)
+                    + 1j * rng.standard_normal((d, d, n) + lanes))
+    expected = _pairwise_in_time_order(planes)
+    # the tree-ordered stack in the first work array, which only the first
+    # level reads, and a result written through a strided view
+    first, second = (np.full(planes.size, np.nan, dtype=complex) for _ in range(2))
+    tree = first.reshape(planes.shape)
+    tree[...] = planes[:, :, tree_order(n)]
+    out = np.full((2 * d, d) + lanes, np.nan, dtype=complex)[::2]
+    assert tree_product(tree, out, (first, second)) is out
+    assert np.array_equal(_bits(out), _bits(expected))
