@@ -69,6 +69,8 @@ class ExperimentConfig:
             off = ratio % 1.0  # nan when T / dt overflows
             if not min(off, 1.0 - off) <= 1e-9 * ratio:
                 raise ValueError(f"dt {dt} does not divide T {T}")
+        if experiment == "dt-zero-energy" and not self.control.J > 0:
+            raise ValueError("dt-zero-energy needs control.J > 0: its rows test J dt = 2 pi n")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:

@@ -18,11 +18,13 @@ couplings (x, y) of the generator at all midpoints and kick instants, the
 exponentials of their 3x3 blocks in the closed form that H^3 = H allows
 (no eigendecomposition), and a pairwise time-ordered product, all as
 whole-array numpy calls on qcore's planes.  Kick factors sit among the
-steps, in time order.  _factors lays out the factor instants and exponents
-in one pass: every kick instant is merged into the step bounds twice, so
-the midpoints and widths of that one array are those of all factors (a
-kick spans no time), and (1 + c) * dt is each segment's value repeated
-over its factors and multiplied by the widths in place.
+steps, in time order.  _factors lays out the factor instants and widths
+in one pass, the one grid of both frames: every kick instant is merged
+into the step bounds twice, so the midpoints and widths of that one array
+are those of all factors (a kick spans no time).  The grid holds no
+control value.  The control enters only through (1 + c) * dt, which each
+call of the product forms for its own factors from the segment values,
+so no array of rows times factors exponents is built.
 
 The product is segment first: each control segment's factors (its steps
 and the kicks inside it) are reduced by the pairwise tree to one node, and
@@ -155,61 +157,22 @@ def _bounds(segments: Segments, policy: StepPolicy):
     return bounds, np.searchsorted(bounds, kick_times)
 
 
-def _midpoints(bounds: np.ndarray) -> np.ndarray:
-    """0.5 * (bounds[k] + bounds[k + 1]) of every step, formed in place."""
-    mids = np.add(bounds[1:], bounds[:-1])
-    mids *= 0.5
-    return mids
+def _factors(train: Segments, policy: StepPolicy):
+    """The factor grid of a layout: instants, widths, kicks, segment counts and steps.
 
-
-def _segment_counts(segments: Segments, ts: np.ndarray) -> np.ndarray:
-    """How many of the ascending instants ts lie in each segment.
-
-    An instant belongs to the last segment that starts at or before it,
-    the rule np.searchsorted(starts, ts, side="right") - 1 applies to each
-    instant; since ts ascends, one search per segment start finds the same
+    Returns (ts, widths, kicks, counts, steps): factor k sits at ts[k] and
+    spans widths[k], kicks holds the indices of the kick factors, and
+    counts[s] consecutive factors lie in segment s.  A step gives its
+    midpoint and dt, and kick i its instant and width 0, right before the
+    step that starts at that instant.  ts and widths are the midpoints and
+    widths of one array of bounds in which every kick instant appears
+    twice.  An instant belongs to the last segment that starts at or
+    before it; since ts ascends, one search per segment start finds the
     split.  The bounds a segment is cut into can end an ulp off its edge,
     and a kick on the edge then leaves a sliver of one segment's steps on
     the other side, so the counts are read off the instants, not off the
-    number of steps each segment was cut into.
-    """
-    ends = np.searchsorted(ts, segments.edges[1:-1])
-    return np.diff(ends, prepend=0, append=len(ts))
-
-
-def _step_exponents(values, counts: np.ndarray, widths: np.ndarray,
-                    ts: np.ndarray) -> np.ndarray:
-    """(1 + c) * dt at every instant of ts, one row per tuple of segment values.
-
-    counts[s] consecutive instants lie in segment s (see _segment_counts)
-    and widths holds their dt.  Every row comes from one (rows, segments)
-    matrix of segment values, repeated into the result and multiplied by
-    the widths in place.  Raises ValueError when an exponent is not
-    finite, i.e. when the control amplitude times dt overflows.
-    """
-    exponents = np.repeat(1.0 + np.array(values), counts, axis=1)
-    with np.errstate(over="ignore"):
-        exponents *= widths
-    if not np.all(np.isfinite(exponents)):
-        b, k = np.unravel_index(np.argmin(np.isfinite(exponents)), exponents.shape)
-        raise ValueError(f"step exponent (1 + c) * dt = {exponents[b, k]} at "
-                         f"t = {ts[k]:.6g} is not finite: the control amplitude overflows")
-    return exponents
-
-
-def _factors(train: Segments, values: list, policy: StepPolicy):
-    """Instants and exponents of every factor of a batch, and its number of steps.
-
-    train gives the segment edges and kick instants, values one tuple of
-    segment values per row.  Returns (ts, taus, kicks, counts, steps):
-    factor k sits at ts[k] with exponent taus[b, k] in row b, and counts[s]
-    consecutive factors in segment s (see _segment_counts).  The steps give
-    their midpoints and (1 + c) * dt, and kick i its instant and KICK_AREA
-    in every row, right before the step that starts at that instant;
-    kicks holds the indices of the kick factors.  ts and taus are
-    allocated once at their final length: the midpoints and widths of one
-    array of bounds in which every kick instant appears twice, and the
-    exponents repeated from the segment values and multiplied in place.
+    number of steps each segment was cut into.  No control value enters:
+    one grid serves every train of a job, and both frames.
     """
     bounds, kick_pos = _bounds(train, policy)
     steps = len(bounds) - 1
@@ -220,12 +183,35 @@ def _factors(train: Segments, values: list, policy: StepPolicy):
         reps = np.ones(len(bounds), dtype=np.intp)
         reps[kick_pos] = 2
         bounds = np.repeat(bounds, reps)
-    ts, widths = _midpoints(bounds), np.diff(bounds)
+    ts = np.add(bounds[1:], bounds[:-1])
+    ts *= 0.5
+    widths = np.diff(bounds)
     del bounds
-    counts = _segment_counts(train, ts)
-    taus = _step_exponents(values, counts, widths, ts)
-    taus[:, kicks] = KICK_AREA
-    return ts, taus, kicks, counts, steps
+    counts = np.diff(np.searchsorted(ts, train.edges[1:-1]), prepend=0, append=len(ts))
+    return ts, widths, kicks, counts, steps
+
+
+def _check_exponents(values: np.ndarray, ts: np.ndarray, widths: np.ndarray,
+                     counts: np.ndarray):
+    """Raise ValueError when a step exponent (1 + values[r, s]) * widths[k] is not finite.
+
+    Rounding is monotone, so a row's exponents on a segment are all
+    finite exactly when the one at the segment's widest factor is: the
+    check reads (rows, segments) products, and only a failing one is
+    searched for the first factor, in row order, at which the control
+    amplitude times dt overflows.
+    """
+    firsts = np.cumsum(counts) - counts
+    with np.errstate(over="ignore"):
+        top = (1.0 + values) * np.maximum.reduceat(widths, firsts)
+    if not np.isfinite(top).all():
+        r, s = np.unravel_index(np.argmin(np.isfinite(top)), top.shape)
+        with np.errstate(over="ignore"):
+            exponents = (1.0 + values[r, s]) * widths[firsts[s]:firsts[s] + counts[s]]
+        k = np.argmin(np.isfinite(exponents))
+        raise ValueError(f"step exponent (1 + c) * dt = {exponents[k]} at "
+                         f"t = {ts[firsts[s] + k]:.6g} is not finite: the control "
+                         f"amplitude overflows")
 
 
 def _budget(m: int) -> int:
@@ -238,16 +224,19 @@ def _piece(m: int) -> int:
     return 1 << (_budget(m) // (2 * m)).bit_length() - 1
 
 
-def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
-                     counts=None, share=None):
-    """Time-ordered product of exp(-i * taus[r, k] * H(ts[k])) over k, segment first.
+def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values: np.ndarray,
+                     kicks=(), counts=None, share=None):
+    """Time-ordered product of exp(-i * tau[r, k] * H(ts[k])) over k, segment first.
 
     The factors fall into consecutive segments of counts[s] factors (one
-    segment by default), and share[r, s] is the first row whose exponents
-    on segment s equal row r's (r itself by default).  kicks holds the
-    ascending indices of the factors that are pi pulses (see
-    matexp_lambda_stack), none by default.  Returns (levels, (R, d, d)
-    products), one per row of taus.
+    segment by default), and row r holds values[r, s] on segment s, so its
+    exponents there are tau[r, k] = (1 + values[r, s]) * widths[k].  kicks
+    holds the ascending indices of the factors that are pi pulses, whose
+    exponent is KICK_AREA in every row (see matexp_lambda_stack), none by
+    default.  share[r, s] is the first row that holds row r's value on
+    segment s (r itself by default).  Returns (levels, (R, d, d)
+    products), one per row of values.  The exponents are not checked (see
+    _check_exponents).
 
     Each segment is reduced by tree_product once for each of its k_s
     distinct rows, and each row's segment nodes in time order, in aligned
@@ -257,20 +246,26 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
     in full, each is a node of the segment's tree, and a segment's piece
     nodes reduce to its own node with its bits.  The pieces of a group of
     one length and one k_s run together, in calls of at most _budget(k_s)
-    entries or alone if full.  A call gathers its factors in tree_order
-    (factor, piece, row) and writes its nodes where the next tree reads
-    them: at the segment's place in its group, or the piece's in its
-    segment.  The calls share one workspace, grown to the largest: the
-    exponentials and a buffer for the couplings (x as floats, then y) and
-    the closed form's temporaries, then both for tree_product's work.
+    entries or alone if full.  A call forms its exponents in tree_order
+    (factor, piece, row): the widths of its factors times 1 + c of each
+    piece's distinct values, read from a (segments, rows) table that holds
+    a segment's values in the order of the rows that first hold them.  It
+    writes its nodes where the next tree reads them: at the segment's
+    place in its group, or the piece's in its segment.  The calls share
+    one workspace, grown to the largest: the exponentials and a buffer for
+    the couplings (x as floats, then y) and the closed form's temporaries,
+    then both for tree_product's work.
     """
-    rows, n = taus.shape
+    rows, segments = values.shape
+    n = len(ts)
     counts = np.array([n]) if counts is None else np.asarray(counts)
-    segments = len(counts)
     firsts = np.cumsum(counts) - counts
+    table = (1.0 + values).T
     if share is None:
         share = np.broadcast_to(np.arange(rows)[:, None], (rows, segments))
     own = share == np.arange(rows)[:, None]
+    if not own.all():  # each segment's distinct values first, in row order
+        table = np.take_along_axis(table, np.argsort(~own.T, axis=1, kind="stable"), axis=1)
     k = own.sum(axis=0)
     sizes = np.array([0] + [_piece(m) for m in range(1, rows + 1)])
     many = -(-counts // sizes[k])
@@ -322,14 +317,13 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, taus: np.ndarray, kicks=(),
                 half = (w + 1) // 2
                 levels, x, y = gate_generators(
                     spec, ts[cols], out=(spare[:half].view(float)[:w], spare[half:half + w]))
-                if m == rows:
-                    mine = taus.T[cols]
-                else:  # row j: the j-th row of each segment that shares no earlier row's
-                    owner = np.nonzero(own[:, seg[part]].T)[1].reshape(c, m)
-                    mine = taus.T[cols.reshape(width, c, 1), owner].reshape(w, m)
-                _closed_form(x[:, None], y[:, None], mine, exps[:9 * m * w].reshape(3, 3, w, m),
-                             spare[half + w:],
-                             None if is_kick is None else np.flatnonzero(is_kick[cols]))
+                taus = (widths[cols].reshape(width, c, 1) * table[seg[part], :m]).reshape(w, m)
+                pulses = None
+                if is_kick is not None:
+                    pulses = np.flatnonzero(is_kick[cols])
+                    taus[pulses] = KICK_AREA
+                _closed_form(x[:, None], y[:, None], taus, exps[:9 * m * w].reshape(3, 3, w, m),
+                             spare[half + w:], pulses)
                 del x, y  # views of the workspace, which a later call may grow
                 # straight into the nodes if they are consecutive and the rows all differ
                 direct = m == rows and part[-1] - part[0] == c - 1
@@ -377,8 +371,8 @@ def propagate_lab_batch(spec: GateSpec, segments: Segments,
     (rows, n) matrix of segment values, one row per train (the realizations
     of a sweep job differ only in their random amplitudes and in J), or one
     train's (n,) values.  The step grid is built once for all of them, and
-    each distinct row of values adds one row of step exponents (1 + c) * dt:
-    trains with equal values share a row.  The product is segment first
+    trains with equal values share one row of the product, whose calls
+    form their step exponents (1 + c) * dt.  The product is segment first
     (see the module docstring): on each segment, rows that hold one value
     share its exponentials and its node (see _shared_values).  Kick i
     contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2, exactly
@@ -394,8 +388,9 @@ def propagate_lab_batch(spec: GateSpec, segments: Segments,
     rows = {}
     index = [rows.setdefault(row.tobytes(), len(rows)) for row in values + 0.0]
     distinct = values[[index.index(r) for r in range(len(rows))]]
-    ts, taus, kicks, counts, steps = _factors(segments, distinct, policy)
-    levels, products = _chunked_product(spec, ts, taus, kicks, counts,
+    ts, widths, kicks, counts, steps = _factors(segments, policy)
+    _check_exponents(distinct, ts, widths, counts)
+    levels, products = _chunked_product(spec, ts, widths, distinct, kicks, counts,
                                         _shared_values(distinct))
     us = np.tile(np.eye(spec.dim, dtype=complex), (len(products), 1, 1))
     levels = np.array(levels)
@@ -452,13 +447,12 @@ def propagate_adiabatic(s: Schedule, segments: Segments,
         raise ValueError("the adiabatic frame takes no delta kicks")
     if segments.values.ndim != 1:
         raise ValueError("the adiabatic frame takes one train")
-    policy = policy or StepPolicy()
-    bounds, _ = _bounds(segments, policy)
-    mids, widths = _midpoints(bounds), np.diff(bounds)
-    increments = _step_exponents([segments.values], _segment_counts(segments, mids),
-                                 widths, mids)[0]
+    ts, widths, _, counts, steps = _factors(segments, policy or StepPolicy())
+    _check_exponents(segments.values[None], ts, widths, counts)
+    increments = np.repeat(1.0 + segments.values, counts)
+    increments *= widths
     c_start = np.concatenate([[0.0], np.cumsum(increments)[:-1]])
     c_mid = c_start + 0.5 * increments
-    hs = adiabatic_hamiltonian(s, mids, c_mid)
+    hs = adiabatic_hamiltonian(s, ts, c_mid)
     u = ordered_product(matexp_hermitian_stack(hs, widths))
-    return PropagationResult(u, len(mids), unitarity_defect(u))
+    return PropagationResult(u, steps, unitarity_defect(u))

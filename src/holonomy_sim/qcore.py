@@ -93,14 +93,7 @@ def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def lambda_work_size(n: int, size: int) -> int:
-    """Complex entries of the work array of matexp_lambda_stack: n couplings, size exponents."""
-    return size + (size + 1) // 2 + 2 * n + (n + 1) // 2
-
-
 def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
-                        out: np.ndarray | None = None,
-                        work: np.ndarray | None = None,
                         pi_pulses: np.ndarray | None = None) -> np.ndarray:
     """exp(-i*h_k*tau_k) for the lambda couplings h_k of x[k] and y[k], without eigh.
 
@@ -111,16 +104,10 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     h + (cos(tau) - 1) h^2 (Moler & Van Loan, SIAM Rev. 45, 2003), cos - 1
     evaluated as -2 sin^2(tau / 2) to keep small steps accurate.  x and y
     have shape (n,) and taus shape (..., n): every row of taus is
-    exponentiated against the same couplings, giving (..., n, 3, 3).  A
-    complex x, x and y not 1-d of one shape, non-finite couplings and a last
-    axis of taus that is not n are rejected.
-
-    out, if given, is the (..., n, 3, 3) result array, in any memory
-    layout, and is returned; otherwise it is allocated as a view of planes
-    (3, 3, ..., n) (see the module docstring).  work is a flat contiguous
-    complex array of at least lambda_work_size(n, taus.size) entries for
-    the temporaries (allocated when not given).  x, y, taus, out and work
-    may not overlap.
+    exponentiated against the same couplings, giving (..., n, 3, 3) as a
+    view of planes (3, 3, ..., n) (see the module docstring).  A complex x,
+    x and y not 1-d of one shape, non-finite couplings and a last axis of
+    taus that is not n are rejected.
 
     pi_pulses, if given, indexes the factors (on the last axis of taus)
     whose exponent tau is +-pi.  The exact sin(tau) is 0 there, but sin
@@ -140,20 +127,22 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     if taus.shape[-1:] != x.shape:
         raise ValueError(f"taus of shape {taus.shape} do not fit the couplings of shape "
                          f"{x.shape}: one exponent per coupling on the last axis")
-    need = lambda_work_size(len(x), taus.size)
-    if work is None:
-        work = np.empty(need, dtype=complex)
-    elif len(work) < need:
-        raise ValueError(f"work has {len(work)} entries, needs {need}")
-    out = _matrices(np.empty((3, 3) + taus.shape, dtype=complex)) if out is None else out
-    _closed_form(x, y, taus, _planes(out), work, None if pi_pulses is None else (..., pi_pulses))
-    return out
+    n, size = len(x), taus.size
+    work = np.empty(size + (size + 1) // 2 + 2 * n + (n + 1) // 2, dtype=complex)
+    p = np.empty((3, 3) + taus.shape, dtype=complex)
+    _closed_form(x, y, taus, p, work, None if pi_pulses is None else (..., pi_pulses))
+    return _matrices(p)
 
 
 def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
                  work: np.ndarray, pulses=None) -> np.ndarray:
     """matexp_lambda_stack, unchecked, into planes p of shape (3, 3) + taus.shape,
     for x and y of one shape that broadcasts against taus.
+
+    work is a flat contiguous complex array of at least size + ceil(size /
+    2) + 2 n + ceil(n / 2) entries, for taus.size = size and x.size = n, and
+    pulses indexes taus at the pi pulses (see matexp_lambda_stack).  x, y,
+    taus, p and work may not overlap.
 
     Each plane of h^2 is the one nonzero term of the dense sum over k of
     h[i, k] h[k, j], in its operand order: numpy's complex multiply may
@@ -238,20 +227,20 @@ def tree_product(p: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
     return out
 
 
-def ordered_product(stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ordered_product(stack: np.ndarray) -> np.ndarray:
     """Time-ordered product stack[..., n-1, :, :] @ ... @ stack[..., 0, :, :].
 
     Reduces axis -3 and keeps any leading batch axes.  Adjacent pairs are
     multiplied (later @ earlier) level by level, so n >= 1 factors take
     ceil(log2 n) levels; an odd last factor carries over to the next level
     unchanged.  The stack (any layout) is copied to planes in tree_order for
-    tree_product; out, if given, is the (..., d, d) result, in any layout.
+    tree_product.
     """
     p = _planes(stack)
     d, n, batch = p.shape[0], p.shape[-1], p.shape[2:-1]
     if n == 0:
         raise ValueError(f"ordered_product needs at least one factor, got shape {stack.shape}")
-    out = np.empty(batch + (d, d), dtype=complex) if out is None else out
+    out = np.empty(batch + (d, d), dtype=complex)
     work = tuple(np.empty(p.size, dtype=complex) for _ in range(2))
     tree = work[0].reshape((d, d, n) + batch)
     tree[...] = np.moveaxis(p[..., tree_order(n)], -1, 2)

@@ -327,6 +327,21 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error: invalid config"), err
         assert not out.exists()
 
+    def test_dt_zero_energy_without_J_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cfg = json.loads(_good_config("dt-zero-energy"))
+        cfg["control"]["J"] = 0.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+        out = tmp_path / "o"
+        assert run_cli(["sweep", "--experiment", "dt-zero-energy", "--config", str(path),
+                        "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: invalid config: dt-zero-energy needs control.J > 0: its rows test "
+            "J dt = 2 pi n"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid, kick_count", [([0.2], 4), ([0.3, 0.5], None)])
     def test_kick_equivalence_grid_value_is_the_kick_spacing(self, tmp_path, capsys,
                                                              grid, kick_count):

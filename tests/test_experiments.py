@@ -101,6 +101,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"dt {dt} does not divide T 1.0"):
             config_from_dict(data)
 
+    # J = 0 has no resonance J dt = 2 pi n to annotate: rejected when parsed,
+    # not after every grid point has run
+    def test_dt_zero_energy_needs_positive_J_when_parsed(self):
+        data = config_to_dict(dt_config((0.1, 0.2)))
+        data["control"]["J"] = 0.0
+        with pytest.raises(ValueError, match=r"dt-zero-energy needs control.J > 0"):
+            config_from_dict(data)
+
     def test_dt_sweep_requires_alternating_or_kicks(self):
         with pytest.raises(ValueError, match="dt-zero-energy takes 'dt' with "
                                              "zero_energy_alternating; kick-equivalence takes "
@@ -327,6 +335,27 @@ class TestSweepDtZeroEnergy:
         result = sweep(dt_config((3 * math.pi / J,), p=0.5, realizations=5))
         row = result.rows[0]
         assert row.f_max > row.f_min
+
+
+# SweepRow by SweepRow: the "fields" list, then each shipped config's rows
+# in grid order, as written by its sweep with the engine of this file's
+# last change.  The dt golden moves with ROADMAP item 2 (fourth-order steps
+# converge the dt-zero-energy sweep), which is a declared output change.
+SHIPPED_ROWS = Path(__file__).resolve().parent / "shipped_sweeps.json"
+
+
+@pytest.mark.parametrize("name", ["runtime", "dt_zero_energy"])
+def test_shipped_sweep_rows_match_their_golden_file(name):
+    golden = json.loads(SHIPPED_ROWS.read_text())
+    rows = sweep(config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))).rows
+    assert len(rows) == len(golden[name])
+    for row, expected in zip(rows, golden[name]):
+        for field, want in zip(golden["fields"], expected, strict=True):
+            got = getattr(row, field)
+            if field in ("resonant", "nearest_n", "seed_base"):
+                assert (got, type(got)) == (want, type(want)), (row.x, field)
+            else:
+                assert abs(got - want) <= 1e-12, (row.x, field, got, want)
 
 
 class TestKickComparison:

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +16,9 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule
                                        gate_hamiltonian, project_dfs, total_z)
 from holonomy_sim.holonomy import berry_closed_form, evaluate_holonomy
 from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, StepPolicy, _bounds,
-                                      _chunked_product, _factors, _midpoints, _piece,
-                                      _segment_counts, _shared_values, adiabatic_hamiltonian,
-                                      propagate_adiabatic, propagate_lab, propagate_lab_batch)
+                                      _chunked_product, _factors, _piece, _shared_values,
+                                      adiabatic_hamiltonian, propagate_adiabatic, propagate_lab,
+                                      propagate_lab_batch)
 from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                                 ordered_product, unitarity_defect)
 
@@ -68,11 +70,13 @@ def segment_of(train, mids):
 
 
 def inserted_factors(train, values, policy):
-    """(ts, taus, kicks, steps) of _factors built step by step, as its reference.
+    """(ts, widths, taus, kicks, steps) of the factors built step by step, as
+    the reference of _factors and of the exponents the product forms.
 
     The edge-by-edge bounds of loop_bounds without the kicks, an np.unique
     merge of the kick instants, every midpoint's segment by searchsorted
-    over the segment starts, and the kick factors put in by np.insert."""
+    over the segment starts, and the kick factors, of width 0 and exponent
+    KICK_AREA, put in by np.insert."""
     max_step = policy.max_step or train.span / DEFAULT_STEPS_PER_PERIOD
     bounds = [0.0]
     for t0, t1 in zip(train.edges, train.edges[1:]):
@@ -86,7 +90,7 @@ def inserted_factors(train, values, policy):
     mids = 0.5 * (bounds[1:] + bounds[:-1])
     steps = (1.0 + np.take(np.array(values), segment_of(train, mids), axis=1)) * np.diff(bounds)
     kick_pos = np.searchsorted(bounds, kick_times)
-    return (np.insert(mids, kick_pos, kick_times),
+    return (np.insert(mids, kick_pos, kick_times), np.insert(np.diff(bounds), kick_pos, 0.0),
             np.insert(steps, kick_pos, KICK_AREA, axis=1),
             kick_pos + np.arange(len(kick_pos)), len(mids))
 
@@ -153,13 +157,16 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
         for train in (segments, kicked):
             bounds, kick_pos = _bounds(train, policy)
             np.testing.assert_array_equal(bounds, loop_bounds(train, policy))
-            # the midpoints are those of the bounds, to the bit
-            mids = _midpoints(bounds)
-            assert np.array_equal(mids, 0.5 * (bounds[1:] + bounds[:-1]))
-            # every step lies inside the segment it is counted in
-            seg_idx = segment_of(train, mids)
-            np.testing.assert_array_equal(
-                np.repeat(np.arange(len(train)), _segment_counts(train, mids)), seg_idx)
+            # the steps' midpoints and widths are those of the bounds, to the
+            # bit, and the kicks' instants and widths their times and 0
+            ts, widths, kicks, counts, _ = _factors(train, policy)
+            assert np.array_equal(np.delete(ts, kicks), 0.5 * (bounds[1:] + bounds[:-1]))
+            assert np.array_equal(np.delete(widths, kicks), np.diff(bounds))
+            assert np.array_equal(ts[kicks], train.kick_times) and not widths[kicks].any()
+            # every factor lies inside the segment it is counted in
+            seg_all = np.repeat(np.arange(len(train)), counts)
+            np.testing.assert_array_equal(seg_all, segment_of(train, ts))
+            seg_idx = np.delete(seg_all, kicks)
             edges = np.asarray(train.edges)
             assert np.all(edges[seg_idx] <= bounds[:-1])
             assert np.all(bounds[1:] <= edges[seg_idx + 1])
@@ -222,15 +229,19 @@ def factor_batches(draw):
 @given(factor_batches())
 def test_factor_stack_is_bit_identical_to_the_inserted_construction(batch):
     train, values, policy = batch
-    ts, taus, kicks, counts, steps = _factors(train, values, policy)
-    ref_ts, ref_taus, ref_kicks, ref_steps = inserted_factors(train, values, policy)
+    ts, widths, kicks, counts, steps = _factors(train, policy)
+    ref_ts, ref_widths, ref_taus, ref_kicks, ref_steps = inserted_factors(train, values, policy)
     assert steps == ref_steps
-    np.testing.assert_array_equal(counts, _segment_counts(train, ts))
+    np.testing.assert_array_equal(counts, np.bincount(segment_of(train, ts),
+                                                      minlength=len(train)))
     np.testing.assert_array_equal(kicks, ref_kicks)
     # the uint64 views also compare the signs of zeros
     assert np.array_equal(ts.view(np.uint64), ref_ts.view(np.uint64))
+    assert np.array_equal(widths.view(np.uint64), ref_widths.view(np.uint64))
+    # the exponents the product forms, widths times 1 + c of each factor's segment
+    taus = np.repeat(1.0 + np.array(values), counts, axis=1) * widths
+    taus[:, kicks] = KICK_AREA
     assert np.array_equal(taus.view(np.uint64), ref_taus.view(np.uint64))
-    assert taus.flags.c_contiguous
 
 
 def shared_grid_batches(T):
@@ -292,9 +303,9 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     rows = []
     chunked = propagation._chunked_product
 
-    def spy(spec, ts, taus, *args):
-        rows.append(len(taus))
-        return chunked(spec, ts, taus, *args)
+    def spy(spec, ts, widths, values, *args):
+        rows.append(len(values))
+        return chunked(spec, ts, widths, values, *args)
 
     monkeypatch.setattr(propagation, "_chunked_product", spy)
     results = propagate_lab_batch(spec, job(batch))
@@ -312,8 +323,9 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
-    taus = rng.uniform(-0.05, 0.05, size=(3, n))
-    levels, products = _chunked_product(spec, ts, taus)
+    widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(3, 1))
+    taus = (1.0 + values) * widths
+    levels, products = _chunked_product(spec, ts, widths, values)
     _, x, y = gate_generators(spec, ts)
     assert levels == (1, 2, 3) and products.shape == (3, 3, 3)
     assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
@@ -329,8 +341,9 @@ def test_narrow_batches_in_wide_pieces_are_bit_identical_to_whole_stack(rows, pi
     n = pieces * _piece(rows) + extra
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
-    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
-    _, products = _chunked_product(spec, ts, taus)
+    widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(rows, 1))
+    taus = (1.0 + values) * widths
+    _, products = _chunked_product(spec, ts, widths, values)
     _, x, y = gate_generators(spec, ts)
     assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
@@ -343,11 +356,12 @@ def test_pieces_of_one_segment_are_bit_identical_to_whole_stack(rows, rng):
     n = 3 * width + 37
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
-    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(rows, 1))
     kicks = np.unique(np.concatenate([[width - 1, width, 2 * width, n - 1],
                                       rng.choice(n, size=8, replace=False)]))
+    taus = (1.0 + values) * widths
     taus[:, kicks] = KICK_AREA
-    _, products = _chunked_product(spec, ts, taus, kicks)
+    _, products = _chunked_product(spec, ts, widths, values, kicks)
     _, x, y = gate_generators(spec, ts)
     assert np.array_equal(products,
                           ordered_product(matexp_lambda_stack(x, y, taus, pi_pulses=kicks)))
@@ -361,9 +375,9 @@ def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatc
     n = 2 * _piece(rows) + 3
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
-    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
+    widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(rows, 1))
     _, x, y = gate_generators(spec, ts)
-    whole = ordered_product(matexp_lambda_stack(x, y, taus))
+    whole = ordered_product(matexp_lambda_stack(x, y, (1.0 + values) * widths))
     empty = np.empty
 
     def poisoned(*args, **kwargs):
@@ -372,7 +386,7 @@ def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatc
         return buffer
 
     monkeypatch.setattr(np, "empty", poisoned)
-    _, products = _chunked_product(spec, ts, taus)
+    _, products = _chunked_product(spec, ts, widths, values)
     assert np.array_equal(products, whole)
 
 
@@ -383,8 +397,9 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     # _piece(rows) factors (256 or 128) and a ragged last piece
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
-    taus = rng.uniform(-0.05, 0.05, size=(rows, n))
-    _, products = _chunked_product(spec, ts, taus)
+    widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(rows, 1))
+    taus = (1.0 + values) * widths
+    _, products = _chunked_product(spec, ts, widths, values)
     _, x, y = gate_generators(spec, ts)
     assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
@@ -403,7 +418,7 @@ def stack_with_exact_kicks(spec, segments, policy):
     """(levels, instants, stack) of the train's factors: closed-form steps at
     the midpoints and exact, sign-free kick factors in between."""
     bounds, kick_pos = _bounds(segments, policy)
-    mids = _midpoints(bounds)
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
     steps = (1.0 + np.asarray(segments.values)[segment_of(segments, mids)]) * np.diff(bounds)
     ts = np.insert(mids, kick_pos, segments.kick_times)
     levels, x, y = gate_generators(spec, ts)
@@ -425,7 +440,7 @@ def segment_first(train, ts, stack):
 
 def kick_places(segments, policy):
     """(segment, place in it) of each kick factor of the train."""
-    _, _, kicks, counts, _ = _factors(segments, [segments.values], policy)
+    _, _, kicks, counts, _ = _factors(segments, policy)
     firsts = np.cumsum(counts) - counts
     seg = np.searchsorted(firsts, kicks, side="right") - 1
     return seg, kicks - firsts[seg], counts
@@ -509,7 +524,7 @@ def shared_segment_batches():
 
 def reference_product(spec, train, policy):
     """(levels, segment-first product) of one train from the test-local factors."""
-    ts, taus, kicks, _ = inserted_factors(train, [train.values], policy)
+    ts, _, taus, kicks, _ = inserted_factors(train, [train.values], policy)
     levels, x, y = gate_generators(spec, ts)
     return levels, segment_first(train, ts, matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
 
@@ -530,7 +545,7 @@ def test_shared_segments_are_bit_identical_to_each_train_alone(case):
 def test_shared_segments_agree_with_the_whole_stack_tree(case):
     spec, trains, policy = shared_segment_batches()[case]
     for train, result in zip(trains, propagate_lab_batch(spec, job(trains), policy)):
-        ts, taus, kicks, _ = inserted_factors(train, [train.values], policy)
+        ts, _, taus, kicks, _ = inserted_factors(train, [train.values], policy)
         levels, x, y = gate_generators(spec, ts)
         whole = ordered_product(matexp_lambda_stack(x, y, taus[0], pi_pulses=kicks))
         np.testing.assert_allclose(result.U[np.ix_(levels, levels)], whole, rtol=0, atol=1e-13)
@@ -553,7 +568,7 @@ def counted_exponentials(monkeypatch):
 @pytest.mark.parametrize("case", range(4))
 def test_each_segment_is_exponentiated_once_per_distinct_value(case, monkeypatch):
     spec, trains, policy = shared_segment_batches()[case]
-    ts, _, _, counts, _ = _factors(trains[0], [trains[0].values], policy)
+    ts, _, _, counts, _ = _factors(trains[0], policy)
     distinct = [len(set(values)) for values in zip(*(t.values for t in trains))]
     counted = counted_exponentials(monkeypatch)
     propagate_lab_batch(spec, job(trains), policy)
@@ -568,8 +583,8 @@ def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkey
     edges, kick = (0.0, 0.5, 1.0), (0.3001,)
     policy = StepPolicy(max_step=1.0 / 600)
     probe = Segments(edges, (0.0, 0.0), kick, (1,))
-    _, taus, kicks, counts, _ = _factors(probe, [probe.values], policy)
-    widths = np.delete(taus[0, :counts[0]], kicks)
+    _, widths, kicks, counts, _ = _factors(probe, policy)
+    widths = np.delete(widths[:counts[0]], kicks)
     halves = widths[~np.isclose(widths, widths[0])]
     assert len(halves) == 2
     # adjacent floats 1 + v < 1 + w, whose products with the first width round alike
@@ -654,40 +669,59 @@ def test_long_run_memory_stays_bounded():
 
 
 def test_step_grid_of_a_long_run_peaks_below_10_mib():
-    # 200,000 steps: the bounds, midpoints and widths the adiabatic frame
-    # reads take 4.6 MiB
+    # 200,000 steps: the bounds take 1.5 MiB and peak at 3.36 MiB traced
     segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
     tracemalloc.start()
     try:
         bounds, _ = _bounds(segments, StepPolicy())
-        mids, widths = _midpoints(bounds), np.diff(bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(mids) == len(widths) == 200_000
+    assert len(bounds) == 200_001
     assert peak < 10 * 2 ** 20
 
 
 def test_factor_stack_of_a_long_run_peaks_below_6_mib():
-    # 200,000 steps: the midpoints and exponents it returns take 3.05 MiB and
-    # the stack peaks at 4.85 MiB traced; 6 MiB leaves about a quarter of margin
+    # 200,000 steps: the midpoints and widths it returns take 3.05 MiB and
+    # the grid peaks at 4.58 MiB traced; 6 MiB leaves about a quarter of margin
     segments = generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=1e-4), 1.0)
     tracemalloc.start()
     try:
-        ts, taus, _, _, steps = _factors(segments, [segments.values], StepPolicy())
+        ts, widths, _, _, steps = _factors(segments, StepPolicy())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps == len(ts) == taus.shape[1] == 200_000
+    assert steps == len(ts) == len(widths) == 200_000
     assert peak < 6 * 2 ** 20
 
 
-def test_overflowing_control_is_rejected():
-    # a finite amplitude over long steps: (1 + c) * dt overflows
+@pytest.mark.parametrize("overflows", [False, True], ids=["just-finite", "just-overflowing"])
+def test_overflowing_control_is_rejected(overflows):
+    # a finite amplitude over long steps: (1 + c) * dt overflows.  The kick
+    # splits a step of the second segment, whose steps are uneven, and the
+    # amplitude is the largest one whose exponent at the widest of them is
+    # finite, or the next float: the check per segment rejects exactly the
+    # amplitudes of which some step's exponent overflows
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1000.0))
-    segments = Segments((0.0, 500.0, 1000.0), (1.7e308, 0.0))
-    with pytest.raises(ValueError, match="not finite"):
-        propagate_lab(spec, segments, policy=StepPolicy(max_step=100.0))
+    probe = Segments((0.0, 437.1, 1000.0), (0.0, 0.0), (730.0,), (1,))
+    policy = StepPolicy(max_step=100.0)
+    _, widths, kicks, counts, _ = _factors(probe, policy)
+    steps = np.delete(widths, kicks)[counts[0]:]
+    widest = float(steps.max())
+    assert steps.min() < widest / 2
+    c = sys.float_info.max / widest
+    while math.isfinite((1.0 + c) * widest):
+        c = math.nextafter(c, math.inf)
+    if not overflows:
+        c = math.nextafter(c, 0.0)
+    segments = replace(probe, values=(0.0, c))
+    if overflows:
+        with pytest.raises(ValueError, match="not finite"):
+            propagate_lab(spec, segments, policy=policy)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(propagate_lab(spec, segments, policy=policy).unitarity_defect)
 
 
 def test_adiabatic_limit_recovers_dark_state_and_phase(rng):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_generators
-from holonomy_sim.qcore import (_matmul, _matrices, _planes, hermiticity_defect,
-                                lambda_work_size, matexp_hermitian_stack, matexp_lambda_stack,
-                                ordered_product, tree_order, tree_product, unitarity_defect)
+from holonomy_sim.qcore import (_closed_form, _matmul, _matrices, _planes, hermiticity_defect,
+                                matexp_hermitian_stack, matexp_lambda_stack, ordered_product,
+                                tree_order, tree_product, unitarity_defect)
 
 from conftest import lambda_stack, matexp_hermitian, random_hermitian
 
@@ -207,15 +207,21 @@ def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng
         np.testing.assert_allclose(product, expected, atol=1e-12, err_msg=name)
 
 
+def _work(n, size):
+    """A NaN-filled work array of _closed_form for n couplings and size exponents."""
+    return np.full(size + (size + 1) // 2 + 2 * n + (n + 1) // 2, np.nan, dtype=complex)
+
+
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_lambda_stack_matches_eigh_in_every_out_layout(batch, rng):
+    # the closed form writes into the planes of any (..., n, 3, 3) layout
     n = 6
     x, y = _couplings(rng, n)
     hs = lambda_stack(x, y)
     taus = rng.uniform(-3.0, 3.0, size=batch + (n,))
-    for name, out in _in_layouts(np.full(batch + (n, 3, 3), np.nan, dtype=complex)):
-        us = matexp_lambda_stack(x, y, taus, out=out)
-        assert us is out and us.shape == batch + (n, 3, 3), name
+    for name, us in _in_layouts(np.full(batch + (n, 3, 3), np.nan, dtype=complex)):
+        _closed_form(x, y, taus, _planes(us), _work(n, taus.size))
+        assert np.array_equal(_bits(us), _bits(matexp_lambda_stack(x, y, taus))), name
         for idx in np.ndindex(*batch + (n,)):
             np.testing.assert_allclose(us[idx], matexp_hermitian(hs[idx[-1]], taus[idx]),
                                        atol=1e-13, err_msg=name)
@@ -361,14 +367,13 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
         assert all(g is o for g, o in zip(got, out))
         assert np.array_equal(_bits(got[0]), _bits(x)) and np.array_equal(_bits(got[1]), _bits(y))
     us = matexp_lambda_stack(x, y, taus)
-    assert lambda_work_size(37, 74) == 204
-    with pytest.raises(ValueError, match="needs 204"):
-        matexp_lambda_stack(x, y, taus, work=np.empty(203, dtype=complex))
-    work = np.full(lambda_work_size(37, 74), np.nan, dtype=complex)
-    for out in (_matrices(np.full((3, 3, 2, 37), np.nan, dtype=complex)),
-                np.full((2, 37, 3, 3), np.nan, dtype=complex)):
-        got = matexp_lambda_stack(x, y, taus, out=out, work=work)
-        assert got is out and np.array_equal(_bits(got), _bits(us))
+    # the closed form into planes and into the planes of matrices, with its
+    # work given, as the lab frame calls it
+    work = _work(37, 74)
+    for out in (np.full((3, 3, 2, 37), np.nan, dtype=complex),
+                _planes(np.full((2, 37, 3, 3), np.nan, dtype=complex))):
+        got = _closed_form(x, y, taus, out, work)
+        assert got is out and np.array_equal(_bits(_matrices(got)), _bits(us))
     product = ordered_product(us)
     # the first work array of tree_product may be the memory of the
     # tree-ordered stack, which only the first level reads; each holds 37
@@ -437,9 +442,8 @@ def test_ordered_product_of_a_batch_has_the_bits_of_each_row_alone(n, batch, rng
     whole = ordered_product(stack)
     for row in np.ndindex(*batch):
         assert np.array_equal(_bits(whole[row]), _bits(ordered_product(stack[row])))
-    out = np.full(batch + (3, 3), np.nan, dtype=complex)
-    assert ordered_product(_matrices(_planes(stack).copy()), out=out) is out
-    assert np.array_equal(_bits(out), _bits(whole))
+    # a stack in plane memory gives the same bits
+    assert np.array_equal(_bits(ordered_product(_matrices(_planes(stack).copy()))), _bits(whole))
 
 
 def test_tree_order_is_a_permutation_that_pairs_the_first_level():
