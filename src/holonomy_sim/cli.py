@@ -4,13 +4,13 @@ Exit codes: 2 invalid input, 3 tolerance violation, 4 unwritable output
 (selftest: 1 on any invariant failure); docs/FORMATS.md "Exit codes and
 errors" lists every case.
 
-A sweep config runs the experiment its sweep_variable and control kind
-select in experiments.EXPERIMENTS (kick-equivalence: dt with a delta-kick
-train, one grid value, the kick spacing).  Not read: control.seed (seeds
-come from master_seed), control.J outside dt-zero-energy (mean-control
-replaces it), control.dt in the dt experiments (the grid value replaces
-it), realizations in kick-equivalence.  The run comes before any write: an
-exit 2 leaves no --out-dir, and exit 4 is reported after the run.
+A sweep config's sweep_variable names the field each grid value sets (T,
+dt, p, J, or mean_control, which sets J = 2x); a delta-kick config runs the
+kick comparison, its one grid value the kick spacing.  docs/FORMATS.md
+lists the axes each control kind takes and the keys each leaves unread.
+--experiment is optional and, when given, must name the run the config
+makes.  The run comes before any write: an exit 2 leaves no --out-dir, and
+exit 4 is reported after the run.
 
 Sweeps run serially.  --threads N is still accepted (N >= 1) and ignored.
 """
@@ -28,9 +28,9 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .control import (RNG_DESCRIPTION, ControlKind, PulseTrain,
+from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, PulseTrain,
                       generate_segments, integral_C, resonance_condition)
-from .experiments import (EXPERIMENTS, ExperimentConfig, compare_positive_vs_zero_energy,
+from .experiments import (ExperimentConfig, compare_positive_vs_zero_energy,
                           config_from_dict, config_to_dict, control_from_dict,
                           json_text, sweep, write_csv, write_json, write_json_bundle,
                           write_text)
@@ -174,8 +174,12 @@ def cmd_sweep(args) -> int:
         cfg = config_from_dict(_loads(_read(args.config)))
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
-        if cfg.experiment != args.experiment:
-            raise ValueError(f"experiment {args.experiment} got a {cfg.experiment} config "
+        kick = cfg.control.kind in KICK_KINDS
+        named = "kick-equivalence" if kick else {
+            "T": "runtime", "mean_control": "mean-control", "dt": "dt-zero-energy"}.get(
+            cfg.sweep_variable, f"{cfg.sweep_variable} sweep")
+        if args.experiment not in (None, named):
+            raise ValueError(f"experiment {args.experiment} got a {named} config "
                              f"(sweep_variable {cfg.sweep_variable!r}, "
                              f"{cfg.control.kind.value} train)")
     except (ValueError, TypeError, OSError) as exc:
@@ -184,7 +188,7 @@ def cmd_sweep(args) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        if args.plot and cfg.experiment == "kick-equivalence":
+        if args.plot and kick:
             raise ValueError("--plot charts a sweep; kick-equivalence writes no plot.svg")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,7 +197,7 @@ def cmd_sweep(args) -> int:
     # run first, then write: a config that fails while running leaves no --out-dir
     start = time.monotonic()
     try:
-        if cfg.experiment == "kick-equivalence":
+        if kick:
             report = compare_positive_vs_zero_energy(cfg)
             total_steps = report.steps
             writers = {"report.json": partial(
@@ -215,7 +219,6 @@ def cmd_sweep(args) -> int:
             write(os.path.join(args.out_dir, name))
         write_json({
             "revision": __version__,
-            "experiment": cfg.experiment,
             "config": config_to_dict(cfg),
             "rng": RNG_DESCRIPTION,
             "wall_time_s": time.monotonic() - start,
@@ -404,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     gate.set_defaults(func=cmd_gate)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep experiment")
-    sweep.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
+    sweep.add_argument("--experiment", help="optional; must name the run the config makes",
+                       choices=["runtime", "mean-control", "dt-zero-energy",
+                                "kick-equivalence"])
     sweep.add_argument("--config", required=True, help="JSON config file")
     sweep.add_argument("--seed", type=int, help="override master_seed")
     sweep.add_argument("--out-dir", required=True)

@@ -1,28 +1,30 @@
-"""Parameter sweeps over runtime, control strength, and pulse length.
+"""Parameter sweeps: each grid value sets one field of the gate or the train.
 
-Each sweep propagates the configured gate over a grid, averages the
-quality factor over noise realizations, and returns an ordered table of
-rows plus per-realization records.  Seeding is positional: realization k
-of grid point j derives its generator from SeedSequence([master_seed, j,
-k]), so results are independent of how realizations are batched, and a
-(config, master_seed) pair reproduces output files byte for byte.
+A config's sweep_variable names the field that a grid value x replaces: T
+on the gate; dt, p or J on the control train; or mean_control, which sets
+J = 2x.  A train kind takes the axes whose field it reads (_axes), and one
+point rule (_point) builds every sweep.  A sweep averages the quality
+factor of each grid point over noise realizations and returns an ordered
+table of rows plus per-realization records.  Realization k of grid point
+j is seeded from SeedSequence([master_seed, j, k]), so results are
+independent of batching, and a (config, master_seed) pair reproduces
+output files byte for byte.
 
 A sweep runs its jobs one after another, in order.  A job is a list of
 realizations taken in (grid index, realization index) order from a run of
-grid points whose gate and train differ at most in the amplitude J.  Such
-realizations share their segment edges, so a job is one array program:
-control.generate_segments lays out the edges once and draws each
-realization's values, from its own seed, into one value matrix;
-propagation.propagate_lab_batch propagates that matrix as one batch, in
-which realizations with equal segment values (those at J = 0) share one
-propagation, and realizations with one value on a segment (the off
-segments of a positive square train, at any J) share that segment's
+grid points with one gate and one train layout: their trains differ at
+most in J, p or the seed, which move no segment edge.  So a job is one
+array program: control.generate_segments lays out the edges once and
+draws each realization's values, from its own seed, into one value
+matrix; propagation.propagate_lab_batch propagates that matrix as one
+batch, in which realizations with equal segment values (those at J = 0)
+share one propagation, and realizations with one value on a segment (the
+off segments of a positive square train, at any J) share that segment's
 exponentials and its node; and the mean control of every row is read off
 the matrix.  A run of n realizations is split into ceil(n / MAX_BATCH)
-jobs of nearly equal size: the whole mean-control sweep is one run, while
-a runtime or dt sweep, whose grid value moves the step grid, has one run
-per grid point.  The kick comparison is one such job: one layout of the
-kicks with a row of signs per kind.
+jobs of nearly equal size: a mean_control, p or J sweep is one run, while
+a T or dt sweep, whose grid value moves the step grid, has one run per
+grid point.  The kick comparison is one job, a row of signs per kind.
 """
 from __future__ import annotations
 
@@ -34,8 +36,9 @@ from itertools import groupby
 import numpy as np
 
 from ._version import __version__
-from .control import (KICK_KINDS, RNG_DESCRIPTION, ControlKind, PulseTrain,
-                      generate_segments, mean_control, net_area, resonance_condition)
+from .control import (KICK_KINDS, MAX_STEPS, RNG_DESCRIPTION, ControlKind, PulseTrain,
+                      _layout, generate_segments, mean_control, net_area,
+                      resonance_condition)
 from .hamiltonians import GateKind, GateSpec, Schedule, dark_states
 from .holonomy import berry_closed_form, evaluate_holonomy, wrap_angle
 from .propagation import StepPolicy, propagate_lab_batch
@@ -55,38 +58,33 @@ class ExperimentConfig:
     policy: StepPolicy = StepPolicy()
 
     def __post_init__(self):
-        experiment = self.experiment
+        kind, variable = self.control.kind, self.sweep_variable
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly ascending")
-        if experiment == "kick-equivalence" and len(self.grid) != 1:
+        if variable not in _axes(kind):
+            kinds = ", ".join(k.value for k in ControlKind if variable in _axes(k)) or "no"
+            raise ValueError(f"sweep_variable {variable!r} applies to {kinds} trains; a "
+                             f"{kind.value} train takes {' or '.join(map(repr, _axes(kind)))}")
+        if kind in KICK_KINDS and len(self.grid) != 1:
             raise ValueError(f"kick-equivalence takes one grid value, the kick spacing, "
                              f"got {len(self.grid)}")
-        if experiment == "mean-control":
+        if variable == "mean_control":
             T, dt = self.gate.schedule.T, self.control.dt
             ratio = T / dt
             off = ratio % 1.0  # nan when T / dt overflows
             if not min(off, 1.0 - off) <= 1e-9 * ratio:
                 raise ValueError(f"dt {dt} does not divide T {T}")
-        if experiment == "dt-zero-energy" and not self.control.J > 0:
-            raise ValueError("dt-zero-energy needs control.J > 0: its rows test J dt = 2 pi n")
+        if variable == "dt" and kind not in KICK_KINDS and not self.control.J > 0:
+            raise ValueError("a dt sweep needs control.J > 0: its rows test J dt = 2 pi n")
         if self.realizations < 1:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-
-    @property
-    def experiment(self) -> str:
-        """The EXPERIMENTS entry that takes this sweep_variable and control kind."""
-        for name, (variable, kinds, _) in EXPERIMENTS.items():
-            if variable == self.sweep_variable and self.control.kind in kinds:
-                return name
-        raise ValueError(
-            f"no experiment takes sweep_variable {self.sweep_variable!r} with a "
-            f"{self.control.kind.value} train; " + "; ".join(
-                f"{name} takes {v!r} with {' or '.join(k.value for k in ks)}"
-                for name, (v, ks, _) in EXPERIMENTS.items()))
+        if len(self.grid) * self.realizations > MAX_STEPS:  # each takes at least one step
+            raise ValueError(f"{len(self.grid)} grid values x {self.realizations} realizations "
+                             f"need more steps than the cap MAX_STEPS = {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -174,13 +172,13 @@ def _assemble_rows(cfg: ExperimentConfig, records, gamma_ideal: float):
 def _jobs(cfg: ExperimentConfig, points) -> list:
     """The sweep's jobs: lists of (j, k) realizations, in (j, k) order.
 
-    A run is a stretch of grid points whose (spec, train) differ at most in
-    J, which moves no segment edge; a run of n realizations becomes
-    ceil(n / MAX_BATCH) jobs of nearly equal size.
+    A run is a stretch of grid points with one gate and one train layout
+    (control._layout, which moves the segment edges); a run of n
+    realizations becomes ceil(n / MAX_BATCH) jobs of nearly equal size.
     """
     jobs = []
     for _, run in groupby(range(len(points)),
-                          key=lambda j: (points[j][0], replace(points[j][1], J=0.0))):
+                          key=lambda j: (points[j][0], _layout(points[j][1]))):
         run = [(j, k) for j in run for k in range(cfg.realizations)]
         n = -(-len(run) // MAX_BATCH)
         jobs += [run[i * len(run) // n:(i + 1) * len(run) // n] for i in range(n)]
@@ -210,44 +208,40 @@ def _job_records(cfg, gamma_ideal, points, job):
     return records
 
 
-def _mean_control_point(cfg: ExperimentConfig, target: float):
-    # at duty 50% the per-segment random factor averages to 1, so J = 2 * target;
-    # ExperimentConfig has checked that dt divides T
-    return cfg.gate, replace(cfg.control, J=2.0 * target)
+def _axes(kind: ControlKind) -> tuple:
+    """The sweep_variables a train of this kind takes: the fields it reads.
+    A kick train's one dt value is the spacing of the kick comparison."""
+    if kind in KICK_KINDS:
+        return ("dt",)
+    if kind is ControlKind.NO_CONTROL:
+        return ("T",)
+    return ("T", "dt", "p", "J") + (("mean_control",) if kind is ControlKind.POSITIVE_SQUARE
+                                    else ())
 
 
-def _dt_point(cfg: ExperimentConfig, dt: float):
-    return cfg.gate, replace(cfg.control, dt=dt)
-
-
-# experiment -> (sweep_variable, control kinds, grid value x -> (spec, train));
-# ExperimentConfig.experiment picks the one entry a config matches
-EXPERIMENTS = {
-    "runtime": ("T", (ControlKind.NO_CONTROL,),
-                lambda cfg, T: (replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, T)),
-                                cfg.control)),
-    "mean-control": ("mean_control", (ControlKind.POSITIVE_SQUARE,), _mean_control_point),
-    "dt-zero-energy": ("dt", (ControlKind.ZERO_ENERGY_ALTERNATING,), _dt_point),
-    "kick-equivalence": ("dt", KICK_KINDS, _dt_point),
-}
+def _point(cfg: ExperimentConfig, x: float):
+    """The (spec, train) of grid value x: x replaces the field that
+    cfg.sweep_variable names.  A mean_control x sets J = 2x: at duty 50% the
+    per-segment random factor averages to 1, and ExperimentConfig has checked
+    that dt divides T."""
+    variable = cfg.sweep_variable
+    if variable == "T":
+        return replace(cfg.gate, schedule=Schedule(cfg.gate.schedule.a, x)), cfg.control
+    if variable == "mean_control":
+        variable, x = "J", 2.0 * x
+    return cfg.gate, replace(cfg.control, **{variable: x})
 
 
 def sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Quality factor versus cfg.sweep_variable over cfg.grid.
-
-    The runtime experiment sweeps T without control; mean-control sweeps
-    the target average of a positive-square train, whose realized time
-    average is recorded per realization; dt-zero-energy sweeps the
-    half-period of a zero-energy alternating train.  Jobs of up to
-    MAX_BATCH realizations that share one step grid run in order (see the
-    module docstring); records come out in (grid index, realization index)
-    order.
+    """Quality factor versus cfg.sweep_variable over cfg.grid, one grid value
+    per point (_point).  Jobs of up to MAX_BATCH realizations that share one
+    step grid run in order (see the module docstring); records come out in
+    (grid index, realization index) order.
     """
-    if cfg.experiment == "kick-equivalence":
+    if cfg.control.kind in KICK_KINDS:
         raise ValueError("a kick-equivalence config is not a sweep; run "
                          "compare_positive_vs_zero_energy")
-    point = EXPERIMENTS[cfg.experiment][2]
-    points = [point(cfg, x) for x in cfg.grid]
+    points = [_point(cfg, x) for x in cfg.grid]
     # every grid point shares the amplitude a, hence the ideal phase
     gamma_ideal = berry_closed_form(cfg.gate.schedule.a)
     records = tuple(r for job in _jobs(cfg, points)
@@ -268,10 +262,10 @@ def compare_positive_vs_zero_energy(cfg: ExperimentConfig) -> KickEquivalenceRep
     against eigh at both signs.  The kick times are seeded by master_seed
     and laid out once: the two trains are one job, a row of signs each.
     """
-    if cfg.experiment != "kick-equivalence":
+    if cfg.control.kind not in KICK_KINDS:
         raise ValueError(f"kick comparison requires a delta-kick train, got a "
-                         f"{cfg.experiment} config")
-    spec, train = EXPERIMENTS[cfg.experiment][2](cfg, cfg.grid[0])
+                         f"{cfg.control.kind.value} train")
+    spec, train = _point(cfg, cfg.grid[0])
     segments = generate_segments([replace(train, kind=kind, seed=cfg.master_seed)
                                   for kind in KICK_KINDS], spec.schedule.T)
     res_pos, res_alt = propagate_lab_batch(spec, segments, cfg.policy)

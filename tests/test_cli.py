@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import holonomy_sim.cli as cli
-from holonomy_sim.experiments import EXPERIMENTS, config_from_dict
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
                                        gate_hamiltonian)
 from holonomy_sim.propagation import PropagationResult
@@ -219,17 +218,21 @@ class TestSweepCommand:
             blobs.append((out / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_ignored_thread_flag_keeps_output_bytes(self, tmp_path):
+    def test_ignored_thread_flag_and_omitted_experiment_keep_output_bytes(self, tmp_path):
         cfg = small_runtime_config(tmp_path)
         outs = []
-        for name, flag in (("plain", []), ("t2", ["--threads", "2"])):
+        for name, flags in (("plain", ["--experiment", "runtime"]),
+                            ("t2", ["--experiment", "runtime", "--threads", "2"]),
+                            ("unnamed", [])):
             out = tmp_path / name
-            assert run_cli(["sweep", "--experiment", "runtime", "--config", str(cfg),
-                            "--out-dir", str(out)] + flag) == 0
-            assert "threads" not in json.loads((out / "manifest.json").read_text())
+            assert run_cli(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                            "--plot"] + flags) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "threads" not in manifest and "experiment" not in manifest
             outs.append(out)
-        for name in ("results.csv", "bundle.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for name in ("results.csv", "bundle.json", "plot.svg"):
+            assert [(out / name).read_bytes() for out in outs[1:]] == [
+                (outs[0] / name).read_bytes()] * 2
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -290,7 +293,7 @@ class TestSweepCommand:
 
     def test_mismatched_control_kind_exits_2(self, tmp_path):
         cfg = json.loads(small_runtime_config(tmp_path).read_text())
-        cfg["control"] = {"kind": "positive_square", "J": 1.0, "dt": 0.1}
+        cfg["control"] = {"kind": "delta_kick_positive", "dt": 0.1}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
@@ -301,8 +304,8 @@ class TestSweepCommand:
     # (experiment, change to its small valid config); each is found while the
     # experiment runs or when the config is built, and must leave no --out-dir
     FAILING_RUNS = {
-        "positive-square-runtime": ("runtime", lambda c: c.update(control={
-            "kind": "positive_square", "J": 1.0, "dt": 0.1})),
+        "positive-square-dt-above-a-T": ("runtime", lambda c: c.update(control={
+            "kind": "positive_square", "J": 1.0, "dt": 0.75})),
         "negative-T": ("runtime", lambda c: c.update(grid=[-1.0, 1.0])),
         "T-underflows-the-step": ("runtime", lambda c: c.update(grid=[1e-320, 1.0])),
         "zero-dt": ("dt-zero-energy", lambda c: c.update(grid=[0.0, 0.25])),
@@ -327,8 +330,7 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error: invalid config"), err
         assert not out.exists()
 
-    def test_dt_zero_energy_without_J_exits_2_before_any_run(self, tmp_path, capsys,
-                                                                monkeypatch):
+    def test_dt_sweep_without_J_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         cfg = json.loads(_good_config("dt-zero-energy"))
         cfg["control"]["J"] = 0.0
         path = tmp_path / "cfg.json"
@@ -338,7 +340,7 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--experiment", "dt-zero-energy", "--config", str(path),
                         "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [
-            "error: invalid config: dt-zero-energy needs control.J > 0: its rows test "
+            "error: invalid config: a dt sweep needs control.J > 0: its rows test "
             "J dt = 2 pi n"]
         assert not out.exists()
 
@@ -362,11 +364,13 @@ class TestSweepCommand:
             assert code == 0
             assert json.loads((out / "report.json").read_text())["kick_count"] == kick_count
 
-    def test_experiment_choices_are_the_experiments_table(self):
+    def test_experiment_is_optional_and_names_the_four_runs(self):
         parser = cli.build_parser()
         sweep = parser._subparsers._group_actions[0].choices["sweep"]
         action = next(a for a in sweep._actions if a.dest == "experiment")
-        assert action.choices == list(EXPERIMENTS)
+        assert not action.required and action.default is None
+        assert action.choices == ["runtime", "mean-control", "dt-zero-energy",
+                                  "kick-equivalence"]
 
     def test_gate_kind_choices_are_the_gate_kinds(self):
         parser = cli.build_parser()
@@ -375,16 +379,29 @@ class TestSweepCommand:
         kinds = [kind.value for kind in GateKind]
         assert action.choices == kinds == ["phase", "xgate", "cphase"]
 
-    def test_shipped_configs_resolve_to_the_experiment_they_are_run_with(self):
-        resolved = {p.stem: config_from_dict(json.loads(p.read_text())).experiment
-                    for p in CONFIG_DIR.glob("*.json")}
+    # each run of a shipped config in the README and in CI names it with an
+    # --experiment the CLI accepts: the stubbed run is reached, not a mismatch
+    def test_readme_and_ci_run_every_shipped_config_with_an_agreeing_experiment(
+            self, tmp_path, capsys, monkeypatch):
+        def ran(cfg):
+            raise ValueError("ran")
+
+        monkeypatch.setattr(cli, "sweep", ran)
+        monkeypatch.setattr(cli, "compare_positive_vs_zero_energy", ran)
+        shipped = {p.stem for p in CONFIG_DIR.glob("*.json")}
         readme = (ROOT / "README.md").read_text()
         ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        for text, pattern in ((readme, r"--experiment\s+(\S+)\s+--config\s+configs/(\w+)\.json"),
-                              (ci, r"^\s*check (\S+) (\S+) ")):
-            runs = {config: experiment
-                    for experiment, config in re.findall(pattern, text, re.M)}
-            assert runs == resolved
+        for text, pattern in (
+                (readme, r"sweep\s+(?:--experiment\s+(\S+)\s+)?--config\s+configs/(\w+)\.json"),
+                (ci, r"^\s*check (\S+) (\S+) ")):
+            runs = re.findall(pattern, text, re.M)
+            assert sorted(config for _, config in runs) == sorted(shipped)
+            assert any(experiment for experiment, _ in runs)
+            for experiment, config in runs:
+                flag = ["--experiment", experiment] if experiment else []
+                assert run_cli(["sweep", *flag, "--config", str(CONFIG_DIR / f"{config}.json"),
+                                "--out-dir", str(tmp_path / "o")]) == 2
+                assert capsys.readouterr().err.splitlines() == ["error: invalid config: ran"]
 
     def test_unwritable_out_dir_exits_4(self, tmp_path):
         cfg = small_runtime_config(tmp_path)
@@ -519,6 +536,8 @@ BAD_JSON_VALUES = [
     ("config", "grid", "[1.0, 1" + "0" * 400 + "]", "grid value must be finite"),
     ("config", "realizations", "2.7", "realizations must be an integer"),
     ("config", "master_seed", "1.5", "master_seed must be an integer"),
+    ("config", "realizations", "100000000000",
+     "3 grid values x 100000000000 realizations need more steps than the cap MAX_STEPS"),
     ("config", "control", '{"kind": "no_control", "seed": 0.5}',
      "control.seed must be an integer"),
     ("config", "policy", '{"substeps_per_segment": 20.5}',
@@ -557,6 +576,41 @@ def test_bad_json_values_exit_2(tmp_path, capsys, where, key, raw, message):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid")
     assert message in err[0]
+
+
+SQUARE_AXES = "'T' or 'dt' or 'p' or 'J'"
+KICK = {"kind": "delta_kick_positive", "dt": 0.25}
+# (sweep_variable, control, the axes its kind takes): pairs the axis rule
+# rejects when the config is parsed
+AXIS_REJECTIONS = {
+    "mean_control-zero-energy": ("mean_control", {"kind": "zero_energy_alternating",
+                                                  "J": 25.1, "dt": 0.25}, SQUARE_AXES),
+    "dt-no-control": ("dt", {"kind": "no_control"}, "'T'"),
+    "p-no-control": ("p", {"kind": "no_control"}, "'T'"),
+    "J-no-control": ("J", {"kind": "no_control"}, "'T'"),
+    "T-kicks": ("T", KICK, "'dt'"),
+    "p-kicks": ("p", {**KICK, "kind": "delta_kick_alternating"}, "'dt'"),
+    "J-kicks": ("J", KICK, "'dt'"),
+    "mean_control-kicks": ("mean_control", KICK, "'dt'"),
+    "unknown-axis": ("x", {"kind": "positive_square", "J": 1.0, "dt": 0.25},
+                     SQUARE_AXES + " or 'mean_control'"),
+}
+
+
+@pytest.mark.parametrize("case", AXIS_REJECTIONS)
+def test_an_axis_the_kind_does_not_read_exits_2_naming_its_axes(tmp_path, capsys, case):
+    variable, control, axes = AXIS_REJECTIONS[case]
+    cfg = {**json.loads(_good_config(None)), "sweep_variable": variable, "control": control,
+           "grid": [0.5]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: invalid config: sweep_variable {variable!r} applies to ")
+    assert err[0].endswith(f"; a {control['kind']} train takes {axes}")
+    assert not out.exists()
 
 
 class TestSelftest:
@@ -675,8 +729,8 @@ def cli_argvs(draw, workdir):
         }
     else:
         flags = {
-            "--experiment": ([["--experiment", experiment]],
-                             [[], ["--experiment", "nope"]]),
+            "--experiment": ([["--experiment", experiment], []],
+                             [["--experiment", "nope"]]),
             "--config": ([["--config", str(config)]],
                          [[], ["--config", str(workdir / "missing.json")],
                           ["--config", str(config), "odd"]]),

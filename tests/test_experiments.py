@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import struct
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from holonomy_sim import experiments
 from holonomy_sim.control import (KICK_KINDS, ControlKind, PulseTrain, generate_segments,
@@ -48,6 +50,18 @@ def dt_config(grid, p=0.0, realizations=1, master_seed=13, J=20 * math.pi):
         master_seed=master_seed)
 
 
+def T_zero_energy_config():
+    """A T sweep under a zero-energy alternating train: one job per T."""
+    return replace(dt_config((1.0, 1.5, 2.0), p=0.5, realizations=2), sweep_variable="T")
+
+
+def p_square_config():
+    """A p sweep of a positive square train: one layout, so one job."""
+    return replace(mean_control_config(grid=(0.0, 0.5, 1.0), realizations=2),
+                   sweep_variable="p",
+                   control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=100.0, dt=0.05, p=0.5))
+
+
 class TestConfigValidation:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -75,12 +89,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="physical_four"):
             config_from_dict(data)
 
-    # the control kind is checked when the config is built, not when it runs
-    def test_runtime_requires_no_control(self):
-        with pytest.raises(ValueError, match="no experiment takes sweep_variable 'T' with a "
-                                             "positive_square train; runtime takes 'T' with "
-                                             "no_control;"):
-            replace(mean_control_config(), sweep_variable="T")
+    # the control kind is checked when the config is built, not when it runs:
+    # every kind but a kick train reads the gate's T
+    def test_T_sweep_takes_a_controlled_train_but_not_kicks(self):
+        assert replace(mean_control_config(), sweep_variable="T").sweep_variable == "T"
+        with pytest.raises(ValueError, match="sweep_variable 'T' applies to no_control, "
+                                             "positive_square, zero_energy_alternating trains; "
+                                             "a delta_kick_positive train takes 'dt'$"):
+            replace(kick_config(0.1), sweep_variable="T")
 
     def test_mean_control_requires_positive_square(self):
         with pytest.raises(ValueError, match="positive_square"):
@@ -103,24 +119,30 @@ class TestConfigValidation:
 
     # J = 0 has no resonance J dt = 2 pi n to annotate: rejected when parsed,
     # not after every grid point has run
-    def test_dt_zero_energy_needs_positive_J_when_parsed(self):
+    @pytest.mark.parametrize("kind", ["zero_energy_alternating", "positive_square"])
+    def test_dt_sweep_needs_positive_J_when_parsed(self, kind):
         data = config_to_dict(dt_config((0.1, 0.2)))
-        data["control"]["J"] = 0.0
-        with pytest.raises(ValueError, match=r"dt-zero-energy needs control.J > 0"):
+        data["control"].update(kind=kind, J=0.0)
+        with pytest.raises(ValueError, match=r"a dt sweep needs control.J > 0"):
             config_from_dict(data)
 
-    def test_dt_sweep_requires_alternating_or_kicks(self):
-        with pytest.raises(ValueError, match="dt-zero-energy takes 'dt' with "
-                                             "zero_energy_alternating; kick-equivalence takes "
-                                             "'dt' with delta_kick_positive or "
-                                             "delta_kick_alternating$"):
+    def test_dt_sweep_requires_a_train_with_a_dt(self):
+        with pytest.raises(ValueError, match="sweep_variable 'dt' applies to positive_square, "
+                                             "zero_energy_alternating, delta_kick_positive, "
+                                             "delta_kick_alternating trains; a no_control "
+                                             "train takes 'T'$"):
             replace(runtime_config(), sweep_variable="dt")
 
-    def test_config_resolves_to_one_experiment(self):
-        kick = replace(dt_config((0.1,)), control=PulseTrain(ControlKind.DELTA_KICK_ALTERNATING,
-                                                             dt=0.1))
-        assert [c.experiment for c in (runtime_config(), mean_control_config(),
-                                       dt_config((0.1,)), kick)] == list(experiments.EXPERIMENTS)
+    # (sweep_variable, grid value, T of the point's gate, fields of its train)
+    @pytest.mark.parametrize("variable, x, T, fields", [
+        ("T", 2.5, 2.5, {}), ("dt", 0.25, 1.0, {"dt": 0.25}), ("p", 0.25, 1.0, {"p": 0.25}),
+        ("J", 0.25, 1.0, {"J": 0.25}), ("mean_control", 0.25, 1.0, {"J": 0.5})])
+    def test_grid_value_sets_the_field_its_sweep_variable_names(self, variable, x, T, fields):
+        cfg = replace(mean_control_config(), sweep_variable=variable, grid=(x,),
+                      control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=1.0, dt=0.005, p=0.5))
+        spec, train = experiments._point(cfg, x)
+        assert (spec, train) == (GateSpec(GateKind.PHASE, Schedule(A_REF, T)),
+                                 replace(cfg.control, **fields))
 
     def test_kick_equivalence_takes_one_grid_value(self):
         kick = PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=0.1)
@@ -199,8 +221,7 @@ class TestSweepMeanControl:
 
 
 def sweep_points(cfg):
-    point = experiments.EXPERIMENTS[cfg.experiment][2]
-    return [point(cfg, x) for x in cfg.grid]
+    return [experiments._point(cfg, x) for x in cfg.grid]
 
 
 class TestSweepJobs:
@@ -216,6 +237,12 @@ class TestSweepJobs:
         assert [len(job) for job in _jobs(cfg, sweep_points(cfg))] == [17, 18, 17, 18]
         cfg = runtime_config(grid=(1.0, 2.0))
         assert _jobs(cfg, sweep_points(cfg)) == [[(0, 0)], [(1, 0)]]
+
+    def test_T_sweep_runs_a_job_per_point_and_p_sweep_one_job(self):
+        cfg = T_zero_energy_config()
+        assert _jobs(cfg, sweep_points(cfg)) == [[(j, 0), (j, 1)] for j in range(3)]
+        cfg = p_square_config()
+        assert _jobs(cfg, sweep_points(cfg)) == [[(j, k) for j in range(3) for k in range(2)]]
 
     def test_shipped_mean_control_sweep_splits_into_equal_jobs(self):
         cfg = config_from_dict(json.loads((CONFIG_DIR / "mean_control.json").read_text()))
@@ -242,7 +269,9 @@ class TestSweepJobs:
         replace(mean_control_config(grid=(0.0, 10.0, 20.0, 30.0, 40.0), realizations=12),
                 control=PulseTrain(ControlKind.POSITIVE_SQUARE, J=0.0, dt=0.05, p=0.5)),
         dt_config((0.05, 0.1), p=0.5, realizations=MAX_BATCH + 3),
-    ], ids=["mean-control", "dt-zero-energy"])
+        T_zero_energy_config(),
+        p_square_config(),
+    ], ids=["mean-control", "dt-zero-energy", "T-zero-energy", "p-positive-square"])
     def test_batched_records_equal_each_train_run_alone(self, cfg):
         result = sweep(cfg)
         dark = dark_states(cfg.gate, 0.0)[-1]
@@ -329,6 +358,37 @@ class TestSweepDtZeroEnergy:
             evaluate_holonomy(propagate_lab(spec, segments, policy).U, dark, gamma_ideal).f
             for policy in (cfg.policy, replace(cfg.policy, substeps_per_segment=320)))
         assert abs(shipped - converged) <= 1e-6
+
+    # An oracle that shares no propagation code: DOP853 on the 3-level state
+    # (lo, anc, hi), restarted at every segment edge, with the couplings
+    # written from Schedule.theta and Schedule.phi.  The midpoint error falls
+    # as 1/substeps^2: at this point 1280 substeps sit 2.9e-7 from the oracle
+    # and 5120 sit 1.8e-8.
+    def test_midpoint_engine_meets_an_ode_oracle_at_shipped_point_27(self):
+        cfg = config_from_dict(json.loads((CONFIG_DIR / "dt_zero_energy.json").read_text()))
+        spec, train = sweep_points(cfg)[27]
+        assert train.dt == 0.041136206709
+        segments = generate_segments(replace(train, seed=realization_seed(cfg.master_seed, 27, 0)),
+                                     spec.schedule.T)
+        s = spec.schedule
+
+        def rhs(t, psi, c):
+            x = math.sin(s.theta(t))
+            y = math.cos(s.theta(t)) * cmath.exp(-1j * s.phi(t))
+            w = -1j * (1.0 + c)
+            return [w * x * psi[1], w * (x * psi[0] + y.conjugate() * psi[2]), w * y * psi[1]]
+
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # the dark state at t = 0 is |lo>
+        assert not len(segments.kick_times)
+        for t0, t1, c in zip(segments.edges[:-1], segments.edges[1:], segments.values.tolist()):
+            psi = solve_ivp(rhs, (t0, t1), psi, method="DOP853", rtol=1e-12, atol=1e-13,
+                            args=(c,)).y[:, -1]
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+        gamma_ideal = berry_closed_form(s.a)
+        oracle = quality_factor(gamma_ideal, cmath.phase(psi[0]), abs(psi[0]))
+        engine = propagate_lab(spec, segments, replace(cfg.policy, substeps_per_segment=5120))
+        f = evaluate_holonomy(engine.U, dark_states(spec, 0.0)[-1], gamma_ideal).f
+        assert abs(f - oracle) <= 1e-7
 
     def test_noise_realizations_have_spread(self):
         J = 20 * math.pi
