@@ -272,10 +272,12 @@ def net_area(segments: Segments):
 
 def _per_train(smooth: np.ndarray, signs: np.ndarray):
     """sum(smooth) + KICK_AREA * sum(signs) of one train, or a list of them, one
-    per row of a job: sequential sums, so a row has the bits of its train alone."""
+    per row of a job: sequential float sums and exact integer ones, so a row
+    has the bits of its train alone."""
+    kicks = signs.sum(axis=-1).tolist()
     if smooth.ndim == 1:
-        return sum(smooth.tolist()) + KICK_AREA * sum(signs.tolist())
-    return [sum(a) + KICK_AREA * sum(s) for a, s in zip(smooth.tolist(), signs.tolist())]
+        return sum(smooth.tolist()) + KICK_AREA * kicks
+    return [sum(a) + KICK_AREA * s for a, s in zip(smooth.tolist(), kicks)]
 
 
 def resonance_condition(J: float, dt: float):

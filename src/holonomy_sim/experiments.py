@@ -70,6 +70,12 @@ class ExperimentConfig:
         if kind in KICK_KINDS and len(self.grid) != 1:
             raise ValueError(f"kick-equivalence takes one grid value, the kick spacing, "
                              f"got {len(self.grid)}")
+        if kind is not ControlKind.NO_CONTROL:  # generate_segments' rule, at every valid T
+            for x in self.grid:
+                T = x if variable == "T" else self.gate.schedule.T
+                dt = x if variable == "dt" else self.control.dt
+                if dt >= T > 0:
+                    raise ValueError(f"dt {dt} must be smaller than T {T}")
         if variable == "mean_control":
             T, dt = self.gate.schedule.T, self.control.dt
             ratio = T / dt

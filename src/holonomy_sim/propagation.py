@@ -37,8 +37,9 @@ positive square train are 0 in every realization, and trains with equal
 values throughout (the J = 0 realizations of a sweep, or one kick layout
 under two sign patterns) are one row.  A one-segment train (no control,
 delta kicks) keeps the whole stack's tree.  Every tree holds its factors
-or nodes in qcore's tree order, one contiguous multiply a level.  The
-distinct products are embedded into spec.dim as one stack.
+or nodes in qcore's tree order, one contiguous multiply a level, and
+the full pieces of a long segment share their smaller levels' multiplies.
+The distinct products are embedded into spec.dim as one stack.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
 eigenbasis (D0, D1, B+, B-) of the phase-gate generator.  Because all
@@ -71,11 +72,6 @@ MIN_SUBSTEPS = 20
 # 4096, one row 20% slower.  288 workspace bytes an entry set the peak.
 BLOCK = 10240
 WIDTH = 4096
-
-# The segment nodes held before they are reduced: an aligned group of the
-# largest power of two of segments with at most NODES nodes (rows times
-# segments), or of all of them.
-NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -240,13 +236,17 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
 
     Each segment is reduced by tree_product once for each of its k_s
     distinct rows, and each row's segment nodes in time order, in aligned
-    groups of a power of two of segments (about NODES nodes) whose nodes
-    are those of the tree over the segments.  A segment is cut from its
-    start into pieces of _piece(k_s) factors, the last one ragged: reduced
-    in full, each is a node of the segment's tree, and a segment's piece
-    nodes reduce to its own node with its bits.  The pieces of a group of
-    one length and one k_s run together, in calls of at most _budget(k_s)
-    entries or alone if full.  A call forms its exponents in tree_order
+    groups of the largest power of two of segments whose nodes (rows times
+    segments) fit one call's _budget(rows), or of all of them: a group's
+    nodes are those of the tree over the segments.  A segment is cut from
+    its start into pieces of _piece(k_s) factors, the last one ragged:
+    reduced in full, each is a node of the segment's tree, and a segment's
+    piece nodes reduce to its own node with its bits.  The pieces of a
+    group of one length and one k_s run together, in calls of at most
+    _budget(k_s) entries, or a call each if full; then, for several,
+    only down to the level at which all of them fit one piece, and those
+    levels, as lanes, are one tree_product to the piece nodes, each with
+    its own tree's pairs.  A call forms its exponents in tree_order
     (factor, piece, row): the widths of its factors times 1 + c of each
     piece's distinct values, read from a (segments, rows) table that holds
     a segment's values in the order of the rows that first hold them.  It
@@ -269,16 +269,18 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
     k = own.sum(axis=0)
     sizes = np.array([0] + [_piece(m) for m in range(1, rows + 1)])
     many = -(-counts // sizes[k])
-    span = min(1 << (segments - 1).bit_length(), 1 << max(1, NODES // rows).bit_length() - 1)
+    span = min(1 << (segments - 1).bit_length(),
+               1 << max(1, _budget(rows) // rows).bit_length() - 1)
     bases = np.arange(0, segments, span)
     # the nodes of a group, at their tree positions: one per segment, then
     # the pieces of each segment of several
     slots = np.add.reduceat(np.where(many > 1, many + 1, 1), bases).max()
     nodes = np.empty((3, 3, slots, rows), dtype=complex)
     top = np.empty((3, 3, len(bases), rows), dtype=complex)
-    # one allocation, grown as needed: glibc's malloc then keeps it on the heap
-    # from job to job (two halves were trimmed and faulted in by every job)
-    exps, spare = np.split(np.empty(18 * rows * span, dtype=complex), 2)
+    # one allocation, grown as the calls need it: glibc's malloc then keeps it on
+    # the heap from job to job (two halves, or a first one sized for a group of
+    # nodes and then grown, were trimmed and faulted in by every job)
+    exps = spare = np.empty(0, dtype=complex)
 
     def workspace(rows, factors):
         """The exponentials and the spare buffer: work for rows rows of factors."""
@@ -309,6 +311,14 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
             m, width = int(k[seg[pieces[0]]]), int(length[pieces[0]])
             per = 1 if width == sizes[m] else _budget(m) // (m * width)
             per = -(-len(pieces) // -(-len(pieces) // per))  # nearly equal calls
+            # straight into the nodes if they are consecutive and the rows all differ
+            direct = m == rows and pieces[-1] - pieces[0] == len(pieces) - 1
+            out = (nodes[:, :, pieces[0]:pieces[-1] + 1] if direct
+                   else np.empty((3, 3, len(pieces), m), dtype=complex))
+            # several full pieces, a call each, are reduced in their calls only down
+            # to the level at which all of them fit one piece, then as lanes of one tree
+            stop = max(1, width >> (len(pieces) - 1).bit_length()) if per == 1 < len(pieces) else 1
+            lanes = np.empty((3, 3, stop, len(pieces), m), dtype=complex) if stop > 1 else out
             for i in range(0, len(pieces), per):
                 part = pieces[i:i + per]
                 c, w = len(part), len(part) * width
@@ -325,15 +335,14 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
                 _closed_form(x[:, None], y[:, None], taus, exps[:9 * m * w].reshape(3, 3, w, m),
                              spare[half + w:], pulses)
                 del x, y  # views of the workspace, which a later call may grow
-                # straight into the nodes if they are consecutive and the rows all differ
-                direct = m == rows and part[-1] - part[0] == c - 1
-                out = (nodes[:, :, part[0]:part[-1] + 1] if direct
-                       else np.empty((3, 3, c, m), dtype=complex))
-                tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), out, (exps, spare))
-                if not direct:  # row r reads node rank[r, j] of the m of piece j
-                    j = np.arange(c)
-                    rank = (np.cumsum(own[:, seg[part]], axis=0) - 1)[share[:, seg[part]], j]
-                    nodes[:, :, part] = out[:, :, j[:, None], rank.T]
+                tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), lanes[..., i:i + c, :],
+                             (exps, spare), stop)
+            if stop > 1:
+                tree_product(lanes, out, (exps, spare))
+            if not direct:  # row r reads node rank[r, j] of the m of piece j
+                j, on = np.arange(len(pieces)), seg[pieces]
+                rank = (np.cumsum(own[:, on], axis=0) - 1)[share[:, on], j]
+                nodes[:, :, pieces] = out[:, :, j[:, None], rank.T]
         for j, end in zip(several, len(segs) + np.cumsum(many[segs[several]])):
             # the piece nodes of a segment reduced to its own
             tree_product(nodes[:, :, end - many[segs[j]]:end], nodes[:, :, j],

@@ -613,6 +613,42 @@ def test_an_axis_the_kind_does_not_read_exits_2_naming_its_axes(tmp_path, capsys
     assert not out.exists()
 
 
+# (sweep_variable, control, gate T, grid, the error): each axis checks the
+# dt and T of every grid point when the config is parsed, with the message
+# generate_segments gives when it lays out a train
+DT_NOT_BELOW_T = {
+    "T": ("T", {"kind": "positive_square", "J": 1.0, "dt": 0.75}, 1.0, [0.5, 1.0],
+          "dt 0.75 must be smaller than T 0.5"),
+    "dt": ("dt", {"kind": "zero_energy_alternating", "J": 25.1, "dt": 0.25}, 10.0,
+           [0.25, 10.0], "dt 10.0 must be smaller than T 10.0"),
+    "p": ("p", {"kind": "positive_square", "J": 1.0, "dt": 1.0}, 1.0, [0.5],
+          "dt 1.0 must be smaller than T 1.0"),
+    "J": ("J", {"kind": "zero_energy_alternating", "dt": 2.0}, 1.0, [1.0, 2.0],
+          "dt 2.0 must be smaller than T 1.0"),
+    "mean_control": ("mean_control", {"kind": "positive_square", "dt": 1.0}, 1.0, [0.0, 40.0],
+                     "dt 1.0 must be smaller than T 1.0"),
+    "kick-spacing": ("dt", {"kind": "delta_kick_alternating", "dt": 0.25}, 1.0, [1.5],
+                     "dt 1.5 must be smaller than T 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", DT_NOT_BELOW_T)
+def test_a_grid_point_with_dt_not_below_T_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                case):
+    variable, control, T, grid, message = DT_NOT_BELOW_T[case]
+    cfg = {**json.loads(_good_config(None)), "sweep_variable": variable, "control": control,
+           "grid": grid}
+    cfg["gate"]["T"] = T
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for run in ("sweep", "compare_positive_vs_zero_energy"):
+        monkeypatch.setattr(cli, run, lambda *args, **kwargs: pytest.fail("the config ran"))
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: invalid config: {message}"]
+    assert not out.exists()
+
+
 class TestSelftest:
     def test_selftest_passes_and_lists_groups(self, capsys):
         assert run_cli(["selftest"]) == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from holonomy_sim import experiments
 from holonomy_sim.control import (KICK_KINDS, ControlKind, PulseTrain, generate_segments,
@@ -335,6 +336,36 @@ def kick_config(dt, master_seed=3):
         sweep_variable="dt", grid=(dt,), master_seed=master_seed)
 
 
+def oracle_amplitude(spec, segments):
+    """<lo|U|lo> of one train from an oracle that shares no propagation code.
+
+    DOP853 on the 3-level state (lo, anc, hi), restarted at every segment
+    edge and kick instant, with the couplings written from Schedule.theta
+    and Schedule.phi; kick i is scipy's expm(-i * sign_i * pi * H(t_i)).
+    The state is |lo> at t = 0, the dark state there."""
+    s = spec.schedule
+
+    def h(t):
+        x = math.sin(s.theta(t))
+        y = math.cos(s.theta(t)) * cmath.exp(-1j * s.phi(t))
+        return np.array([[0.0, x, 0.0], [x, 0.0, y.conjugate()], [0.0, y, 0.0]])
+
+    def rhs(t, psi, c):
+        return -1j * (1.0 + c) * (h(t) @ psi)
+
+    kicks = dict(zip(segments.kick_times.tolist(), segments.kick_signs.tolist()))
+    stops = sorted(set(segments.edges.tolist()) | set(kicks))
+    values = segments.values[np.searchsorted(segments.edges, stops[:-1], side="right") - 1]
+    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+    for t0, t1, c in zip(stops[:-1], stops[1:], values.tolist()):
+        if t0 in kicks:
+            psi = expm(-1j * kicks[t0] * math.pi * h(t0)) @ psi
+        psi = solve_ivp(rhs, (t0, t1), psi, method="DOP853", rtol=1e-12, atol=1e-13,
+                        args=(c,)).y[:, -1]
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+    return psi[0]
+
+
 class TestSweepDtZeroEnergy:
     def test_resonance_annotation(self):
         J = 20 * math.pi
@@ -359,33 +390,17 @@ class TestSweepDtZeroEnergy:
             for policy in (cfg.policy, replace(cfg.policy, substeps_per_segment=320)))
         assert abs(shipped - converged) <= 1e-6
 
-    # An oracle that shares no propagation code: DOP853 on the 3-level state
-    # (lo, anc, hi), restarted at every segment edge, with the couplings
-    # written from Schedule.theta and Schedule.phi.  The midpoint error falls
-    # as 1/substeps^2: at this point 1280 substeps sit 2.9e-7 from the oracle
-    # and 5120 sit 1.8e-8.
+    # The midpoint error falls as 1/substeps^2: at this point 1280 substeps
+    # sit 2.9e-7 from the oracle and 5120 sit 1.8e-8.
     def test_midpoint_engine_meets_an_ode_oracle_at_shipped_point_27(self):
         cfg = config_from_dict(json.loads((CONFIG_DIR / "dt_zero_energy.json").read_text()))
         spec, train = sweep_points(cfg)[27]
         assert train.dt == 0.041136206709
         segments = generate_segments(replace(train, seed=realization_seed(cfg.master_seed, 27, 0)),
                                      spec.schedule.T)
-        s = spec.schedule
-
-        def rhs(t, psi, c):
-            x = math.sin(s.theta(t))
-            y = math.cos(s.theta(t)) * cmath.exp(-1j * s.phi(t))
-            w = -1j * (1.0 + c)
-            return [w * x * psi[1], w * (x * psi[0] + y.conjugate() * psi[2]), w * y * psi[1]]
-
-        psi = np.array([1.0, 0.0, 0.0], dtype=complex)  # the dark state at t = 0 is |lo>
-        assert not len(segments.kick_times)
-        for t0, t1, c in zip(segments.edges[:-1], segments.edges[1:], segments.values.tolist()):
-            psi = solve_ivp(rhs, (t0, t1), psi, method="DOP853", rtol=1e-12, atol=1e-13,
-                            args=(c,)).y[:, -1]
-        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
-        gamma_ideal = berry_closed_form(s.a)
-        oracle = quality_factor(gamma_ideal, cmath.phase(psi[0]), abs(psi[0]))
+        amplitude = oracle_amplitude(spec, segments)
+        gamma_ideal = berry_closed_form(spec.schedule.a)
+        oracle = quality_factor(gamma_ideal, cmath.phase(amplitude), abs(amplitude))
         engine = propagate_lab(spec, segments, replace(cfg.policy, substeps_per_segment=5120))
         f = evaluate_holonomy(engine.U, dark_states(spec, 0.0)[-1], gamma_ideal).f
         assert abs(f - oracle) <= 1e-7
@@ -441,6 +456,24 @@ class TestKickComparison:
         assert report.max_unitary_diff <= 1e-10
         assert report.net_area_positive == pytest.approx(9 * math.pi)
         assert report.net_area_alternating == pytest.approx(math.pi)
+
+    # the selftest's kick train, jittered: the engine's one factor I - 2H^2
+    # against the oracle's expm at each kick's own sign, for both sign
+    # patterns.  The kicks move the amplitude by 1.4; 20,000 steps sit
+    # 1.4e-10 from the oracle, the default 4096 3.4e-9
+    @pytest.mark.parametrize("kind", KICK_KINDS, ids=lambda kind: kind.value)
+    def test_kicked_engine_meets_an_ode_oracle_with_expm_kicks(self, kind):
+        spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+        segments = generate_segments(PulseTrain(kind, dt=0.1, p=0.5, seed=7), 1.0)
+        assert len(segments.kick_times) == 9 and len(set(segments.kick_signs.tolist())) == (
+            2 if kind is ControlKind.DELTA_KICK_ALTERNATING else 1)
+        amplitude = oracle_amplitude(spec, segments)
+        engine = propagate_lab(spec, segments, StepPolicy(max_step=1.0 / 20_000))
+        dark = dark_states(spec, 0.0)[-1]
+        assert abs(np.vdot(dark, engine.U @ dark) - amplitude) <= 1e-7
+        gamma_ideal = berry_closed_form(A_REF)
+        oracle = quality_factor(gamma_ideal, cmath.phase(amplitude), abs(amplitude))
+        assert abs(evaluate_holonomy(engine.U, dark, gamma_ideal).f - oracle) <= 1e-7
 
     def test_requires_delta_kind(self):
         with pytest.raises(ValueError, match="delta"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonomy_sim import propagation
+from holonomy_sim import propagation, qcore
 from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, PulseTrain, Segments,
                                   generate_segments)
 from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule,
@@ -624,6 +624,96 @@ def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
         assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
         levels, reference = reference_product(spec, train, policy)
         assert np.array_equal(result.U[np.ix_(levels, levels)], reference)
+
+
+def tree_sizes(monkeypatch):
+    """Spy on the lab frame's tree_product: a list of (factors, lanes..., stop) per call."""
+    sizes = []
+    tree_product = propagation.tree_product
+
+    def spy(p, out, work, stop=1):
+        sizes.append(p.shape[2:] + (stop,))
+        return tree_product(p, out, work, stop)
+
+    monkeypatch.setattr(propagation, "tree_product", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", [ControlKind.POSITIVE_SQUARE,
+                                  ControlKind.ZERO_ENERGY_ALTERNATING])
+def test_a_job_of_more_nodes_than_a_call_takes_is_bit_identical_to_each_train_alone(
+        kind, monkeypatch):
+    # 40 rows x 300 segments are 12,000 nodes, above BLOCK: groups of 256 and
+    # 44 segments.  The off segments of the positive trains are one value,
+    # shared by every row; each segment of 40 values is a full piece of
+    # _piece(40) = 128 factors and a ragged 2, and the 256 of an alternating
+    # group outnumber the factors of one
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
+    trains = [generate_segments(PulseTrain(kind, J=40.0 + j, dt=1.0 / 300, p=1.0, seed=j), 1.0)
+              for j in range(40)]
+    policy = StepPolicy(substeps_per_segment=130)
+    assert len(trains[0]) == 300 and 40 * 300 > propagation.BLOCK and _piece(40) == 128
+    sizes = tree_sizes(monkeypatch)
+    results = propagate_lab_batch(spec, job(trains), policy)
+    assert sizes[-1] == (2, 40, 1)  # the tree over the two groups' nodes
+    monkeypatch.undo()
+    for train, result in zip(trains, results):
+        alone = propagate_lab(spec, train, policy).U
+        assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_full_pieces_of_long_segments_share_one_tree_of_their_smaller_levels(rows,
+                                                                             monkeypatch):
+    # two segments of 5000 steps, each two full pieces of _piece(rows) = 2048
+    # factors and a ragged last one: the four full pieces stop at 512 nodes,
+    # then reduced as the lanes of one tree.  Kicks sit on both sides of
+    # every full piece's edges
+    edges = (0.0, 0.5, 1.0)
+    kicks = (0.2046, 0.2048, 0.4093, 0.4095, 0.7046, 0.7048, 0.9093, 0.9095)
+    values = [(3.0, 7.0), (4.0, -1.0)][:rows]
+    signs = [(1, -1, -1, 1, 1, 1, -1, -1), (-1, -1, 1, 1, 1, -1, -1, 1)]
+    trains = [Segments(edges, v, kicks, s) for v, s in zip(values, signs)]
+    spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
+    policy = StepPolicy(max_step=1.0 / 10_000)
+    seg, place, counts = kick_places(trains[0], policy)
+    width = _piece(rows)
+    assert width == 2048 and (counts > 2 * width).all() and (counts < 3 * width).all()
+    for s in range(2):
+        np.testing.assert_array_equal(place[seg == s], [2046, 2049, 4095, 4098])
+    sizes = tree_sizes(monkeypatch)
+    results = propagate_lab_batch(spec, job(trains), policy)
+    assert sizes.count((width, 1, rows, 512)) == 4 and (512, 4, rows, 1) in sizes
+    monkeypatch.undo()
+    for train, result in zip(trains, results):
+        alone = propagate_lab(spec, train, policy).U
+        assert np.array_equal(result.U.view(np.uint64), alone.view(np.uint64))
+        levels, reference = reference_product(spec, train, policy)
+        assert np.array_equal(result.U[np.ix_(levels, levels)], reference)
+
+
+def test_full_size_kick_comparison_takes_at_most_80_multiplies(monkeypatch):
+    # T = 10 and 9,999 jittered kicks: one segment of 24,094 factors in 11
+    # full pieces of 2048 and one of 1566.  The full pieces share the tree of
+    # their levels of 128 nodes and fewer (66 multiplies); one tree each
+    # took 136
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 10.0))
+    segments = generate_segments([PulseTrain(kind, dt=0.001, p=0.5, seed=0)
+                                  for kind in (ControlKind.DELTA_KICK_POSITIVE,
+                                               ControlKind.DELTA_KICK_ALTERNATING)], 10.0)
+    assert len(segments) == 1 and len(segments.kick_times) == 9999
+    calls = []
+    matmul = qcore._matmul
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(qcore, "_matmul", spy)
+    positive, alternating = propagate_lab_batch(spec, segments)
+    assert positive.steps_taken + len(segments.kick_times) == 24_094
+    assert len(calls) <= 80
+    assert np.array_equal(positive.U, alternating.U)
 
 
 def test_shared_values_point_at_the_first_row_of_each_value():
