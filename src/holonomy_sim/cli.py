@@ -241,7 +241,21 @@ def _check_matexp_unitarity(rng):
     hs = 0.5 * (m + m.conj().transpose(0, 2, 1))
     us = matexp_hermitian_stack(hs, rng.uniform(-5, 5, size=1000))
     worst = max(unitarity_defect(u) for u in us)
-    return worst <= 1e-10, f"max |U^dag U - I| = {worst:.2e} (tol 1e-10)"
+    # the lab frame's closed form on the couplings of every gate kind, for
+    # exponents from 1e-12 to 1e6 and pi pulses of either sign
+    taus = np.geomspace(1e-12, 1e6, 200)[:, None]
+    pulses = np.array([[math.pi], [-math.pi]])
+    worst_lambda = 0.0
+    for kind in GateKind:
+        ts = rng.uniform(0, 1.0, size=100)
+        _, x, y = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)), ts)
+        for us in (matexp_lambda_stack(x, y, taus * np.ones(len(ts))),
+                   matexp_lambda_stack(x, y, pulses * np.ones(len(ts)),
+                                       pi_pulses=np.arange(len(ts)))):
+            worst_lambda = max(worst_lambda, float(np.max(unitarity_defect(us))))
+    ok = worst <= 1e-10 and worst_lambda <= 1e-14
+    return ok, (f"max |U^dag U - I| eigh {worst:.2e} (1e-10), lambda closed form "
+                f"{worst_lambda:.2e} (1e-14)")
 
 
 def _check_hermiticity_and_gap(rng):

@@ -143,14 +143,23 @@ def _bounds(segments: Segments, policy: StepPolicy):
     offsets += np.repeat(starts, counts)
     bounds[-1] = span
     kick_times = segments.kick_times
-    if len(kick_times):
-        # one sort, dropping exact duplicates (a kick on a step bound) as np.unique does
-        bounds = np.concatenate((bounds, kick_times))
-        bounds.sort()
-        new = bounds[1:] != bounds[:-1]
-        if not new.all():
-            bounds = bounds[np.concatenate(([True], new))]
-    return bounds, np.searchsorted(bounds, kick_times)
+    if not len(kick_times):
+        return bounds, np.zeros(0, dtype=np.intp)
+    # one merge: a stable argsort finds the two ascending runs and merges them
+    # in linear time, a kick on a step bound right after it, and the merge
+    # order marks where the kicks went
+    merged = np.concatenate((bounds, kick_times))
+    order = np.argsort(merged, kind="stable")
+    kick_pos = np.flatnonzero(order >= len(bounds))
+    bounds = merged[order]
+    # exact duplicates (a kick on a step bound) are dropped as np.unique does,
+    # and every kick moves back by the duplicates before it: its position is
+    # then that of np.searchsorted(bounds, kick_times)
+    dup = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(dup):
+        kick_pos -= np.searchsorted(dup, kick_pos)
+        bounds = np.delete(bounds, dup + 1)
+    return bounds, kick_pos
 
 
 def _factors(train: Segments, policy: StepPolicy):

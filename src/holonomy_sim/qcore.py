@@ -9,7 +9,10 @@ Hermitian by construction.  Either way every propagation step is unitary
 up to rounding -- long runs take 1e5-1e6 steps and must not accumulate
 unitarity drift.  The closed form carries leading batch axes, so several
 trains share one call, and makes the exponential of a pi pulse exactly
-I - 2 H^2 for either sign.
+I - 2 H^2 for either sign.  Its sine and cosine, like the couplings'
+(hamiltonians.gate_generators), come from one tangent of the half angle
+(_half_angle): numpy runs float64 tan as a SIMD loop, about 2 ns an
+element on an AVX-512 host, where sin and cos call scalar libm at 5-12 ns.
 
 Stacks are multiplied as *planes*: an array of shape (d, d, ...) in which
 entry (i, j) of every matrix is one contiguous array.  A product of two
@@ -101,8 +104,9 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     (x real, conj(y) formed here).  The caller vouches for x^2 + |y|^2 = 1,
     which gives h the spectrum {-1, 0, +1} (couplings of norm s enter
     divided by s, with exponents s * tau), so exp(-i h tau) = I - i sin(tau)
-    h + (cos(tau) - 1) h^2 (Moler & Van Loan, SIAM Rev. 45, 2003), cos - 1
-    evaluated as -2 sin^2(tau / 2) to keep small steps accurate.  x and y
+    h + (cos(tau) - 1) h^2 (Moler & Van Loan, SIAM Rev. 45, 2003), both
+    from t = tan(tau / 2) as sin = 2 t / (1 + t^2) and cos - 1 = -2 t^2 /
+    (1 + t^2), which keeps small steps accurate (see _half_angle).  x and y
     have shape (n,) and taus shape (..., n): every row of taus is
     exponentiated against the same couplings, giving (..., n, 3, 3) as a
     view of planes (3, 3, ..., n) (see the module docstring).  A complex x,
@@ -110,10 +114,11 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     taus that is not n are rejected.
 
     pi_pulses, if given, indexes the factors (on the last axis of taus)
-    whose exponent tau is +-pi.  The exact sin(tau) is 0 there, but sin
+    whose exponent tau is +-pi.  The exact sin(tau) is 0 there, but that
     of the rounded pi is 1.2e-16 with the sign of tau, so the sine term is
-    dropped: such a factor is exactly I - 2 h^2, since b = -2 sin^2(+-pi / 2)
-    rounds to -2, the same for either sign.
+    dropped: such a factor is exactly I - 2 h^2, since t = tan(+-pi / 2) =
+    +-1.6e16 makes 1 + t^2 round to t^2 and b = -2 t^2 / (1 + t^2) to -2,
+    the same for either sign.
     """
     x, y = np.asarray(x), np.asarray(y, dtype=complex)
     if np.iscomplexobj(x):
@@ -128,10 +133,32 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
         raise ValueError(f"taus of shape {taus.shape} do not fit the couplings of shape "
                          f"{x.shape}: one exponent per coupling on the last axis")
     n, size = len(x), taus.size
-    work = np.empty(size + (size + 1) // 2 + 2 * n + (n + 1) // 2, dtype=complex)
+    work = np.empty(2 * size + 2 * n + (n + 1) // 2, dtype=complex)
     p = np.empty((3, 3) + taus.shape, dtype=complex)
     _closed_form(x, y, taus, p, work, None if pi_pulses is None else (..., pi_pulses))
     return _matrices(p)
+
+
+def _half_angle(t: np.ndarray, cos_m1: np.ndarray, scratch: np.ndarray):
+    """sin x into t and cos x - 1 into cos_m1, from t = tan(x / 2), for float
+    arrays of one shape; scratch receives 1 + t^2.
+
+    sin x = 2 t / (1 + t^2) and cos x - 1 = -2 t^2 / (1 + t^2), each with a
+    relative error of a few ulp, small x included (no cancellation), and
+    at x = +-pi (t = +-1.6e16, where 1 + t^2 rounds to t^2) cos x - 1 is
+    exactly -2.  With the tan these six elementwise passes take about 5.5
+    ns an element on an AVX-512 host, where the libm sines of sin x and of
+    -2 sin^2(x / 2) took 11 ns on step exponents.  The arithmetic is
+    elementwise, so an element gets the same bits wherever it sits in the
+    array.  cos_m1 and scratch may not overlap t or each other.
+    """
+    np.square(t, out=cos_m1)
+    np.add(cos_m1, 1.0, out=scratch)
+    np.divide(cos_m1, scratch, out=cos_m1)
+    cos_m1 *= -2.0
+    np.divide(t, scratch, out=t)
+    t *= 2.0
+    return t, cos_m1
 
 
 def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
@@ -139,10 +166,10 @@ def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
     """matexp_lambda_stack, unchecked, into planes p of shape (3, 3) + taus.shape,
     for x and y of one shape that broadcasts against taus.
 
-    work is a flat contiguous complex array of at least size + ceil(size /
-    2) + 2 n + ceil(n / 2) entries, for taus.size = size and x.size = n, and
-    pulses indexes taus at the pi pulses (see matexp_lambda_stack).  x, y,
-    taus, p and work may not overlap.
+    work is a flat contiguous complex array of at least 2 size + 2 n +
+    ceil(n / 2) entries, for taus.size = size and x.size = n, and pulses
+    indexes taus at the pi pulses (see matexp_lambda_stack).  x, y, taus,
+    p and work may not overlap.
 
     Each plane of h^2 is the one nonzero term of the dense sum over k of
     h[i, k] h[k, j], in its operand order: numpy's complex multiply may
@@ -151,19 +178,20 @@ def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
     so the result has the bits of I + a h + b h^2 summed densely.
     """
     size, n = taus.size, x.size
-    # work holds, in order: a; sin(taus), overwritten by b; conj(y); one
-    # plane of h^2; x x
+    # work holds, in order: a, whose memory first holds 1 + t^2; t = tan(taus
+    # / 2), overwritten by sin(taus), then b as floats; conj(y); one plane of
+    # h^2; x x
     a = work[:size].reshape(taus.shape)
-    end = size + (size + 1) // 2
-    b = work[size:end].view(float)[:size].reshape(taus.shape)
+    t, b = work[size:2 * size].view(float).reshape((2,) + taus.shape)
+    end = 2 * size
     cy, sq = work[end:end + n].reshape(x.shape), work[end + n:end + 2 * n].reshape(x.shape)
     xx = work[end + 2 * n:].view(float)[:n].reshape(x.shape)
-    # a = -1j sin(taus) and b = -2 sin(taus / 2)^2, rounded as those expressions
-    np.multiply(-1j, np.sin(taus, out=b), out=a)
+    # a = -1j sin(taus) and b = cos(taus) - 1, from t
+    np.tan(np.multiply(0.5, taus, out=t), out=t)
+    _half_angle(t, b, work[:size].view(float)[:size].reshape(taus.shape))
+    np.multiply(-1j, t, out=a)
     if pulses is not None:
         a[pulses] = 0.0
-    np.sin(np.multiply(0.5, taus, out=b), out=b)
-    np.multiply(-2.0, np.square(b, out=b), out=b)
     np.conjugate(y, out=cy)
     np.multiply(b, np.multiply(x, x, out=xx), out=p[0, 0])
     np.add(xx, np.multiply(cy, y, out=sq), out=sq)
@@ -207,12 +235,18 @@ def tree_product(p: np.ndarray, out: np.ndarray, work: tuple, stop: int = 1) -> 
     n // 2 in one _matmul and carries an odd last factor over: the pairs and
     multiply-adds, so the bits, of ordered_product.  With stop > 1, a level
     size of n, it ends at that level, whose nodes out (d, d, stop, ...)
-    receives in tree_order(stop).  work is two flat contiguous complex
-    arrays of at least p.size entries, for the levels and their terms; only
-    the first level reads p, so the first may be p's memory.  Neither may
-    overlap out.
+    receives in tree_order(stop); a stop that is not one of the level sizes
+    n, ceil(n / 2), ..., 1 is rejected.  work is two flat contiguous
+    complex arrays of at least p.size entries, for the levels and their
+    terms; only the first level reads p, so the first may be p's memory.
+    Neither may overlap out.
     """
     d, n, lanes = p.shape[0], p.shape[2], p.shape[3:]
+    reached = n
+    while reached > max(stop, 1):
+        reached -= reached // 2
+    if reached != stop:
+        raise ValueError(f"stop = {stop} is not a level size of a tree of {n} factors")
     per_factor = d * d * math.prod(lanes)
     here, there = work  # here holds the input of a level
     last = out[:, :, None] if stop == 1 else out

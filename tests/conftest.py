@@ -28,3 +28,10 @@ def lambda_stack(x, y):
     hs[:, 2, 1] = y
     hs[:, 1, 2] = np.conjugate(y)
     return hs
+
+
+def half_angle(t):
+    """sin x and cos x - 1 from t = tan(x / 2) as 2 t / (1 + t^2) and
+    -2 t^2 / (1 + t^2), written out as the engine rounds them."""
+    d = 1.0 + t * t
+    return 2.0 * (t / d), -2.0 * (t * t / d)

@@ -9,7 +9,7 @@ from holonomy_sim.hamiltonians import (DFS_INDICES, PAULI_Z, GateKind, GateSpec,
                                        total_z)
 from holonomy_sim.qcore import hermiticity_defect
 
-from conftest import lambda_stack
+from conftest import half_angle, lambda_stack
 
 
 def generator(kind, s, t):
@@ -161,21 +161,57 @@ def test_couplings_equal_the_hamiltonian_block_at_each_time(kind, rng):
         assert not full.any()
 
 
+def _drive_times(rng, T):
+    return np.concatenate([[0.0, T / 4, T / 2, 3 * T / 4, T], rng.uniform(0.0, T, size=100_000)])
+
+
 @pytest.mark.parametrize("a", [0.7605, 0.0])
 def test_couplings_have_the_bits_of_the_drive_formulas(a, rng):
     T = 0.37
-    ts = np.concatenate([[0.0, T / 4, T / 2, 3 * T / 4, T], rng.uniform(0.0, T, size=100_000)])
-    phi = 2 * math.pi * ts / T
-    th = a * np.sin(phi)
-    expected = np.zeros((len(ts), 3, 3), dtype=complex)
-    expected[:, 0, 1] = expected[:, 1, 0] = np.sin(th)
-    expected[:, 2, 1] = np.cos(th) * np.exp(-1j * phi)
-    expected[:, 1, 2] = np.conj(expected[:, 2, 1])
+    ts = _drive_times(rng, T)
+    # sin and cos of phi from tan(phi / 2), phi / 2 = pi t / T, then of theta
+    # = a sin(phi) from tan(theta / 2)
+    sin_phi, cos_phi = half_angle(np.tan(math.pi * ts / T))
+    cos_phi += 1.0
+    sin_th, cos_th = half_angle(np.tan(0.5 * a * sin_phi))
+    cos_th += 1.0
+    y = np.empty(len(ts), dtype=complex)
+    y.real, y.imag = cos_th * cos_phi, cos_th * -sin_phi
+    expected = lambda_stack(sin_th, y)
     for kind in GateKind:
         _, x, y = gate_generators(GateSpec(kind, Schedule(a, T)), ts)
         # the uint64 view also compares the signs of zeros
         assert np.array_equal(lambda_stack(x, y).view(np.uint64),
                               expected.view(np.uint64)), kind
+
+
+@pytest.mark.parametrize("a", [0.7605, 0.0, 3.0])
+def test_couplings_are_the_drive_formulas_to_rounding(a, rng):
+    T = 0.37
+    ts = _drive_times(rng, T)
+    phi = 2 * math.pi * ts / T
+    th = a * np.sin(phi)
+    eps = np.finfo(float).eps
+    for kind in GateKind:
+        _, x, y = gate_generators(GateSpec(kind, Schedule(a, T)), ts)
+        assert np.max(np.abs(x - np.sin(th))) <= 5 * eps, kind
+        assert np.max(np.abs(y - np.cos(th) * np.exp(-1j * phi))) <= 5 * eps, kind
+        # the premise of the closed-form step exponential
+        assert np.max(np.abs(x ** 2 + np.abs(y) ** 2 - 1.0)) <= 2e-15, kind
+
+
+def test_tan_of_an_array_has_the_bits_of_each_element_alone(rng):
+    # the couplings and the closed form take tan of whole arrays, and a
+    # record must keep its bits in any batch: numpy's SIMD tan may not
+    # depend on where an element sits
+    x = np.concatenate([rng.uniform(-4.0, 4.0, size=997), rng.uniform(-1e3, 1e3, size=997),
+                        [0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi, 1e-300, 5e-324]])
+    whole = np.tan(x).view(np.uint64)
+    alone = np.array([np.tan(v) for v in x]).view(np.uint64)
+    assert np.array_equal(whole, alone)
+    for shift in range(1, 9):
+        assert np.array_equal(np.tan(x[shift:]).view(np.uint64), whole[shift:]), shift
+        assert np.array_equal(np.tan(x[:-shift]).view(np.uint64), whole[:-shift]), shift
 
 
 class TestDarkStates:

@@ -173,6 +173,28 @@ def test_step_grid_bounds_match_edge_by_edge_construction():
             np.testing.assert_array_equal(bounds[kick_pos], train.kick_times)
 
 
+def test_kick_positions_are_those_of_searchsorted_in_the_merged_bounds():
+    # kicks between bounds, on step bounds (the duplicate is dropped), on a
+    # segment edge and on consecutive bounds; and the full-size kick layout,
+    # whose 9,999 kicks meet 15 step bounds
+    segments = Segments((0.0, 0.3, 0.35, 1.0), (2.0, -1.0, 0.0))
+    policy = StepPolicy()
+    on = loop_bounds(segments, policy)
+    kick_times = sorted({0.01, on[5], on[6], 0.3, 0.301, on[-2], 0.5 * (on[7] + on[8])})
+    kicked = Segments(segments.edges, segments.values, tuple(kick_times), (1,) * len(kick_times))
+    full = generate_segments(PulseTrain(ControlKind.DELTA_KICK_POSITIVE, dt=1e-4), 1.0)
+    for train, dropped in ((kicked, 4), (full, 15)):
+        bounds, kick_pos = _bounds(train, policy)
+        assert np.all(bounds[1:] > bounds[:-1])
+        assert len(bounds) == len(_bounds(Segments(train.edges, train.values), policy)[0]) \
+            + len(train.kick_times) - dropped
+        assert kick_pos.dtype == np.intp
+        np.testing.assert_array_equal(kick_pos, np.searchsorted(bounds, train.kick_times,
+                                                                side="left"))
+    # no kicks: no positions
+    assert _bounds(segments, policy)[1].shape == (0,)
+
+
 def test_step_grid_stays_finite_for_a_span_near_the_float_limit():
     # length * (j + 1) would overflow here; every edge must still be finite and increasing
     span = 2.8e307

@@ -9,7 +9,7 @@ from holonomy_sim.qcore import (_closed_form, _matmul, _matrices, _planes, hermi
                                 matexp_hermitian_stack, matexp_lambda_stack, ordered_product,
                                 tree_order, tree_product, unitarity_defect)
 
-from conftest import lambda_stack, matexp_hermitian, random_hermitian
+from conftest import half_angle, lambda_stack, matexp_hermitian, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -209,7 +209,7 @@ def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng
 
 def _work(n, size):
     """A NaN-filled work array of _closed_form for n couplings and size exponents."""
-    return np.full(size + (size + 1) // 2 + 2 * n + (n + 1) // 2, np.nan, dtype=complex)
+    return np.full(2 * size + 2 * n + (n + 1) // 2, np.nan, dtype=complex)
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
@@ -254,8 +254,8 @@ def _dense_closed_form(hs, taus):
     """The closed form over every plane: all d^3 products of h^2, then b h^2 + a h + I
     as whole (d, d, ...) arrays -- the reference the closed form on couplings must match."""
     x = np.asarray(taus, dtype=float)
-    a = -1j * np.sin(x)
-    b = -2.0 * np.sin(0.5 * x) ** 2
+    sin, b = half_angle(np.tan(0.5 * x))
+    a = -1j * sin
     h = _planes(hs)
     d = h.shape[0]
     sq = _matmul(h, h, np.empty((d, d) + h.shape[2:], dtype=complex), np.empty_like(h))
@@ -514,3 +514,14 @@ def test_tree_product_stopped_at_a_level_and_finished_has_the_bits_of_the_whole(
         out = np.full((d, d) + lanes, np.nan, dtype=complex)
         tree_product(level, out, (first, second))
         assert np.array_equal(_bits(out), expected)
+
+
+@pytest.mark.parametrize("n, stop", [(8, 0), (8, 3), (8, 5), (8, 9), (1, 0), (13, -1), (13, 6)])
+def test_tree_product_rejects_a_stop_that_is_not_a_level_size(n, stop):
+    # the level sizes of 8 are 8, 4, 2, 1 and of 13 are 13, 7, 4, 2, 1: stop = 0
+    # used to loop forever at one node, and stop = 3 to return with out unwritten
+    planes = np.zeros((3, 3, n), dtype=complex)
+    work = tuple(np.zeros(planes.size, dtype=complex) for _ in range(2))
+    out = np.zeros((3, 3, max(stop, 1)), dtype=complex)
+    with pytest.raises(ValueError, match=f"stop = {stop} is not a level size"):
+        tree_product(planes, out, work, stop)
