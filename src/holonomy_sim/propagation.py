@@ -67,11 +67,23 @@ DEFAULT_STEPS_PER_PERIOD = 4096
 MIN_SUBSTEPS = 20
 
 # One call of the product takes at most BLOCK entries (rows times factors)
-# and WIDTH factors a row.  On 2 cores, 10-row dt jobs ran fastest at about
-# 10,000 entries; in tree order 29 rows run 15-20% faster at 10,240 than at
-# 4096, one row 20% slower.  288 workspace bytes an entry set the peak.
+# and WIDTH factors a row; 288 workspace bytes an entry set the peak.  On 2
+# cores (numpy 2.4.6, under _BUFSIZE), the 29-row mean-control job runs 10%
+# faster at 10,240 entries than at 4096 and 4% faster than at 16,384, the dt
+# sweep 13% and 5%; one row runs 10-25% faster at a WIDTH of 4096 than at
+# 2048, and 8192 was mixed (the kick pair 7% faster, the mean-control job
+# and sweep no faster).
 BLOCK = 10240
 WIDTH = 4096
+
+# The product runs under a ufunc buffer of _BUFSIZE elements, set by
+# propagate_lab_batch and restored on exit.  numpy copies the operands of a
+# multiply through its buffer on every call when their contiguous run is
+# shorter than about a third of the buffer: the plane blocks of a _matmul
+# level, up to 2730 products at the default 8192, 170 here.  That copy
+# nearly doubled the cost of a 3x3 product on most levels of one-row calls.
+# 256-768 ran equally fast; 16 and 4096 lose most of the gain.
+_BUFSIZE = 512
 
 
 @dataclass(frozen=True)
@@ -396,7 +408,9 @@ def propagate_lab_batch(spec: GateSpec, segments: Segments,
     contributes the factor exp(-i * pi * H(t_i)) = I - 2 H(t_i)^2, exactly
     and whatever its sign (see matexp_lambda_stack), right before the step
     that starts at its instant; the signs enter only the areas of control.
-    The distinct products are embedded into spec.dim and their unitarity
+    The product runs under a ufunc buffer of _BUFSIZE elements, and the
+    caller's buffer size is back in place on return or raise.  The
+    distinct products are embedded into spec.dim and their unitarity
     defects taken as one stack.  Returns one PropagationResult per train,
     in order; each is bit-identical to propagating that train alone.
     """
@@ -408,8 +422,10 @@ def propagate_lab_batch(spec: GateSpec, segments: Segments,
     distinct = values[[index.index(r) for r in range(len(rows))]]
     ts, widths, kicks, counts, steps = _factors(segments, policy)
     _check_exponents(distinct, ts, widths, counts)
-    levels, products = _chunked_product(spec, ts, widths, distinct, kicks, counts,
-                                        _shared_values(distinct))
+    with np.errstate():  # numpy restores the caller's buffer size on exit
+        np.setbufsize(_BUFSIZE)
+        levels, products = _chunked_product(spec, ts, widths, distinct, kicks, counts,
+                                            _shared_values(distinct))
     us = np.tile(np.eye(spec.dim, dtype=complex), (len(products), 1, 1))
     levels = np.array(levels)
     us[:, levels[:, None], levels] = products

@@ -390,20 +390,30 @@ class TestSweepDtZeroEnergy:
             for policy in (cfg.policy, replace(cfg.policy, substeps_per_segment=320)))
         assert abs(shipped - converged) <= 1e-6
 
-    # The midpoint error falls as 1/substeps^2: at this point 1280 substeps
-    # sit 2.9e-7 from the oracle and 5120 sit 1.8e-8.
-    def test_midpoint_engine_meets_an_ode_oracle_at_shipped_point_27(self):
+    @staticmethod
+    def oracle_gap(point, dt, substeps):
+        """|f - oracle f| of realization 0 at a shipped grid point, the engine
+        at substeps per segment."""
         cfg = config_from_dict(json.loads((CONFIG_DIR / "dt_zero_energy.json").read_text()))
-        spec, train = sweep_points(cfg)[27]
-        assert train.dt == 0.041136206709
-        segments = generate_segments(replace(train, seed=realization_seed(cfg.master_seed, 27, 0)),
-                                     spec.schedule.T)
+        spec, train = sweep_points(cfg)[point]
+        assert train.dt == dt
+        segments = generate_segments(
+            replace(train, seed=realization_seed(cfg.master_seed, point, 0)), spec.schedule.T)
         amplitude = oracle_amplitude(spec, segments)
         gamma_ideal = berry_closed_form(spec.schedule.a)
         oracle = quality_factor(gamma_ideal, cmath.phase(amplitude), abs(amplitude))
-        engine = propagate_lab(spec, segments, replace(cfg.policy, substeps_per_segment=5120))
-        f = evaluate_holonomy(engine.U, dark_states(spec, 0.0)[-1], gamma_ideal).f
-        assert abs(f - oracle) <= 1e-7
+        engine = propagate_lab(spec, segments, replace(cfg.policy, substeps_per_segment=substeps))
+        return abs(evaluate_holonomy(engine.U, dark_states(spec, 0.0)[-1], gamma_ideal).f - oracle)
+
+    # The midpoint error falls as 1/substeps^2: at this point 1280 substeps
+    # sit 2.9e-7 from the oracle and 5120 sit 1.8e-8.
+    def test_midpoint_engine_meets_an_ode_oracle_at_shipped_point_27(self):
+        assert self.oracle_gap(27, 0.041136206709, 5120) <= 1e-7
+
+    # The shipped 20 substeps sit 3.3e-5 from the oracle here, 1280 sit
+    # 9.6e-8 and 5120 sit 6.0e-9.
+    def test_midpoint_engine_meets_an_ode_oracle_at_shipped_point_45(self):
+        assert self.oracle_gap(45, 0.167646207462, 5120) <= 1e-7
 
     def test_noise_realizations_have_spread(self):
         J = 20 * math.pi
@@ -414,12 +424,12 @@ class TestSweepDtZeroEnergy:
 
 # SweepRow by SweepRow: the "fields" list, then each shipped config's rows
 # in grid order, as written by its sweep with the engine of this file's
-# last change.  The dt golden moves with ROADMAP item 2 (fourth-order steps
-# converge the dt-zero-energy sweep), which is a declared output change.
+# last change.  The dt and mean-control goldens move with ROADMAP item 2
+# (fourth-order steps converge both sweeps), which is a declared output change.
 SHIPPED_ROWS = Path(__file__).resolve().parent / "shipped_sweeps.json"
 
 
-@pytest.mark.parametrize("name", ["runtime", "dt_zero_energy"])
+@pytest.mark.parametrize("name", ["runtime", "mean_control", "dt_zero_energy"])
 def test_shipped_sweep_rows_match_their_golden_file(name):
     golden = json.loads(SHIPPED_ROWS.read_text())
     rows = sweep(config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))).rows

@@ -738,6 +738,46 @@ def test_full_size_kick_comparison_takes_at_most_80_multiplies(monkeypatch):
     assert np.array_equal(positive.U, alternating.U)
 
 
+def buffer_jobs():
+    """(spec, job, policy): a multi-row positive-square job whose trains share
+    their off segments, and a kick pair, the positive and alternating trains."""
+    spec, trains, policy = shared_segment_batches()[2]
+    kicks = generate_segments([PulseTrain(kind, dt=0.01, p=0.5, seed=0)
+                               for kind in (ControlKind.DELTA_KICK_POSITIVE,
+                                            ControlKind.DELTA_KICK_ALTERNATING)], 1.0)
+    return [(spec, job(trains), policy),
+            (GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)), kicks, StepPolicy())]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["shared-segments", "kick-pair"])
+def test_results_do_not_depend_on_the_callers_ufunc_buffer(case):
+    # the product runs under a ufunc buffer of its own and restores the
+    # caller's: every U keeps its bits whatever size the caller set
+    spec, segments, policy = buffer_jobs()[case]
+    bits = []
+    for size in (16, 8192, 65536):
+        with np.errstate():
+            np.setbufsize(size)
+            results = propagate_lab_batch(spec, segments, policy)
+            assert np.getbufsize() == size
+        bits.append(np.array([result.U for result in results]).view(np.uint64))
+    assert len(bits[0]) == len(segments.values) > 1
+    for other in bits[1:]:
+        assert np.array_equal(other, bits[0])
+
+
+def test_an_overflowing_job_leaves_the_callers_ufunc_buffer():
+    # steps of 2.5 time units: the largest float amplitude overflows
+    spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 100.0))
+    segments = Segments((0.0, 50.0, 100.0), (0.0, sys.float_info.max), (), ())
+    for size in (16, 65536):
+        with np.errstate():
+            np.setbufsize(size)
+            with pytest.raises(ValueError, match="not finite"):
+                propagate_lab(spec, segments, StepPolicy(max_step=10.0))
+            assert np.getbufsize() == size
+
+
 def test_shared_values_point_at_the_first_row_of_each_value():
     values = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 3.0], [5.0, 1.0, 2.0], [0.0, 4.0, 3.0]])
     np.testing.assert_array_equal(_shared_values(values),
