@@ -39,8 +39,8 @@ from .hamiltonians import (GateKind, GateSpec, Schedule, dark_states, exchange_h
 from .holonomy import (PhaseUndefinedError, bessel_j0, berry_closed_form, berry_numeric,
                        evaluate_holonomy, gate_matrix)
 from .propagation import StepPolicy, propagate_adiabatic, propagate_lab
-from .qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
-                    unitarity_defect)
+from .qcore import (_closed_form, _matrices, hermiticity_defect, matexp_hermitian_stack,
+                    matexp_lambda_stack, unitarity_defect)
 
 UNITARITY_EXIT_TOL = 1e-8
 
@@ -242,20 +242,34 @@ def _check_matexp_unitarity(rng):
     us = matexp_hermitian_stack(hs, rng.uniform(-5, 5, size=1000))
     worst = max(unitarity_defect(u) for u in us)
     # the lab frame's closed form on the couplings of every gate kind, for
-    # exponents from 1e-12 to 1e6 and pi pulses of either sign
-    taus = np.geomspace(1e-12, 1e6, 200)[:, None]
-    pulses = np.array([[math.pi], [-math.pi]])
-    worst_lambda = 0.0
+    # exponents from 1e-12 to 1e6 and pi pulses of either sign, written into
+    # NaN-filled planes as into the lab frame's reused workspace: unitary to
+    # rounding (np.max keeps the NaN of an entry left unwritten, which fails
+    # the bound), real diagonals with imaginary part +0, p10 = p01 to the bit,
+    # and every pi pulse one factor for either sign, with p11 = -1
+    taus = np.geomspace(1e-12, 1e6, 200)[:, None] * np.ones(100)
+    pulses = np.array([[math.pi], [-math.pi]]) * np.ones(100)
+    defects, structure = [], True
     for kind in GateKind:
-        ts = rng.uniform(0, 1.0, size=100)
-        _, x, y = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)), ts)
-        for us in (matexp_lambda_stack(x, y, taus * np.ones(len(ts))),
-                   matexp_lambda_stack(x, y, pulses * np.ones(len(ts)),
-                                       pi_pulses=np.arange(len(ts)))):
-            worst_lambda = max(worst_lambda, float(np.max(unitarity_defect(us))))
-    ok = worst <= 1e-10 and worst_lambda <= 1e-14
+        _, x, y = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
+                                  rng.uniform(0, 1.0, size=100))
+        for exponents, kicks in ((taus, None), (pulses, (..., slice(None)))):
+            p = np.full((3, 3) + exponents.shape, complex(np.nan, np.nan))
+            _closed_form(x, y.real, y.imag, 0.5 * exponents, p,
+                         np.full(2 * exponents.size + 200, np.nan), kicks)
+            defects.append(np.max(unitarity_defect(_matrices(p))))
+            # the float64 words of the contiguous planes, real then imaginary
+            bits = p.view(np.uint64).reshape(p.shape + (2,))
+            structure = (structure and not bits[[0, 1, 2], [0, 1, 2], ..., 1].any()
+                         and np.array_equal(bits[1, 0], bits[0, 1]))
+        # p holds the pi pulses now, +pi in row 0 and -pi in row 1
+        structure = (structure and (p[1, 1] == -1.0).all()
+                     and np.array_equal(bits[:, :, 0], bits[:, :, 1]))
+    worst_lambda = float(np.max(defects))
+    ok = worst <= 1e-10 and worst_lambda <= 1e-14 and structure
     return ok, (f"max |U^dag U - I| eigh {worst:.2e} (1e-10), lambda closed form "
-                f"{worst_lambda:.2e} (1e-14)")
+                f"{worst_lambda:.2e} (1e-14), its structure "
+                f"{'exact' if structure else 'FAIL'}")
 
 
 def _check_hermiticity_and_gap(rng):

@@ -195,7 +195,7 @@ def dark_states(spec: GateSpec, t: float) -> list:
     return states
 
 
-def gate_generators(spec: GateSpec, ts, out: tuple | None = None):
+def gate_generators(spec: GateSpec, ts):
     """The lambda couplings of the generator at every time in ts.
 
     Returns ``(levels, x, y)``: levels is the (lo, anc, hi) triple of the
@@ -204,33 +204,46 @@ def gate_generators(spec: GateSpec, ts, out: tuple | None = None):
     spec.dim generator holds x at (lo, anc) and (anc, lo), y at (hi, anc)
     and conj(y) at (anc, hi), and is zero elsewhere (see
     :func:`gate_hamiltonian`); x^2 + |y|^2 = 1 gives it the eigenvalues
-    {-1, 0, +1}, so H^3 = H.  out, if given, is the pair (x, y) of float
-    and complex arrays of len(ts) entries to write.
+    {-1, 0, +1}, so H^3 = H.  The arithmetic is that of _couplings, which
+    the lab frame calls with its own memory.
+    """
+    ts = np.asarray(ts, dtype=float)
+    x, y = np.empty(len(ts)), np.empty(len(ts), dtype=complex)
+    return _couplings(spec, ts, (x, y.real, y.imag), np.empty(2 * len(ts))), x, y
 
-    The sines and cosines of phi and theta come from two tangents, of phi / 2
-    and theta / 2 (qcore._half_angle), not from four libm calls: numpy runs
-    float64 tan as a SIMD loop, about 2 ns an element on an AVX-512 host,
-    where sin and cos take 5-12 ns.  They match the np.sin, np.cos and
-    np.exp of the drive formulas to a few ulp, not to the bit.
+
+def _couplings(spec: GateSpec, ts: np.ndarray, out: tuple, work: np.ndarray):
+    """gate_generators in float arithmetic: x, Re y and Im y at every time in ts
+    into out = (x, yr, yi), float arrays of len(ts) entries; returns levels.
+
+    work holds at least 2 len(ts) floats; none of ts, out and work may
+    overlap.  The sines and cosines of phi and theta come from two tangents,
+    of phi / 2 and theta / 2 (qcore._half_angle), not from four libm calls:
+    numpy runs float64 tan as a SIMD loop, about 2 ns an element on an
+    AVX-512 host, where sin and cos take 5-12 ns.  They match the np.sin,
+    np.cos and np.exp of the drive formulas to a few ulp, not to the bit.
+    Every operation is elementwise, so an entry has the same bits in any
+    layout of out.
     """
     _, lo, anc, hi, _ = _EMBEDDINGS[spec.kind]
     s = spec.schedule
-    # tan(phi / 2) at phi / 2 = pi t / T, checking ts once
-    u = np.multiply(math.pi, s._check_t(ts))
+    x, yr, yi = out
+    n = len(x)
+    cos_m1, scratch = work[:n], work[n:2 * n]
+    # tan(phi / 2) at phi / 2 = pi t / T into yi, checking ts once
+    u = np.multiply(math.pi, s._check_t(ts), out=yi)
     np.tan(np.divide(u, s.T, out=u), out=u)
-    x, y = out if out is not None else (np.empty(len(u)), np.empty(len(u), dtype=complex))
-    cos_m1, scratch = np.empty_like(u), np.empty_like(u)
-    # sin(phi) into u and cos(phi) into y.real; then sin(theta) into x, from
-    # tan(theta / 2) at theta / 2 = (a / 2) sin(phi)
-    _half_angle(u, cos_m1, scratch)
-    np.add(cos_m1, 1.0, out=y.real)
+    # sin(phi) into u and cos(phi) into yr, with x as scratch; then sin(theta)
+    # into x, from tan(theta / 2) at theta / 2 = (a / 2) sin(phi)
+    _half_angle(u, yr, x)
+    yr += 1.0
     np.tan(np.multiply(0.5 * s.a, u, out=x), out=x)
     _half_angle(x, cos_m1, scratch)
     cos_m1 += 1.0
     # y = cos(theta) (cos(phi) - i sin(phi))
-    np.multiply(cos_m1, y.real, out=y.real)
-    np.multiply(cos_m1, np.negative(u, out=u), out=y.imag)
-    return (lo, anc, hi), x, y
+    yr *= cos_m1
+    np.multiply(cos_m1, np.negative(u, out=u), out=yi)
+    return lo, anc, hi
 
 
 def gate_hamiltonian(spec: GateSpec, t: float) -> np.ndarray:

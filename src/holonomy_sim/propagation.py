@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import KICK_AREA, MAX_STEPS, Segments
-from .hamiltonians import GateSpec, Schedule, gate_generators
+from .hamiltonians import GateSpec, Schedule, _couplings
 from .qcore import (_closed_form, _planes, matexp_hermitian_stack, ordered_product, tree_order,
                     tree_product, unitarity_defect)
 
@@ -267,26 +267,30 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
     _budget(k_s) entries, or a call each if full; then, for several,
     only down to the level at which all of them fit one piece, and those
     levels, as lanes, are one tree_product to the piece nodes, each with
-    its own tree's pairs.  A call forms its exponents in tree_order
-    (factor, piece, row): the widths of its factors times 1 + c of each
-    piece's distinct values, read from a (segments, rows) table that holds
-    a segment's values in the order of the rows that first hold them.  It
+    its own tree's pairs.  A call forms its half exponents tau / 2 in
+    tree_order (factor, piece, row): the widths of its factors times half
+    of 1 + c of each piece's distinct values, read from a (segments, rows)
+    table that holds a segment's values in the order of the rows that first
+    hold them; halving is exact, so they have the bits of 0.5 tau.  It
     writes its nodes where the next tree reads them: at the segment's
     place in its group, or the piece's in its segment.  The calls share
-    one workspace, grown to the largest: the exponentials and a buffer for
-    the couplings (x as floats, then y) and the closed form's temporaries,
-    then both for tree_product's work.
+    one workspace, grown to the largest: the exponentials and a spare
+    buffer that holds, as floats, the couplings x, Re y and Im y and the
+    temporaries of the couplings and the closed form, then both for
+    tree_product's work.
     """
     rows, segments = values.shape
     n = len(ts)
     counts = np.array([n]) if counts is None else np.asarray(counts)
     firsts = np.cumsum(counts) - counts
-    table = (1.0 + values).T
+    # half of 1 + c on each segment of each row, so that no pass halves the exponents
+    half_table = 0.5 * (1.0 + values).T
     if share is None:
         share = np.broadcast_to(np.arange(rows)[:, None], (rows, segments))
     own = share == np.arange(rows)[:, None]
     if not own.all():  # each segment's distinct values first, in row order
-        table = np.take_along_axis(table, np.argsort(~own.T, axis=1, kind="stable"), axis=1)
+        half_table = np.take_along_axis(half_table, np.argsort(~own.T, axis=1, kind="stable"),
+                                        axis=1)
     k = own.sum(axis=0)
     sizes = np.array([0] + [_piece(m) for m in range(1, rows + 1)])
     many = -(-counts // sizes[k])
@@ -345,17 +349,24 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
                 c, w = len(part), len(part) * width
                 cols = (tree_order(width)[:, None] + start[part]).ravel()
                 exps, spare = workspace(m * c, width)
-                half = (w + 1) // 2
-                levels, x, y = gate_generators(
-                    spec, ts[cols], out=(spare[:half].view(float)[:w], spare[half:half + w]))
-                taus = (widths[cols].reshape(width, c, 1) * table[seg[part], :m]).reshape(w, m)
+                # spare as floats: the couplings x, Re y and Im y, then the
+                # temporaries of them and of the closed form (5 w + 2 w m of 18 w m)
+                x, yr, yi = spare.view(float)[:3 * w].reshape(3, w, 1)
+                work = spare.view(float)[3 * w:]
+                levels = _couplings(spec, ts[cols], (x[:, 0], yr[:, 0], yi[:, 0]), work)
+                # the half exponents, the widths times half of 1 + c, in place:
+                # several rows' widths repeated first, so that the inner loop
+                # runs over all c m values of the call, not over the m of a piece
+                half = widths[cols] if m == 1 else np.repeat(widths[cols], m)
+                np.multiply(half.reshape(width, c * m), half_table[seg[part], :m].reshape(c * m),
+                            out=half.reshape(width, c * m))
+                half = half.reshape(w, m)
                 pulses = None
                 if is_kick is not None:
                     pulses = np.flatnonzero(is_kick[cols])
-                    taus[pulses] = KICK_AREA
-                _closed_form(x[:, None], y[:, None], taus, exps[:9 * m * w].reshape(3, 3, w, m),
-                             spare[half + w:], pulses)
-                del x, y  # views of the workspace, which a later call may grow
+                    half[pulses] = 0.5 * KICK_AREA
+                _closed_form(x, yr, yi, half, exps[:9 * m * w].reshape(3, 3, w, m), work, pulses)
+                del x, yr, yi, work  # views of the workspace, which a later call may grow
                 tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), lanes[..., i:i + c, :],
                              (exps, spare), stop)
             if stop > 1:

@@ -9,10 +9,13 @@ Hermitian by construction.  Either way every propagation step is unitary
 up to rounding -- long runs take 1e5-1e6 steps and must not accumulate
 unitarity drift.  The closed form carries leading batch axes, so several
 trains share one call, and makes the exponential of a pi pulse exactly
-I - 2 H^2 for either sign.  Its sine and cosine, like the couplings'
-(hamiltonians.gate_generators), come from one tangent of the half angle
-(_half_angle): numpy runs float64 tan as a SIMD loop, about 2 ns an
-element on an AVX-512 host, where sin and cos call scalar libm at 5-12 ns.
+I - 2 H^2 for either sign.  It is real arithmetic on x, Re y and Im y,
+written plane by plane through the float views of the complex result
+(_closed_form), with no complex multiply.  Its sine and cosine, like the
+couplings' (hamiltonians.gate_generators), come from one tangent of the
+half angle (_half_angle): numpy runs float64 tan as a SIMD loop, about 2
+ns an element on an AVX-512 host, where sin and cos call scalar libm at
+5-12 ns.
 
 Stacks are multiplied as *planes*: an array of shape (d, d, ...) in which
 entry (i, j) of every matrix is one contiguous array.  A product of two
@@ -91,12 +94,15 @@ def matexp_hermitian_stack(hs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """exp(-i*h_k*tau_k) for a stack hs of shape (n, d, d), via eigendecomposition.
 
     One LAPACK call diagonalizes the whole stack.  taus must have shape
-    (n,); non-Hermitian and non-finite stacks are rejected.
+    (n,); non-Hermitian and non-finite stacks and non-finite taus are
+    rejected.
     """
     taus = np.asarray(taus)
     if taus.shape != (len(hs),):
         raise ValueError(f"taus of shape {taus.shape} do not fit the stack of shape "
                          f"{hs.shape}: one exponent per matrix")
+    if not np.isfinite(taus).all():
+        raise ValueError("exponents taus must be finite")
     # an infinite entry gives inf - inf = nan, which the comparison rejects
     with np.errstate(invalid="ignore"):
         defect = hermiticity_defect(hs)
@@ -118,12 +124,15 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     divided by s, with exponents s * tau), so exp(-i h tau) = I - i sin(tau)
     h + (cos(tau) - 1) h^2 (Moler & Van Loan, SIAM Rev. 45, 2003), both
     from t = tan(tau / 2) as sin = 2 t / (1 + t^2) and cos - 1 = -2 t^2 /
-    (1 + t^2), which keeps small steps accurate (see _half_angle).  x and y
-    have shape (n,) and taus shape (..., n): every row of taus is
-    exponentiated against the same couplings, giving (..., n, 3, 3) as a
-    view of planes (3, 3, ..., n) (see the module docstring).  A complex x,
-    x and y not 1-d of one shape, non-finite couplings and a last axis of
-    taus that is not n are rejected.
+    (1 + t^2), which keeps small steps accurate (see _half_angle).  Every
+    entry is formed in real arithmetic from x, Re y and Im y (see
+    _closed_form); the (1, 1) entry is 1 + cos(tau) - 1, as x^2 + |y|^2 = 1
+    has it.  x and y have shape (n,) and taus shape (..., n): every row of
+    taus is exponentiated against the same couplings, giving (..., n, 3, 3)
+    as a view of planes (3, 3, ..., n) (see the module docstring), with a
+    work array of 3 size + 2 n floats for taus.size = size.  A complex x, x
+    and y not 1-d of one shape, non-finite couplings or exponents and a
+    last axis of taus that is not n are rejected.
 
     pi_pulses, if given, indexes the factors (on the last axis of taus)
     whose exponent tau is +-pi.  The exact sin(tau) is 0 there, but that
@@ -144,16 +153,20 @@ def matexp_lambda_stack(x: np.ndarray, y: np.ndarray, taus: np.ndarray,
     if taus.shape[-1:] != x.shape:
         raise ValueError(f"taus of shape {taus.shape} do not fit the couplings of shape "
                          f"{x.shape}: one exponent per coupling on the last axis")
+    if not np.isfinite(taus).all():
+        raise ValueError("exponents taus must be finite")
     n, size = len(x), taus.size
-    work = np.empty(2 * size + 2 * n + (n + 1) // 2, dtype=complex)
+    work = np.empty(3 * size + 2 * n)
+    half = np.multiply(0.5, taus, out=work[:size].reshape(taus.shape))
     p = np.empty((3, 3) + taus.shape, dtype=complex)
-    _closed_form(x, y, taus, p, work, None if pi_pulses is None else (..., pi_pulses))
+    _closed_form(x, y.real, y.imag, half, p, work[size:],
+                 None if pi_pulses is None else (..., pi_pulses))
     return _matrices(p)
 
 
-def _half_angle(t: np.ndarray, cos_m1: np.ndarray, scratch: np.ndarray):
-    """sin x into t and cos x - 1 into cos_m1, from t = tan(x / 2), for float
-    arrays of one shape; scratch receives 1 + t^2.
+def _half_angle(t: np.ndarray, cos_m1: np.ndarray, scratch: np.ndarray, negate: bool = False):
+    """sin x (-sin x if negate) into t and cos x - 1 into cos_m1, from t = tan(x / 2),
+    for float arrays of one shape; scratch receives 1 + t^2.
 
     sin x = 2 t / (1 + t^2) and cos x - 1 = -2 t^2 / (1 + t^2), each with a
     relative error of a few ulp, small x included (no cancellation), and
@@ -169,55 +182,61 @@ def _half_angle(t: np.ndarray, cos_m1: np.ndarray, scratch: np.ndarray):
     np.divide(cos_m1, scratch, out=cos_m1)
     cos_m1 *= -2.0
     np.divide(t, scratch, out=t)
-    t *= 2.0
+    t *= -2.0 if negate else 2.0
     return t, cos_m1
 
 
-def _closed_form(x: np.ndarray, y: np.ndarray, taus: np.ndarray, p: np.ndarray,
+def _closed_form(x: np.ndarray, yr: np.ndarray, yi: np.ndarray, t: np.ndarray, p: np.ndarray,
                  work: np.ndarray, pulses=None) -> np.ndarray:
-    """matexp_lambda_stack, unchecked, into planes p of shape (3, 3) + taus.shape,
-    for x and y of one shape that broadcasts against taus.
+    """matexp_lambda_stack, unchecked, into complex planes p of shape (3, 3) +
+    t.shape, from the half exponents t = tau / 2, which it overwrites, and
+    float couplings x, yr = Re y and yi = Im y of one shape that broadcasts
+    against t.
 
-    work is a flat contiguous complex array of at least 2 size + 2 n +
-    ceil(n / 2) entries, for taus.size = size and x.size = n, and pulses
-    indexes taus at the pi pulses (see matexp_lambda_stack).  x, y, taus,
-    p and work may not overlap.
+    work is a flat contiguous float array of at least 2 size + 2 n entries,
+    for t.size = size and x.size = n, and pulses indexes t at the pi pulses
+    (see matexp_lambda_stack).  None of x, yr, yi, t, p and work may
+    overlap, but x, yr and yi may be strided views of one array.
 
-    Each plane of h^2 is the one nonzero term of the dense sum over k of
-    h[i, k] h[k, j], in its operand order: numpy's complex multiply may
-    fuse, so conj(y) y and y conj(y) differ in the last bit of their
-    imaginary parts.  Adding I to every plane last turns each -0 into +0,
-    so the result has the bits of I + a h + b h^2 summed densely.
+    With s = sin(tau) and b = cos(tau) - 1, each plane of I - i s h + b h^2
+    is written once, in real arithmetic through the float views p.real and
+    p.imag: the diagonal 1 + b x^2, 1 + b (h^2 holds x^2 + |y|^2 = 1 there)
+    and 1 + b |y|^2 with imaginary part +0, p20 = b x y, p01 = -i s x, and
+    p21 = -i s y with p12 = -conj(p21); p02 = conj(p20) and p10 = p01 are
+    whole complex copies.  No complex multiply, and no pass that adds I or
+    turns -0 into +0: a zero of a sine plane (tau = 0, a pi pulse, a zero
+    coupling) keeps the sign its product gives.  On a 2-core AVX-512 host
+    (numpy 2.4.6) this and the couplings of a call of 4096 one-row
+    exponents take about 167 us, where the complex form, which summed h^2
+    densely and added I to all nine planes, took about 214.
     """
-    size, n = taus.size, x.size
-    # work holds, in order: a, whose memory first holds 1 + t^2; t = tan(taus
-    # / 2), overwritten by sin(taus), then b as floats; conj(y); one plane of
-    # h^2; x x
-    a = work[:size].reshape(taus.shape)
-    t, b = work[size:2 * size].view(float).reshape((2,) + taus.shape)
-    end = 2 * size
-    cy, sq = work[end:end + n].reshape(x.shape), work[end + n:end + 2 * n].reshape(x.shape)
-    xx = work[end + 2 * n:].view(float)[:n].reshape(x.shape)
-    # a = -1j sin(taus) and b = cos(taus) - 1, from t
-    np.tan(np.multiply(0.5, taus, out=t), out=t)
-    _half_angle(t, b, work[:size].view(float)[:size].reshape(taus.shape))
-    np.multiply(-1j, t, out=a)
+    size, n = t.size, x.size
+    b, scratch = work[:2 * size].reshape((2,) + t.shape)
+    sq, term = work[2 * size:2 * size + 2 * n].reshape((2,) + x.shape)
+    re, im = p.real, p.imag
+    # -s = -sin(tau) into t and b = cos(tau) - 1, from tan(tau / 2)
+    ns, _ = _half_angle(np.tan(t, out=t), b, scratch, negate=True)
     if pulses is not None:
-        a[pulses] = 0.0
-    np.conjugate(y, out=cy)
-    np.multiply(b, np.multiply(x, x, out=xx), out=p[0, 0])
-    np.add(xx, np.multiply(cy, y, out=sq), out=sq)
-    np.multiply(b, sq, out=p[1, 1])
-    np.multiply(b, np.multiply(y, cy, out=sq), out=p[2, 2])
-    np.multiply(b, np.multiply(x, cy, out=sq), out=p[0, 2])
-    np.multiply(b, np.multiply(x, y, out=sq), out=p[2, 0])
-    np.multiply(a, x, out=p[0, 1])
-    np.multiply(a, cy, out=p[1, 2])
-    np.multiply(a, y, out=p[2, 1])
-    # I is added plane by plane, as scalars, which also turns every -0 into
-    # +0, as the dense sum did; the add copies h[0, 1] into h[1, 0]
-    for i, j in np.ndindex(3, 3):
-        np.add(p[0, 1] if (i, j) == (1, 0) else p[i, j], float(i == j), out=p[i, j])
+        ns[pulses] = 0.0
+    im[0, 0] = im[1, 1] = im[2, 2] = re[0, 1] = 0.0
+    # the diagonal, 1 + b h^2
+    np.multiply(b, np.multiply(x, x, out=sq), out=re[0, 0])
+    re[0, 0] += 1.0
+    np.add(b, 1.0, out=re[1, 1])
+    np.add(np.multiply(yr, yr, out=sq), np.multiply(yi, yi, out=term), out=sq)
+    np.multiply(b, sq, out=re[2, 2])
+    re[2, 2] += 1.0
+    # p20 = b x y and p02 = conj(p20)
+    np.multiply(b, np.multiply(x, yr, out=sq), out=re[2, 0])
+    np.multiply(b, np.multiply(x, yi, out=sq), out=im[2, 0])
+    np.conjugate(p[2, 0], out=p[0, 2])
+    # p10 = p01 = -i s x, p21 = -i s y = s Im y - i s Re y, p12 = -conj(p21)
+    np.multiply(ns, x, out=im[0, 1])
+    p[1, 0] = p[0, 1]
+    np.multiply(ns, yr, out=im[2, 1])
+    im[1, 2] = im[2, 1]
+    np.multiply(ns, yi, out=re[1, 2])
+    np.negative(re[1, 2], out=re[2, 1])
     return p
 
 

@@ -22,7 +22,7 @@ from holonomy_sim.propagation import (DEFAULT_STEPS_PER_PERIOD, StepPolicy, _bou
 from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, matexp_lambda_stack,
                                 ordered_product, unitarity_defect)
 
-from conftest import lambda_stack, matexp_hermitian
+from conftest import closed_form_planes, matexp_hermitian
 
 A_REF = 0.7605
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
@@ -391,9 +391,9 @@ def test_pieces_of_one_segment_are_bit_identical_to_whole_stack(rows, rng):
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 32])
 def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatch):
-    # every buffer starts as NaN, and the full pieces before the short one
-    # leave their own numbers behind: a piece that read an entry it had not
-    # written would carry either into the product
+    # every buffer starts as NaN (a complex one in both parts), and the full
+    # pieces before the short one leave their own numbers behind: a piece
+    # that read an entry it had not written would carry either into the product
     n = 2 * _piece(rows) + 3
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -404,7 +404,7 @@ def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatc
 
     def poisoned(*args, **kwargs):
         buffer = empty(*args, **kwargs)
-        buffer.fill(np.nan)
+        buffer.fill(complex(np.nan, np.nan) if buffer.dtype == complex else np.nan)
         return buffer
 
     monkeypatch.setattr(np, "empty", poisoned)
@@ -426,14 +426,10 @@ def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
     assert np.array_equal(products, ordered_product(matexp_lambda_stack(x, y, taus)))
 
 
-def exact_kicks(hs):
-    """I - 2 H^2 of every generator of a (n, 3, 3) stack: the pi pulse, either sign.
-
-    H^2 is summed over k in order, one whole-plane product per term, as the
-    closed form sums it."""
-    h = np.ascontiguousarray(hs.transpose(1, 2, 0))
-    sq = sum(h[:, k, None] * h[None, k] for k in range(3))
-    return (np.eye(3)[..., None] - 2.0 * sq).transpose(2, 0, 1)
+def exact_kicks(x, y):
+    """I - 2 H^2 of the lambda couplings x and y, (n, 3, 3): the pi pulse, either
+    sign, in the closed form's real arithmetic with b = -2 and sin dropped."""
+    return closed_form_planes(x, y, np.zeros(len(x)), np.full(len(x), -2.0))
 
 
 def stack_with_exact_kicks(spec, segments, policy):
@@ -446,7 +442,7 @@ def stack_with_exact_kicks(spec, segments, policy):
     levels, x, y = gate_generators(spec, ts)
     factor_pos = kick_pos + np.arange(len(kick_pos))
     stack = matexp_lambda_stack(x, y, np.insert(steps, kick_pos, 0.0))
-    stack[factor_pos] = exact_kicks(lambda_stack(x[factor_pos], y[factor_pos]))
+    stack[factor_pos] = exact_kicks(x[factor_pos], y[factor_pos])
     return levels, ts, stack
 
 
@@ -579,9 +575,9 @@ def counted_exponentials(monkeypatch):
     counted = []
     closed_form = propagation._closed_form
 
-    def spy(x, y, taus, *args, **kwargs):
-        counted.append(taus.size)
-        return closed_form(x, y, taus, *args, **kwargs)
+    def spy(x, yr, yi, half, *args, **kwargs):
+        counted.append(half.size)
+        return closed_form(x, yr, yi, half, *args, **kwargs)
 
     monkeypatch.setattr(propagation, "_closed_form", spy)
     return counted

@@ -4,12 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, gate_generators
+from holonomy_sim.hamiltonians import GateKind, GateSpec, Schedule, _couplings, gate_generators
 from holonomy_sim.qcore import (_closed_form, _matmul, _matrices, _planes, hermiticity_defect,
                                 matexp_hermitian_stack, matexp_lambda_stack, ordered_product,
                                 tree_order, tree_product, unitarity_defect)
 
-from conftest import half_angle, lambda_stack, matexp_hermitian, random_hermitian
+from conftest import (half_angle, lambda_closed_form, lambda_stack, matexp_hermitian,
+                      random_hermitian)
+
+# np.full(shape, np.nan, dtype=complex) fills nan + 0j: an imaginary part that
+# the closed form does not write would pass as 0
+NAN = complex(np.nan, np.nan)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -104,7 +109,7 @@ def test_matexp_stack_matches_single(rng):
         np.testing.assert_allclose(us[k], matexp_hermitian(hs[k], taus[k]), atol=1e-13)
 
 
-def _couplings(rng, n, s=1.0):
+def _random_couplings(rng, n, s=1.0):
     """n random lambda couplings (x real, y complex) with x^2 + |y|^2 = s^2."""
     theta, phi = rng.uniform(-math.pi, math.pi, size=(2, n))
     return s * np.sin(theta), s * np.cos(theta) * np.exp(-1j * phi)
@@ -115,7 +120,7 @@ def test_lambda_stack_matches_eigh_for_scaled_couplings(rng):
     # the closed form divided by s with exponents s * tau
     taus = np.array([0.0, 1e-9, 0.4, -2.5, math.pi, -math.pi])
     for s in (1.0, 0.3, 2.7):
-        x, y = _couplings(rng, len(taus), s)
+        x, y = _random_couplings(rng, len(taus), s)
         us = matexp_lambda_stack(x / s, y / s, s * taus)
         for u, h, tau in zip(us, lambda_stack(x, y), taus):
             np.testing.assert_allclose(u, matexp_hermitian(h, tau), atol=1e-13)
@@ -139,10 +144,25 @@ def test_lambda_stack_rejects_couplings_and_taus_that_do_not_fit(x, y, taus, mat
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["x", "y.real", "y.imag"])
 def test_lambda_stack_rejects_non_finite_couplings(where, value, rng):
-    x, y = _couplings(rng, 5)
+    x, y = _random_couplings(rng, 5)
     {"x": x, "y.real": y.real, "y.imag": y.imag}[where][3] = value
     with pytest.raises(ValueError, match="must be finite"):
         matexp_lambda_stack(x, y, np.ones(5))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stacks_reject_non_finite_exponents(value, rng):
+    # a NaN exponent gave NaN matrices without a warning, an infinite one with
+    # only numpy's RuntimeWarning; the error comes before any work
+    x, y = _random_couplings(rng, 5)
+    taus = np.ones((2, 5))
+    taus[1, 3] = value
+    with pytest.raises(ValueError, match="exponents taus must be finite"):
+        matexp_lambda_stack(x, y, taus)
+    with pytest.raises(ValueError, match="exponents taus must be finite"):
+        matexp_lambda_stack(x, y, taus, pi_pulses=np.array([3]))
+    with pytest.raises(ValueError, match="exponents taus must be finite"):
+        matexp_hermitian_stack(lambda_stack(x, y), taus[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -164,7 +184,7 @@ def test_batched_ordered_product_equals_product_of_each_slice(rng):
 
 
 def test_lambda_stack_exponentiates_every_row_of_taus(rng):
-    x, y = _couplings(rng, 5)
+    x, y = _random_couplings(rng, 5)
     taus = rng.uniform(-3.0, 3.0, size=(4, 5))
     us = matexp_lambda_stack(x, y, taus)
     assert us.shape == (4, 5, 3, 3)
@@ -209,18 +229,18 @@ def test_ordered_product_matches_sequential_matmul_in_every_layout(d, batch, rng
 
 def _work(n, size):
     """A NaN-filled work array of _closed_form for n couplings and size exponents."""
-    return np.full(2 * size + 2 * n + (n + 1) // 2, np.nan, dtype=complex)
+    return np.full(2 * size + 2 * n, np.nan)
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
 def test_lambda_stack_matches_eigh_in_every_out_layout(batch, rng):
     # the closed form writes into the planes of any (..., n, 3, 3) layout
     n = 6
-    x, y = _couplings(rng, n)
+    x, y = _random_couplings(rng, n)
     hs = lambda_stack(x, y)
     taus = rng.uniform(-3.0, 3.0, size=batch + (n,))
-    for name, us in _in_layouts(np.full(batch + (n, 3, 3), np.nan, dtype=complex)):
-        _closed_form(x, y, taus, _planes(us), _work(n, taus.size))
+    for name, us in _in_layouts(np.full(batch + (n, 3, 3), NAN)):
+        _closed_form(x, y.real, y.imag, 0.5 * taus, _planes(us), _work(n, taus.size))
         assert np.array_equal(_bits(us), _bits(matexp_lambda_stack(x, y, taus))), name
         for idx in np.ndindex(*batch + (n,)):
             np.testing.assert_allclose(us[idx], matexp_hermitian(hs[idx[-1]], taus[idx]),
@@ -268,23 +288,57 @@ def _bits(u):
     return np.ascontiguousarray(u).view(np.uint64)
 
 
-@pytest.mark.parametrize("batch", [(), (3,)])
-@pytest.mark.parametrize("a", [0.7605, 0.0])
-@pytest.mark.parametrize("kind", list(GateKind))
-def test_lambda_stack_has_the_bits_of_the_dense_closed_form(kind, a, batch, rng):
-    # t = 0, T/2 and T put sin(theta) at exactly +-0 even for a > 0; a = 0 puts
-    # it there everywhere
+def _closed_form_cases(kind, a, batch, rng):
+    """(x, y, taus): couplings of the gate at t = 0, T/2 and T, where sin(theta)
+    is exactly +-0 even for a > 0 (a = 0 puts it there everywhere), and at
+    random t; steps of either sign, zero, pi kicks and tau beyond pi, where
+    sin and cos - 1 change sign and products with zero couplings give -0.0."""
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, size=61)])
     _, x, y = gate_generators(GateSpec(kind, Schedule(a, 1.0)), ts)
     assert x.dtype == float and y.dtype == complex and (a > 0 or not x.any())
-    n = len(ts)
-    # steps of either sign, zero, pi kicks and tau beyond pi, where a and b
-    # change sign and products with zero planes give -0.0
-    taus = rng.uniform(-7.0, 7.0, size=batch + (n,))
+    taus = rng.uniform(-7.0, 7.0, size=batch + (len(ts),))
     taus[..., :5] = [0.0, math.pi, -math.pi, 4.0, -4.0]
+    return x, y, taus
+
+
+def _cases(test):
+    """The gate kinds, amplitudes and batch shapes of _closed_form_cases."""
+    for mark in (pytest.mark.parametrize("kind", list(GateKind)),
+                 pytest.mark.parametrize("a", [0.7605, 0.0]),
+                 pytest.mark.parametrize("batch", [(), (3,)])):
+        test = mark(test)
+    return test
+
+
+@_cases
+def test_lambda_stack_has_the_bits_of_the_real_formulas(kind, a, batch, rng):
+    x, y, taus = _closed_form_cases(kind, a, batch, rng)
     got = matexp_lambda_stack(x, y, taus)
-    assert got.shape == batch + (n, 3, 3)
-    assert np.array_equal(_bits(got), _bits(_dense_closed_form(lambda_stack(x, y), taus)))
+    assert got.shape == batch + (len(x), 3, 3)
+    assert np.array_equal(_bits(got), _bits(lambda_closed_form(x, y, taus)))
+
+
+@_cases
+def test_lambda_stack_agrees_with_the_dense_closed_form(kind, a, batch, rng):
+    # the dense sum over all 27 products of h^2 rounds differently only in the
+    # (1, 1) and (2, 2) planes, by an ulp or two
+    x, y, taus = _closed_form_cases(kind, a, batch, rng)
+    dense = _dense_closed_form(lambda_stack(x, y), taus)
+    np.testing.assert_allclose(matexp_lambda_stack(x, y, taus), dense, rtol=0, atol=1e-15)
+
+
+@_cases
+def test_lambda_stack_has_its_structure_to_the_bit(kind, a, batch, rng):
+    x, y, taus = _closed_form_cases(kind, a, batch, rng)
+    pulses = np.arange(1, 3)
+    for u in (matexp_lambda_stack(x, y, taus), matexp_lambda_stack(x, y, taus, pulses)):
+        bits = _bits(u.imag)
+        # diagonal imaginary parts are +0, not -0; p10 = p01, p20 = conj(p02)
+        # and p21 = -conj(p12)
+        assert (bits[..., [0, 1, 2], [0, 1, 2]] == 0).all()
+        assert np.array_equal(_bits(u[..., 1, 0]), _bits(u[..., 0, 1]))
+        assert np.array_equal(_bits(u[..., 2, 0]), _bits(np.conj(u[..., 0, 2])))
+        assert np.array_equal(_bits(u[..., 2, 1]), _bits(-np.conj(u[..., 1, 2])))
 
 
 def _lambda_stack(rng, n=16):
@@ -357,23 +411,23 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
     spec = GateSpec(GateKind.CPHASE, Schedule(1.2024, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=37))
     taus = rng.uniform(-0.1, 0.1, size=(2, 37))
-    _, x, y = gate_generators(spec, ts)
-    # gate_generators into x as a float view of complex memory, as the lab frame
-    # lays it out, and into plain arrays
-    spare = np.full(19 + 37, np.nan, dtype=complex)
-    for out in ((spare[:19].view(float)[:37], spare[19:]),
-                (np.full(37, np.nan), np.full(37, np.nan, dtype=complex))):
-        _, *got = gate_generators(spec, ts, out=out)
-        assert all(g is o for g, o in zip(got, out))
-        assert np.array_equal(_bits(got[0]), _bits(x)) and np.array_equal(_bits(got[1]), _bits(y))
+    levels, x, y = gate_generators(spec, ts)
+    # the couplings into float views of complex memory, as the lab frame lays
+    # them out, and into plain arrays, each with a NaN-filled work
+    spare = np.full(56, NAN).view(float)
+    for out in (tuple(spare[:111].reshape(3, 37)),
+                tuple(np.full((3, 37), np.nan))):
+        assert _couplings(spec, ts, out, np.full(74, np.nan)) == levels
+        for got, want in zip(out, (x, y.real, y.imag)):
+            assert np.array_equal(_bits(got), _bits(np.ascontiguousarray(want)))
     us = matexp_lambda_stack(x, y, taus)
-    # the closed form into planes and into the planes of matrices, with its
-    # work given, as the lab frame calls it
-    work = _work(37, 74)
-    for out in (np.full((3, 3, 2, 37), np.nan, dtype=complex),
-                _planes(np.full((2, 37, 3, 3), np.nan, dtype=complex))):
-        got = _closed_form(x, y, taus, out, work)
-        assert got is out and np.array_equal(_bits(_matrices(got)), _bits(us))
+    # the closed form from (37, 1) couplings against (37, 2) half exponents,
+    # into planes and into the planes of matrices, with its work given, as
+    # the lab frame calls it
+    couplings = [np.ascontiguousarray(c)[:, None] for c in (x, y.real, y.imag)]
+    for out in (np.full((3, 3, 37, 2), NAN), _planes(np.full((37, 2, 3, 3), NAN))):
+        got = _closed_form(*couplings, 0.5 * taus.T, out, _work(37, 74))
+        assert got is out and np.array_equal(_bits(_matrices(got)), _bits(us.swapaxes(0, 1)))
     product = ordered_product(us)
     # the first work array of tree_product may be the memory of the
     # tree-ordered stack, which only the first level reads; each holds 37
@@ -387,24 +441,45 @@ def test_out_and_work_give_the_bits_of_the_allocating_calls(rng):
     assert got is out and np.array_equal(_bits(_matrices(got)), _bits(product))
 
 
+def _square(x, y):
+    """h^2 of the lambda couplings of x and y as (n, 3, 3), from x, Re y and Im y
+    in real arithmetic: x^2, x^2 + |y|^2 and |y|^2 on the diagonal, x y at
+    (2, 0) and its conjugate at (0, 2)."""
+    yr, yi = y.real, y.imag
+    sq = np.zeros((len(x), 3, 3), dtype=complex)
+    sq[:, 0, 0] = x * x
+    sq[:, 2, 2] = yr * yr + yi * yi
+    sq[:, 1, 1] = sq[:, 0, 0] + sq[:, 2, 2]
+    sq.real[:, 2, 0] = sq.real[:, 0, 2] = x * yr
+    sq.imag[:, 2, 0] = x * yi
+    sq.imag[:, 0, 2] = -sq.imag[:, 2, 0]
+    return sq
+
+
 def test_pi_pulses_are_exactly_i_minus_2h2_for_either_sign(rng):
     # sin of the rounded pi is 1.2e-16 with the sign of tau: a pi pulse drops
-    # that term, so +pi and -pi give the bits of I - 2 h^2
+    # that term, so +pi and -pi give the same bits, those of I - 2 h^2 with
+    # the (1, 1) entry exactly 1 - 2 = -1, as x^2 + |y|^2 = 1 has it
     pulses = np.array([0, 3, 4, 17, 39])
     for kind in GateKind:
         _, x, y = gate_generators(GateSpec(kind, Schedule(0.7605, 1.0)),
                                   np.sort(rng.uniform(0.0, 1.0, size=40)))
         hs = lambda_stack(x, y)
-        h = _planes(hs)
-        sq = _matmul(h, h, np.empty((3, 3, 40), dtype=complex), np.empty_like(h))
-        exact = _matrices(np.eye(3)[..., None] - 2.0 * sq)[pulses]
+        exact = (np.eye(3) - 2.0 * _square(x, y))[pulses]
         taus = rng.uniform(-0.1, 0.1, size=(2, 40))
         taus[0, pulses] = math.pi
         taus[1, pulses] = [math.pi, -math.pi, -math.pi, math.pi, -math.pi]
         got = matexp_lambda_stack(x, y, taus, pi_pulses=pulses)
         plain = matexp_lambda_stack(x, y, taus)
+        assert np.array_equal(_bits(got[0, pulses]), _bits(got[1, pulses])), kind
+        assert (got[:, pulses, 1, 1] == -1.0).all()
+        # every other entry is that of I - 2 h^2 (the zero entries of h^2 give
+        # zeros of either sign); its (1, 1) entry rounds x^2 + |y|^2
+        off = np.ones((3, 3), dtype=bool)
+        off[1, 1] = False
         for row in got:
-            assert np.array_equal(_bits(row[pulses]), _bits(exact)), kind
+            assert np.array_equal(row[pulses][:, off], exact[:, off]), kind
+        np.testing.assert_allclose(exact[:, 1, 1], -1.0, rtol=0, atol=1e-15)
         # without the marker the two signs differ in the last bits
         assert not np.array_equal(plain[0, pulses], plain[1, pulses])
         np.testing.assert_allclose(got[1, pulses], plain[1, pulses], rtol=0, atol=1e-15)
