@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -649,11 +650,67 @@ def test_a_grid_point_with_dt_not_below_T_exits_2_before_any_run(tmp_path, capsy
     assert not out.exists()
 
 
+def test_shared_parser_carries_no_state_between_commands(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    config = CONFIG_DIR / "runtime.json"
+
+    def gate(out):
+        assert run_cli(["gate", "--kind", "cphase", "--a", "0.7605", "--T", "1",
+                        "--steps", "64", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def sweep(name, *extra):
+        out = tmp_path / name
+        assert run_cli(["sweep", "--config", str(config), "--out-dir", str(out), *extra]) == 0
+        return json.loads((out / "manifest.json").read_text())["config"]["master_seed"]
+
+    first = gate(tmp_path / "gate-1.json")
+    assert sweep("seeded", "--seed", "5") == 5
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--bogus", "--config", str(config),
+                 "--out-dir", str(tmp_path / "bogus")])
+    assert exc.value.code == 2 and not (tmp_path / "bogus").exists()
+    assert sweep("unseeded") == json.loads(config.read_text())["master_seed"]
+    assert gate(tmp_path / "gate-2.json") == first
+
+
+def _nan_late_dark_states(real):
+    def dark_states(spec, t):
+        states = real(spec, t)
+        return states[:-1] + [np.full_like(states[-1], np.nan)] if t >= 0.5 else states
+    return dark_states
+
+
+def _conjugated(real):
+    def propagate(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return replace(result, U=result.U.conj())
+    return propagate
+
+
+# one name of holonomy_sim.cli broken at a time, and the group that must catch it
+SELFTEST_MUTANTS = [
+    ("dark_states", _nan_late_dark_states, "dark-state-annihilation"),
+    ("propagate_lab", _conjugated, "frame-equivalence"),
+    ("propagate_adiabatic", _conjugated, "frame-equivalence"),
+    ("integral_C", lambda real: lambda segments, t: t, "resonance-predicate"),
+    ("berry_closed_form", lambda real: lambda a: real(a) + 1e-3, "bessel-and-berry"),
+]
+
+
 class TestSelftest:
     def test_selftest_passes_and_lists_groups(self, capsys):
         assert run_cli(["selftest"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if "PASS" in l]
         assert len(lines) >= 6
+
+    @pytest.mark.parametrize("name, mutant, group", SELFTEST_MUTANTS,
+                             ids=[name for name, _, _ in SELFTEST_MUTANTS])
+    def test_a_mutant_fails_its_group(self, monkeypatch, capsys, name, mutant, group):
+        monkeypatch.setattr(cli, name, mutant(getattr(cli, name)))
+        assert run_cli(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [group, "FAIL"] in [line.split()[:2] for line in lines], lines
 
     def test_sign_mutation_breaks_dark_state_invariant(self):
         """A flipped coupling sign must be caught by the dark-state check.
