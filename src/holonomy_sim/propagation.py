@@ -37,8 +37,8 @@ positive square train are 0 in every realization, and trains with equal
 values throughout (the J = 0 realizations of a sweep, or one kick layout
 under two sign patterns) are one row.  A one-segment train (no control,
 delta kicks) keeps the whole stack's tree.  Every tree holds its factors
-or nodes in qcore's tree order, one contiguous multiply a level, and
-the full pieces of a long segment share their smaller levels' multiplies.
+or nodes in qcore's tree order, one contiguous multiply a level, and a
+long segment is cut into pieces of one call each.
 The distinct products are embedded into spec.dim as one stack.
 
 The adiabatic frame evolves the amplitudes over the instantaneous
@@ -237,8 +237,9 @@ def _budget(m: int) -> int:
 
 
 def _piece(m: int) -> int:
-    """The factors of a full piece of a segment with m rows: at most half of _budget(m)."""
-    return 1 << (_budget(m) // (2 * m)).bit_length() - 1
+    """The factors of a full piece of a segment with m rows: the largest power of
+    two whose m rows fit one call's _budget(m)."""
+    return 1 << (_budget(m) // m).bit_length() - 1
 
 
 def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values: np.ndarray,
@@ -262,22 +263,21 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
     nodes are those of the tree over the segments.  A segment is cut from
     its start into pieces of _piece(k_s) factors, the last one ragged:
     reduced in full, each is a node of the segment's tree, and a segment's
-    piece nodes reduce to its own node with its bits.  The pieces of a
-    group of one length and one k_s run together, in calls of at most
-    _budget(k_s) entries, or a call each if full; then, for several,
-    only down to the level at which all of them fit one piece, and those
-    levels, as lanes, are one tree_product to the piece nodes, each with
-    its own tree's pairs.  A call forms its half exponents tau / 2 in
-    tree_order (factor, piece, row): the widths of its factors times half
-    of 1 + c of each piece's distinct values, read from a (segments, rows)
-    table that holds a segment's values in the order of the rows that first
-    hold them; halving is exact, so they have the bits of 0.5 tau.  It
-    writes its nodes where the next tree reads them: at the segment's
-    place in its group, or the piece's in its segment.  The calls share
-    one workspace, grown to the largest: the exponentials and a spare
-    buffer that holds, as floats, the couplings x, Re y and Im y and the
-    temporaries of the couplings and the closed form, then both for
-    tree_product's work.
+    piece nodes reduce to its own node with its bits.  Since the pairs are
+    fixed by the segments alone, how the pieces are laid onto calls is
+    free: the pieces of a group of one length and one k_s run together, in
+    calls of at most _budget(k_s) entries, so a full piece fills one call
+    and ragged pieces of one length share theirs.  A call
+    forms its half exponents tau / 2 in tree_order (factor, piece, row):
+    the widths of its factors times half of 1 + c of each piece's distinct
+    values, read from a (segments, rows) table that holds a segment's
+    values in the order of the rows that first hold them; halving is
+    exact, so they have the bits of 0.5 tau.  It writes its nodes where
+    the next tree reads them: at the segment's place in its group, or the
+    piece's in its segment.  The calls share one workspace, grown to the
+    largest: the exponentials and a spare buffer that holds, as floats,
+    the couplings x, Re y and Im y and the temporaries of the couplings
+    and the closed form, then both for tree_product's work.
     """
     rows, segments = values.shape
     n = len(ts)
@@ -334,16 +334,12 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
                    [np.flatnonzero(keys == cls) for cls in sorted(set(keys[length > 0].tolist()))])
         for pieces in classes:
             m, width = int(k[seg[pieces[0]]]), int(length[pieces[0]])
-            per = 1 if width == sizes[m] else _budget(m) // (m * width)
+            per = _budget(m) // (m * width)
             per = -(-len(pieces) // -(-len(pieces) // per))  # nearly equal calls
             # straight into the nodes if they are consecutive and the rows all differ
             direct = m == rows and pieces[-1] - pieces[0] == len(pieces) - 1
             out = (nodes[:, :, pieces[0]:pieces[-1] + 1] if direct
                    else np.empty((3, 3, len(pieces), m), dtype=complex))
-            # several full pieces, a call each, are reduced in their calls only down
-            # to the level at which all of them fit one piece, then as lanes of one tree
-            stop = max(1, width >> (len(pieces) - 1).bit_length()) if per == 1 < len(pieces) else 1
-            lanes = np.empty((3, 3, stop, len(pieces), m), dtype=complex) if stop > 1 else out
             for i in range(0, len(pieces), per):
                 part = pieces[i:i + per]
                 c, w = len(part), len(part) * width
@@ -367,10 +363,8 @@ def _chunked_product(spec: GateSpec, ts: np.ndarray, widths: np.ndarray, values:
                     half[pulses] = 0.5 * KICK_AREA
                 _closed_form(x, yr, yi, half, exps[:9 * m * w].reshape(3, 3, w, m), work, pulses)
                 del x, yr, yi, work  # views of the workspace, which a later call may grow
-                tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), lanes[..., i:i + c, :],
-                             (exps, spare), stop)
-            if stop > 1:
-                tree_product(lanes, out, (exps, spare))
+                tree_product(exps[:9 * m * w].reshape(3, 3, width, c, m), out[:, :, i:i + c],
+                             (exps, spare))
             if not direct:  # row r reads node rank[r, j] of the m of piece j
                 j, on = np.arange(len(pieces)), seg[pieces]
                 rank = (np.cumsum(own[:, on], axis=0) - 1)[share[:, on], j]

@@ -258,35 +258,26 @@ def tree_order(n: int) -> np.ndarray:
     return order
 
 
-def tree_product(p: np.ndarray, out: np.ndarray, work: tuple, stop: int = 1) -> np.ndarray:
+def tree_product(p: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
     """Time-ordered product of planes p (d, d, n, ...) holding the factors in
     tree_order(n), into out, the (d, d, ...) planes of the result in any layout.
 
     A level multiplies p[:, :, pairs + i] @ p[:, :, i] for all i < pairs =
     n // 2 in one _matmul and carries an odd last factor over: the pairs and
-    multiply-adds, so the bits, of ordered_product.  With stop > 1, a level
-    size of n, it ends at that level, whose nodes out (d, d, stop, ...)
-    receives in tree_order(stop); a stop that is not one of the level sizes
-    n, ceil(n / 2), ..., 1 is rejected.  work is two flat contiguous
-    complex arrays of at least p.size entries, for the levels and their
-    terms; only the first level reads p, so the first may be p's memory.
-    Neither may overlap out.
+    multiply-adds, so the bits, of ordered_product.  work is two flat
+    contiguous complex arrays of at least p.size entries, for the levels and
+    their terms; only the first level reads p, so the first may be p's
+    memory.  Neither may overlap out.
     """
     d, n, lanes = p.shape[0], p.shape[2], p.shape[3:]
-    reached = n
-    while reached > max(stop, 1):
-        reached -= reached // 2
-    if reached != stop:
-        raise ValueError(f"stop = {stop} is not a level size of a tree of {n} factors")
     per_factor = d * d * math.prod(lanes)
     here, there = work  # here holds the input of a level
-    last = out[:, :, None] if stop == 1 else out
-    if n == stop:
+    last = out[:, :, None]
+    if n == 1:
         last[...] = p
-    while n > stop:  # the last level straight into out
+    while n > 1:  # the last level straight into out
         pairs, size = n // 2, n - n // 2
-        level = (last if size == stop
-                 else there[:per_factor * size].reshape((d, d, size) + lanes))
+        level = last if size == 1 else there[:per_factor * size].reshape((d, d, size) + lanes)
         term = there[per_factor * size:per_factor * n].reshape((d, d, pairs) + lanes)
         _matmul(p[:, :, pairs:2 * pairs], p[:, :, :pairs], out=level[:, :, :pairs], term=term)
         if n % 2:

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import holonomy_sim.cli as cli
+from holonomy_sim import propagation
 from holonomy_sim.hamiltonians import (GateKind, GateSpec, Schedule, dark_states,
-                                       gate_hamiltonian)
+                                       gate_generators, gate_hamiltonian)
 from holonomy_sim.propagation import PropagationResult
 from holonomy_sim.qcore import unitarity_defect
 
@@ -688,13 +689,48 @@ def _conjugated(real):
     return propagate
 
 
-# one name of holonomy_sim.cli broken at a time, and the group that must catch it
+def _flipped_hi_anc(real):
+    def gate_hamiltonian(spec, t):
+        h = real(spec, t)
+        (_, anc, hi), _, _ = gate_generators(spec, [t])
+        h[hi, anc] *= -1.0
+        h[anc, hi] *= -1.0
+        return h
+    return gate_hamiltonian
+
+
+def _p20_zeroed(real):
+    def closed_form(x, yr, yi, t, p, *args):
+        real(x, yr, yi, t, p, *args)
+        p[2, 0] = 0.0
+        return p
+    return closed_form
+
+
+def _identity_pi_pulses(real):
+    def matexp_lambda_stack(x, y, taus, pi_pulses=None):
+        us = real(x, y, taus, pi_pulses)
+        if pi_pulses is not None:
+            us[..., pi_pulses, :, :] = np.eye(3)
+        return us
+    return matexp_lambda_stack
+
+
+# one name of a module broken at a time, and the group that must catch it.
+# Flipping the engine's x, or negating all of y, is an equivalent mutant: the
+# gauge diag(+-1) on one level leaves <D|U|D> unchanged, as D(0) = |lo>
 SELFTEST_MUTANTS = [
-    ("dark_states", _nan_late_dark_states, "dark-state-annihilation"),
-    ("propagate_lab", _conjugated, "frame-equivalence"),
-    ("propagate_adiabatic", _conjugated, "frame-equivalence"),
-    ("integral_C", lambda real: lambda segments, t: t, "resonance-predicate"),
-    ("berry_closed_form", lambda real: lambda a: real(a) + 1e-3, "bessel-and-berry"),
+    (cli, "dark_states", _nan_late_dark_states, "dark-state-annihilation"),
+    (cli, "gate_hamiltonian", _flipped_hi_anc, "dark-state-annihilation"),
+    (cli, "_closed_form", _p20_zeroed, "matexp-unitarity"),
+    (cli, "propagate_lab", _conjugated, "frame-equivalence"),
+    (cli, "propagate_adiabatic", _conjugated, "frame-equivalence"),
+    (cli, "matexp_lambda_stack", _identity_pi_pulses, "kick-equivalence"),
+    (propagation, "KICK_AREA", lambda real: 0.0, "kick-equivalence"),
+    (cli, "integral_C", lambda real: lambda segments, t: t, "resonance-predicate"),
+    (cli, "resonance_condition", lambda real: lambda J, dt: (real(J, dt)[0], real(J, dt)[1] + 1),
+     "resonance-predicate"),
+    (cli, "berry_closed_form", lambda real: lambda a: real(a) + 1e-3, "bessel-and-berry"),
 ]
 
 
@@ -704,10 +740,10 @@ class TestSelftest:
         lines = [l for l in capsys.readouterr().out.splitlines() if "PASS" in l]
         assert len(lines) >= 6
 
-    @pytest.mark.parametrize("name, mutant, group", SELFTEST_MUTANTS,
-                             ids=[name for name, _, _ in SELFTEST_MUTANTS])
-    def test_a_mutant_fails_its_group(self, monkeypatch, capsys, name, mutant, group):
-        monkeypatch.setattr(cli, name, mutant(getattr(cli, name)))
+    @pytest.mark.parametrize("module, name, mutant, group", SELFTEST_MUTANTS,
+                             ids=[name for _, name, _, _ in SELFTEST_MUTANTS])
+    def test_a_mutant_fails_its_group(self, monkeypatch, capsys, module, name, mutant, group):
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
         assert run_cli(["selftest"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [group, "FAIL"] in [line.split()[:2] for line in lines], lines

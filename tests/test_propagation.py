@@ -1,8 +1,10 @@
+import json
 import math
 import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from holonomy_sim import propagation, qcore
 from holonomy_sim.control import (KICK_AREA, MAX_STEPS, ControlKind, PulseTrain, Segments,
                                   generate_segments)
+from holonomy_sim.experiments import config_from_dict, realization_seed
 from holonomy_sim.hamiltonians import (DFS_INDICES, GateKind, GateSpec, Schedule,
                                        dark_states, exchange_hamiltonian, gate_generators,
                                        gate_hamiltonian, project_dfs, total_z)
@@ -25,6 +28,7 @@ from holonomy_sim.qcore import (hermiticity_defect, matexp_hermitian_stack, mate
 from conftest import closed_form_planes, matexp_hermitian
 
 A_REF = 0.7605
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NO_CONTROL = PulseTrain(ControlKind.NO_CONTROL)
 
 
@@ -339,9 +343,9 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     assert not np.shares_memory(results[0].U, results[2].U)
 
 
-# 1 to 1024 factors of a 3-row batch are one piece; 1025 and 3077 are pieces
-# of _piece(3) = 1024 and a ragged last piece of 1 and 5
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3077])
+# 1 to 2048 factors of a 3-row batch are one piece; 2049 and 6149 are pieces
+# of _piece(3) = 2048 and a ragged last piece of 1 and 5
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6149])
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -415,8 +419,9 @@ def test_short_last_piece_reads_no_stale_workspace_entries(rows, rng, monkeypatc
 @pytest.mark.parametrize("n", [256, 1500])
 @pytest.mark.parametrize("rows", [16, 17, 32, 40])
 def test_wide_batches_are_bit_identical_to_whole_stack(rows, n, rng):
-    # 256 factors of 16 or 17 rows are one piece; the others take pieces of
-    # _piece(rows) factors (256 or 128) and a ragged last piece
+    # 256 factors are one piece, ragged for 16 or 17 rows and full for 32 or
+    # 40; 1500 take pieces of _piece(rows) factors (512 or 256) and a ragged
+    # last piece
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
     widths, values = rng.uniform(0.0, 0.05, size=n), rng.uniform(-2.0, 2.0, size=(rows, 1))
@@ -480,14 +485,14 @@ def test_kicks_in_a_segment_of_its_own_length_match_the_segment_first_reference(
 
 
 def test_kicks_straddling_a_piece_edge_of_a_long_segment_match_the_segment_first_reference():
-    # two segments of 4000 steps: each runs in pieces of _piece(1), and these
+    # two segments of 8000 steps: each runs in pieces of _piece(1), and these
     # kicks sit on both sides of the first piece edge of the first one
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     segments = generate_segments(
         PulseTrain(ControlKind.POSITIVE_SQUARE, J=40.0, dt=0.5, p=1.0, seed=1), 1.0)
     segments = replace(segments, kick_times=(0.2555, 0.2558, 0.2561, 0.2564),
                        kick_signs=(1, -1, -1, 1))
-    policy = StepPolicy(max_step=1.0 / 8000)
+    policy = StepPolicy(max_step=1.0 / 16_000)
     seg, place, counts = kick_places(segments, policy)
     assert (seg == 0).all() and place[0] < _piece(1) <= place[-1] < counts[0]
     levels, ts, stack = stack_with_exact_kicks(spec, segments, policy)
@@ -499,7 +504,7 @@ def test_one_segment_kick_train_matches_the_whole_stack():
     # a train without control is one segment, whose tree is the whole stack's
     spec = GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0))
     segments = kick_train(ControlKind.DELTA_KICK_ALTERNATING, 1.0, 1e-3, seed=3, jitter=0.4)
-    policy = StepPolicy(max_step=1.0 / 8000)
+    policy = StepPolicy(max_step=1.0 / 16_000)
     levels, _, stack = stack_with_exact_kicks(spec, segments, policy)
     assert len(segments) == 1 and len(stack) > 4 * _piece(1)
     u = propagate_lab(spec, segments, policy).U
@@ -524,10 +529,10 @@ def shared_segment_batches():
     generated = [generate_segments(PulseTrain(ControlKind.POSITIVE_SQUARE, J=J, dt=0.05,
                                               p=0.5, seed=seed), 1.0)
                  for J in (0.0, 40.0, 80.0) for seed in (1, 2)]
-    # unshared rows over segments of odd length (21, 23 and 31 factors), and
-    # one of 1256 factors whose kicks sit across the edge of its first piece
-    # of _piece(3) = 1024 factors
-    lengths = np.resize([0.005, 0.0092], 70)
+    # unshared rows over segments of odd length (21, 23 and 59 factors), and
+    # one of 2505 factors whose kicks sit across the edge of its first piece
+    # of _piece(3) = 2048 factors
+    lengths = np.resize([0.0042, 0.0046], 112)
     edges = tuple(np.concatenate([[0.0], 0.5 + np.cumsum(np.concatenate([[0.0], lengths]))]))
     edges = edges[:-1] + (1.0,)
     values = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, len(edges) - 1))
@@ -537,7 +542,7 @@ def shared_segment_batches():
             (GateSpec(GateKind.CPHASE, Schedule(A_REF, 1.0)), hand, StepPolicy()),
             (GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0)), generated, StepPolicy()),
             (GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0)), dt_job,
-             StepPolicy(substeps_per_segment=21, max_step=1.0 / 2500))]
+             StepPolicy(substeps_per_segment=21, max_step=1.0 / 5000))]
 
 
 def reference_product(spec, train, policy):
@@ -624,8 +629,8 @@ def test_values_with_one_first_exponent_do_not_share_a_kick_split_segment(monkey
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
-    # segments of about 2500, 1250, 5000 and 1250 steps: the first three run
-    # in pieces (of 2048 factors for one or two distinct values, 1024 for
+    # segments of about 5000, 2500, 10,000 and 2500 steps: the first three
+    # run in pieces (of 4096 factors for one or two distinct values, 2048 for
     # three), the first shared by every train, the third by two of three;
     # kicks sit in both, and across the first piece edge of the third
     edges = (0.0, 0.25, 0.375, 0.875, 1.0)
@@ -633,7 +638,7 @@ def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
     values = [(3.0, 10.0, 7.0, 0.0), (3.0, 11.0, 7.0, -2.0), (3.0, 12.0, 8.0, 0.0)]
     trains = [Segments(edges, v, kicks, (1, -1, 1, 1, -1, 1)) for v in values]
     spec = GateSpec(kind, Schedule(A_REF, 1.0))
-    policy = StepPolicy(max_step=1.0 / 10_000)
+    policy = StepPolicy(max_step=1.0 / 20_000)
     seg, place, counts = kick_places(trains[0], policy)
     assert counts[2] > 2 * _piece(2)
     assert place[seg == 2].min() < _piece(2) < place[seg == 2].max()
@@ -645,13 +650,13 @@ def test_long_segments_in_a_batch_are_bit_identical_to_each_train_alone(kind):
 
 
 def tree_sizes(monkeypatch):
-    """Spy on the lab frame's tree_product: a list of (factors, lanes..., stop) per call."""
+    """Spy on the lab frame's tree_product: a list of (factors, lanes...) per call."""
     sizes = []
     tree_product = propagation.tree_product
 
-    def spy(p, out, work, stop=1):
-        sizes.append(p.shape[2:] + (stop,))
-        return tree_product(p, out, work, stop)
+    def spy(p, out, work):
+        sizes.append(p.shape[2:])
+        return tree_product(p, out, work)
 
     monkeypatch.setattr(propagation, "tree_product", spy)
     return sizes
@@ -664,16 +669,15 @@ def test_a_job_of_more_nodes_than_a_call_takes_is_bit_identical_to_each_train_al
     # 40 rows x 300 segments are 12,000 nodes, above BLOCK: groups of 256 and
     # 44 segments.  The off segments of the positive trains are one value,
     # shared by every row; each segment of 40 values is a full piece of
-    # _piece(40) = 128 factors and a ragged 2, and the 256 of an alternating
-    # group outnumber the factors of one
+    # _piece(40) = 256 factors and a ragged 2
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     trains = [generate_segments(PulseTrain(kind, J=40.0 + j, dt=1.0 / 300, p=1.0, seed=j), 1.0)
               for j in range(40)]
-    policy = StepPolicy(substeps_per_segment=130)
-    assert len(trains[0]) == 300 and 40 * 300 > propagation.BLOCK and _piece(40) == 128
+    policy = StepPolicy(substeps_per_segment=258)
+    assert len(trains[0]) == 300 and 40 * 300 > propagation.BLOCK and _piece(40) == 256
     sizes = tree_sizes(monkeypatch)
     results = propagate_lab_batch(spec, job(trains), policy)
-    assert sizes[-1] == (2, 40, 1)  # the tree over the two groups' nodes
+    assert sizes[-1] == (2, 40)  # the tree over the two groups' nodes
     monkeypatch.undo()
     for train, result in zip(trains, results):
         alone = propagate_lab(spec, train, policy).U
@@ -681,27 +685,26 @@ def test_a_job_of_more_nodes_than_a_call_takes_is_bit_identical_to_each_train_al
 
 
 @pytest.mark.parametrize("rows", [1, 2])
-def test_full_pieces_of_long_segments_share_one_tree_of_their_smaller_levels(rows,
-                                                                             monkeypatch):
-    # two segments of 5000 steps, each two full pieces of _piece(rows) = 2048
-    # factors and a ragged last one: the four full pieces stop at 512 nodes,
-    # then reduced as the lanes of one tree.  Kicks sit on both sides of
-    # every full piece's edges
+def test_full_pieces_of_long_segments_fill_a_call_each_and_keep_the_bits(rows, monkeypatch):
+    # two segments of 10,000 steps, each two full pieces of _piece(rows) =
+    # 4096 factors and a ragged last one: each full piece is one call's
+    # tree, and the two ragged pieces share one.  Kicks sit on both sides
+    # of every full piece's edges
     edges = (0.0, 0.5, 1.0)
     kicks = (0.2046, 0.2048, 0.4093, 0.4095, 0.7046, 0.7048, 0.9093, 0.9095)
     values = [(3.0, 7.0), (4.0, -1.0)][:rows]
     signs = [(1, -1, -1, 1, 1, 1, -1, -1), (-1, -1, 1, 1, 1, -1, -1, 1)]
     trains = [Segments(edges, v, kicks, s) for v, s in zip(values, signs)]
     spec = GateSpec(GateKind.XGATE, Schedule(A_REF, 1.0))
-    policy = StepPolicy(max_step=1.0 / 10_000)
+    policy = StepPolicy(max_step=1.0 / 20_000)
     seg, place, counts = kick_places(trains[0], policy)
     width = _piece(rows)
-    assert width == 2048 and (counts > 2 * width).all() and (counts < 3 * width).all()
+    assert width == 4096 and (counts > 2 * width).all() and (counts < 3 * width).all()
     for s in range(2):
-        np.testing.assert_array_equal(place[seg == s], [2046, 2049, 4095, 4098])
+        np.testing.assert_array_equal(place[seg == s], [4092, 4097, 8188, 8193])
     sizes = tree_sizes(monkeypatch)
     results = propagate_lab_batch(spec, job(trains), policy)
-    assert sizes.count((width, 1, rows, 512)) == 4 and (512, 4, rows, 1) in sizes
+    assert sizes.count((width, 1, rows)) == 4 and (counts[0] - 2 * width, 2, rows) in sizes
     monkeypatch.undo()
     for train, result in zip(trains, results):
         alone = propagate_lab(spec, train, policy).U
@@ -710,15 +713,21 @@ def test_full_pieces_of_long_segments_share_one_tree_of_their_smaller_levels(row
         assert np.array_equal(result.U[np.ix_(levels, levels)], reference)
 
 
-def test_full_size_kick_comparison_takes_at_most_80_multiplies(monkeypatch):
-    # T = 10 and 9,999 jittered kicks: one segment of 24,094 factors in 11
-    # full pieces of 2048 and one of 1566.  The full pieces share the tree of
-    # their levels of 128 nodes and fewer (66 multiplies); one tree each
-    # took 136
+def full_kick_pair():
+    """(spec, pair) of the full-size kick comparison: the positive and the
+    alternating train of 9,999 jittered kicks over T = 10."""
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 10.0))
-    segments = generate_segments([PulseTrain(kind, dt=0.001, p=0.5, seed=0)
-                                  for kind in (ControlKind.DELTA_KICK_POSITIVE,
-                                               ControlKind.DELTA_KICK_ALTERNATING)], 10.0)
+    return spec, generate_segments([PulseTrain(kind, dt=0.001, p=0.5, seed=0)
+                                    for kind in (ControlKind.DELTA_KICK_POSITIVE,
+                                                 ControlKind.DELTA_KICK_ALTERNATING)], 10.0)
+
+
+def test_full_size_kick_comparison_takes_at_most_80_multiplies(monkeypatch):
+    # T = 10 and 9,999 jittered kicks: one segment of 24,094 factors in 5
+    # full pieces of 4096 and one of 3614, a call and a tree each (75
+    # multiplies).  Pieces of 2048, a tree each, took 136, and 66 when their
+    # smaller levels shared one tree
+    spec, segments = full_kick_pair()
     assert len(segments) == 1 and len(segments.kick_times) == 9999
     calls = []
     matmul = qcore._matmul
@@ -814,6 +823,39 @@ def test_long_run_memory_stays_bounded():
         tracemalloc.stop()
     assert result.steps_taken == 200_000
     assert peak < 32 * 2 ** 20
+
+
+def traced_peak(run):
+    """run() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_size_kick_comparison_peaks_below_2_25_mib():
+    # one call's workspace of 4096 one-row factors for both trains, which
+    # share the segment's one value: traced at 1.84 MiB (numpy 2.4.6); 2.25
+    # MiB leaves about a fifth of margin
+    spec, segments = full_kick_pair()
+    results, peak = traced_peak(lambda: propagate_lab_batch(spec, segments))
+    assert np.array_equal(results[0].U, results[1].U)
+    assert peak < 2.25 * 2 ** 20
+
+
+def test_densest_job_of_the_shipped_dt_sweep_peaks_below_7_mib():
+    # the dt = 0.005 job of configs/dt_zero_energy.json: 10 rows of 2000
+    # segments of 20 steps, traced at 5.63 MiB (numpy 2.4.6); 7 MiB leaves
+    # about a quarter of margin
+    cfg = config_from_dict(json.loads((CONFIG_DIR / "dt_zero_energy.json").read_text()))
+    train = replace(cfg.control, dt=cfg.grid[0])
+    segments = generate_segments([replace(train, seed=realization_seed(cfg.master_seed, 0, k))
+                                  for k in range(cfg.realizations)], cfg.gate.schedule.T)
+    assert segments.values.shape == (10, 2000)
+    results, peak = traced_peak(lambda: propagate_lab_batch(cfg.gate, segments, cfg.policy))
+    assert [result.steps_taken for result in results] == [40_000] * 10
+    assert peak < 7 * 2 ** 20
 
 
 def test_step_grid_of_a_long_run_peaks_below_10_mib():

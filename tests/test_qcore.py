@@ -567,36 +567,3 @@ def test_tree_product_has_the_bits_of_the_pairwise_tree_in_time_order(d, n, lane
     out = np.full((2 * d, d) + lanes, np.nan, dtype=complex)[::2]
     assert tree_product(tree, out, (first, second)) is out
     assert np.array_equal(_bits(out), _bits(expected))
-
-
-@pytest.mark.parametrize("n", [4, 13, 64, 97])
-def test_tree_product_stopped_at_a_level_and_finished_has_the_bits_of_the_whole(n, rng):
-    # every level size of n, n itself included: the nodes of that level in
-    # tree_order(stop) are the factors of the tree that finishes it
-    d, lanes = 3, (5,)
-    planes = 0.6 * (rng.standard_normal((d, d, n) + lanes)
-                    + 1j * rng.standard_normal((d, d, n) + lanes))
-    expected = _bits(_pairwise_in_time_order(planes))
-    stops = [n]
-    while stops[-1] > 2:
-        stops.append(stops[-1] - stops[-1] // 2)
-    for stop in stops:
-        first, second = (np.full(planes.size, np.nan, dtype=complex) for _ in range(2))
-        tree = first.reshape(planes.shape)
-        tree[...] = planes[:, :, tree_order(n)]
-        level = np.full((d, d, stop) + lanes, np.nan, dtype=complex)
-        assert tree_product(tree, level, (first, second), stop) is level
-        out = np.full((d, d) + lanes, np.nan, dtype=complex)
-        tree_product(level, out, (first, second))
-        assert np.array_equal(_bits(out), expected)
-
-
-@pytest.mark.parametrize("n, stop", [(8, 0), (8, 3), (8, 5), (8, 9), (1, 0), (13, -1), (13, 6)])
-def test_tree_product_rejects_a_stop_that_is_not_a_level_size(n, stop):
-    # the level sizes of 8 are 8, 4, 2, 1 and of 13 are 13, 7, 4, 2, 1: stop = 0
-    # used to loop forever at one node, and stop = 3 to return with out unwritten
-    planes = np.zeros((3, 3, n), dtype=complex)
-    work = tuple(np.zeros(planes.size, dtype=complex) for _ in range(2))
-    out = np.zeros((3, 3, max(stop, 1)), dtype=complex)
-    with pytest.raises(ValueError, match=f"stop = {stop} is not a level size"):
-        tree_product(planes, out, work, stop)
