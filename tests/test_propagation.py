@@ -343,9 +343,10 @@ def test_trains_with_equal_values_share_one_row(monkeypatch):
     assert not np.shares_memory(results[0].U, results[2].U)
 
 
-# 1 to 2048 factors of a 3-row batch are one piece; 2049 and 6149 are pieces
-# of _piece(3) = 2048 and a ragged last piece of 1 and 5
-@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6149])
+# 1 to 2048 factors of a 3-row batch are one piece, 1023 to 1025 the old
+# piece size's edge; 2049, 3077 and 6149 are pieces of _piece(3) = 2048 and a
+# ragged last piece of 1, 1029 and 5
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 3077, 6149])
 def test_chunked_product_is_bit_identical_to_whole_stack(n, rng):
     spec = GateSpec(GateKind.PHASE, Schedule(A_REF, 1.0))
     ts = np.sort(rng.uniform(0.0, 1.0, size=n))
